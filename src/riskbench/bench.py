@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .distributions import dist_label, horizon_target, parse_dist, true_risk_levels
-from .estimators import LEstimatorSpec, build_estimator
+from .estimators import LEstimatorSpec, build_estimator, snapped_floor
 from .metrics import (
     DEFAULT_CHUNK,
     MetricReport,
@@ -80,17 +80,31 @@ class BenchConfig:
     format: str = "csv"
 
     def __post_init__(self):
+        if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
+            raise ValueError(f"alpha must be a number, got {self.alpha!r}")
         if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"level alpha must lie in (0, 1), got {self.alpha}")
-        if self.k < 20:
-            raise ValueError("need at least 20 replications")
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_int("n", self.n, 1)
+        _check_int("k", self.k, 20)
+        _check_int("seed", self.seed, 0)
+        _check_int("oracle_k", self.oracle_k, 1)
+        _check_int("workers", self.workers, 1)
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
-        object.__setattr__(self, "distributions", tuple(self.distributions))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
-        object.__setattr__(self, "schemes", tuple(self.schemes))
+        for name in ("distributions", "estimators", "schemes"):
+            object.__setattr__(self, name, _name_tuple(name, getattr(self, name)))
+        # parse every name now, so a typo fails before any compute
+        _parse_each("distributions", self.distributions, parse_dist)
+        _parse_each("schemes", self.schemes, lambda text: parse_scheme(text, self.n))
+        specs = _parse_each(
+            "estimators", self.estimators, lambda name: build_estimator(name, self.alpha, self.n)
+        )
+        for spec in specs:
+            if snapped_floor(spec.alpha * self.k) < 1:
+                raise ValueError(
+                    f"k: estimator {spec.id.value!r} at level {spec.alpha} needs "
+                    f"floor(alpha*k) >= 1, got k = {self.k}"
+                )
 
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
@@ -126,6 +140,32 @@ class BenchConfig:
         payload.pop("workers")
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.blake2b(blob, digest_size=6).hexdigest()
+
+
+def _check_int(field_name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field_name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{field_name} must be at least {minimum}, got {value}")
+
+
+def _name_tuple(field_name: str, value) -> tuple[str, ...]:
+    if isinstance(value, str):
+        raise ValueError(f"{field_name} must be a list of names, not the string {value!r}")
+    names = tuple(value)
+    if not names:
+        raise ValueError(f"{field_name} must name at least one entry")
+    for item in names:
+        if not isinstance(item, str):
+            raise ValueError(f"{field_name} entries must be strings, got {item!r}")
+    return names
+
+
+def _parse_each(field_name: str, names: tuple[str, ...], parse) -> list:
+    try:
+        return [parse(name) for name in names]
+    except ValueError as exc:
+        raise ValueError(f"{field_name}: {exc}") from None
 
 
 @dataclass(frozen=True)

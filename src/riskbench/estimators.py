@@ -49,6 +49,7 @@ __all__ = [
     "empirical_quantile_var",
     "es1_tail_average",
     "es2_tail_average",
+    "snapped_floor",
     "DEFAULT_XI",
 ]
 
@@ -76,9 +77,15 @@ class EstimatorId(str, Enum):
     CUSTOM = "custom"
 
 
+def snapped_floor(value: float) -> int:
+    """floor(value), snapping float dust just below an integer up to it: the
+    one floor rule for tail counts such as floor(alpha*n)."""
+    return int(np.floor(value + _FLOOR_SNAP))
+
+
 def _snapped_split(value: float) -> tuple[int, float]:
     """Split into (floor, fractional part), snapping float dust at integers."""
-    m = int(np.floor(value + _FLOOR_SNAP))
+    m = snapped_floor(value)
     frac = value - m
     if frac < _FLOOR_SNAP:
         frac = 0.0

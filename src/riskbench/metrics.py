@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .distributions import TrueRisk, dist_label, sample as draw_dist
-from .estimators import EstimatorId, LEstimatorSpec, es1_tail_average
+from .estimators import EstimatorId, LEstimatorSpec, es1_tail_average, snapped_floor
 from .sampling import (
     RandomnessContract,
     SamplingScheme,
@@ -80,7 +80,7 @@ class BenchCell:
             raise ValueError(f"level alpha must lie in (0, 1), got {self.alpha}")
         if not (isinstance(self.K, int) and self.K >= 20):
             raise ValueError(f"need at least 20 replications, got {self.K!r}")
-        if int(self.alpha * self.K) < 1:
+        if snapped_floor(self.alpha * self.K) < 1:
             raise ValueError(
                 f"secured-tail metrics need floor(alpha*K) >= 1, got alpha*K = {self.alpha * self.K}"
             )
@@ -145,15 +145,21 @@ def _evaluate_replications(
     spec_idx = [i for i, e in enumerate(estimators) if isinstance(e, LEstimatorSpec)]
     box_idx = [i for i, e in enumerate(estimators) if not isinstance(e, LEstimatorSpec)]
 
+    sample_tag = f"sample|{cell_tag}"
+    companion_tag = f"companion|{cell_tag}"
+
     estimates = np.empty((K, len(estimators)))
     companions = np.empty(K)
 
     def fill(c0: int, c1: int) -> None:
+        # one generator per chunk, re-keyed per stream: never shared between
+        # threads, and its draws match contract.stream(tag, k) exactly
+        rng = contract.stream(sample_tag, c0)
         rows = np.empty((c1 - c0, n))
         for j, k in enumerate(range(c0, c1)):
-            rows[j] = draw_values(distribution, scheme, contract.stream(f"sample|{cell_tag}", k))
+            rows[j] = draw_values(distribution, scheme, contract.rekey(rng, sample_tag, k))
             companions[k] = draw_secured_companion(
-                distribution, scheme, contract.stream(f"companion|{cell_tag}", k)
+                distribution, scheme, contract.rekey(rng, companion_tag, k)
             )
         for i in box_idx:
             fn = estimators[i].fn
@@ -251,7 +257,7 @@ def run_group(
     if not (len(estimators) == len(levels) == len(references)):
         raise ValueError("estimators, levels, and references must align")
     for a in levels:
-        if int(a * K) < 1:
+        if snapped_floor(a * K) < 1:
             raise ValueError(f"floor(alpha*K) >= 1 required, got alpha={a}, K={K}")
     estimates, companions = _evaluate_replications(
         distribution, scheme, estimators, K, contract, workers=workers, chunk_size=chunk_size

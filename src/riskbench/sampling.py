@@ -8,6 +8,7 @@ is shared between replications.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Union
@@ -103,6 +104,18 @@ def base_draw_count(scheme: SamplingScheme) -> int:
     raise ValueError(f"unknown scheme object {scheme!r}")
 
 
+@functools.lru_cache(maxsize=1024)
+def _tag_word(master_seed: int, tag: str) -> int:
+    """High 64 key bits of every stream under (master_seed, tag)."""
+    digest = hashlib.blake2b(f"{master_seed}:{tag}".encode(), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
+
+
+def _check_index(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"replication index must be non-negative, got {k}")
+
+
 def stream_key(master_seed: int, tag: str, k: int) -> int:
     """The 128-bit Philox key for stream (master_seed, tag, k).
 
@@ -110,11 +123,14 @@ def stream_key(master_seed: int, tag: str, k: int) -> int:
     replication index. Distinct (tag, k) pairs get distinct keys, and
     Philox streams with distinct keys are independent by construction.
     """
-    if k < 0:
-        raise ValueError(f"replication index must be non-negative, got {k}")
-    digest = hashlib.blake2b(f"{master_seed}:{tag}".encode(), digest_size=8).digest()
-    high = int.from_bytes(digest, "little")
-    return (high << 64) | (k & _MASK64)
+    _check_index(k)
+    return (_tag_word(master_seed, tag) << 64) | (k & _MASK64)
+
+
+# Philox state words of a freshly keyed stream: counter zero, buffer empty
+# (buffer_pos equal to the four-word buffer size).
+_ZERO4 = (0, 0, 0, 0)
+_EMPTY_BUFFER_POS = 4
 
 
 @dataclass(frozen=True)
@@ -128,13 +144,36 @@ class RandomnessContract:
             np.random.Philox(key=stream_key(self.master_seed, tag, k))
         )
 
+    def rekey(self, rng: np.random.Generator, tag: str, k: int) -> np.random.Generator:
+        """Reset a Philox-backed generator to the start of stream (tag, k).
+
+        Philox is counter-based, so a stream is fixed by its key alone: the
+        draws that follow match those of stream(tag, k) exactly, whatever
+        rng drew before. Cheaper than building a generator per stream.
+        """
+        _check_index(k)
+        rng.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": _ZERO4,
+                "key": (k & _MASK64, _tag_word(self.master_seed, tag)),
+            },
+            "buffer": _ZERO4,
+            "buffer_pos": _EMPTY_BUFFER_POS,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return rng
+
 
 def draw_values(dist, scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
     """The raw sample array for one replication; see draw_sample."""
     base = draw_from(dist, base_draw_count(scheme), rng)
     if isinstance(scheme, Iid) or scheme.h == 1:
         return base
-    csum = np.concatenate([[0.0], np.cumsum(base)])
+    csum = np.empty(base.size + 1)
+    csum[0] = 0.0
+    np.cumsum(base, out=csum[1:])
     return csum[scheme.h :] - csum[: scheme.n]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -45,6 +46,43 @@ class TestConfig:
             BenchConfig(format="xml")
         with pytest.raises(ValueError):
             BenchConfig(workers=0)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(distributions="t:5"), "distributions"),
+            (dict(schemes="iid"), "schemes"),
+            (dict(estimators="es1"), "estimators"),
+            (dict(distributions=()), "distributions"),
+            (dict(estimators=("es1", 2)), "estimators"),
+            (dict(k=20.5), "k"),
+            (dict(k=True), "k"),
+            (dict(n=0), "n"),
+            (dict(oracle_k=-5), "oracle_k"),
+            (dict(seed="x"), "seed"),
+            (dict(seed=-1), "seed"),
+            (dict(workers=2.0), "workers"),
+            (dict(alpha="0.1"), "alpha"),
+        ],
+    )
+    def test_strict_types_and_ranges(self, overrides, field):
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            tiny_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(distributions=("normal:0:1", "lognormal:0:1")), "distributions"),
+            (dict(distributions=("t:x",)), "distributions"),
+            (dict(schemes=("iid", "rolling")), "schemes"),
+            (dict(estimators=("es1", "es9")), "estimators"),
+            (dict(estimators=("var1",), n=100), "estimators"),
+            (dict(estimators=("var1",), k=60), "k"),
+        ],
+    )
+    def test_names_are_parsed_before_any_compute(self, overrides, field):
+        with pytest.raises(ValueError, match=rf"^{field}\b"):
+            tiny_config(**overrides)
 
     def test_from_json_round_trip(self):
         c = tiny_config()
@@ -146,6 +184,21 @@ class TestDeterminism:
         a = run_study(tiny_config(workers=1)).to_csv()
         b = run_study(tiny_config(workers=4)).to_csv()
         assert a == b
+
+    def test_golden_csv_hash(self):
+        # pinned from the per-replication-generator code; any change to draw
+        # order, stream keys, chunking or summation order moves this hash
+        config = BenchConfig(
+            distributions=("normal:0:1", "t:5", "nig:0.4:0.14:0:1"),
+            schemes=("iid", "overlapping:10"),
+            k=200,
+            oracle_k=100_000,
+            seed=42,
+        )
+        csv = run_study(config).to_csv()
+        assert hashlib.sha256(csv.encode()).hexdigest() == (
+            "3223e23faac3dafb87c5ec3ed602329542c4a4aa5e58d6ded094cb08a419da63"
+        )
 
     def test_seed_changes_output(self):
         a = run_study(tiny_config()).to_csv()

@@ -227,6 +227,20 @@ class TestMetricDefinitions:
         with pytest.raises(ValueError):
             BenchCell(Normal(), Iid(N), spec, 0.001, 100, 0)  # empty tail
 
+    def test_tail_gates_share_the_snapped_floor(self):
+        # alpha*K = 0.9999999999999999 here: a plain int() floor gives 0, while
+        # es1_tail_average snaps it to a one-outcome tail
+        alpha, k = 1.0 / 49.0, 49
+        assert alpha * k < 1.0
+        assert es1_tail_average(np.arange(k) + 5.0, alpha) == -5.0
+        spec = build_es1(ALPHA, N)
+        BenchCell(Normal(), Iid(N), spec, alpha, k, 0)
+        rep = run_group(Normal(), Iid(N), [spec], [alpha], [1.0], k, RandomnessContract(1))[0]
+        estimates, companions = _evaluate_replications(
+            Normal(), Iid(N), [spec], k, RandomnessContract(1)
+        )
+        assert rep.rb == -es1_tail_average(companions + estimates[:, 0], alpha)
+
     def test_rejects_nonpositive_reference(self):
         contract = RandomnessContract(1)
         with pytest.raises(ValueError):

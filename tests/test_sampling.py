@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from riskbench.distributions import Normal, StudentT, sample
+from riskbench.distributions import Nig, Normal, StudentT, sample
 from riskbench.sampling import (
     Iid,
     Overlapping,
@@ -61,6 +61,33 @@ class TestContract:
     def test_philox_backs_the_generator(self):
         c = RandomnessContract(0)
         assert isinstance(c.stream("t", 0).bit_generator, np.random.Philox)
+
+
+class TestRekey:
+    @pytest.mark.parametrize("dist", [Normal(), StudentT(5.0), Nig(0.4, 0.14)])
+    def test_rekey_matches_a_fresh_stream(self, dist):
+        c = RandomnessContract(42)
+        g = c.stream("warm-up", 3)
+        # leave a partly used Philox buffer and a cached uint32 behind
+        g.standard_normal(7)
+        g.random(3)
+        g.integers(0, 2**32, size=1, dtype=np.uint32)
+        for tag, k in (("sample|x", 0), ("companion|x", 9), ("sample|x", 2**63 + 5)):
+            got = sample(dist, 11, c.rekey(g, tag, k))
+            want = sample(dist, 11, c.stream(tag, k))
+            assert np.array_equal(got, want)
+            g.random(5)
+
+    def test_rekey_returns_its_generator(self):
+        c = RandomnessContract(1)
+        g = c.stream("t", 0)
+        assert c.rekey(g, "t", 4) is g
+        assert repr(g.bit_generator.state) == repr(c.stream("t", 4).bit_generator.state)
+
+    def test_negative_replication_rejected(self):
+        c = RandomnessContract(0)
+        with pytest.raises(ValueError):
+            c.rekey(c.stream("a", 0), "a", -1)
 
 
 class TestSchemes:
