@@ -17,7 +17,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .distributions import dist_label, horizon_target, parse_dist, true_risk_levels
+from .distributions import (
+    dist_label,
+    horizon_target,
+    needs_oracle,
+    oracle_batch_size,
+    parse_dist,
+    true_risk_levels,
+)
 from .estimators import LEstimatorSpec, build_estimator, snapped_floor
 from .metrics import (
     DEFAULT_CHUNK,
@@ -94,8 +101,8 @@ class BenchConfig:
         for name in ("distributions", "estimators", "schemes"):
             object.__setattr__(self, name, _name_tuple(name, getattr(self, name)))
         # parse every name now, so a typo fails before any compute
-        _parse_each("distributions", self.distributions, parse_dist)
-        _parse_each("schemes", self.schemes, lambda text: parse_scheme(text, self.n))
+        dists = _parse_each("distributions", self.distributions, parse_dist)
+        schemes = _parse_each("schemes", self.schemes, lambda text: parse_scheme(text, self.n))
         specs = _parse_each(
             "estimators", self.estimators, lambda name: build_estimator(name, self.alpha, self.n)
         )
@@ -104,6 +111,16 @@ class BenchConfig:
                 raise ValueError(
                     f"k: estimator {spec.id.value!r} at level {spec.alpha} needs "
                     f"floor(alpha*k) >= 1, got k = {self.k}"
+                )
+        if any(needs_oracle(horizon_target(d, s.horizon)) for d in dists for s in schemes):
+            # each oracle batch scores its own tail average at every level
+            batch = oracle_batch_size(self.oracle_k)
+            low = min(spec.alpha for spec in specs)
+            if snapped_floor(low * batch) < 1:
+                raise ValueError(
+                    f"oracle_k: {self.oracle_k} leaves {batch} draws per oracle batch, "
+                    f"too few for a tail average at level {low}; need "
+                    f"floor(alpha*batch) >= 1"
                 )
 
     @classmethod

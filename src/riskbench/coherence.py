@@ -3,11 +3,15 @@
 An estimator here is any callable from length-n float arrays to floats.
 Each axiom check runs a fixed adversarial deck first (unit spikes, constant
 shifts, paired tail spikes) and then randomized probes, and returns either
-PASS with the trial count or FAIL with a replayable witness.
+PASS with the trial count or FAIL with a replayable witness. Probes are
+scored in row blocks: through the estimator's `.rows(block)` when it has
+one (weight estimators do: one sort and one matrix-vector product per
+block), otherwise one call per row.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -196,6 +200,194 @@ def _monotone_transform(rng: np.random.Generator, base: np.ndarray) -> np.ndarra
     return a * base + b * np.maximum(base, knot) + c
 
 
+# Probes are scored in blocks of at most this many floats, so memory stays
+# flat in the trial count (262 rows at n = 250).
+_BLOCK_FLOATS = 1 << 16
+
+Rows = Callable[[np.ndarray], np.ndarray]
+
+
+def _rows(estimator: Estimator) -> Rows:
+    """Score an (m, n) block to m values: through the estimator's own
+    `.rows` when it has one (LEstimatorSpec.as_callable), else row by row."""
+    rows = getattr(estimator, "rows", None)
+    if rows is not None:
+        return rows
+    return lambda block: np.array([estimator(x) for x in block], dtype=float)
+
+
+def _probe_blocks(total: int, n: int, rows_per_probe: int, lead_rows: int = 0):
+    """(start, stop) probe slices whose scored rows, plus lead_rows fixed rows
+    in the first slice, fit in _BLOCK_FLOATS floats; at least one probe each."""
+    cap = max(1, _BLOCK_FLOATS // n)
+    start = 0
+    while start < total:
+        stop = min(total, start + max(1, (cap - lead_rows) // rows_per_probe))
+        yield start, stop
+        start, lead_rows = stop, 0
+
+
+def _max_abs(block: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(block), axis=-1)
+
+
+def _tols(*scales: np.ndarray) -> np.ndarray:
+    """_tol per case, from the largest magnitudes of each case's inputs."""
+    return VIOLATION_RTOL * (1.0 + functools.reduce(np.maximum, scales))
+
+
+def _first(violated: np.ndarray) -> Optional[int]:
+    """Flat index of the first True, in row-major (probe, case) order."""
+    hits = np.flatnonzero(violated)
+    return int(hits[0]) if hits.size else None
+
+
+# Each scan below draws its probe inputs from rng block by block, in one
+# fixed order (probe by probe, each probe's draws in turn), scores each
+# block in one call, and returns (inputs, aux, lhs, rhs, description) for
+# the first violation in (probe, case) order, or None. Blocks after the one
+# holding the first violation are neither drawn nor scored.
+
+
+def _scan_monotonicity(score: Rows, probes: np.ndarray, rng: np.random.Generator):
+    # x >= y entrywise must give estimator(x) <= estimator(y); probe 0 is
+    # preceded by two fixed pairs
+    n = probes.shape[1]
+    fixed_hi = np.array([_unit(n, 0), np.ones(n)])
+    fixed_lo = np.zeros((2, n))
+    for start, stop in _probe_blocks(len(probes), n, 2, lead_rows=4):
+        lo = probes[start:stop]
+        bump = np.empty_like(lo)
+        coin = np.empty_like(lo)
+        for i in range(len(lo)):
+            bump[i] = rng.standard_normal(n)
+            coin[i] = rng.random(n)
+        bump = np.abs(bump) * (1.0 + 0.1 * _max_abs(lo))[:, None]
+        hi = lo + np.where(coin < 0.5, bump, 0.0)
+        if start == 0:
+            hi, lo = np.vstack([fixed_hi, hi]), np.vstack([fixed_lo, lo])
+        values = score(np.vstack([hi, lo]))
+        lhs, rhs = values[: len(hi)], values[len(hi) :]
+        j = _first(lhs - rhs > _tols(_max_abs(hi), _max_abs(lo)))
+        if j is not None:
+            return (hi[j], lo[j]), None, lhs[j], rhs[j], "higher outcomes scored riskier"
+    return None
+
+
+def _scan_cash_additivity(score: Rows, probes: np.ndarray, rng: np.random.Generator):
+    n = probes.shape[1]
+    for start, stop in _probe_blocks(len(probes), n, 6):
+        x = probes[start:stop]
+        m = np.empty((len(x), 5))
+        m[:, :4] = (1.0, -1.0, 0.5, -0.5)
+        m[:, 4] = [rng.uniform(-10.0, 10.0) for _ in range(len(x))]
+        base = score(x)
+        got = score((x[:, None, :] + m[:, :, None]).reshape(-1, n)).reshape(m.shape)
+        want = base[:, None] - m
+        j = _first(np.abs(got - want) > _tols(_max_abs(x)[:, None], np.abs(m)))
+        if j is not None:
+            p, k = divmod(j, 5)
+            return (
+                (x[p],), float(m[p, k]), got[p, k], want[p, k],
+                "cash shift not subtracted one for one",
+            )
+    return None
+
+
+def _scan_positive_homogeneity(score: Rows, probes: np.ndarray, rng: np.random.Generator):
+    n = probes.shape[1]
+    for start, stop in _probe_blocks(len(probes), n, 5):
+        x = probes[start:stop]
+        lam = np.empty((len(x), 4))
+        lam[:, :3] = (0.0, 0.5, 2.0)
+        lam[:, 3] = [rng.uniform(0.0, 20.0) for _ in range(len(x))]
+        scaled = lam[:, :, None] * x[:, None, :]
+        base = score(x)
+        got = score(scaled.reshape(-1, n)).reshape(lam.shape)
+        want = lam * base[:, None]
+        j = _first(np.abs(got - want) > _tols(_max_abs(x)[:, None], _max_abs(scaled)))
+        if j is not None:
+            p, k = divmod(j, 4)
+            return (x[p],), float(lam[p, k]), got[p, k], want[p, k], "not positively homogeneous"
+    return None
+
+
+def _scan_subadditivity(score: Rows, probes: np.ndarray, rng: np.random.Generator):
+    # two fixed pairs of tail spikes come first when n >= 2
+    n = probes.shape[1]
+    if n >= 2:
+        fixed_x = np.array([-100.0 * _unit(n, 0), _unit(n, 0)])
+        fixed_y = np.array([-100.0 * _unit(n, 1), _unit(n, 1)])
+    else:
+        fixed_x = fixed_y = np.empty((0, n))
+    for start, stop in _probe_blocks(len(probes), n, 6, lead_rows=3 * len(fixed_x)):
+        block = probes[start:stop]
+        y = np.empty((2 * len(block), n))
+        for i, row in enumerate(block):
+            y[2 * i] = rng.standard_normal(n) * (1.0 + 0.5 * float(np.std(row)))
+            y[2 * i + 1] = 0.5 * row + 0.5 * rng.standard_normal(n)
+        x = np.repeat(block, 2, axis=0)
+        if start == 0:
+            x, y = np.vstack([fixed_x, x]), np.vstack([fixed_y, y])
+        c = len(x)
+        values = score(np.vstack([x, y, x + y]))
+        lhs = values[2 * c :]
+        rhs = values[:c] + values[c : 2 * c]
+        j = _first(lhs - rhs > _tols(_max_abs(x), _max_abs(y)))
+        if j is not None:
+            return (x[j], y[j]), None, lhs[j], rhs[j], "merging positions raised total risk"
+    return None
+
+
+def _scan_law_invariance(score: Rows, probes: np.ndarray, rng: np.random.Generator):
+    n = probes.shape[1]
+    for start, stop in _probe_blocks(len(probes), n, 3):
+        x = probes[start:stop]
+        y = np.empty((2 * len(x), n))
+        for i, row in enumerate(x):
+            y[2 * i] = row[rng.permutation(n)]
+            y[2 * i + 1] = row[::-1]
+        values = score(np.vstack([x, y]))
+        lhs = values[len(x) :]
+        rhs = np.repeat(values[: len(x)], 2)
+        j = _first(np.abs(lhs - rhs) > np.repeat(_tols(_max_abs(x)), 2))
+        if j is not None:
+            return (
+                (x[j // 2], y[j]), None, lhs[j], rhs[j],
+                "reordering the sample changed the value",
+            )
+    return None
+
+
+def _scan_comonotonic_additivity(score: Rows, probes: np.ndarray, rng: np.random.Generator):
+    n = probes.shape[1]
+    for start, stop in _probe_blocks(len(probes), n, 3):
+        x = probes[start:stop]
+        u = np.empty_like(x)
+        v = np.empty_like(x)
+        for i, row in enumerate(x):
+            u[i] = _monotone_transform(rng, row)
+            v[i] = _monotone_transform(rng, row)
+        values = score(np.vstack([u, v, u + v]))
+        c = len(x)
+        lhs = values[2 * c :]
+        rhs = values[:c] + values[c : 2 * c]
+        j = _first(np.abs(lhs - rhs) > _tols(_max_abs(u), _max_abs(v)))
+        if j is not None:
+            return (u[j], v[j]), None, lhs[j], rhs[j], "not additive on comonotone pairs"
+    return None
+
+
+_SCANS = {
+    "monotonicity": _scan_monotonicity,
+    "cash_additivity": _scan_cash_additivity,
+    "positive_homogeneity": _scan_positive_homogeneity,
+    "subadditivity": _scan_subadditivity,
+    "law_invariance": _scan_law_invariance,
+    "comonotonic_additivity": _scan_comonotonic_additivity,
+}
+
+
 def check_axiom(
     estimator: Estimator,
     axiom: str,
@@ -207,6 +399,7 @@ def check_axiom(
 
     Args:
         estimator: callable from length-n arrays to floats; must be pure.
+            One that carries `.rows` is scored a block of probes at a time.
         axiom: one of AXIOMS.
         n: probe dimension, n >= 1.
         trials: number of randomized probes after the deck.
@@ -226,84 +419,19 @@ def check_axiom(
     probes = np.vstack([_deck(n), _random_probes(rng, trials, n)]) if trials else np.array(_deck(n))
     total = probes.shape[0]
 
-    def fail(inputs, aux, lhs, rhs, description) -> AxiomCheck:
-        witness = Witness(
-            axiom=axiom,
-            inputs=tuple(np.array(v) for v in inputs),
-            aux=aux,
-            lhs=float(lhs),
-            rhs=float(rhs),
-            description=description,
-        )
-        return AxiomCheck(axiom=axiom, passed=False, trials=total, witness=witness)
-
-    if axiom == "monotonicity":
-        # x >= y entrywise must give estimator(x) <= estimator(y).
-        for i, x in enumerate(probes):
-            if i == 0 and n >= 1:
-                pairs = [(_unit(n, 0), np.zeros(n)), (np.ones(n), np.zeros(n))]
-            else:
-                pairs = []
-            bump = np.abs(rng.standard_normal(n)) * (1.0 + 0.1 * float(np.max(np.abs(x))))
-            mask = rng.random(n) < 0.5
-            pairs.append((x + np.where(mask, bump, 0.0), x))
-            for hi, lo in pairs:
-                lhs, rhs = estimator(hi), estimator(lo)
-                if lhs - rhs > _tol(hi, lo):
-                    return fail((hi, lo), None, lhs, rhs, "higher outcomes scored riskier")
-    elif axiom == "cash_additivity":
-        shifts = (1.0, -1.0, 0.5, -0.5)
-        for x in probes:
-            base = estimator(x)
-            for m in shifts + (float(rng.uniform(-10.0, 10.0)),):
-                got = estimator(x + m)
-                want = base - m
-                if abs(got - want) > _tol(x, m):
-                    return fail((x,), m, got, want, "cash shift not subtracted one for one")
-    elif axiom == "positive_homogeneity":
-        lams = (0.0, 0.5, 2.0)
-        for x in probes:
-            base = estimator(x)
-            for lam in lams + (float(rng.uniform(0.0, 20.0)),):
-                got = estimator(lam * x)
-                want = lam * base
-                if abs(got - want) > _tol(x, lam * x):
-                    return fail((x,), lam, got, want, "not positively homogeneous")
-    elif axiom == "subadditivity":
-        fixed_pairs = []
-        if n >= 2:
-            fixed_pairs.append((-100.0 * _unit(n, 0), -100.0 * _unit(n, 1)))
-            fixed_pairs.append((_unit(n, 0), _unit(n, 1)))
-        for x, y in fixed_pairs:
-            lhs = estimator(x + y)
-            rhs = estimator(x) + estimator(y)
-            if lhs - rhs > _tol(x, y):
-                return fail((x, y), None, lhs, rhs, "merging positions raised total risk")
-        for x in probes:
-            y_ind = rng.standard_normal(n) * (1.0 + 0.5 * float(np.std(x)))
-            y_cor = 0.5 * x + 0.5 * rng.standard_normal(n)
-            for y in (y_ind, y_cor):
-                lhs = estimator(x + y)
-                rhs = estimator(x) + estimator(y)
-                if lhs - rhs > _tol(x, y):
-                    return fail((x, y), None, lhs, rhs, "merging positions raised total risk")
-    elif axiom == "law_invariance":
-        for x in probes:
-            perm = rng.permutation(n)
-            for y in (x[perm], x[::-1]):
-                lhs, rhs = estimator(y), estimator(x)
-                if abs(lhs - rhs) > _tol(x):
-                    return fail((x, y), None, lhs, rhs, "reordering the sample changed the value")
-    elif axiom == "comonotonic_additivity":
-        for x in probes:
-            u = _monotone_transform(rng, x)
-            v = _monotone_transform(rng, x)
-            lhs = estimator(u + v)
-            rhs = estimator(u) + estimator(v)
-            if abs(lhs - rhs) > _tol(u, v):
-                return fail((u, v), None, lhs, rhs, "not additive on comonotone pairs")
-
-    return AxiomCheck(axiom=axiom, passed=True, trials=total, witness=None)
+    found = _SCANS[axiom](_rows(estimator), probes, rng)
+    if found is None:
+        return AxiomCheck(axiom=axiom, passed=True, trials=total, witness=None)
+    inputs, aux, lhs, rhs, description = found
+    witness = Witness(
+        axiom=axiom,
+        inputs=tuple(np.array(v) for v in inputs),
+        aux=aux,
+        lhs=float(lhs),
+        rhs=float(rhs),
+        description=description,
+    )
+    return AxiomCheck(axiom=axiom, passed=False, trials=total, witness=witness)
 
 
 def check_all(
@@ -334,20 +462,20 @@ def check_cash_additivity_slope(
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    grid = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
-    bases = [np.zeros(n), np.linspace(-1.0, 1.0, n)]
-    slopes = []
-    for x in bases:
-        v0 = estimator(x)
-        for m in grid:
-            slopes.append((v0 - estimator(x + m)) / m)
-    spread = max(slopes) - min(slopes)
-    if spread > tol * (1.0 + max(abs(m) for m in grid)):
+    grid = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+    bases = np.array([np.zeros(n), np.linspace(-1.0, 1.0, n)])
+    score = _rows(estimator)
+    v0 = score(bases)
+    shifted = score((bases[:, None, :] + grid[:, None]).reshape(-1, n)).reshape(2, grid.size)
+    slopes = (v0[:, None] - shifted) / grid
+    spread = float(np.max(slopes) - np.min(slopes))
+    if spread > tol * (1.0 + float(np.max(np.abs(grid)))):
         raise ValueError(
             f"cash response is not affine: slope spread {spread!r} over the shift grid"
         )
     # Zeros base with unit shift gives the cleanest float read of the slope.
-    return float(estimator(np.zeros(n)) - estimator(np.ones(n)))
+    ends = score(np.array([np.zeros(n), np.ones(n)]))
+    return float(ends[0] - ends[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,16 +495,19 @@ def verify_representation(
     n = weights.n
     rng = np.random.default_rng(seed)
     probes = np.vstack([_deck(n), _random_probes(rng, trials, n)])
-    for x in probes:
-        got = estimator(x)
-        want = apply_l_estimator(weights, x)
-        if abs(got - want) > _tol(x):
+    score = _rows(estimator)
+    for start, stop in _probe_blocks(len(probes), n, 1):
+        x = probes[start:stop]
+        got = score(x)
+        want = np.array([apply_l_estimator(weights, row) for row in x])
+        j = _first(np.abs(got - want) > _tols(_max_abs(x)))
+        if j is not None:
             witness = Witness(
                 axiom="law_invariance",
-                inputs=(np.array(x), np.array(x)),
+                inputs=(np.array(x[j]), np.array(x[j])),
                 aux=None,
-                lhs=float(got),
-                rhs=float(want),
+                lhs=float(got[j]),
+                rhs=float(want[j]),
                 description="estimator deviates from its candidate weight representation",
             )
             return VerificationResult(passed=False, trials=probes.shape[0], witness=witness)
@@ -411,7 +542,8 @@ def extract_comonotonic_weights(
     if n < 1:
         raise ValueError("dimension must be at least 1")
     ladder = np.tril(np.full((n + 1, n), -1.0), k=-1)
-    values = np.array([estimator(row) for row in ladder])
+    score = _rows(estimator)
+    values = np.concatenate([score(ladder[a:b]) for a, b in _probe_blocks(n + 1, n, 1)])
     a = np.diff(values)
 
     if float(np.min(a)) < -tol:

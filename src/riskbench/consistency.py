@@ -151,9 +151,10 @@ def empirical_consistency(
         n = int(n_raw)
         w = approx.builder(n)
         errors = np.empty(reps)
+        tag = f"consistency|{approx.name}|n={n}"
+        rng = contract.stream(tag, 0)
         for rep in range(reps):
-            rng = contract.stream(f"consistency|{approx.name}|n={n}", rep)
-            x = draw_dist(dist, n, rng)
+            x = draw_dist(dist, n, contract.rekey(rng, tag, rep))
             errors[rep] = abs(apply_l_estimator(w, x) - reference)
         q25, q50, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
         rows.append(ConsistencyRow(n=n, median_abs_error=float(q50), iqr=float(q75 - q25)))

@@ -31,6 +31,7 @@ __all__ = [
     "SupremumResult",
     "sort_sample",
     "apply_l_estimator",
+    "score_sorted_rows",
     "apply_supremum",
     "permutation_closure_oracle",
     "weights_to_json",
@@ -223,6 +224,15 @@ def apply_l_estimator(w, x) -> float:
             f"weights of length {weights.size} cannot score a sample of length {values.size}"
         )
     return float(-np.dot(weights, values))
+
+
+def score_sorted_rows(w, rows: np.ndarray) -> np.ndarray:
+    """Evaluate -<w, row> for every row of an (m, n) block sorted along axis 1.
+
+    The block form of apply_l_estimator: one matrix-vector product, no
+    validation. Its last bits can differ from a per-row dot product.
+    """
+    return -(rows @ _weight_array(w))
 
 
 def apply_supremum(m: SupremumCre, x) -> SupremumResult:

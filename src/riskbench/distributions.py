@@ -36,6 +36,8 @@ __all__ = [
     "TrueRisk",
     "true_risk",
     "true_risk_levels",
+    "needs_oracle",
+    "oracle_batch_size",
     "normal_var",
     "normal_es",
     "student_t_var",
@@ -324,6 +326,19 @@ def _round_up(k: int, multiple: int) -> int:
     return ((k + multiple - 1) // multiple) * multiple
 
 
+def needs_oracle(target) -> bool:
+    """Whether the true risk of a target goes through the Monte Carlo oracle:
+    Normal and Student-t have closed forms, NIG and h-day sums do not."""
+    return not isinstance(target, (Normal, StudentT))
+
+
+def oracle_batch_size(oracle_k: int) -> int:
+    """Draws per oracle batch: oracle_k rounded up so the ORACLE_BATCHES
+    batches tile it in whole antithetic pairs, then split evenly."""
+    k = _round_up(max(int(oracle_k), 2 * ORACLE_BATCHES), 2 * ORACLE_BATCHES)
+    return k // ORACLE_BATCHES
+
+
 def true_risk_levels(
     dist,
     alphas,
@@ -342,21 +357,20 @@ def true_risk_levels(
     for a in levels:
         if not (0.0 < a < 1.0):
             raise ValueError(f"level alpha must lie in (0, 1), got {a}")
-    if not force_oracle:
+    if not (force_oracle or needs_oracle(dist)):
         if isinstance(dist, Normal):
             return {
                 a: TrueRisk(normal_var(dist, a), normal_es(dist, a), "closed_form", 0.0)
                 for a in levels
             }
-        if isinstance(dist, StudentT):
-            return {
-                a: TrueRisk(
-                    student_t_var(dist.nu, a), student_t_es(dist.nu, a), "closed_form", 0.0
-                )
-                for a in levels
-            }
+        return {
+            a: TrueRisk(
+                student_t_var(dist.nu, a), student_t_es(dist.nu, a), "closed_form", 0.0
+            )
+            for a in levels
+        }
 
-    k = _round_up(max(int(oracle_k), 2 * ORACLE_BATCHES), 2 * ORACLE_BATCHES)
+    k = oracle_batch_size(oracle_k) * ORACLE_BATCHES
     values = _oracle_sample(dist, k, seed)
     batches = values.reshape(ORACLE_BATCHES, -1)
     out = {}

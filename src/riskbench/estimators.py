@@ -9,6 +9,7 @@ to the coherence machinery uniformly.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -24,6 +25,7 @@ from .core import (
     Sample,
     WeightVector,
     apply_l_estimator,
+    score_sorted_rows,
 )
 
 __all__ = [
@@ -72,9 +74,6 @@ class EstimatorId(str, Enum):
     ES4 = "es4"
     ES5 = "es5"
     ES6 = "es6"
-    SPECTRAL = "spectral"
-    SPECTRAL_ALT = "spectral_alt"
-    CUSTOM = "custom"
 
 
 def snapped_floor(value: float) -> int:
@@ -134,8 +133,15 @@ class LEstimatorSpec:
         return apply_l_estimator(self.weights, x)
 
     def as_callable(self) -> Callable[[np.ndarray], float]:
+        """x -> estimate, carrying `.rows(block)`: an (m, n) block to its m
+        estimates through one row-wise sort and one matrix-vector product."""
         weights = self.weights
-        return lambda x: apply_l_estimator(weights, x)
+
+        def estimate(x) -> float:
+            return apply_l_estimator(weights, x)
+
+        estimate.rows = lambda block: score_sorted_rows(weights, np.sort(block, axis=1))
+        return estimate
 
     def weight_vector(self) -> WeightVector:
         """The weights as a simplex point; only available when is_cre."""
@@ -301,6 +307,12 @@ def build_estimator(name: str, alpha: float, n: int) -> LEstimatorSpec:
     return builder(alpha, n)
 
 
+@functools.lru_cache(maxsize=64)
+def _normal_density_at_quantile(alpha: float) -> float:
+    """phi(Phi^-1(alpha)), the standard normal density at its alpha-quantile."""
+    return float(norm.pdf(norm.ppf(alpha)))
+
+
 def gaussian_plugin_es(alpha: float, x) -> float:
     """Normal moment plug-in: -(mean - sd * phi(Phi^-1(alpha)) / alpha).
 
@@ -314,9 +326,8 @@ def gaussian_plugin_es(alpha: float, x) -> float:
         raise ValueError("plug-in needs a one-dimensional sample with n >= 2")
     if not np.all(np.isfinite(values)):
         raise ValueError("sample must contain only finite values")
-    q = norm.ppf(alpha)
     sd = float(np.std(values, ddof=1))
-    return float(-(np.mean(values) - sd * norm.pdf(q) / alpha))
+    return float(-(np.mean(values) - sd * _normal_density_at_quantile(alpha) / alpha))
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,32 +374,26 @@ def expectile_estimate(alpha: float, x) -> ExpectileSolution:
     prefix = np.cumsum(s)
     total = prefix[-1]
 
-    def g_at(j: int) -> float:
-        # value of g at the j-th order statistic (1-based), split at k=j
-        c = s[j - 1]
-        above = total - prefix[j - 1]
-        below = prefix[j - 1]
-        return alpha * (above - (n - j) * c) - (1.0 - alpha) * (j * c - below)
+    # g at every order statistic: g(s_j) with the sums split at k = j
+    j = np.arange(1, n + 1)
+    g = alpha * ((total - prefix) - (n - j) * s) - (1.0 - alpha) * (j * s - prefix)
 
     # g(s_1) >= 0 and g(s_n) <= 0 always; find the first order statistic
     # where g dips to zero or below.
-    root = None
-    if g_at(1) <= 0.0:
-        root = float(s[0])
-    else:
-        for j in range(2, n + 1):
-            if g_at(j) <= 0.0:
-                k = j - 1
-                below = prefix[k - 1] if k >= 1 else 0.0
-                num = alpha * (total - below) + (1.0 - alpha) * below
-                den = alpha * (n - k) + (1.0 - alpha) * k
-                root = num / den
-                break
-    if root is None:
-        # g(s_n) <= 0 mathematically, but prefix-sum dust can leave g_at(n)
+    hits = np.flatnonzero(g <= 0.0)
+    if not hits.size:
+        # g(s_n) <= 0 mathematically, but prefix-sum dust can leave g(s_n)
         # a few ulp above zero on near-constant samples; the root is then
         # s_n itself and the residual check below still vouches for it.
         root = float(s[-1])
+    elif hits[0] == 0:
+        root = float(s[0])
+    else:
+        k = int(hits[0])
+        below = prefix[k - 1]
+        num = alpha * (total - below) + (1.0 - alpha) * below
+        den = alpha * (n - k) + (1.0 - alpha) * k
+        root = num / den
 
     diff = s - root
     residual = alpha * float(np.sum(diff[diff > 0.0])) + (1.0 - alpha) * float(

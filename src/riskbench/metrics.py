@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .core import score_sorted_rows
 from .distributions import TrueRisk, dist_label, sample as draw_dist
 from .estimators import EstimatorId, LEstimatorSpec, es1_tail_average, snapped_floor
 from .sampling import (
@@ -170,7 +171,7 @@ def _evaluate_replications(
             # on the cell and the chunk partition, never on which other
             # estimators share the group
             for i in spec_idx:
-                estimates[c0:c1, i] = -(rows @ estimators[i].weights.weights)
+                estimates[c0:c1, i] = score_sorted_rows(estimators[i].weights, rows)
 
     spans = [(c0, min(c0 + chunk_size, K)) for c0 in range(0, K, chunk_size)]
     if workers <= 1 or len(spans) == 1:

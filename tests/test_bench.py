@@ -84,6 +84,39 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{field}\b"):
             tiny_config(**overrides)
 
+    @pytest.mark.parametrize(
+        "overrides, accepted",
+        [
+            # 760 rounds to 760 draws: batches of 38, floor(0.025 * 38) = 0
+            (dict(distributions=("nig:0.4:0.14:0:1",), oracle_k=760), False),
+            # 761 rounds up to 800 draws: batches of 40, floor(0.025 * 40) = 1
+            (dict(distributions=("nig:0.4:0.14:0:1",), oracle_k=761), True),
+            # the lowest level decides: var1 scores at 1%
+            (
+                dict(
+                    distributions=("nig:0.4:0.14:0:1",), estimators=("es1", "var1"), oracle_k=761
+                ),
+                False,
+            ),
+            # a 10-day t(5) sum has no closed form, one day does
+            (dict(distributions=("t:5",), oracle_k=100), False),
+            (dict(distributions=("t:5",), schemes=("iid",), oracle_k=100), True),
+            (dict(distributions=("normal:0:1",), oracle_k=1), True),
+        ],
+    )
+    def test_oracle_k_must_fill_every_oracle_batch(self, overrides, accepted):
+        if accepted:
+            tiny_config(**overrides)
+        else:
+            with pytest.raises(ValueError, match=r"^oracle_k\b"):
+                tiny_config(**overrides)
+
+    def test_smallest_accepted_oracle_k_runs(self):
+        table = run_study(
+            tiny_config(distributions=("nig:0.4:0.14:0:1",), schemes=("iid",), oracle_k=761)
+        )
+        assert len(table.rows) == 2 * 5
+
     def test_from_json_round_trip(self):
         c = tiny_config()
         back = BenchConfig.from_json(json.dumps(c.to_dict()))
@@ -134,8 +167,10 @@ class TestRunStudy:
             )
 
     def test_cell_failures_carry_the_cell_tag(self):
-        bad = tiny_config(distributions=("nig:0.4:0.14:0:1",), oracle_k=100)
-        with pytest.raises(RuntimeError, match=r"nig:0.4:0.14:0:1\|iid"):
+        # a location of 5 leaves the true ES negative, which the metrics
+        # reject only once the group's reference is computed
+        bad = tiny_config(distributions=("normal:5:1",))
+        with pytest.raises(RuntimeError, match=r"normal:5:1\|iid.*positive finite"):
             run_study(bad)
 
 

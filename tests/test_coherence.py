@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskbench import coherence
 from riskbench.coherence import (
     AXIOMS,
+    CoherenceReport,
     NotComonotonicError,
     check_all,
     check_axiom,
@@ -48,6 +51,10 @@ class TestAxiomBattery:
         w = report["cash_additivity"].witness
         assert w is not None
         assert abs(w.defect) > w.tolerance()
+        # the witness the per-call battery found: the zero probe shifted by one
+        assert len(w.inputs) == 1
+        assert np.array_equal(w.inputs[0], np.zeros(100))
+        assert w.aux == 1.0
 
     def test_gaussian_plugin_failures(self):
         fn = lambda x: gaussian_plugin_es(0.01, x)
@@ -77,6 +84,126 @@ class TestAxiomBattery:
         spec = build_es2(0.1, 20)
         with pytest.raises(ValueError):
             check_axiom(spec.as_callable(), "convexity", 20)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestBlockScoring:
+    @pytest.mark.parametrize(
+        "name, alpha, n",
+        [
+            (name, alpha, n)
+            for alpha, n in ((0.2, 10), (0.025, 100), (0.025, 250))
+            for name in ("var", "es1", "es2", "es3", "es4", "es5", "es6")
+        ]
+        + [("var1", 0.01, 250)],
+    )
+    def test_block_scores_match_row_loop(self, name, alpha, n):
+        fn = build_estimator(name, alpha, n).as_callable()
+        rng = np.random.default_rng(n)
+        block = np.vstack(
+            [
+                coherence._deck(n),
+                coherence._random_probes(rng, 200, n),
+                np.round(rng.standard_normal((20, n)), 1),
+            ]
+        )
+        got = fn.rows(block)
+        want = np.array([fn(x) for x in block])
+        scale = np.max(np.abs(block), axis=1)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + scale))
+
+    # sha256 over the distinct rows a passing black box is fed, recorded from
+    # the per-call battery: pins every axiom's probe inputs and draw order
+    @pytest.mark.parametrize(
+        "axiom, digest",
+        [
+            ("monotonicity", "120c913f3166ba6902e2b34614d0edbe56e4000cd497c6530e5947059af862a2"),
+            (
+                "cash_additivity",
+                "3adb2bc90160cc2f9f89d79b162ab581453e0fa40566adbc59fcbcfcbd1e5f5c",
+            ),
+            (
+                "positive_homogeneity",
+                "e82cfc83160dfbe8b4a78d2061fb07a0b2c8777442d82d5003498169d6f87d22",
+            ),
+            ("subadditivity", "b1b95e4f543c22cc9af484819bf52d310083e3697df56069100aae9a92bd8e20"),
+            ("law_invariance", "773855bb15b4038c847e5651d9e1131c2dff0372ce5c9dfd53b81953af32b1cd"),
+            (
+                "comonotonic_additivity",
+                "76e424d8a01441e384529b6317f06e2b159d25d841718e442b2c747bede85bff",
+            ),
+        ],
+    )
+    def test_probe_inputs_are_pinned(self, axiom, digest):
+        seen = set()
+
+        def mean_box(x):
+            seen.add(np.asarray(x, dtype=float).tobytes())
+            return float(-np.mean(x))
+
+        assert check_axiom(mean_box, axiom, 12, trials=50, seed=3).passed
+        assert hashlib.sha256(b"".join(sorted(seen))).hexdigest() == digest
+
+    # sha256 of CoherenceReport.to_json(), recorded from the per-call battery
+    # that scored one probe input per estimator call
+    @pytest.mark.parametrize(
+        "fn, digest",
+        [
+            (
+                lambda x: gaussian_plugin_es(0.025, x),
+                "8ba5c357d74fb187365eb7bf800ecee1a460229e5e094a456cc45c17f7b62160",
+            ),
+            (
+                lambda x: expectile_estimate(0.1, x).exp_var,
+                "eaf04b6d5c6b873a32158f62358ff3d8373cf8cdf257bba117f81834f08b3ff0",
+            ),
+        ],
+        ids=["gaussian", "expvar"],
+    )
+    def test_black_box_reports_are_pinned(self, fn, digest):
+        report = check_all(fn, 40, trials=80, seed=21)
+        assert report.failed_axioms()
+        assert _sha256(report.to_json()) == digest
+
+    def test_violation_past_the_first_block(self):
+        calls = []
+
+        def late(x):
+            calls.append(None)
+            return float(-np.mean(x) - (1e-3 * x[0] if np.max(x) > 2000.0 else 0.0))
+
+        check = check_axiom(late, "law_invariance", 250, trials=300, seed=7)
+        # probe 124 is the first to exceed 2000, so a later block finds it
+        assert len(calls) > coherence._BLOCK_FLOATS // 250
+        assert _sha256(CoherenceReport((check,)).to_json()) == (
+            "5d23ddfb87caa9a34f3688d1c76dcf11292d4698bed6460720350741c7b7a9d9"
+        )
+
+    @pytest.mark.parametrize(
+        "fn, axiom",
+        [
+            (lambda x: float(np.sum(x)), "monotonicity"),
+            (lambda x: 1.0, "cash_additivity"),
+            (lambda x: 1.0, "positive_homogeneity"),
+            (lambda x: float(np.sum(x)) ** 2, "subadditivity"),
+            (lambda x: -float(x[0]), "law_invariance"),
+            (lambda x: 1.0, "comonotonic_additivity"),
+        ],
+    )
+    def test_early_violation_scores_at_most_one_block(self, fn, axiom):
+        n = 250
+        calls = []
+
+        def counted(x):
+            calls.append(None)
+            return fn(x)
+
+        check = check_axiom(counted, axiom, n, trials=1000, seed=0)
+        assert not check.passed
+        assert len(calls) <= coherence._BLOCK_FLOATS // n
 
 
 class TestWitness:

@@ -9,8 +9,10 @@ from riskbench.consistency import (
     empirical_consistency,
     integral_approximation,
 )
-from riskbench.distributions import Normal
+from riskbench.core import apply_l_estimator
+from riskbench.distributions import Normal, sample
 from riskbench.estimators import es_spectrum, uniform_spectrum
+from riskbench.sampling import RandomnessContract
 
 ALPHA = 0.025
 
@@ -93,6 +95,23 @@ class TestEmpirical:
         b = empirical_consistency(Normal(), approx, ALPHA, [200], reps=10, seed=3)
         assert a[0].median_abs_error == b[0].median_abs_error
         assert a[0].iqr == b[0].iqr
+
+    def test_replications_draw_from_their_named_streams(self):
+        approx = integral_approximation(es_spectrum(ALPHA))
+        rows = empirical_consistency(
+            Normal(), approx, ALPHA, [100, 300], reps=7, seed=11, reference=2.0
+        )
+        contract = RandomnessContract(11)
+        for row in rows:
+            w = approx.builder(row.n)
+            tag = f"consistency|{approx.name}|n={row.n}"
+            errors = [
+                abs(apply_l_estimator(w, sample(Normal(), row.n, contract.stream(tag, rep))) - 2.0)
+                for rep in range(7)
+            ]
+            q25, q50, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
+            assert row.median_abs_error == float(q50)
+            assert row.iqr == float(q75 - q25)
 
     def test_reference_override_shifts_errors(self):
         approx = integral_approximation(es_spectrum(ALPHA))

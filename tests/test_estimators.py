@@ -189,7 +189,40 @@ class TestGaussianPlugin:
             gaussian_plugin_es(0.05, np.array([1.0]))
 
 
+def _scanned_expectile(alpha, x):
+    """The expectile root by a scan over the order statistics, one at a time."""
+    s = np.sort(x)
+    n = s.size
+    prefix = np.cumsum(s)
+    total = prefix[-1]
+    for j in range(1, n + 1):
+        c = s[j - 1]
+        below = prefix[j - 1]
+        g = alpha * ((total - below) - (n - j) * c) - (1.0 - alpha) * (j * c - below)
+        if g <= 0.0:
+            if j == 1:
+                return float(s[0])
+            k = j - 1
+            below = prefix[k - 1]
+            num = alpha * (total - below) + (1.0 - alpha) * below
+            return float(num / (alpha * (n - k) + (1.0 - alpha) * k))
+    return float(s[-1])
+
+
 class TestExpectile:
+    def test_root_matches_a_scan_over_order_statistics(self):
+        rng = np.random.default_rng(17)
+        for trial in range(400):
+            n = int(rng.integers(1, 120))
+            alpha = (0.01, 0.025, 0.25, 0.5, float(rng.uniform(0.001, 0.5)))[trial % 5]
+            if trial % 3 == 0:
+                x = np.round(rng.standard_normal(n), 1)
+            elif trial % 3 == 1:
+                x = np.full(n, rng.standard_normal()) + 1e-15 * rng.standard_normal(n)
+            else:
+                x = rng.standard_t(2.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
+            assert expectile_estimate(alpha, x).expectile == _scanned_expectile(alpha, x)
+
     def test_worked_examples(self):
         for x, want, n_star in (
             ((1.0, 2.0, 3.0), 1.6, 1),
