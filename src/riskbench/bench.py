@@ -26,13 +26,7 @@ from .distributions import (
     true_risk_levels,
 )
 from .estimators import LEstimatorSpec, build_estimator, snapped_floor
-from .metrics import (
-    DEFAULT_CHUNK,
-    MetricReport,
-    RandomnessContract,
-    reference_value,
-    run_group,
-)
+from .metrics import MetricReport, RandomnessContract, reference_value, run_group
 from .sampling import parse_scheme, scheme_label, stream_key
 
 __all__ = [
@@ -68,11 +62,7 @@ DEFAULT_SCHEMES = ("iid", "overlapping:10")
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Study configuration; every field has the desk-scale default.
-
-    `workers` only affects scheduling: results are bitwise identical for
-    any worker count under the per-replication stream contract.
-    """
+    """Study configuration; every field has the desk-scale default."""
 
     alpha: float = 0.025
     n: int = 250
@@ -82,7 +72,6 @@ class BenchConfig:
     distributions: tuple[str, ...] = DEFAULT_DISTRIBUTIONS
     estimators: tuple[str, ...] = DEFAULT_ESTIMATORS
     schemes: tuple[str, ...] = DEFAULT_SCHEMES
-    workers: int = 1
     out: Optional[str] = None
     format: str = "csv"
 
@@ -95,7 +84,8 @@ class BenchConfig:
         _check_int("k", self.k, 20)
         _check_int("seed", self.seed, 0)
         _check_int("oracle_k", self.oracle_k, 1)
-        _check_int("workers", self.workers, 1)
+        if self.out is not None and not (isinstance(self.out, str) and self.out):
+            raise ValueError(f"out must be a non-empty path or null, got {self.out!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
         for name in ("distributions", "estimators", "schemes"):
@@ -144,7 +134,6 @@ class BenchConfig:
             "distributions": list(self.distributions),
             "estimators": list(self.estimators),
             "schemes": list(self.schemes),
-            "workers": self.workers,
             "out": self.out,
             "format": self.format,
         }
@@ -154,7 +143,6 @@ class BenchConfig:
         payload = self.to_dict()
         payload.pop("out")
         payload.pop("format")
-        payload.pop("workers")
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.blake2b(blob, digest_size=6).hexdigest()
 
@@ -287,17 +275,7 @@ def run_study(config: BenchConfig) -> ResultTable:
                 )
                 per_level = [spec.alpha for spec in specs]
                 refs = [reference_value(spec, risks[spec.alpha]) for spec in specs]
-                reports = run_group(
-                    dist,
-                    scheme,
-                    specs,
-                    per_level,
-                    refs,
-                    config.k,
-                    contract,
-                    workers=config.workers,
-                    chunk_size=DEFAULT_CHUNK,
-                )
+                reports = run_group(dist, scheme, specs, per_level, refs, config.k, contract)
             except Exception as exc:
                 raise RuntimeError(f"benchmark cell group {cell_tag} failed: {exc}") from exc
             for spec, report in zip(specs, reports):

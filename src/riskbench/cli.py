@@ -181,7 +181,6 @@ def _add_bench(sub) -> None:
     p.add_argument("--seed", type=int)
     p.add_argument("--k", type=int, help="replications per cell")
     p.add_argument("--oracle-k", type=int, dest="oracle_k")
-    p.add_argument("--workers", type=int)
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument(
         "--table", action="store_true", help="also print the formatted metric table"
@@ -196,7 +195,7 @@ def _cmd_bench(args) -> int:
     else:
         config = BenchConfig()
     overrides = {}
-    for name in ("seed", "k", "oracle_k", "workers", "format", "out"):
+    for name in ("seed", "k", "oracle_k", "format", "out"):
         value = getattr(args, name)
         if value is not None:
             overrides[name] = value

@@ -141,6 +141,8 @@ def empirical_consistency(
     level, so the reference defaults to true_risk(dist, alpha).es_alpha;
     pass `reference` to override (e.g. a cheaper oracle in tests).
     """
+    if not n_list:
+        raise ValueError("need at least one sample size")
     if reps < 2:
         raise ValueError("need at least two replications per size")
     if reference is None:

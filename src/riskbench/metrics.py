@@ -15,9 +15,8 @@ probe the secured position x~ + estimate:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,62 +32,16 @@ from .sampling import (
 )
 
 __all__ = [
-    "NamedEstimator",
-    "BenchCell",
     "MetricReport",
-    "run_cell",
     "run_group",
     "order_statistic_means",
     "OrderStatisticMeans",
-    "DEFAULT_CHUNK",
 ]
 
 DEFAULT_CHUNK = 4096
 
 # var-style estimators are benchmarked against true VaR instead of true ES
 _VAR_IDS = (EstimatorId.VAR_EMP, EstimatorId.VAR_INTERP_1PCT)
-
-
-@dataclass(frozen=True, eq=False)
-class NamedEstimator:
-    """A black-box estimator with a display name for reports."""
-
-    name: str
-    fn: Callable[[np.ndarray], float]
-
-
-EstimatorLike = Union[LEstimatorSpec, NamedEstimator]
-
-
-def estimator_name(est: EstimatorLike) -> str:
-    return est.id.value if isinstance(est, LEstimatorSpec) else est.name
-
-
-@dataclass(frozen=True, eq=False)
-class BenchCell:
-    """One benchmark cell. K >= 20 and floor(alpha*K) >= 1 so the secured-tail
-    metrics are defined."""
-
-    distribution: object
-    scheme: SamplingScheme
-    estimator: EstimatorLike
-    alpha: float
-    K: int
-    seed: int
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"level alpha must lie in (0, 1), got {self.alpha}")
-        if not (isinstance(self.K, int) and self.K >= 20):
-            raise ValueError(f"need at least 20 replications, got {self.K!r}")
-        if snapped_floor(self.alpha * self.K) < 1:
-            raise ValueError(
-                f"secured-tail metrics need floor(alpha*K) >= 1, got alpha*K = {self.alpha * self.K}"
-            )
-        if isinstance(self.estimator, LEstimatorSpec) and self.estimator.n != self.scheme.n:
-            raise ValueError(
-                f"estimator built for n={self.estimator.n} cannot score samples of size {self.scheme.n}"
-            )
 
 
 @dataclass(frozen=True)
@@ -127,11 +80,10 @@ class MetricReport:
 def _evaluate_replications(
     distribution,
     scheme: SamplingScheme,
-    estimators: Sequence[EstimatorLike],
+    estimators: Sequence[LEstimatorSpec],
     K: int,
     contract: RandomnessContract,
     *,
-    workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All K replications for one (distribution, scheme) group.
@@ -139,47 +91,33 @@ def _evaluate_replications(
     Returns (estimates matrix of shape (K, len(estimators)), companions of
     shape (K,)). Per-replication streams are keyed by the cell identity and
     the replication index only, so every estimator scores the same draw and
-    the result is independent of workers/chunking.
+    the draws are independent of the chunking.
     """
     cell_tag = f"{dist_label(distribution)}|{scheme_label(scheme)}"
-    n = scheme.n
-    spec_idx = [i for i, e in enumerate(estimators) if isinstance(e, LEstimatorSpec)]
-    box_idx = [i for i, e in enumerate(estimators) if not isinstance(e, LEstimatorSpec)]
-
     sample_tag = f"sample|{cell_tag}"
     companion_tag = f"companion|{cell_tag}"
 
     estimates = np.empty((K, len(estimators)))
     companions = np.empty(K)
-
-    def fill(c0: int, c1: int) -> None:
-        # one generator per chunk, re-keyed per stream: never shared between
-        # threads, and its draws match contract.stream(tag, k) exactly
+    # one sample buffer for every chunk, so at most one chunk is held at once
+    buffer = np.empty((min(chunk_size, K), scheme.n))
+    for c0 in range(0, K, chunk_size):
+        c1 = min(c0 + chunk_size, K)
+        # one generator per chunk, re-keyed per stream: its draws match
+        # contract.stream(tag, k) exactly
         rng = contract.stream(sample_tag, c0)
-        rows = np.empty((c1 - c0, n))
+        rows = buffer[: c1 - c0]
         for j, k in enumerate(range(c0, c1)):
             rows[j] = draw_values(distribution, scheme, contract.rekey(rng, sample_tag, k))
             companions[k] = draw_secured_companion(
                 distribution, scheme, contract.rekey(rng, companion_tag, k)
             )
-        for i in box_idx:
-            fn = estimators[i].fn
-            estimates[c0:c1, i] = [fn(row) for row in rows]
-        if spec_idx:
-            rows.sort(axis=1)
-            # one matvec per estimator: the bits of a column then depend only
-            # on the cell and the chunk partition, never on which other
-            # estimators share the group
-            for i in spec_idx:
-                estimates[c0:c1, i] = score_sorted_rows(estimators[i].weights, rows)
-
-    spans = [(c0, min(c0 + chunk_size, K)) for c0 in range(0, K, chunk_size)]
-    if workers <= 1 or len(spans) == 1:
-        for c0, c1 in spans:
-            fill(c0, c1)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: fill(*span), spans))
+        rows.sort(axis=1)
+        # one matvec per estimator: the bits of a column then depend only on
+        # the cell and the chunk partition, never on which other estimators
+        # share the group
+        for i, spec in enumerate(estimators):
+            estimates[c0:c1, i] = score_sorted_rows(spec.weights, rows)
     return estimates, companions
 
 
@@ -230,24 +168,19 @@ def _metrics_from(
     )
 
 
-def reference_value(estimator: EstimatorLike, true: TrueRisk) -> float:
+def reference_value(estimator: LEstimatorSpec, true: TrueRisk) -> float:
     """VaR-family estimators are measured against true VaR, the rest against ES."""
-    if isinstance(estimator, LEstimatorSpec) and estimator.id in _VAR_IDS:
-        return true.var_alpha
-    return true.es_alpha
+    return true.var_alpha if estimator.id in _VAR_IDS else true.es_alpha
 
 
 def run_group(
     distribution,
     scheme: SamplingScheme,
-    estimators: Sequence[EstimatorLike],
+    estimators: Sequence[LEstimatorSpec],
     levels: Sequence[float],
     references: Sequence[float],
     K: int,
     contract: RandomnessContract,
-    *,
-    workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> list[MetricReport]:
     """Run one (distribution, scheme) group of cells on shared draws.
 
@@ -260,35 +193,11 @@ def run_group(
     for a in levels:
         if snapped_floor(a * K) < 1:
             raise ValueError(f"floor(alpha*K) >= 1 required, got alpha={a}, K={K}")
-    estimates, companions = _evaluate_replications(
-        distribution, scheme, estimators, K, contract, workers=workers, chunk_size=chunk_size
-    )
+    estimates, companions = _evaluate_replications(distribution, scheme, estimators, K, contract)
     return [
         _metrics_from(estimates[:, i], companions, float(levels[i]), float(references[i]))
         for i in range(len(estimators))
     ]
-
-
-def run_cell(
-    cell: BenchCell,
-    true_risk: TrueRisk,
-    *,
-    workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
-) -> MetricReport:
-    """All five metrics for one cell against a precomputed true risk."""
-    contract = RandomnessContract(cell.seed)
-    return run_group(
-        cell.distribution,
-        cell.scheme,
-        [cell.estimator],
-        [cell.alpha],
-        [reference_value(cell.estimator, true_risk)],
-        cell.K,
-        contract,
-        workers=workers,
-        chunk_size=chunk_size,
-    )[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,8 +2,8 @@
 
 Every replication draws from its own counter-based stream keyed by
 (master_seed, purpose tag, replication index), so results are bitwise
-reproducible regardless of execution order or worker count and no state
-is shared between replications.
+reproducible regardless of execution order and no state is shared
+between replications.
 """
 
 from __future__ import annotations
@@ -90,8 +90,9 @@ def parse_scheme(text: str, n: int) -> SamplingScheme:
     if parts[0] == "iid" and len(parts) == 1:
         return Iid(n)
     if parts[0] == "overlapping" and len(parts) <= 2:
-        h = int(parts[1]) if len(parts) == 2 else 10
-        return Overlapping(n, h)
+        h = parts[1] if len(parts) == 2 else "10"
+        if h.isdecimal():
+            return Overlapping(n, int(h))
     raise ValueError(f"unknown sampling scheme {text!r}")
 
 

@@ -256,7 +256,6 @@ def test_c08_study_reproduction_at_reduced_scale():
             schemes=("iid", "overlapping:10"),
             estimators=("es1", "es2", "es3", "es6"),
             k=100_000,
-            workers=4,
         )
     )
     table_b = run_study(
@@ -265,7 +264,6 @@ def test_c08_study_reproduction_at_reduced_scale():
             schemes=("iid",),
             estimators=("es1",),
             k=100_000,
-            workers=4,
         )
     )
     pinned = (
@@ -289,7 +287,6 @@ def test_c08_study_reproduction_at_reduced_scale():
             estimators=("es1", "es2", "es3", "es4", "es5", "es6"),
             k=50_000,
             oracle_k=1_000_000,
-            workers=4,
         )
     )
     for dist in NIG_LABELS:
@@ -344,8 +341,16 @@ def test_c10_determinism_across_worker_counts():
         oracle_k=200_000,
         seed=2026,
     )
-    serial = run_study(BenchConfig(workers=1, **base)).to_csv()
-    threaded = run_study(BenchConfig(workers=4, **base)).to_csv()
-    if serial != threaded:
-        failures.append("csv output differs between 1 and 4 workers")
-    _report(10, "byte-identical output across worker counts", failures)
+    full = run_study(BenchConfig(**base)).to_csv()
+    if run_study(BenchConfig(**base)).to_csv() != full:
+        failures.append("two runs of the same config emit different csv")
+    full_rows = full.splitlines()[1:]
+    for dist in base["distributions"]:
+        for scheme in base["schemes"]:
+            config = dict(base, distributions=(dist,), schemes=(scheme,))
+            alone = run_study(BenchConfig(**config)).to_csv().splitlines()[1:]
+            group = alone[0].split(",")[:2]
+            in_full = [line for line in full_rows if line.split(",")[:2] == group]
+            if len(alone) != 35 or alone != in_full:
+                failures.append(f"{dist}/{scheme} run alone differs from its rows in the grid")
+    _report(10, "byte-identical output across runs and grid subsets", failures)

@@ -131,6 +131,11 @@ class TestConsistency:
         assert float(med) > 0
         assert float(iqr) >= 0
 
+    def test_empty_size_list_fails_before_the_header(self, capsys):
+        with pytest.raises(ValueError, match="need at least one sample size"):
+            main(["consistency", "--n", ""])
+        assert capsys.readouterr().out == ""
+
 
 class TestExtract:
     def test_weight_based_estimator_round_trips(self, capsys):

@@ -121,6 +121,11 @@ class TestEmpirical:
         )
         assert far[0].median_abs_error > near[0].median_abs_error
 
+    def test_needs_sizes(self):
+        approx = integral_approximation(es_spectrum(ALPHA))
+        with pytest.raises(ValueError, match="need at least one sample size"):
+            empirical_consistency(Normal(), approx, ALPHA, [], reps=5, seed=5)
+
     def test_row_type(self):
         approx = alternative_approximation(es_spectrum(ALPHA))
         rows = empirical_consistency(Normal(), approx, ALPHA, [100], reps=5, seed=5)

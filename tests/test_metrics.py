@@ -10,16 +10,13 @@ from riskbench.estimators import (
     build_es2,
     build_var_weights,
     es1_tail_average,
-    gaussian_plugin_es,
 )
 from riskbench.metrics import (
-    BenchCell,
     MetricReport,
-    NamedEstimator,
     _evaluate_replications,
+    _metrics_from,
     order_statistic_means,
     reference_value,
-    run_cell,
     run_group,
 )
 from riskbench.sampling import (
@@ -46,11 +43,8 @@ def naive_cell(distribution, scheme, estimators, K, contract):
         companions[k] = draw_secured_companion(
             distribution, scheme, contract.stream(f"companion|{tag}", k)
         )
-        for i, est in enumerate(estimators):
-            if isinstance(est, NamedEstimator):
-                estimates[k, i] = est.fn(row)
-            else:
-                estimates[k, i] = apply_l_estimator(est.weights, row)
+        for i, spec in enumerate(estimators):
+            estimates[k, i] = apply_l_estimator(spec.weights, row)
     return estimates, companions
 
 
@@ -71,8 +65,7 @@ class TestAgainstNaiveReplay:
     def setup_method(self):
         self.contract = RandomnessContract(99)
         self.specs = [build_es1(ALPHA, N), build_es2(ALPHA, N)]
-        self.box = NamedEstimator("plugin", lambda row: gaussian_plugin_es(ALPHA, row))
-        self.estimators = self.specs + [self.box]
+        self.estimators = self.specs + [build_var_weights(ALPHA, N)]
         self.true = true_risk(Normal(), ALPHA)
 
     def test_vectorized_path_matches_replay(self):
@@ -82,15 +75,6 @@ class TestAgainstNaiveReplay:
         want_est, want_comp = naive_cell(Normal(), Iid(N), self.estimators, K, self.contract)
         assert np.array_equal(got_comp, want_comp)
         assert np.allclose(got_est, want_est, rtol=0.0, atol=1e-12)
-
-    def test_black_box_sees_unsorted_rows(self):
-        # order-dependent functional: distinguishes raw rows from sorted ones
-        probe = NamedEstimator("first", lambda row: float(row[0]))
-        got_est, _ = _evaluate_replications(Normal(), Iid(N), [probe], 50, self.contract)
-        tag = f"{dist_label(Normal())}|iid"
-        for k in (0, 17, 49):
-            row = draw_values(Normal(), Iid(N), self.contract.stream(f"sample|{tag}", k))
-            assert got_est[k, 0] == row[0]
 
     def test_group_metrics_match_replay(self):
         refs = [reference_value(e, self.true) for e in self.estimators]
@@ -112,24 +96,14 @@ class TestAgainstNaiveReplay:
             assert rep.rb == pytest.approx(rb, abs=1e-12)
             assert rep.ct == pytest.approx(ct, abs=1e-15)
 
-    def test_workers_do_not_change_bits(self):
-        a, ca = _evaluate_replications(
-            Normal(), Iid(N), self.specs, K, self.contract, workers=1, chunk_size=64
-        )
-        b, cb = _evaluate_replications(
-            Normal(), Iid(N), self.specs, K, self.contract, workers=3, chunk_size=64
-        )
-        assert np.array_equal(a, b)
-        assert np.array_equal(ca, cb)
-
     def test_chunking_changes_at_most_float_dust(self):
         # a different chunk partition reshapes the BLAS calls, which may move
         # the last ulp; draws themselves must stay identical
         a, ca = _evaluate_replications(
-            Normal(), Iid(N), self.specs, K, self.contract, workers=1, chunk_size=4096
+            Normal(), Iid(N), self.specs, K, self.contract, chunk_size=4096
         )
         b, cb = _evaluate_replications(
-            Normal(), Iid(N), self.specs, K, self.contract, workers=1, chunk_size=37
+            Normal(), Iid(N), self.specs, K, self.contract, chunk_size=37
         )
         assert np.array_equal(ca, cb)
         assert np.allclose(a, b, rtol=0.0, atol=1e-12)
@@ -152,52 +126,22 @@ class TestAgainstNaiveReplay:
         assert np.array_equal(got_comp, want_comp)
         assert np.allclose(got_est, want_est, rtol=0.0, atol=1e-12)
 
-    def test_run_cell_equals_run_group_member(self):
-        cell = BenchCell(
-            distribution=Normal(),
-            scheme=Iid(N),
-            estimator=self.specs[0],
-            alpha=ALPHA,
-            K=K,
-            seed=99,
-        )
-        solo = run_cell(cell, self.true)
-        grouped = run_group(
-            Normal(),
-            Iid(N),
-            self.specs,
-            [ALPHA, ALPHA],
-            [reference_value(e, self.true) for e in self.specs],
-            K,
-            RandomnessContract(99),
-        )[0]
-        assert solo.ae == grouped.ae
-        assert solo.se == grouped.se
-        assert solo.sb == grouped.sb
-        assert solo.rb == grouped.rb
-        assert solo.ct == grouped.ct
-
 
 class TestMetricDefinitions:
     def test_reference_dispatch(self):
         true = TrueRisk(var_alpha=2.0, es_alpha=3.0, method="closed_form", standard_error=0.0)
         assert reference_value(build_var_weights(0.05, 100), true) == 2.0
         assert reference_value(build_es1(0.05, 100), true) == 3.0
-        assert reference_value(NamedEstimator("x", lambda r: 0.0), true) == 3.0
 
     def test_never_crossed_flag(self):
-        doom = NamedEstimator("doom", lambda row: -1e9)
-        contract = RandomnessContract(1)
-        rep = run_group(
-            Normal(), Iid(N), [doom], [ALPHA], [1.0], 50, contract
-        )[0]
+        companions = np.random.default_rng(1).standard_normal(50)
+        rep = _metrics_from(np.full(50, -1e9), companions, ALPHA, 1.0)
         assert rep.ct == 1.0
         assert not rep.ct_crossed
 
     def test_instant_crossing(self):
-        rich = NamedEstimator("rich", lambda row: 1e9)
-        contract = RandomnessContract(1)
-        rep = run_group(Normal(), Iid(N), [rich], [ALPHA], [1.0], 50, contract)[0]
+        companions = np.random.default_rng(1).standard_normal(50)
+        rep = _metrics_from(np.full(50, 1e9), companions, ALPHA, 1.0)
         assert rep.ct == pytest.approx(1.0 / 50.0)
         assert rep.ct_crossed
 
@@ -218,15 +162,6 @@ class TestMetricDefinitions:
                 ae_stderr=0.0, se_stderr=0.0, sb_stderr=0.0,
             )
 
-    def test_cell_validation(self):
-        spec = build_es1(ALPHA, N)
-        with pytest.raises(ValueError):
-            BenchCell(Normal(), Iid(N), spec, ALPHA, 10, 0)  # K too small
-        with pytest.raises(ValueError):
-            BenchCell(Normal(), Iid(50), spec, ALPHA, 100, 0)  # n mismatch
-        with pytest.raises(ValueError):
-            BenchCell(Normal(), Iid(N), spec, 0.001, 100, 0)  # empty tail
-
     def test_tail_gates_share_the_snapped_floor(self):
         # alpha*K = 0.9999999999999999 here: a plain int() floor gives 0, while
         # es1_tail_average snaps it to a one-outcome tail
@@ -234,7 +169,6 @@ class TestMetricDefinitions:
         assert alpha * k < 1.0
         assert es1_tail_average(np.arange(k) + 5.0, alpha) == -5.0
         spec = build_es1(ALPHA, N)
-        BenchCell(Normal(), Iid(N), spec, alpha, k, 0)
         rep = run_group(Normal(), Iid(N), [spec], [alpha], [1.0], k, RandomnessContract(1))[0]
         estimates, companions = _evaluate_replications(
             Normal(), Iid(N), [spec], k, RandomnessContract(1)
