@@ -251,7 +251,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _add_bench(sub)
     _add_extract(sub)
     args = parser.parse_args(argv)
-    return args.run(args)
+    try:
+        return args.run(args)
+    except ValueError as exc:
+        # bad input that argparse cannot see (a config file's fields, an
+        # estimator or distribution name, a size list) gets argparse's
+        # one-line report and exit status 2, not a traceback
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from typing import NamedTuple, Union
 import numpy as np
 from scipy.stats import norm, t as student_t
 
-from .estimators import empirical_quantile_var, es2_tail_average
+from .estimators import es2_tail_average, var_and_es2_tail
 
 __all__ = [
     "Normal",
@@ -27,8 +27,10 @@ __all__ = [
     "dist_label",
     "parse_dist",
     "sample",
-    "inverse_gaussian_sample",
-    "nig_sample",
+    "raw_arrays",
+    "draw_raw",
+    "transform",
+    "inverse_gaussian_transform",
     "NigMoments",
     "nig_moments",
     "horizon_convolve",
@@ -156,45 +158,104 @@ def parse_dist(text: str) -> DistributionSpec:
     raise ValueError(f"unknown distribution kind {kind!r} in {text!r}")
 
 
-def inverse_gaussian_sample(
-    mean: float, shape: float, size: int, rng: np.random.Generator
+def inverse_gaussian_transform(
+    mean: float, shape: float, y: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """Inverse Gaussian draws via the Michael-Schucany-Haas transform.
+    """Inverse Gaussian variates from standard normals y and uniforms u of
+    any common shape, by the Michael-Schucany-Haas transform. y is used as
+    scratch and overwritten.
 
-    One squared normal gives the smaller root of the defining quadratic;
-    a uniform accept step picks between that root and its conjugate
-    mean^2/root with probability mean/(mean + root).
+    The squared normal gives the smaller root of the defining quadratic; u
+    picks between that root and its conjugate mean^2/root with probability
+    mean/(mean + root).
     """
     if not (mean > 0.0 and shape > 0.0):
         raise ValueError("inverse Gaussian needs mean > 0 and shape > 0")
-    y = rng.standard_normal(size) ** 2
+    # in place wherever the rounding allows, so a transform holds one array
+    # beside its inputs; each value rounds exactly as
+    # where(u <= mean/(mean + x), x, mean^2/x) with
+    # x = mean + half*(mean*y^2 - sqrt(4*mean*shape*y^2 + (mean*y^2)^2))
+    np.square(y, out=y)
     half = mean / (2.0 * shape)
-    x = mean + half * (mean * y - np.sqrt(4.0 * mean * shape * y + (mean * y) ** 2))
-    u = rng.random(size)
-    return np.where(u <= mean / (mean + x), x, mean * mean / x)
+    x = mean * y
+    y *= 4.0 * mean * shape
+    y += x**2
+    np.sqrt(y, out=y)
+    x -= y
+    x *= half
+    x += mean
+    np.add(x, mean, out=y)
+    np.divide(mean, y, out=y)
+    keep = u <= y
+    np.divide(mean * mean, x, out=y)
+    np.copyto(x, y, where=~keep)
+    return x
 
 
-def nig_sample(spec: Nig, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw NIG variates through the inverse-Gaussian variance mixture."""
-    v = inverse_gaussian_sample(spec.delta / spec.gamma, spec.delta**2, size, rng)
-    z = rng.standard_normal(size)
-    return spec.mu + spec.b * v + np.sqrt(v) * z
+def raw_arrays(dist, shape) -> tuple[np.ndarray, ...]:
+    """Empty arrays for the raw generator draws behind `shape` variates of a
+    base distribution (one per generator call: Nig draws y, u and z)."""
+    if isinstance(dist, (Normal, StudentT)):
+        return (np.empty(shape),)
+    if isinstance(dist, Nig):
+        return (np.empty(shape), np.empty(shape), np.empty(shape))
+    raise ValueError(f"no raw draws for distribution object {dist!r}")
+
+
+def draw_raw(dist, rng: np.random.Generator, raw, row=...) -> None:
+    """Fill raw[i][row] from rng in the distribution's fixed draw order.
+
+    The generator calls only; transform turns the raw draws into variates.
+    Student-t keeps one standard_t call, whose internal gamma draws cannot be
+    split from its normals without moving the stream.
+    """
+    if isinstance(dist, Normal):
+        rng.standard_normal(out=raw[0][row])
+    elif isinstance(dist, StudentT):
+        out = raw[0][row]
+        out[...] = rng.standard_t(dist.nu, out.shape)
+    elif isinstance(dist, Nig):
+        y, u, z = raw
+        rng.standard_normal(out=y[row])
+        rng.random(out=u[row])
+        rng.standard_normal(out=z[row])
+    else:
+        raise ValueError(f"no raw draws for distribution object {dist!r}")
+
+
+def transform(dist, raw) -> np.ndarray:
+    """Variates from raw draws of any shape, elementwise, so the bits of a
+    variate do not depend on the shape it is computed in. May overwrite raw."""
+    if isinstance(dist, Normal):
+        (x,) = raw
+        x *= dist.sigma
+        x += dist.mu
+        return x
+    if isinstance(dist, StudentT):
+        return raw[0]
+    if isinstance(dist, Nig):
+        y, u, z = raw
+        v = inverse_gaussian_transform(dist.delta / dist.gamma, dist.delta**2, y, u)
+        # mu + b*v + sqrt(v)*z, accumulated in v
+        z *= np.sqrt(v)
+        v *= dist.b
+        v += dist.mu
+        v += z
+        return v
+    raise ValueError(f"no raw draws for distribution object {dist!r}")
 
 
 def sample(dist, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `size` variates; the draw order per variate is fixed per distribution."""
-    if isinstance(dist, Normal):
-        return dist.mu + dist.sigma * rng.standard_normal(size)
-    if isinstance(dist, StudentT):
-        return rng.standard_t(dist.nu, size)
-    if isinstance(dist, Nig):
-        return nig_sample(dist, size, rng)
+    """Draw `size` variates: transform(dist, raw draws); the draw order per
+    variate is fixed per distribution."""
     if isinstance(dist, HorizonSum):
         total = sample(dist.base, size, rng)
         for _ in range(dist.h - 1):
             total = total + sample(dist.base, size, rng)
         return total
-    raise ValueError(f"unknown distribution object {dist!r}")
+    raw = raw_arrays(dist, size)
+    draw_raw(dist, rng, raw)
+    return transform(dist, raw)
 
 
 class NigMoments(NamedTuple):
@@ -295,10 +356,17 @@ def _antithetic_values(dist, half: int, rng: np.random.Generator) -> tuple[np.nd
         val = z * np.sqrt(dist.nu / w)
         return val, -val
     if isinstance(dist, Nig):
-        v = inverse_gaussian_sample(dist.delta / dist.gamma, dist.delta**2, half, rng)
+        # same draws (y, u, then z) and transform as sample; each array of
+        # `half` draws is freed or reused as soon as it is spent
+        y = rng.standard_normal(half)
+        u = rng.random(half)
+        v = inverse_gaussian_transform(dist.delta / dist.gamma, dist.delta**2, y, u)
+        del y, u
         z = rng.standard_normal(half)
         drift = dist.mu + dist.b * v
-        spread = np.sqrt(v) * z
+        spread = np.sqrt(v, out=v)
+        spread *= z
+        del z
         return drift + spread, drift - spread
     if isinstance(dist, HorizonSum):
         plus = np.zeros(half)
@@ -375,8 +443,7 @@ def true_risk_levels(
     batches = values.reshape(ORACLE_BATCHES, -1)
     out = {}
     for a in levels:
-        es = es2_tail_average(values, a)
-        var = empirical_quantile_var(values, a)
+        var, es = var_and_es2_tail(values, a)
         per_batch = np.array([es2_tail_average(b, a) for b in batches])
         se = float(np.std(per_batch, ddof=1) / math.sqrt(ORACLE_BATCHES))
         out[a] = TrueRisk(var, es, "mc_oracle", se, oracle_k=k, oracle_seed=seed)

@@ -51,6 +51,7 @@ __all__ = [
     "empirical_quantile_var",
     "es1_tail_average",
     "es2_tail_average",
+    "var_and_es2_tail",
     "snapped_floor",
     "DEFAULT_XI",
 ]
@@ -608,6 +609,21 @@ def es2_tail_average(values, alpha: float) -> float:
         raise ValueError(f"need floor(alpha*n) >= 1, got alpha*n = {alpha * arr.size}")
     if m >= arr.size:
         return float(-np.mean(arr))
+    return _es2_of_partition(np.partition(arr, m), m, frac)
+
+
+def var_and_es2_tail(values, alpha: float) -> tuple[float, float]:
+    """(empirical_quantile_var, es2_tail_average) of one sample, read from
+    one partition: VaR's order statistic x_(m+1) is ES2's boundary one."""
+    _check_level(alpha)
+    arr = _flat_sample(values)
+    m, frac = _snapped_split(alpha * arr.size)
+    if not 1 <= m < arr.size:
+        raise ValueError(f"need 1 <= floor(alpha*n) < n, got {m} at n = {arr.size}")
     part = np.partition(arr, m)
+    return float(-part[m]), _es2_of_partition(part, m, frac)
+
+
+def _es2_of_partition(part: np.ndarray, m: int, frac: float) -> float:
     tail = float(np.sum(part[:m])) + frac * float(part[m])
     return float(-tail / (m + frac))

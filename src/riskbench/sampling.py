@@ -15,8 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Sample
-from .distributions import sample as draw_from
+from .distributions import draw_raw, raw_arrays, transform
 
 __all__ = [
     "Iid",
@@ -26,9 +25,7 @@ __all__ = [
     "parse_scheme",
     "RandomnessContract",
     "stream_key",
-    "draw_sample",
-    "draw_values",
-    "draw_secured_companion",
+    "ReplicationBlock",
     "base_draw_count",
 ]
 
@@ -167,23 +164,47 @@ class RandomnessContract:
         return rng
 
 
-def draw_values(dist, scheme: SamplingScheme, rng: np.random.Generator) -> np.ndarray:
-    """The raw sample array for one replication; see draw_sample."""
-    base = draw_from(dist, base_draw_count(scheme), rng)
-    if isinstance(scheme, Iid) or scheme.h == 1:
-        return base
-    csum = np.empty(base.size + 1)
-    csum[0] = 0.0
-    np.cumsum(base, out=csum[1:])
-    return csum[scheme.h :] - csum[: scheme.n]
+class ReplicationBlock:
+    """Raw draws of up to `rows` replications of one (distribution, scheme),
+    turned into sample rows and companion outcomes together.
 
+    Per replication only the generator calls run: draw fills row j's base
+    draws and draw_companion its companion draws, each from whatever stream
+    the caller keyed. finish then runs, once on the 2-D block, the
+    distribution's transform, the rolling sums of overlapping schemes and
+    the companion sums. Every step is elementwise or row-wise, so each row
+    has the bits of a one-replication draw whatever the block size.
+    """
 
-def draw_sample(dist, scheme: SamplingScheme, rng: np.random.Generator) -> Sample:
-    """Draw one estimation sample under the scheme from the given stream."""
-    return Sample(draw_values(dist, scheme, rng))
+    def __init__(self, dist, scheme: SamplingScheme, rows: int):
+        self.dist = dist
+        self.n = scheme.n
+        self.h = scheme.horizon
+        self.raw = raw_arrays(dist, (rows, base_draw_count(scheme)))
+        self.companion_raw = raw_arrays(dist, (rows, self.h))
 
+    def draw(self, rng: np.random.Generator, j: int) -> None:
+        """Row j's base draws: n for Iid, n + h - 1 for Overlapping."""
+        draw_raw(self.dist, rng, self.raw, j)
 
-def draw_secured_companion(dist, scheme: SamplingScheme, rng: np.random.Generator) -> float:
-    """One fresh independent draw of the target variable (the h-day sum for
-    overlapping schemes), used to test the secured position."""
-    return float(np.sum(draw_from(dist, scheme.horizon, rng)))
+    def draw_companion(self, rng: np.random.Generator, j: int) -> None:
+        """Row j's companion: one fresh draw of the target variable (the
+        h-day sum for overlapping schemes), used to test the secured position."""
+        draw_raw(self.dist, rng, self.companion_raw, j)
+
+    def finish(self, samples: np.ndarray, companions: np.ndarray) -> None:
+        """Write rows 0..b-1 into samples (b, n) and companions (b,). The
+        transforms work in place, so the raw rows must be drawn again before
+        the next finish."""
+        b = len(samples)
+        base = transform(self.dist, [a[:b] for a in self.raw])
+        if base.shape[1] == self.n:
+            samples[...] = base
+        else:
+            # X_i = Z_i + ... + Z_{i+h-1} = S_{i+h-1} - S_{i-1} over the prefix
+            # sums S, in place; S_{-1} = 0 and S - 0.0 == S, so X_0 = S_{h-1}
+            np.cumsum(base, axis=1, out=base)
+            samples[:, 0] = base[:, self.h - 1]
+            np.subtract(base[:, self.h :], base[:, : self.n - 1], out=samples[:, 1:])
+        outcomes = transform(self.dist, [a[:b] for a in self.companion_raw])
+        np.sum(outcomes, axis=1, out=companions)

@@ -48,9 +48,15 @@ class TestWeights:
         with pytest.raises(SystemExit):
             main(["weights", "--estimator", "es1", "--json", "--csv"])
 
-    def test_unknown_estimator_raises(self):
-        with pytest.raises(ValueError):
+    def test_unknown_estimator_raises(self, capsys):
+        # reported like an argparse error: one line on stderr, exit status 2
+        with pytest.raises(SystemExit) as exc:
             main(["weights", "--estimator", "es9"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        last = captured.err.splitlines()[-1]
+        assert last.startswith("riskbench: error: unknown estimator 'es9'")
 
 
 class TestCoherence:
@@ -132,9 +138,12 @@ class TestConsistency:
         assert float(iqr) >= 0
 
     def test_empty_size_list_fails_before_the_header(self, capsys):
-        with pytest.raises(ValueError, match="need at least one sample size"):
+        with pytest.raises(SystemExit) as exc:
             main(["consistency", "--n", ""])
-        assert capsys.readouterr().out == ""
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == "riskbench: error: need at least one sample size"
 
 
 class TestExtract:
@@ -199,6 +208,16 @@ class TestBench:
         payload = json.loads(out)
         assert payload["metadata"]["config"]["k"] == 40
         assert payload["rows"][0]["K"] == 40
+
+    def test_bad_config_field_is_a_usage_error(self, capsys, tmp_path):
+        cfg = tmp_path / "study.json"
+        cfg.write_text(json.dumps({**self.CONFIG, "out": ""}))
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", str(cfg)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("riskbench: error: out must be")
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):

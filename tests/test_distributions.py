@@ -11,9 +11,8 @@ from riskbench.distributions import (
     dist_label,
     horizon_convolve,
     horizon_target,
-    inverse_gaussian_sample,
+    inverse_gaussian_transform,
     nig_moments,
-    nig_sample,
     normal_es,
     normal_var,
     parse_dist,
@@ -107,7 +106,9 @@ class TestSamplers:
     def test_inverse_gaussian_moments(self):
         rng = np.random.default_rng(0)
         mean, shape = 1.7, 2.3
-        y = inverse_gaussian_sample(mean, shape, 400_000, rng)
+        y = inverse_gaussian_transform(
+            mean, shape, rng.standard_normal(400_000), rng.random(400_000)
+        )
         assert np.all(y > 0.0)
         assert y.mean() == pytest.approx(mean, rel=0.01)
         assert y.var() == pytest.approx(mean**3 / shape, rel=0.03)
@@ -115,7 +116,7 @@ class TestSamplers:
     def test_nig_sample_matches_moments(self):
         spec = Nig(0.55, 0.3025)
         rng = np.random.default_rng(1)
-        y = nig_sample(spec, 400_000, rng)
+        y = sample(spec, 400_000, rng)
         want = nig_moments(spec)
         assert y.mean() == pytest.approx(want.mean, abs=4 * np.sqrt(want.variance / y.size))
         assert y.var() == pytest.approx(want.variance, rel=0.05)
@@ -124,9 +125,25 @@ class TestSamplers:
     def test_nig_sample_distribution(self):
         spec = Nig(0.4, 0.14)
         rng = np.random.default_rng(2)
-        y = nig_sample(spec, 20_000, rng)
+        y = sample(spec, 20_000, rng)
         stat = stats.kstest(y, lambda q: stats.norminvgauss.cdf(q, 0.4, 0.14))
         assert stat.pvalue > 1e-3
+
+    @pytest.mark.parametrize("spec", [Nig(0.4, 0.14), Nig(0.55, -0.3025, 0.2, 1.5)])
+    def test_nig_sample_rounds_like_the_mixture_formula(self, spec):
+        # the transform works in place; each value must round exactly as the
+        # textbook expressions on the same draws (y, u, then z)
+        rng = np.random.default_rng(8)
+        y = rng.standard_normal(50_000) ** 2
+        u = rng.random(50_000)
+        z = rng.standard_normal(50_000)
+        mean, shape = spec.delta / spec.gamma, spec.delta**2
+        half = mean / (2.0 * shape)
+        x = mean + half * (mean * y - np.sqrt(4.0 * mean * shape * y + (mean * y) ** 2))
+        v = np.where(u <= mean / (mean + x), x, mean * mean / x)
+        want = spec.mu + spec.b * v + np.sqrt(v) * z
+        got = sample(spec, 50_000, np.random.default_rng(8))
+        assert np.array_equal(got, want)
 
     def test_sample_dispatch_normal_scaling(self):
         rng1 = np.random.default_rng(5)

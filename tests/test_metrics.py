@@ -1,13 +1,23 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from riskbench.core import apply_l_estimator
-from riskbench.distributions import Normal, StudentT, TrueRisk, dist_label, true_risk
+from riskbench.core import apply_l_estimator, score_sorted_rows
+from riskbench.distributions import (
+    Normal,
+    StudentT,
+    TrueRisk,
+    dist_label,
+    parse_dist,
+    sample,
+    true_risk,
+)
 from riskbench.estimators import (
     build_es1,
     build_es2,
+    build_estimator,
     build_var_weights,
     es1_tail_average,
 )
@@ -23,8 +33,8 @@ from riskbench.sampling import (
     Iid,
     Overlapping,
     RandomnessContract,
-    draw_secured_companion,
-    draw_values,
+    base_draw_count,
+    parse_scheme,
     scheme_label,
 )
 
@@ -33,16 +43,32 @@ N = 40
 K = 600
 
 
-def naive_cell(distribution, scheme, estimators, K, contract):
-    """Replay the stream contract one replication at a time, no vectorization."""
+def replay_draws(distribution, scheme, K, contract):
+    """Replay the stream contract one replication at a time: a fresh stream
+    per (tag, k), distributions.sample, and rolling sums by an explicit
+    prefix sum. Returns (samples (K, n), companions (K,))."""
     tag = f"{dist_label(distribution)}|{scheme_label(scheme)}"
-    estimates = np.empty((K, len(estimators)))
+    n, h = scheme.n, scheme.horizon
+    samples = np.empty((K, n))
     companions = np.empty(K)
     for k in range(K):
-        row = draw_values(distribution, scheme, contract.stream(f"sample|{tag}", k))
-        companions[k] = draw_secured_companion(
-            distribution, scheme, contract.stream(f"companion|{tag}", k)
-        )
+        rng = contract.stream(f"sample|{tag}", k)
+        base = sample(distribution, base_draw_count(scheme), rng)
+        if base.size == n:
+            samples[k] = base
+        else:
+            csum = np.concatenate(([0.0], np.cumsum(base)))
+            samples[k] = csum[h:] - csum[:n]
+        rng = contract.stream(f"companion|{tag}", k)
+        companions[k] = float(np.sum(sample(distribution, h, rng)))
+    return samples, companions
+
+
+def naive_cell(distribution, scheme, estimators, K, contract):
+    """The replayed draws scored one replication at a time, no vectorization."""
+    samples, companions = replay_draws(distribution, scheme, K, contract)
+    estimates = np.empty((K, len(estimators)))
+    for k, row in enumerate(samples):
         for i, spec in enumerate(estimators):
             estimates[k, i] = apply_l_estimator(spec.weights, row)
     return estimates, companions
@@ -125,6 +151,52 @@ class TestAgainstNaiveReplay:
         want_est, want_comp = naive_cell(StudentT(5.0), scheme, self.specs, 200, self.contract)
         assert np.array_equal(got_comp, want_comp)
         assert np.allclose(got_est, want_est, rtol=0.0, atol=1e-12)
+
+
+class TestBlockDraws:
+    STUDY = [
+        build_estimator(name, 0.025, 250)
+        for name in ("var1", "es1", "es2", "es3", "es4", "es5", "es6")
+    ]
+
+    @pytest.mark.parametrize("scheme", ["iid", "overlapping:10"])
+    @pytest.mark.parametrize("dist", ["normal:0:1", "t:5", "nig:0.4:0.14:0:1"])
+    def test_block_path_equals_the_replay(self, dist, scheme):
+        # raw draws per replication, transforms per block: every bit of the
+        # rows and companions must match the one-replication replay. A chunk
+        # of 300 is no multiple of the block, so partial blocks are covered;
+        # the replay scores its rows in the same chunks with the same kernel.
+        distribution, sch = parse_dist(dist), parse_scheme(scheme, 250)
+        K, chunk, contract = 1000, 300, RandomnessContract(2024)
+        got_est, got_comp = _evaluate_replications(
+            distribution, sch, self.STUDY, K, contract, chunk_size=chunk
+        )
+        samples, want_comp = replay_draws(distribution, sch, K, contract)
+        samples.sort(axis=1)
+        chunks = [samples[c : c + chunk] for c in range(0, K, chunk)]
+        want_est = np.column_stack(
+            [
+                np.concatenate([score_sorted_rows(spec.weights, rows) for rows in chunks])
+                for spec in self.STUDY
+            ]
+        )
+        assert np.array_equal(got_comp, want_comp)
+        assert np.array_equal(got_est, want_est)
+
+    @pytest.mark.parametrize("dist", ["normal:0:1", "t:5", "nig:0.4:0.14:0:1"])
+    def test_block_arrays_stay_small_beside_the_chunk(self, dist):
+        # one full chunk of rows is the loop's floor; the raw block arrays and
+        # their transforms may add at most a quarter of it
+        K, n = 4096, 250
+        tracemalloc.start()
+        try:
+            _evaluate_replications(
+                parse_dist(dist), Overlapping(n, 10), self.STUDY, K, RandomnessContract(3)
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * K * n * 8
 
 
 class TestMetricDefinitions:

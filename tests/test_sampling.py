@@ -8,10 +8,8 @@ from riskbench.sampling import (
     Iid,
     Overlapping,
     RandomnessContract,
+    ReplicationBlock,
     base_draw_count,
-    draw_sample,
-    draw_secured_companion,
-    draw_values,
     parse_scheme,
     scheme_label,
     stream_key,
@@ -119,17 +117,28 @@ class TestSchemes:
             Overlapping(10, 0)
 
 
+def draw_one(dist, scheme, sample_rng, companion_rng):
+    """One replication through a one-row block: (sample row, companion)."""
+    block = ReplicationBlock(dist, scheme, 1)
+    block.draw(sample_rng, 0)
+    block.draw_companion(companion_rng, 0)
+    rows, companions = np.empty((1, scheme.n)), np.empty(1)
+    block.finish(rows, companions)
+    return rows[0], companions[0]
+
+
 class TestDraws:
     def test_overlap_h1_equals_iid_bitwise(self):
         c = RandomnessContract(11)
-        a = draw_values(Normal(), Iid(64), c.stream("s", 9))
-        b = draw_values(Normal(), Overlapping(64, 1), c.stream("s", 9))
+        a, ca = draw_one(Normal(), Iid(64), c.stream("s", 9), c.stream("c", 9))
+        b, cb = draw_one(Normal(), Overlapping(64, 1), c.stream("s", 9), c.stream("c", 9))
         assert np.array_equal(a, b)
+        assert ca == cb
 
     def test_rolling_sums_match_naive_loop(self):
         c = RandomnessContract(11)
         n, h = 40, 10
-        got = draw_values(StudentT(5.0), Overlapping(n, h), c.stream("s", 2))
+        got, _ = draw_one(StudentT(5.0), Overlapping(n, h), c.stream("s", 2), c.stream("c", 2))
         base = sample(StudentT(5.0), n + h - 1, c.stream("s", 2))
         naive = np.array([base[i : i + h].sum() for i in range(n)])
         assert got.shape == (n,)
@@ -137,25 +146,19 @@ class TestDraws:
 
     def test_secured_companion_is_horizon_sum(self):
         c = RandomnessContract(11)
-        got = draw_secured_companion(Normal(), Overlapping(30, 10), c.stream("c", 4))
+        _, got = draw_one(Normal(), Overlapping(30, 10), c.stream("s", 4), c.stream("c", 4))
         want = float(sample(Normal(), 10, c.stream("c", 4)).sum())
         assert got == want
 
     def test_secured_companion_iid_is_single_draw(self):
         c = RandomnessContract(11)
-        got = draw_secured_companion(Normal(), Iid(30), c.stream("c", 5))
+        _, got = draw_one(Normal(), Iid(30), c.stream("s", 5), c.stream("c", 5))
         want = float(sample(Normal(), 1, c.stream("c", 5))[0])
         assert got == want
-
-    def test_draw_sample_wraps_values(self):
-        c = RandomnessContract(3)
-        s = draw_sample(Normal(), Iid(12), c.stream("s", 0))
-        v = draw_values(Normal(), Iid(12), c.stream("s", 0))
-        assert np.array_equal(s.values, v)
 
     def test_overlapping_autocorrelation_is_positive(self):
         # rolling sums share h-1 of h terms with their neighbors
         c = RandomnessContract(5)
-        x = draw_values(Normal(), Overlapping(5000, 10), c.stream("s", 0))
+        x, _ = draw_one(Normal(), Overlapping(5000, 10), c.stream("s", 0), c.stream("c", 0))
         lag1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert lag1 > 0.8

@@ -1,0 +1,179 @@
+"""Record the end-to-end performance of one riskbench source tree.
+
+    python tools/write_bench.py --label <x> [--tree <path>]
+
+Writes BENCH_<label>.json at the root of the repository that holds this
+script. --tree is the riskbench source tree to measure (default: that same
+repository), for example a clone of an earlier commit, so that a before and
+an after file come from one machine in one session. The file holds:
+
+- machine facts, the tree's git commit and a digest of its source files;
+- the full default study (`run_study(BenchConfig())`, serialized to CSV) in
+  a fresh process: wall time, CSV sha256, and per (distribution, scheme)
+  group the seconds of its reference risk, the seconds of its replication
+  loop and metrics (`run_group`) and the microseconds per replication;
+- the end-to-end medians of every workload in the tree's BENCHMARK.json,
+  from its perfbench/run.py run unmodified as a subprocess at the
+  benchmark's own run length and main seed.
+
+Every child runs with one BLAS thread, as the benchmark's children do.
+Takes about three minutes on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+# Run in a fresh interpreter: argv[1] is the tree's src directory. Times
+# run_study plus to_csv, and wraps the two names bench looks up per group.
+STUDY_CHILD = r"""
+import hashlib, json, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy, scipy
+from riskbench import bench
+from riskbench.distributions import dist_label
+from riskbench.sampling import scheme_label
+
+groups, reference_s = {}, []
+true_risk_levels, run_group = bench.true_risk_levels, bench.run_group
+
+def timed_reference(*args, **kwargs):
+    start = time.perf_counter()
+    out = true_risk_levels(*args, **kwargs)
+    reference_s.append(time.perf_counter() - start)
+    return out
+
+def timed_group(distribution, scheme, estimators, levels, references, K, contract):
+    start = time.perf_counter()
+    out = run_group(distribution, scheme, estimators, levels, references, K, contract)
+    seconds = time.perf_counter() - start
+    groups[f"{dist_label(distribution)}|{scheme_label(scheme)}"] = {
+        "reference_s": round(reference_s.pop(), 4),
+        "run_group_s": round(seconds, 4),
+        "us_per_replication": round(seconds / K * 1e6, 3),
+    }
+    return out
+
+bench.true_risk_levels, bench.run_group = timed_reference, timed_group
+config = bench.BenchConfig()
+start = time.perf_counter()
+text = bench.run_study(config).to_csv()
+wall = time.perf_counter() - start
+print(json.dumps({
+    "config": config.to_dict(),
+    "wall_s": round(wall, 3),
+    "csv_sha256": hashlib.sha256(text.encode()).hexdigest(),
+    "groups": groups,
+    "versions": {"numpy": numpy.__version__, "scipy": scipy.__version__},
+}))
+"""
+
+
+def child_env() -> dict:
+    env = dict(os.environ)
+    env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return env
+
+
+def git(tree: Path, *args: str):
+    try:
+        proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+    except OSError:
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def source_digest(tree: Path) -> str:
+    """sha256 over the package's Python files, names and bytes, in name order."""
+    digest = hashlib.sha256()
+    for path in sorted((tree / "src" / "riskbench").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def machine_facts() -> dict:
+    facts = {
+        "nproc": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "blas_threads": child_env()["OPENBLAS_NUM_THREADS"],
+    }
+    try:
+        facts["loadavg_at_start"] = Path("/proc/loadavg").read_text().split()[:3]
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                facts["cpu"] = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return facts
+
+
+def run_study(tree: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", STUDY_CHILD, str(tree / "src")],
+        capture_output=True, text=True, cwd=tree, env=child_env(), check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def run_workload(tree: Path, name: str, seconds: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", name, "--seconds", str(seconds),
+         "--trace", "0"],
+        capture_output=True, text=True, cwd=tree, check=True,
+    )
+    line = json.loads(proc.stdout.strip().splitlines()[-1])
+    return {
+        "fail_frac": line["failed"] / line["attempted"],
+        **{metric: v["value"] for metric, v in line["metrics"].items()},
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--tree", type=Path, default=REPO, help="source tree to measure")
+    args = parser.parse_args(argv)
+    if not args.label.replace("-", "").replace("_", "").isalnum():
+        parser.error(f"label must be letters, digits, '-' or '_', got {args.label!r}")
+    tree = args.tree.resolve()
+    if not (tree / "src" / "riskbench" / "__init__.py").is_file():
+        parser.error(f"no riskbench source tree at {tree}")
+    benchmark = json.loads((tree / "BENCHMARK.json").read_text())
+
+    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    record = {
+        "label": args.label,
+        "started_utc": started,
+        "machine": machine_facts(),
+        "git_commit": git(tree, "rev-parse", "HEAD"),
+        "uncommitted_changes": bool(git(tree, "status", "--porcelain", "--untracked-files=no")),
+        "src_sha256": source_digest(tree),
+    }
+    print(f"full default study in {tree} ...", file=sys.stderr)
+    record["study"] = run_study(tree)
+    record["perfbench"] = {}
+    for workload in benchmark["workloads"]:
+        name = workload["name"]
+        print(f"perfbench {name} ...", file=sys.stderr)
+        record["perfbench"][name] = run_workload(tree, name, benchmark["run_seconds"])
+
+    out = REPO / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {out}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
