@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import re
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -39,7 +38,6 @@ __all__ = [
     "ResultTable",
     "run_study",
     "format_metric_table",
-    "parse_metric_table",
 ]
 
 METRICS = ("ae", "se", "sb", "rb", "ct")
@@ -335,28 +333,3 @@ def format_metric_table(table: ResultTable) -> str:
         lines.append("")
     return "\n".join(lines)
 
-
-def parse_metric_table(text: str) -> dict[tuple[str, str, str, str], float]:
-    """Invert format_metric_table back to {(dist, scheme, estimator, metric): value}."""
-    out: dict[tuple[str, str, str, str], float] = {}
-    dist = scheme = None
-    estimators: list[str] = []
-    for line in text.splitlines():
-        header = re.match(r"^== (.+) \| (.+) ==$", line.strip())
-        if header:
-            dist, scheme = header.group(1), header.group(2)
-            continue
-        if line.startswith("metric"):
-            estimators = line.split()[1:]
-            continue
-        parts = line.split()
-        if not parts or dist is None:
-            continue
-        metric = parts[0]
-        if metric not in METRICS:
-            continue
-        for est, cell in zip(estimators, parts[1:]):
-            if not cell.endswith("%"):
-                raise ValueError(f"malformed cell {cell!r}")
-            out[(dist, scheme, est, metric)] = float(cell[:-1]) / 100.0
-    return out

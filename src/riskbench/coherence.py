@@ -55,15 +55,6 @@ class NotComonotonicError(ValueError):
     """The probed estimator is not a comonotonic law-invariant CRE."""
 
 
-def _tol(*arrays_or_scalars) -> float:
-    scale = 0.0
-    for a in arrays_or_scalars:
-        arr = np.asarray(a, dtype=float)
-        if arr.size:
-            scale = max(scale, float(np.max(np.abs(arr))))
-    return VIOLATION_RTOL * (1.0 + scale)
-
-
 @dataclass(frozen=True, eq=False)
 class Witness:
     """A concrete violation: the inputs fed to the estimator and both side values.
@@ -83,10 +74,6 @@ class Witness:
     @property
     def defect(self) -> float:
         return self.lhs - self.rhs
-
-    def tolerance(self) -> float:
-        extra = () if self.aux is None else (self.aux,)
-        return _tol(*self.inputs, *extra)
 
     def replay(self, estimator: Estimator) -> float:
         """Re-evaluate the defect for this witness against an estimator."""
@@ -125,12 +112,6 @@ class CoherenceReport:
     """Per-axiom results for one estimator."""
 
     checks: tuple[AxiomCheck, ...]
-
-    def __getitem__(self, axiom: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.axiom == axiom:
-                return c
-        raise KeyError(axiom)
 
     @property
     def all_pass(self) -> bool:
@@ -232,7 +213,8 @@ def _max_abs(block: np.ndarray) -> np.ndarray:
 
 
 def _tols(*scales: np.ndarray) -> np.ndarray:
-    """_tol per case, from the largest magnitudes of each case's inputs."""
+    """The violation tolerance per case, from the largest magnitudes of each
+    case's inputs."""
     return VIOLATION_RTOL * (1.0 + functools.reduce(np.maximum, scales))
 
 

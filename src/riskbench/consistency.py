@@ -2,9 +2,9 @@
 
 A weight builder n -> a_{.,n} induces the step density phi_n(t) = n * a_{i,n}
 on ((i-1)/n, i/n]. Consistency of the estimators -<a, s(x)> toward the
-spectral risk value needs phi_n uniformly bounded and the partial integrals
-of phi_n to track those of phi; both are checked here, alongside an
-empirical error ladder over growing sample sizes.
+spectral risk value needs the partial integrals of phi_n to track those of
+phi; that is checked here, alongside an empirical error ladder over growing
+sample sizes.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ __all__ = [
     "SpectrumApproximation",
     "integral_approximation",
     "alternative_approximation",
-    "UniformBoundResult",
-    "check_uniform_bound",
     "check_partial_integrals",
     "ConsistencyRow",
     "empirical_consistency",
@@ -58,35 +56,6 @@ def alternative_approximation(spectrum: SpectrumSpec) -> SpectrumApproximation:
         builder=lambda n: build_spectral_weights_alt(spectrum, n),
         name=f"{spectrum.name}-alternative",
     )
-
-
-@dataclass(frozen=True)
-class UniformBoundResult:
-    """sup over the checked sizes of max_i n*a_{i,n}, against the declared sup."""
-
-    bound: float
-    declared: float
-    passed: bool
-
-
-def check_uniform_bound(
-    approx: SpectrumApproximation, n_list: Sequence[int]
-) -> UniformBoundResult:
-    """Max of n * a_{i,n} over i and the given sizes vs the declared sup of phi.
-
-    passed means the step densities never exceed the declared sup (plus
-    1e-8 slack); a builder can be consistent while failing this (only
-    finiteness is required for the limit), so callers decide what to make
-    of a False.
-    """
-    if not n_list:
-        raise ValueError("need at least one sample size")
-    bound = 0.0
-    for n in n_list:
-        w = approx.builder(int(n)).weights
-        bound = max(bound, float(np.max(int(n) * w)))
-    declared = float(approx.spectrum.sup_bound)
-    return UniformBoundResult(bound=bound, declared=declared, passed=bound <= declared + 1e-8)
 
 
 def check_partial_integrals(

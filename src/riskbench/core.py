@@ -1,4 +1,4 @@
-"""Samples, simplex weight vectors, and weighted order-statistic functionals.
+"""Simplex weight vectors and weighted order-statistic functionals.
 
 Estimators here are maps x -> -<w, sort(x)> for a weight vector w, or finite
 suprema of such maps. Profit is positive in the sample, risk is positive in
@@ -9,9 +9,8 @@ x = m * (1,...,1) into risk -m.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence, Union
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,19 +22,14 @@ MONOTONE_ATOL = 1e-12
 PERMUTATION_ORACLE_MAX_N = 8
 
 __all__ = [
-    "Sample",
-    "SortedSample",
     "WeightVector",
     "GeneralWeightScheme",
     "SupremumCre",
     "SupremumResult",
-    "sort_sample",
     "apply_l_estimator",
     "score_sorted_rows",
     "apply_supremum",
     "permutation_closure_oracle",
-    "weights_to_json",
-    "weights_from_json",
     "WEIGHT_SUM_ATOL",
     "MONOTONE_ATOL",
     "PERMUTATION_ORACLE_MAX_N",
@@ -53,53 +47,6 @@ def _as_vector(values, name: str) -> np.ndarray:
         raise ValueError(f"{name} must contain only finite values")
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True, eq=False)
-class Sample:
-    """A P&L sample of length n >= 1, profit positive. Entries are finite reals."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _as_vector(self.values, "sample"))
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    def __len__(self) -> int:
-        return self.n
-
-
-@dataclass(frozen=True, eq=False)
-class SortedSample:
-    """A sample carried in non-decreasing order (worst outcome first)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_vector(self.values, "sorted sample")
-        if np.any(np.diff(arr) < 0):
-            raise ValueError("sorted sample must be non-decreasing")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-    def __len__(self) -> int:
-        return self.n
-
-
-def sort_sample(x: Union[Sample, Sequence[float], np.ndarray]) -> SortedSample:
-    """Sort a sample into non-decreasing order.
-
-    Duplicates are preserved; the result always passes the SortedSample
-    order check.
-    """
-    values = x.values if isinstance(x, Sample) else _as_vector(x, "sample")
-    return SortedSample(np.sort(values))
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,10 +99,6 @@ class GeneralWeightScheme:
         if not self.name:
             raise ValueError("scheme name must be non-empty")
 
-    @property
-    def n(self) -> int:
-        return int(self.weights.size)
-
 
 class SupremumResult(NamedTuple):
     value: float
@@ -197,10 +140,6 @@ def _weight_array(w) -> np.ndarray:
 
 
 def _sorted_values(x) -> np.ndarray:
-    if isinstance(x, SortedSample):
-        return x.values
-    if isinstance(x, Sample):
-        return np.sort(x.values)
     return np.sort(_as_vector(x, "sample"))
 
 
@@ -209,7 +148,7 @@ def apply_l_estimator(w, x) -> float:
 
     Args:
         w: WeightVector, GeneralWeightScheme, or a plain weight array.
-        x: Sample, SortedSample, or a plain array (sorted on the fly).
+        x: the sample, a one-dimensional array of finite floats, sorted here.
 
     Returns:
         The weighted order-statistic risk value as a float.
@@ -258,10 +197,7 @@ def permutation_closure_oracle(m: SupremumCre, x) -> float:
     equals apply_supremum(m, x).value by the rearrangement inequality, which
     is exactly what makes this an independent cross-check. Guarded to n <= 8.
     """
-    if isinstance(x, (Sample, SortedSample)):
-        values = x.values
-    else:
-        values = _as_vector(x, "sample")
+    values = _as_vector(x, "sample")
     n = values.size
     if n > PERMUTATION_ORACLE_MAX_N:
         raise ValueError(
@@ -278,15 +214,3 @@ def permutation_closure_oracle(m: SupremumCre, x) -> float:
             best = max(best, float(np.dot(perm, neg_x)))
     return best
 
-
-def weights_to_json(w) -> str:
-    """Serialize a weight vector/scheme as a JSON array of doubles, full precision."""
-    return json.dumps([float(v) for v in _weight_array(w)])
-
-
-def weights_from_json(text: str, *, monotone_flag: bool = False) -> WeightVector:
-    """Parse a JSON array of doubles back into a WeightVector."""
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("weight JSON must be an array of numbers")
-    return WeightVector(np.array(data, dtype=float), monotone_flag=monotone_flag)

@@ -246,13 +246,8 @@ def transform(dist, raw) -> np.ndarray:
 
 
 def sample(dist, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `size` variates: transform(dist, raw draws); the draw order per
-    variate is fixed per distribution."""
-    if isinstance(dist, HorizonSum):
-        total = sample(dist.base, size, rng)
-        for _ in range(dist.h - 1):
-            total = total + sample(dist.base, size, rng)
-        return total
+    """Draw `size` variates of a base distribution: transform(dist, raw
+    draws); the draw order per variate is fixed per distribution."""
     raw = raw_arrays(dist, size)
     draw_raw(dist, rng, raw)
     return transform(dist, raw)
@@ -351,10 +346,14 @@ def _antithetic_values(dist, half: int, rng: np.random.Generator) -> tuple[np.nd
         z = rng.standard_normal(half)
         return dist.mu + dist.sigma * z, dist.mu - dist.sigma * z
     if isinstance(dist, StudentT):
+        # z * sqrt(nu / w), computed in the chi-square buffer
         w = rng.chisquare(dist.nu, half)
         z = rng.standard_normal(half)
-        val = z * np.sqrt(dist.nu / w)
-        return val, -val
+        np.divide(dist.nu, w, out=w)
+        np.sqrt(w, out=w)
+        w *= z
+        del z
+        return w, -w
     if isinstance(dist, Nig):
         # same draws (y, u, then z) and transform as sample; each array of
         # `half` draws is freed or reused as soon as it is spent
@@ -375,6 +374,7 @@ def _antithetic_values(dist, half: int, rng: np.random.Generator) -> tuple[np.nd
             p, m = _antithetic_values(dist.base, half, rng)
             plus += p
             minus += m
+            del p, m  # freed before the next day's draws
         return plus, minus
     raise ValueError(f"unknown distribution object {dist!r}")
 

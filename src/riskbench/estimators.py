@@ -3,8 +3,8 @@
 Six expected-shortfall estimators, two value-at-risk estimators, a Gaussian
 moment plug-in, an expectile-based estimator, and spectral discretizations.
 All order-statistic estimators are materialized as full-length weight
-arrays (zeros beyond the tail) so they can be compared, serialized, and fed
-to the coherence machinery uniformly.
+arrays (zeros beyond the tail) so they can be compared and fed to the
+coherence machinery uniformly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .core import (
     MONOTONE_ATOL,
     WEIGHT_SUM_ATOL,
     GeneralWeightScheme,
-    Sample,
     WeightVector,
     apply_l_estimator,
     score_sorted_rows,
@@ -48,7 +47,6 @@ __all__ = [
     "uniform_spectrum",
     "build_spectral_weights",
     "build_spectral_weights_alt",
-    "empirical_quantile_var",
     "es1_tail_average",
     "es2_tail_average",
     "var_and_es2_tail",
@@ -130,9 +128,6 @@ class LEstimatorSpec:
     weights: GeneralWeightScheme
     is_cre: bool
 
-    def evaluate(self, x) -> float:
-        return apply_l_estimator(self.weights, x)
-
     def as_callable(self) -> Callable[[np.ndarray], float]:
         """x -> estimate, carrying `.rows(block)`: an (m, n) block to its m
         estimates through one row-wise sort and one matrix-vector product."""
@@ -143,12 +138,6 @@ class LEstimatorSpec:
 
         estimate.rows = lambda block: score_sorted_rows(weights, np.sort(block, axis=1))
         return estimate
-
-    def weight_vector(self) -> WeightVector:
-        """The weights as a simplex point; only available when is_cre."""
-        if not self.is_cre:
-            raise ValueError(f"{self.id.value} weights do not lie on the simplex")
-        return WeightVector(self.weights.weights, monotone_flag=True)
 
 
 def _finish(est_id: EstimatorId, alpha: float, n: int, w: np.ndarray) -> LEstimatorSpec:
@@ -322,7 +311,7 @@ def gaussian_plugin_es(alpha: float, x) -> float:
     assign higher risk to a dominating sample.
     """
     _check_level(alpha)
-    values = x.values if isinstance(x, Sample) else np.asarray(x, dtype=float)
+    values = np.asarray(x, dtype=float)
     if values.ndim != 1 or values.size < 2:
         raise ValueError("plug-in needs a one-dimensional sample with n >= 2")
     if not np.all(np.isfinite(values)):
@@ -342,15 +331,25 @@ class ExpectileSolution:
         exp_var: -expectile; the risk value, same orientation as the other
             estimators here.
         n_star: number of sample points <= expectile.
-        realized_weights: the sample-dependent simplex weights that reproduce
-            exp_var as -<a, s(x)> at this particular sample.
+        n: the sample size.
     """
 
     alpha: float
     expectile: float
     exp_var: float
     n_star: int
-    realized_weights: WeightVector
+    n: int
+
+    @property
+    def realized_weights(self) -> WeightVector:
+        """The sample-dependent simplex weights that reproduce exp_var as
+        -<a, s(x)> at this particular sample, built on each access."""
+        alpha, n_star = self.alpha, self.n_star
+        den = (1.0 - 2.0 * alpha) * n_star + self.n * alpha
+        a = np.full(self.n, alpha / den)
+        a[:n_star] = (1.0 - alpha) / den
+        a /= a.sum()
+        return WeightVector(a, monotone_flag=True)
 
 
 def expectile_estimate(alpha: float, x) -> ExpectileSolution:
@@ -364,7 +363,7 @@ def expectile_estimate(alpha: float, x) -> ExpectileSolution:
     """
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
-    values = x.values if isinstance(x, Sample) else np.asarray(x, dtype=float)
+    values = np.asarray(x, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("expectile needs a non-empty one-dimensional sample")
     if not np.all(np.isfinite(values)):
@@ -406,19 +405,12 @@ def expectile_estimate(alpha: float, x) -> ExpectileSolution:
             f"expectile residual {residual!r} exceeds tolerance at scale {scale!r}"
         )
 
-    n_star = int(np.searchsorted(s, root, side="right"))
-    den = (1.0 - 2.0 * alpha) * n_star + n * alpha
-    a = np.full(n, alpha / den)
-    a[:n_star] = (1.0 - alpha) / den
-    a /= a.sum()
-    weights = WeightVector(a, monotone_flag=True)
-
     return ExpectileSolution(
         alpha=alpha,
         expectile=float(root),
         exp_var=float(-root),
-        n_star=n_star,
-        realized_weights=weights,
+        n_star=int(np.searchsorted(s, root, side="right")),
+        n=n,
     )
 
 
@@ -578,16 +570,6 @@ def _flat_sample(values) -> np.ndarray:
     return arr
 
 
-def empirical_quantile_var(values, alpha: float) -> float:
-    """-x_(floor(alpha n)+1): the plain empirical quantile VaR."""
-    _check_level(alpha)
-    arr = _flat_sample(values)
-    m, _ = _snapped_split(alpha * arr.size)
-    if m + 1 > arr.size:
-        raise ValueError(f"need floor(alpha*n)+1 <= n, got {m + 1} > {arr.size}")
-    return float(-np.partition(arr, m)[m])
-
-
 def es1_tail_average(values, alpha: float) -> float:
     """Minus the mean of the floor(alpha n) worst outcomes."""
     _check_level(alpha)
@@ -613,8 +595,9 @@ def es2_tail_average(values, alpha: float) -> float:
 
 
 def var_and_es2_tail(values, alpha: float) -> tuple[float, float]:
-    """(empirical_quantile_var, es2_tail_average) of one sample, read from
-    one partition: VaR's order statistic x_(m+1) is ES2's boundary one."""
+    """(empirical VaR -x_(m+1), es2_tail_average) of one sample, m =
+    floor(alpha n), read from one partition: VaR's order statistic is ES2's
+    boundary one."""
     _check_level(alpha)
     arr = _flat_sample(values)
     m, frac = _snapped_split(alpha * arr.size)

@@ -9,7 +9,6 @@ from riskbench.bench import (
     ResultRow,
     ResultTable,
     format_metric_table,
-    parse_metric_table,
     run_study,
 )
 
@@ -201,11 +200,14 @@ class TestSerialization:
         assert first["value"] == table.rows[0].value
 
     def test_metric_table_round_trip(self, table):
-        text = format_metric_table(table)
-        parsed = parse_metric_table(text)
+        # read each value back from its block, metric line and estimator column
+        blocks = format_metric_table(table).split("\n\n")
         for r in table.rows:
-            got = parsed[(r.distribution, r.scheme, r.estimator, r.metric)]
-            assert got == pytest.approx(r.value, abs=5.1e-4)  # one decimal in percent
+            (block,) = [b for b in blocks if b.startswith(f"== {r.distribution} | {r.scheme} ==")]
+            lines = block.splitlines()
+            column = lines[1].split().index(r.estimator)
+            (line,) = [line for line in lines[2:] if line.split()[0] == r.metric]
+            assert line.split()[column] == f"{100.0 * r.value:.1f}%"
 
     def test_shape_invariant_enforced(self, table):
         with pytest.raises(ValueError):

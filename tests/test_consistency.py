@@ -5,43 +5,15 @@ from riskbench.consistency import (
     ConsistencyRow,
     alternative_approximation,
     check_partial_integrals,
-    check_uniform_bound,
     empirical_consistency,
     integral_approximation,
 )
 from riskbench.core import apply_l_estimator
 from riskbench.distributions import Normal, sample
-from riskbench.estimators import es_spectrum, uniform_spectrum
+from riskbench.estimators import es_spectrum
 from riskbench.sampling import RandomnessContract
 
 ALPHA = 0.025
-
-
-class TestUniformBound:
-    def test_integral_builder_attains_declared_sup(self):
-        approx = integral_approximation(es_spectrum(ALPHA))
-        res = check_uniform_bound(approx, [50, 100, 250])
-        assert res.passed
-        assert res.declared == 1.0 / ALPHA
-        assert res.bound == 40.0  # interior cells integrate to exactly sup/n
-
-    def test_alternative_builder_overshoots(self):
-        # renormalizing pointwise values pushes interior cells above the sup
-        # whenever alpha*n is fractional; consistency does not need the bound
-        approx = alternative_approximation(es_spectrum(ALPHA))
-        res = check_uniform_bound(approx, [250])
-        assert not res.passed
-        assert res.bound == pytest.approx(250.0 / 6.0, abs=1e-12)
-
-    def test_uniform_spectrum_is_tight_for_both(self):
-        for factory in (integral_approximation, alternative_approximation):
-            res = check_uniform_bound(factory(uniform_spectrum()), [10, 100])
-            assert res.passed
-            assert res.bound == pytest.approx(1.0, abs=1e-12)
-
-    def test_needs_sizes(self):
-        with pytest.raises(ValueError):
-            check_uniform_bound(integral_approximation(uniform_spectrum()), [])
 
 
 class TestPartialIntegrals:

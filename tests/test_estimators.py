@@ -21,13 +21,13 @@ from riskbench.estimators import (
     build_spectral_weights_alt,
     build_var_interp_1pct,
     build_var_weights,
-    empirical_quantile_var,
     es1_tail_average,
     es2_tail_average,
     es_spectrum,
     expectile_estimate,
     gaussian_plugin_es,
     uniform_spectrum,
+    var_and_es2_tail,
 )
 
 ALPHA = 0.025
@@ -95,9 +95,9 @@ class TestWeightTables:
             assert build_estimator(name, ALPHA, N).is_cre is expect
 
     def test_weight_vector_only_for_cre(self):
-        assert build_es2(ALPHA, N).weight_vector().monotone_flag
+        assert WeightVector(build_es2(ALPHA, N).weights.weights, monotone_flag=True).monotone_flag
         with pytest.raises(ValueError):
-            build_es5(ALPHA, N).weight_vector()
+            WeightVector(build_es5(ALPHA, N).weights.weights, monotone_flag=True)
 
     @pytest.mark.parametrize("name", sorted(SEVEN_WEIGHTS_3DP))
     def test_weights_are_non_increasing(self, name):
@@ -343,7 +343,7 @@ class TestTailEvaluators:
     def test_var_counterexample_inputs(self):
         x = np.zeros(100)
         x[0] = -100.0
-        assert empirical_quantile_var(x, 0.01) == 0.0
+        assert var_and_es2_tail(x, 0.01)[0] == 0.0
 
     def test_es1_hand_value(self):
         got = es1_tail_average(np.array([4.0, 3.0, 1.0, 2.0]), 0.5)
@@ -353,20 +353,22 @@ class TestTailEvaluators:
         rng = np.random.default_rng(11)
         x = rng.normal(size=40)
         spec = build_es2(0.025, 40)
-        assert es2_tail_average(x, 0.025) == pytest.approx(spec.evaluate(x), abs=1e-12)
+        want = apply_l_estimator(spec.weights, x)
+        assert es2_tail_average(x, 0.025) == pytest.approx(want, abs=1e-12)
 
     def test_var_matches_weight_builder(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=100)
         spec = build_var_weights(0.05, 100)
-        assert empirical_quantile_var(x, 0.05) == pytest.approx(spec.evaluate(x), abs=1e-12)
+        want = apply_l_estimator(spec.weights, x)
+        assert var_and_es2_tail(x, 0.05)[0] == pytest.approx(want, abs=1e-12)
 
 
 class TestEvaluationSemantics:
     def test_estimate_is_negative_weighted_tail(self):
         # hand check: losses are the smallest order statistics, risk is positive
         x = np.array([-5.0, 1.0, 1.0, 1.0] + [1.0] * 36)
-        v = build_es1(0.025, 40).evaluate(x)
+        v = apply_l_estimator(build_es1(0.025, 40).weights, x)
         assert v == 5.0  # single tail cell picks the worst outcome
 
     @given(st.integers(min_value=0, max_value=2**31))
@@ -375,4 +377,4 @@ class TestEvaluationSemantics:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=250)
         spec = build_es3(ALPHA, N)
-        assert spec.as_callable()(x) == spec.evaluate(x)
+        assert spec.as_callable()(x) == apply_l_estimator(spec.weights, x)

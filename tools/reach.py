@@ -1,0 +1,175 @@
+"""List the functions in src/riskbench that nothing reaches.
+
+    python tools/reach.py
+
+Runs the acceptance battery (tests/test_acceptance.py) and a fixed list of
+`riskbench` command lines, covering all six subcommands, under one
+`sys.setprofile` hook that records every code object called. Then lists
+each function, method, lambda and comprehension defined in src/riskbench
+that never ran. Such a function is reached at most by its own unit tests:
+delete it, or keep it in KEEP with a one-line reason.
+
+Exit status: 0 when every unreached function is in KEEP; 1 when any other
+function is unreached; 2 when the probe could not run as intended (riskbench
+imported from another tree, the battery not collected, or a command line
+exiting with a status other than its expected one). Takes about half a minute.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import inspect
+import io
+import json
+import os
+import sys
+import tempfile
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "riskbench"
+
+# "<module>:<qualified name>" -> why it stays although nothing above calls it
+KEEP = {
+    "coherence:Witness.replay":
+        "the witnesses a report prints replay against the estimator",
+    "coherence:CoherenceReport.failed_axioms":
+        "criterion 5 calls it to name the axioms that failed",
+    "distributions:nig_moments":
+        "closed-form NIG moments, the reference the sampler tests compare against",
+    "estimators:ExpectileSolution.realized_weights":
+        "the sample-dependent weights writing the expectile risk as -<a, s(x)>; built when read",
+    "metrics:order_statistic_means":
+        "exact order-statistic means, the reference the study's bias is tested against",
+}
+
+# (argv, expected exit status); {tmp} is a scratch directory
+COMMANDS = (
+    (["weights", "--estimator", "es2"], 0),
+    (["weights", "--estimator", "var1", "--json"], 0),
+    (["weights", "--estimator", "es6", "--alpha", "0.05", "--n", "40", "--csv"], 0),
+    (["weights", "--estimator", "es9"], 2),
+    (["coherence", "--estimator", "es1", "--n", "50", "--trials", "100"], 0),
+    (["coherence", "--estimator", "es5", "--n", "50", "--trials", "100", "--json"], 1),
+    (["coherence", "--estimator", "gaussian", "--n", "40", "--trials", "100"], 1),
+    (["coherence", "--estimator", "expvar", "--n", "20", "--trials", "100"], 1),
+    (["true-risk", "--dist", "normal:0:1"], 0),
+    (["true-risk", "--dist", "t:5", "--alpha", "0.01"], 0),
+    (["true-risk", "--dist", "nig:0.4:-0.14:0:1", "--oracle-k", "100000"], 0),
+    (["consistency", "--builder", "alternative", "--n", "100,1000", "--reps", "5"], 0),
+    (["consistency", "--spectrum", "uniform", "--n", "50", "--reps", "3"], 0),
+    (["consistency", "--n", ""], 2),
+    (["bench", "--config", "{tmp}/study.json", "--k", "200", "--oracle-k", "100000", "--table"], 0),
+    (["bench", "--config", "{tmp}/study.json", "--k", "200", "--oracle-k", "100000",
+      "--format", "json", "--out", "{tmp}/results.json"], 0),
+    (["bench", "--config", "{tmp}/bad.json"], 2),
+    (["extract", "--estimator", "es3", "--n", "100"], 0),
+    (["extract", "--estimator", "gaussian", "--n", "8"], 1),
+    (["extract", "--estimator", "expvar", "--n", "8"], 1),
+)
+
+STUDY = {
+    "distributions": ["normal:0:1", "t:5", "nig:0.4:0.14:0:1"],
+    "schemes": ["iid", "overlapping:10"],
+    "estimators": ["var1", "es1", "es2", "es3", "es4", "es5", "es6"],
+}
+
+
+def defined_functions() -> dict[tuple, tuple[str, tuple | None]]:
+    """{(file, first line, name): ("<module>:<qualified name>", enclosing
+    function's key or None)} for every def in src/riskbench, methods and
+    nested defs included. Lambdas and comprehensions are left out: they are
+    expressions of the function that holds them, not functions of the API.
+    Class bodies are walked but not listed; they run at import."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        filename = os.path.realpath(path)
+        stack = [(compile(path.read_text(encoding="utf-8"), filename, "exec"), "", None)]
+        while stack:
+            code, prefix, parent = stack.pop()
+            for const in code.co_consts:
+                if not isinstance(const, types.CodeType) or const.co_name.startswith("<"):
+                    continue
+                qualname = prefix + const.co_name
+                if const.co_flags & inspect.CO_OPTIMIZED:
+                    key = (filename, const.co_firstlineno, const.co_name)
+                    out[key] = (f"{path.stem}:{qualname}", parent)
+                    stack.append((const, qualname + ".", key))
+                else:
+                    stack.append((const, qualname + ".", parent))
+    return out
+
+
+def run_commands(tmp: str) -> list[str]:
+    """Run every command line in-process; return a line per unexpected status."""
+    from riskbench.cli import main
+
+    Path(tmp, "study.json").write_text(json.dumps(STUDY), encoding="utf-8")
+    Path(tmp, "bad.json").write_text(json.dumps({"out": ""}), encoding="utf-8")
+    wrong = []
+    for argv, expected in COMMANDS:
+        argv = [arg.format(tmp=tmp) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+        if status != expected:
+            wrong.append(f"riskbench {' '.join(argv)}: exit {status}, expected {expected}")
+    return wrong
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    import pytest
+    import riskbench
+
+    if Path(riskbench.__file__).resolve().parent != SRC.resolve():
+        print(f"riskbench imported from {riskbench.__file__}, not {SRC}", file=sys.stderr)
+        return 2
+
+    called = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(hook)
+    try:
+        battery = pytest.main(
+            [str(ROOT / "tests" / "test_acceptance.py"), "-q", "--tb=line",
+             "-p", "no:cacheprovider"]
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            wrong = run_commands(tmp)
+    finally:
+        sys.setprofile(None)
+
+    problems = list(wrong)
+    if battery not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
+        problems.append(f"acceptance battery did not run: pytest exit {battery}")
+    for line in problems:
+        print(line, file=sys.stderr)
+    if problems:
+        return 2
+
+    ran = {(os.path.realpath(c.co_filename), c.co_firstlineno, c.co_name) for c in called}
+    # a def nested in an unreached function is listed through its outermost one
+    unreached = sorted(
+        (name, key[1])
+        for key, (name, parent) in defined_functions().items()
+        if key not in ran and (parent is None or parent in ran)
+    )
+    print(f"\n{len(unreached)} functions in src/riskbench never ran:")
+    for name, line in unreached:
+        why = KEEP.get(name, "NOT KEPT: delete it or add it to KEEP")
+        print(f"  {f'{name} (line {line})':56} {why}")
+    unreached = {name for name, _ in unreached}
+    for name in sorted(set(KEEP) - unreached):
+        print(f"  {name:56} in KEEP but reached: take it out of KEEP")
+    return 1 if unreached - set(KEEP) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
