@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -427,12 +427,7 @@ def check_all(
     return CoherenceReport(checks=checks)
 
 
-def check_cash_additivity_slope(
-    estimator: Estimator,
-    n: int,
-    *,
-    tol: float = VIOLATION_RTOL,
-) -> float:
+def check_cash_additivity_slope(estimator: Estimator, n: int) -> float:
     """Measure s in estimator(x + m*1) = estimator(x) - s*m over a shift grid.
 
     For weighted order-statistic estimators s is the weight sum, so a
@@ -440,7 +435,7 @@ def check_cash_additivity_slope(
 
     Raises:
         ValueError: the response to cash shifts is not affine within
-            tol * (1 + scale) across the grid and two base points.
+            VIOLATION_RTOL * (1 + scale) across the grid and two base points.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
@@ -451,7 +446,7 @@ def check_cash_additivity_slope(
     shifted = score((bases[:, None, :] + grid[:, None]).reshape(-1, n)).reshape(2, grid.size)
     slopes = (v0[:, None] - shifted) / grid
     spread = float(np.max(slopes) - np.min(slopes))
-    if spread > tol * (1.0 + float(np.max(np.abs(grid)))):
+    if spread > VIOLATION_RTOL * (1.0 + float(np.max(np.abs(grid)))):
         raise ValueError(
             f"cash response is not affine: slope spread {spread!r} over the shift grid"
         )
@@ -471,11 +466,11 @@ def verify_representation(
     estimator: Estimator,
     weights: WeightVector,
     trials: int = 200,
-    seed: int = 0,
 ) -> VerificationResult:
-    """Check estimator(x) == -<weights, sort(x)> on deck plus random probes."""
+    """Check estimator(x) == -<weights, sort(x)> on deck plus random probes
+    drawn from seed 0."""
     n = weights.n
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     probes = np.vstack([_deck(n), _random_probes(rng, trials, n)])
     score = _rows(estimator)
     for start, stop in _probe_blocks(len(probes), n, 1):
@@ -496,15 +491,7 @@ def verify_representation(
     return VerificationResult(passed=True, trials=probes.shape[0], witness=None)
 
 
-def extract_comonotonic_weights(
-    estimator: Estimator,
-    n: int,
-    *,
-    tol: float = VIOLATION_RTOL,
-    verify: bool = True,
-    verify_trials: int = 64,
-    seed: int = 0,
-) -> WeightVector:
+def extract_comonotonic_weights(estimator: Estimator, n: int) -> WeightVector:
     """Recover the unique weight vector of a comonotonic law-invariant CRE.
 
     Probes the ladder v_k = (-1 repeated k times, then zeros), already
@@ -513,10 +500,11 @@ def extract_comonotonic_weights(
     exactly (up to float), which is the round-trip the tests pin down.
 
     The increments must be non-negative, non-increasing, and sum to 1
-    within tol; with verify=True the recovered weights are additionally
-    probed against the estimator, so estimators that merely look
-    order-statistic on the ladder (sample-dependent weights, suprema over
-    several vectors) are rejected rather than silently misrepresented.
+    within VIOLATION_RTOL. The recovered weights are then probed against
+    the estimator (verify_representation, 64 random probes after the deck),
+    so estimators that merely look order-statistic on the ladder
+    (sample-dependent weights, suprema over several vectors) are rejected
+    rather than silently misrepresented.
 
     Raises:
         NotComonotonicError: any of the checks above fails.
@@ -528,17 +516,17 @@ def extract_comonotonic_weights(
     values = np.concatenate([score(ladder[a:b]) for a, b in _probe_blocks(n + 1, n, 1)])
     a = np.diff(values)
 
-    if float(np.min(a)) < -tol:
+    if float(np.min(a)) < -VIOLATION_RTOL:
         raise NotComonotonicError(
             f"extracted weight {float(np.min(a))!r} is negative beyond tolerance"
         )
     rises = np.diff(a)
-    if rises.size and float(np.max(rises)) > tol:
+    if rises.size and float(np.max(rises)) > VIOLATION_RTOL:
         raise NotComonotonicError(
             f"extracted weights increase by {float(np.max(rises))!r}; not non-increasing"
         )
     total = float(np.sum(a)) if a.size else 0.0
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > VIOLATION_RTOL:
         raise NotComonotonicError(f"extracted weights sum to {total!r}, expected 1")
 
     # Scrub float dust only where the hard checks would otherwise trip the
@@ -551,11 +539,10 @@ def extract_comonotonic_weights(
         a = a / np.sum(a)
     weights = WeightVector(a, monotone_flag=True)
 
-    if verify:
-        res = verify_representation(estimator, weights, trials=verify_trials, seed=seed)
-        if not res.passed:
-            raise NotComonotonicError(
-                "probe-ladder weights do not reproduce the estimator: defect "
-                f"{res.witness.defect!r} at a verification probe"
-            )
+    res = verify_representation(estimator, weights, trials=64)
+    if not res.passed:
+        raise NotComonotonicError(
+            "probe-ladder weights do not reproduce the estimator: defect "
+            f"{res.witness.defect!r} at a verification probe"
+        )
     return weights

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -101,21 +101,17 @@ def empirical_consistency(
     n_list: Sequence[int],
     reps: int,
     seed: int,
-    *,
-    reference: Optional[float] = None,
 ) -> list[ConsistencyRow]:
     """Median |estimate - true ES| per sample size, over independent replications.
 
     The approximation is assumed to target expected shortfall at the given
-    level, so the reference defaults to true_risk(dist, alpha).es_alpha;
-    pass `reference` to override (e.g. a cheaper oracle in tests).
+    level, so the reference is true_risk(dist, alpha).es_alpha.
     """
     if not n_list:
         raise ValueError("need at least one sample size")
     if reps < 2:
         raise ValueError("need at least two replications per size")
-    if reference is None:
-        reference = true_risk(dist, alpha).es_alpha
+    reference = true_risk(dist, alpha).es_alpha
     contract = RandomnessContract(seed)
     rows = []
     for n_raw in n_list:

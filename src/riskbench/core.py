@@ -85,19 +85,16 @@ class WeightVector:
 
 @dataclass(frozen=True, eq=False)
 class GeneralWeightScheme:
-    """An arbitrary finite weight scheme, no simplex constraint, with a name.
+    """An arbitrary finite weight scheme, no simplex constraint.
 
     Used for estimators whose weights leave the simplex (negative entries or
     a sum away from one), e.g. quantile interpolations or inflated tails.
     """
 
     weights: np.ndarray
-    name: str
 
     def __post_init__(self):
         object.__setattr__(self, "weights", _as_vector(self.weights, "weights"))
-        if not self.name:
-            raise ValueError("scheme name must be non-empty")
 
 
 class SupremumResult(NamedTuple):

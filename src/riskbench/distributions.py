@@ -121,14 +121,21 @@ class HorizonSum:
 DistributionSpec = Union[Normal, StudentT, Nig]
 
 
+def _param(value: float) -> str:
+    """The short :g form when it parses back to the value, else the full repr,
+    so distinct parameters never share a label."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(float(value))
+
+
 def dist_label(dist) -> str:
     """Canonical text form, also accepted by parse_dist."""
     if isinstance(dist, Normal):
-        return f"normal:{dist.mu:g}:{dist.sigma:g}"
+        return f"normal:{_param(dist.mu)}:{_param(dist.sigma)}"
     if isinstance(dist, StudentT):
-        return f"t:{dist.nu:g}"
+        return f"t:{_param(dist.nu)}"
     if isinstance(dist, Nig):
-        return f"nig:{dist.a:g}:{dist.b:g}:{dist.mu:g}:{dist.delta:g}"
+        return f"nig:{_param(dist.a)}:{_param(dist.b)}:{_param(dist.mu)}:{_param(dist.delta)}"
     if isinstance(dist, HorizonSum):
         return f"sum{dist.h}({dist_label(dist.base)})"
     raise ValueError(f"unknown distribution object {dist!r}")

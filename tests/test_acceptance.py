@@ -6,7 +6,6 @@ before reporting, so a single run shows the status of all ten criteria.
 """
 
 import numpy as np
-import pytest
 from scipy import integrate, stats
 
 from riskbench.bench import BenchConfig, run_study
@@ -17,7 +16,6 @@ from riskbench.coherence import (
     extract_comonotonic_weights,
 )
 from riskbench.consistency import (
-    alternative_approximation,
     check_partial_integrals,
     empirical_consistency,
     integral_approximation,

@@ -2,11 +2,14 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from riskbench.bench import (
+    DEFAULT_DISTRIBUTIONS,
+    DEFAULT_ESTIMATORS,
     METRICS,
     BenchConfig,
-    ResultRow,
     ResultTable,
     format_metric_table,
     run_study,
@@ -24,6 +27,26 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return BenchConfig(**base)
+
+
+@st.composite
+def configs(draw):
+    n = draw(st.integers(200, 400))
+    # var1 is defined at n = 250 only
+    estimators = DEFAULT_ESTIMATORS if n == 250 else DEFAULT_ESTIMATORS[1:]
+    names = lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    return BenchConfig(
+        alpha=draw(st.floats(0.01, 0.2)),
+        n=n,
+        k=draw(st.integers(100, 10**6)),
+        seed=draw(st.integers(0, 2**64)),
+        oracle_k=draw(st.integers(10**5, 10**8)),
+        distributions=draw(names(DEFAULT_DISTRIBUTIONS)),
+        estimators=draw(names(estimators)),
+        schemes=draw(names(("iid", "overlapping:10", "overlapping:3"))),
+        out=draw(st.none() | st.text(min_size=1)),
+        format=draw(st.sampled_from(("csv", "json"))),
+    )
 
 
 class TestConfig:
@@ -121,6 +144,11 @@ class TestConfig:
         c = tiny_config()
         back = BenchConfig.from_json(json.dumps(c.to_dict()))
         assert back == c
+
+    @settings(max_examples=50, deadline=None)
+    @given(config=configs())
+    def test_from_json_reads_back_every_config(self, config):
+        assert BenchConfig.from_json(json.dumps(config.to_dict())) == config
 
     def test_from_json_rejects_unknown_keys(self):
         for key in ("replications", "workers"):

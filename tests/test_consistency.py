@@ -9,7 +9,7 @@ from riskbench.consistency import (
     integral_approximation,
 )
 from riskbench.core import apply_l_estimator
-from riskbench.distributions import Normal, sample
+from riskbench.distributions import Normal, sample, true_risk
 from riskbench.estimators import es_spectrum
 from riskbench.sampling import RandomnessContract
 
@@ -70,28 +70,22 @@ class TestEmpirical:
 
     def test_replications_draw_from_their_named_streams(self):
         approx = integral_approximation(es_spectrum(ALPHA))
-        rows = empirical_consistency(
-            Normal(), approx, ALPHA, [100, 300], reps=7, seed=11, reference=2.0
-        )
+        rows = empirical_consistency(Normal(), approx, ALPHA, [100, 300], reps=7, seed=11)
+        reference = true_risk(Normal(), ALPHA).es_alpha
         contract = RandomnessContract(11)
         for row in rows:
             w = approx.builder(row.n)
             tag = f"consistency|{approx.name}|n={row.n}"
             errors = [
-                abs(apply_l_estimator(w, sample(Normal(), row.n, contract.stream(tag, rep))) - 2.0)
+                abs(
+                    apply_l_estimator(w, sample(Normal(), row.n, contract.stream(tag, rep)))
+                    - reference
+                )
                 for rep in range(7)
             ]
             q25, q50, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
             assert row.median_abs_error == float(q50)
             assert row.iqr == float(q75 - q25)
-
-    def test_reference_override_shifts_errors(self):
-        approx = integral_approximation(es_spectrum(ALPHA))
-        near = empirical_consistency(Normal(), approx, ALPHA, [500], reps=10, seed=4)
-        far = empirical_consistency(
-            Normal(), approx, ALPHA, [500], reps=10, seed=4, reference=10.0
-        )
-        assert far[0].median_abs_error > near[0].median_abs_error
 
     def test_needs_sizes(self):
         approx = integral_approximation(es_spectrum(ALPHA))

@@ -55,7 +55,7 @@ class TestWeightVector:
             WeightVector(np.array([0.4, 0.6]), monotone_flag=True)
 
     def test_general_scheme_allows_non_unit_sum(self):
-        w = GeneralWeightScheme(np.array([0.5, 0.25, 0.5]), name="inflated")
+        w = GeneralWeightScheme(np.array([0.5, 0.25, 0.5]))
         assert w.weights.sum() == 1.25
 
     def test_weights_are_read_only(self):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from riskbench import distributions
@@ -61,13 +63,37 @@ class TestClosedForms:
             StudentT(1.0)
 
 
+FINITE = st.floats(min_value=-1e300, max_value=1e300)
+POSITIVE = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+
+
+@st.composite
+def nigs(draw):
+    b = draw(FINITE)
+    a = draw(st.floats(min_value=abs(b), max_value=1e301, exclude_min=True))
+    return Nig(a, b, draw(FINITE), draw(POSITIVE))
+
+
+DISTRIBUTIONS = st.one_of(
+    st.builds(Normal, FINITE, POSITIVE),
+    st.builds(StudentT, st.floats(min_value=1.0, max_value=1e300, exclude_min=True)),
+    nigs(),
+)
+
+
 class TestLabels:
     @pytest.mark.parametrize(
         "text",
-        ["normal:0:1", "t:5", "nig:0.4:0.14:0:1", "nig:0.55:-0.3025:0:1"],
+        # the last one would share normal:0:1 at six significant digits
+        ["normal:0:1", "t:5", "nig:0.4:0.14:0:1", "nig:0.55:-0.3025:0:1", "normal:0:1.0000001"],
     )
     def test_round_trip(self, text):
         assert dist_label(parse_dist(text)) == text
+
+    @settings(max_examples=200, deadline=None)
+    @given(dist=DISTRIBUTIONS)
+    def test_label_parses_back_to_the_distribution(self, dist):
+        assert parse_dist(dist_label(dist)) == dist
 
     def test_horizon_sum_label(self):
         assert dist_label(HorizonSum(StudentT(5.0), 10)) == "sum10(t:5)"

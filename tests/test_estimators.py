@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 from riskbench.core import WeightVector, apply_l_estimator
 from riskbench.estimators import (
@@ -13,9 +11,7 @@ from riskbench.estimators import (
     build_es1,
     build_es2,
     build_es3,
-    build_es4,
     build_es5,
-    build_es6,
     build_estimator,
     build_spectral_weights,
     build_spectral_weights_alt,
@@ -313,25 +309,37 @@ class TestSpectra:
         assert s.cumulative(0.1) == pytest.approx(1.0, abs=1e-12)
         assert s.cumulative(0.7) == pytest.approx(1.0, abs=1e-12)
 
-    def test_quadrature_path_matches_exact(self):
-        exact = es_spectrum(0.1)
-        byquad = SpectrumSpec(
-            evaluator=exact.evaluator,
-            name="es-quad",
-            sup_bound=exact.sup_bound,
-            discontinuities=exact.discontinuities,
-        )
-        a = build_spectral_weights(exact, 50).weights
-        b = build_spectral_weights(byquad, 50).weights
-        assert np.allclose(a, b, atol=1e-10)
+    def test_es_cells_match_quadrature(self):
+        # an independent check of the closed-form cells: adaptive quadrature
+        # of phi over each cell, told where the jump at alpha sits
+        alpha, n = 0.1, 50
+        s = es_spectrum(alpha)
+        edges = np.arange(n + 1) / n
+        byquad = [
+            integrate.quad(s.evaluator, lo, hi, points=[alpha], limit=100, epsabs=1e-10)[0]
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        assert np.allclose(build_spectral_weights(s, n).weights, byquad, atol=1e-10)
 
     def test_rejects_increasing_density(self):
         with pytest.raises(ValueError):
-            SpectrumSpec(evaluator=lambda t: 2.0 * t, name="rising")
+            SpectrumSpec(
+                evaluator=lambda t: 2.0 * t,
+                name="rising",
+                sup_bound=2.0,
+                cells=lambda n: (2.0 * np.arange(1, n + 1) - 1.0) / n**2,
+                integral=lambda t: t * t,
+            )
 
     def test_rejects_wrong_mass(self):
         with pytest.raises(ValueError):
-            SpectrumSpec(evaluator=lambda t: 0.5, name="half")
+            SpectrumSpec(
+                evaluator=lambda t: 0.5,
+                name="half",
+                sup_bound=0.5,
+                cells=lambda n: np.full(n, 0.5 / n),
+                integral=lambda t: 0.5 * t,
+            )
 
     def test_spectral_weights_are_monotone_vectors(self):
         w = build_spectral_weights(es_spectrum(0.025), 250)

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from riskbench.distributions import Nig, Normal, StudentT, sample
 from riskbench.sampling import (
@@ -96,6 +98,11 @@ class TestSchemes:
         assert parse_scheme("overlapping:3", 50) == Overlapping(50, 3)
         assert scheme_label(Iid(250)) == "iid"
         assert scheme_label(Overlapping(250, 10)) == "overlapping:10"
+
+    @given(n=st.integers(1, 10**6), h=st.integers(1, 10**4), iid=st.booleans())
+    def test_label_parses_back_to_the_scheme(self, n, h, iid):
+        scheme = Iid(n) if iid else Overlapping(n, h)
+        assert parse_scheme(scheme_label(scheme), n) == scheme
 
     def test_parse_rejects_garbage(self):
         for bad in ("", "rolling", "overlapping:0", "overlapping:x"):

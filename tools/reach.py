@@ -1,23 +1,35 @@
-"""List the functions in src/riskbench that nothing reaches.
+"""List the functions and knobs in src/riskbench that nothing reaches.
 
     python tools/reach.py
 
 Runs the acceptance battery (tests/test_acceptance.py) and a fixed list of
 `riskbench` command lines, covering all six subcommands, under one
 `sys.setprofile` hook that records every code object called. Then lists
-each function, method, lambda and comprehension defined in src/riskbench
-that never ran. Such a function is reached at most by its own unit tests:
-delete it, or keep it in KEEP with a one-line reason.
+each function and method defined in src/riskbench that never ran. Such a
+function is reached at most by its own unit tests: delete it, or keep it in
+KEEP with a one-line reason.
 
-Exit status: 0 when every unreached function is in KEEP; 1 when any other
-function is unreached; 2 when the probe could not run as intended (riskbench
-imported from another tree, the battery not collected, or a command line
-exiting with a status other than its expected one). Takes about half a minute.
+The same hook reads the bound arguments of every call into a function or
+method of src/riskbench and notes each defaulted parameter bound to another
+value than its default. A value counts as the default when it is the default
+object itself, or an equal int, float, str, bool, tuple or None. Each
+defaulted parameter of a function that ran but was never set otherwise is a
+knob that nothing turns: make it a constant, or keep it in KEEP_KNOBS with a
+one-line reason. Dataclass fields are outside this check (their generated
+`__init__` is not code in src/riskbench), and a generator's parameters are
+read again at each resume.
+
+Exit status: 0 when every unreached function is in KEEP and every unturned
+knob in KEEP_KNOBS; 1 otherwise; 2 when the probe could not run as intended
+(riskbench imported from another tree, the battery not collected, or a
+command line exiting with a status other than its expected one). Takes about
+half a minute.
 """
 
 from __future__ import annotations
 
 import contextlib
+import importlib
 import inspect
 import io
 import json
@@ -42,6 +54,13 @@ KEEP = {
         "the sample-dependent weights writing the expectile risk as -<a, s(x)>; built when read",
     "metrics:order_statistic_means":
         "exact order-statistic means, the reference the study's bias is tested against",
+}
+
+# "<module>:<qualified name>(<parameter>)" -> why the default stays although
+# nothing above binds another value
+KEEP_KNOBS = {
+    "metrics:_evaluate_replications(chunk_size)":
+        "the chunk-partition seam: tests pin that the draws do not depend on chunking",
 }
 
 # (argv, expected exit status); {tmp} is a scratch directory
@@ -101,6 +120,59 @@ def defined_functions() -> dict[tuple, tuple[str, tuple | None]]:
     return out
 
 
+def defaulted_parameters() -> dict[types.CodeType, tuple[str, dict]]:
+    """{code: ("<module>:<qualified name>", {parameter: default})} for every
+    function and method in src/riskbench that has defaulted parameters,
+    found through the attributes of the imported riskbench modules."""
+    src = SRC.resolve()
+    modules = [
+        importlib.import_module("riskbench" if path.stem == "__init__" else f"riskbench.{path.stem}")
+        for path in SRC.glob("*.py")
+    ]
+    stack = [obj for module in modules for obj in vars(module).values()]
+    out = {}
+    seen = set()
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, (staticmethod, classmethod)):
+            stack.append(obj.__func__)
+        elif isinstance(obj, property):
+            stack += [obj.fget, obj.fset, obj.fdel]
+        elif isinstance(obj, type) and (obj.__module__ or "").startswith("riskbench"):
+            stack += vars(obj).values()
+        elif isinstance(obj, types.FunctionType):
+            path = Path(os.path.realpath(obj.__code__.co_filename))
+            if path.parent != src:
+                continue
+            defaults = {
+                name: param.default
+                for name, param in inspect.signature(obj).parameters.items()
+                if param.default is not param.empty
+            }
+            if defaults:
+                out[obj.__code__] = (f"{path.stem}:{obj.__qualname__}", defaults)
+        elif hasattr(obj, "__wrapped__"):
+            stack.append(obj.__wrapped__)
+    return out
+
+
+_PLAIN = (int, float, str, bool, tuple, type(None))
+
+
+def is_default(value, default) -> bool:
+    if value is default:
+        return True
+    if not (isinstance(value, _PLAIN) and isinstance(default, _PLAIN)):
+        return False
+    try:
+        return bool(value == default)
+    except ValueError:  # a tuple holding arrays
+        return False
+
+
 def run_commands(tmp: str) -> list[str]:
     """Run every command line in-process; return a line per unexpected status."""
     from riskbench.cli import main
@@ -130,10 +202,18 @@ def main() -> int:
         return 2
 
     called = set()
+    knob_owners = defaulted_parameters()
+    # parameters not yet seen bound to another value than their default
+    unturned = {code: dict(defaults) for code, (_, defaults) in knob_owners.items()}
 
     def hook(frame, event, arg):
         if event == "call":
             called.add(frame.f_code)
+            left = unturned.get(frame.f_code)
+            if left:
+                bound = frame.f_locals
+                for param in [p for p, d in left.items() if not is_default(bound[p], d)]:
+                    del left[param]
 
     sys.setprofile(hook)
     try:
@@ -168,7 +248,19 @@ def main() -> int:
     unreached = {name for name, _ in unreached}
     for name in sorted(set(KEEP) - unreached):
         print(f"  {name:56} in KEEP but reached: take it out of KEEP")
-    return 1 if unreached - set(KEEP) else 0
+
+    knobs = sorted(
+        f"{knob_owners[code][0]}({param})"
+        for code, left in unturned.items()
+        if code in called
+        for param in left
+    )
+    print(f"\n{len(knobs)} defaulted parameters in src/riskbench never set to another value:")
+    for knob in knobs:
+        print(f"  {knob:56} {KEEP_KNOBS.get(knob, 'NOT KEPT: make it a constant or add it to KEEP_KNOBS')}")
+    for knob in sorted(set(KEEP_KNOBS) - set(knobs)):
+        print(f"  {knob:56} in KEEP_KNOBS but set: take it out of KEEP_KNOBS")
+    return 1 if unreached - set(KEEP) or set(knobs) - set(KEEP_KNOBS) else 0
 
 
 if __name__ == "__main__":
