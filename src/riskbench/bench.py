@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .distributions import (
+    check_oracle_k,
     dist_label,
     horizon_target,
     needs_oracle,
-    oracle_batch_size,
     parse_dist,
     true_risk_levels,
 )
@@ -97,19 +97,11 @@ class BenchConfig:
         for spec in specs:
             if snapped_floor(spec.alpha * self.k) < 1:
                 raise ValueError(
-                    f"k: estimator {spec.id.value!r} at level {spec.alpha} needs "
+                    f"k: estimator {spec.name!r} at level {spec.alpha} needs "
                     f"floor(alpha*k) >= 1, got k = {self.k}"
                 )
         if any(needs_oracle(horizon_target(d, s.horizon)) for d in dists for s in schemes):
-            # each oracle batch scores its own tail average at every level
-            batch = oracle_batch_size(self.oracle_k)
-            low = min(spec.alpha for spec in specs)
-            if snapped_floor(low * batch) < 1:
-                raise ValueError(
-                    f"oracle_k: {self.oracle_k} leaves {batch} draws per oracle batch, "
-                    f"too few for a tail average at level {low}; need "
-                    f"floor(alpha*batch) >= 1"
-                )
+            check_oracle_k(self.oracle_k, [spec.alpha for spec in specs])
 
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
@@ -271,9 +263,8 @@ def run_study(config: BenchConfig) -> ResultTable:
                 risks = true_risk_levels(
                     target, levels, oracle_k=config.oracle_k, seed=oracle_seed
                 )
-                per_level = [spec.alpha for spec in specs]
                 refs = [reference_value(spec, risks[spec.alpha]) for spec in specs]
-                reports = run_group(dist, scheme, specs, per_level, refs, config.k, contract)
+                reports = run_group(dist, scheme, specs, refs, config.k, contract)
             except Exception as exc:
                 raise RuntimeError(f"benchmark cell group {cell_tag} failed: {exc}") from exc
             for spec, report in zip(specs, reports):
@@ -297,7 +288,7 @@ def _rows_for(
             ResultRow(
                 distribution=dist_label(dist),
                 scheme=scheme_label(scheme),
-                estimator=spec.id.value,
+                estimator=spec.name,
                 alpha=spec.alpha,
                 n=config.n,
                 k=config.k,

@@ -19,11 +19,7 @@ import numpy as np
 
 from .bench import BenchConfig, format_metric_table, run_study
 from .coherence import NotComonotonicError, check_all, extract_comonotonic_weights
-from .consistency import (
-    alternative_approximation,
-    empirical_consistency,
-    integral_approximation,
-)
+from .consistency import DISCRETIZATIONS, empirical_consistency
 from .distributions import parse_dist, true_risk
 from .estimators import (
     build_estimator,
@@ -47,10 +43,10 @@ def _add_weights(sub) -> None:
 
 def _cmd_weights(args) -> int:
     spec = build_estimator(args.estimator, args.alpha, args.n)
-    w = spec.weights.weights
+    w = spec.weights
     if args.json:
         payload = {
-            "estimator": spec.id.value,
+            "estimator": spec.name,
             "alpha": spec.alpha,
             "n": spec.n,
             "is_cre": spec.is_cre,
@@ -64,7 +60,7 @@ def _cmd_weights(args) -> int:
         for i, v in enumerate(w, start=1):
             print(f"{i},{float(v)!r}")
         return 0
-    print(f"estimator: {spec.id.value}  alpha: {spec.alpha}  n: {spec.n}")
+    print(f"estimator: {spec.name}  alpha: {spec.alpha}  n: {spec.n}")
     print(f"is_cre: {spec.is_cre}  sum: {float(w.sum())!r}")
     nz = np.nonzero(w)[0]
     last = int(nz[-1]) + 1 if nz.size else 0
@@ -149,7 +145,7 @@ def _add_consistency(sub) -> None:
     )
     p.add_argument("--spectrum", choices=("es", "uniform"), default="es")
     p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--builder", choices=("integral", "alternative"), default="integral")
+    p.add_argument("--builder", choices=tuple(DISCRETIZATIONS), default="integral")
     p.add_argument("--n", default="100,1000,10000", help="comma separated sample sizes")
     p.add_argument("--dist", default="normal:0:1")
     p.add_argument("--reps", type=int, default=50)
@@ -159,14 +155,13 @@ def _add_consistency(sub) -> None:
 
 def _cmd_consistency(args) -> int:
     spectrum = es_spectrum(args.alpha) if args.spectrum == "es" else uniform_spectrum()
-    factory = (
-        integral_approximation if args.builder == "integral" else alternative_approximation
-    )
-    approx = factory(spectrum)
-    n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
+    try:
+        n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"--n: expected comma separated integers, got {args.n!r}") from None
     dist = parse_dist(args.dist)
     rows = empirical_consistency(
-        dist, approx, args.alpha, n_list, reps=args.reps, seed=args.seed
+        dist, spectrum, args.builder, args.alpha, n_list, reps=args.reps, seed=args.seed
     )
     print("n,median_abs_error,iqr")
     for row in rows:

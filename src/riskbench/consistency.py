@@ -22,53 +22,41 @@ from .sampling import RandomnessContract
 from .distributions import sample as draw_dist
 
 __all__ = [
-    "SpectrumApproximation",
-    "integral_approximation",
-    "alternative_approximation",
+    "DISCRETIZATIONS",
     "check_partial_integrals",
     "ConsistencyRow",
     "empirical_consistency",
 ]
 
-
-@dataclass(frozen=True, eq=False)
-class SpectrumApproximation:
-    """A spectrum together with a rule producing its size-n weight vectors."""
-
-    spectrum: SpectrumSpec
-    builder: Callable[[int], WeightVector]
-    name: str
+# name -> (spectrum, n) -> size-n weights: cell integrals or right endpoints
+DISCRETIZATIONS: dict[str, Callable[[SpectrumSpec, int], WeightVector]] = {
+    "integral": build_spectral_weights,
+    "alternative": build_spectral_weights_alt,
+}
 
 
-def integral_approximation(spectrum: SpectrumSpec) -> SpectrumApproximation:
-    """Cell-integral discretization: a_i = integral of phi over ((i-1)/n, i/n]."""
-    return SpectrumApproximation(
-        spectrum=spectrum,
-        builder=lambda n: build_spectral_weights(spectrum, n),
-        name=f"{spectrum.name}-integral",
-    )
-
-
-def alternative_approximation(spectrum: SpectrumSpec) -> SpectrumApproximation:
-    """Right-endpoint discretization: a_i proportional to phi(i/n)."""
-    return SpectrumApproximation(
-        spectrum=spectrum,
-        builder=lambda n: build_spectral_weights_alt(spectrum, n),
-        name=f"{spectrum.name}-alternative",
-    )
+def _discretization(name: str) -> Callable[[SpectrumSpec, int], WeightVector]:
+    if name not in DISCRETIZATIONS:
+        known = sorted(DISCRETIZATIONS)
+        raise ValueError(f"unknown discretization {name!r}; expected one of {known}")
+    return DISCRETIZATIONS[name]
 
 
 def check_partial_integrals(
-    approx: SpectrumApproximation,
+    spectrum: SpectrumSpec,
+    discretization: str,
     t_grid: Sequence[float],
     n_list: Sequence[int],
 ) -> dict[int, float]:
-    """Max over the t grid of |int_0^t phi_n - int_0^t phi| for each size.
+    """Max over the t grid of |int_0^t phi_n - int_0^t phi| for each size,
+    phi_n being the step density of the named discretization of spectrum.
 
     The step integral is evaluated in closed form (full cells plus the
     fractional cell containing t); the spectrum side goes through its
     cumulative, so the only approximation measured is the discretization.
+    An unknown discretization raises ValueError.
     """
+    build = _discretization(discretization)
     grid = [float(t) for t in t_grid]
     for t in grid:
         if not (0.0 <= t <= 1.0):
@@ -76,13 +64,13 @@ def check_partial_integrals(
     out: dict[int, float] = {}
     for n_raw in n_list:
         n = int(n_raw)
-        w = approx.builder(n).weights
+        w = build(spectrum, n).weights
         cum = np.concatenate([[0.0], np.cumsum(w)])
         worst = 0.0
         for t in grid:
             j = min(int(math.floor(t * n)), n - 1)
             step = float(cum[j]) + n * float(w[j]) * (t - j / n)
-            worst = max(worst, abs(step - approx.spectrum.cumulative(t)))
+            worst = max(worst, abs(step - spectrum.cumulative(t)))
         out[n] = worst
     return out
 
@@ -96,7 +84,8 @@ class ConsistencyRow:
 
 def empirical_consistency(
     dist,
-    approx: SpectrumApproximation,
+    spectrum: SpectrumSpec,
+    discretization: str,
     alpha: float,
     n_list: Sequence[int],
     reps: int,
@@ -104,9 +93,13 @@ def empirical_consistency(
 ) -> list[ConsistencyRow]:
     """Median |estimate - true ES| per sample size, over independent replications.
 
-    The approximation is assumed to target expected shortfall at the given
-    level, so the reference is true_risk(dist, alpha).es_alpha.
+    Size n scores the named discretization of spectrum (ValueError when
+    unknown) on samples from the stream "consistency|{spectrum.name}-
+    {discretization}|n={n}". The spectrum is assumed to target expected
+    shortfall at the given level, so the reference is
+    true_risk(dist, alpha).es_alpha.
     """
+    build = _discretization(discretization)
     if not n_list:
         raise ValueError("need at least one sample size")
     if reps < 2:
@@ -116,9 +109,9 @@ def empirical_consistency(
     rows = []
     for n_raw in n_list:
         n = int(n_raw)
-        w = approx.builder(n)
+        w = build(spectrum, n)
         errors = np.empty(reps)
-        tag = f"consistency|{approx.name}|n={n}"
+        tag = f"consistency|{spectrum.name}-{discretization}|n={n}"
         rng = contract.stream(tag, 0)
         for rep in range(reps):
             x = draw_dist(dist, n, contract.rekey(rng, tag, rep))

@@ -23,7 +23,6 @@ PERMUTATION_ORACLE_MAX_N = 8
 
 __all__ = [
     "WeightVector",
-    "GeneralWeightScheme",
     "SupremumCre",
     "SupremumResult",
     "apply_l_estimator",
@@ -83,20 +82,6 @@ class WeightVector:
         return int(self.weights.size)
 
 
-@dataclass(frozen=True, eq=False)
-class GeneralWeightScheme:
-    """An arbitrary finite weight scheme, no simplex constraint.
-
-    Used for estimators whose weights leave the simplex (negative entries or
-    a sum away from one), e.g. quantile interpolations or inflated tails.
-    """
-
-    weights: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _as_vector(self.weights, "weights"))
-
-
 class SupremumResult(NamedTuple):
     value: float
     winner: int
@@ -131,7 +116,7 @@ class SupremumCre:
 
 
 def _weight_array(w) -> np.ndarray:
-    if isinstance(w, (WeightVector, GeneralWeightScheme)):
+    if isinstance(w, WeightVector):
         return w.weights
     return _as_vector(w, "weights")
 
@@ -144,7 +129,7 @@ def apply_l_estimator(w, x) -> float:
     """Evaluate -<w, s(x)> where s(x) is the sample sorted non-decreasingly.
 
     Args:
-        w: WeightVector, GeneralWeightScheme, or a plain weight array.
+        w: WeightVector, or a plain weight array (no simplex constraint).
         x: the sample, a one-dimensional array of finite floats, sorted here.
 
     Returns:

@@ -16,7 +16,7 @@ from typing import NamedTuple, Union
 import numpy as np
 from scipy.stats import norm, t as student_t
 
-from .estimators import es2_tail_average, var_and_es2_tail
+from .estimators import es2_tail_average, snapped_floor, var_and_es2_tail
 
 __all__ = [
     "Normal",
@@ -40,6 +40,7 @@ __all__ = [
     "true_risk_levels",
     "needs_oracle",
     "oracle_batch_size",
+    "check_oracle_k",
     "normal_var",
     "normal_es",
     "student_t_var",
@@ -414,6 +415,17 @@ def oracle_batch_size(oracle_k: int) -> int:
     return k // ORACLE_BATCHES
 
 
+def check_oracle_k(oracle_k: int, alphas) -> None:
+    """Reject an oracle size too small for each batch's tail average at every level."""
+    batch = oracle_batch_size(oracle_k)
+    low = min(alphas)
+    if snapped_floor(low * batch) < 1:
+        raise ValueError(
+            f"oracle_k: {oracle_k} leaves {batch} draws per oracle batch, "
+            f"too few for a tail average at level {low}; need floor(alpha*batch) >= 1"
+        )
+
+
 def true_risk_levels(
     dist,
     alphas,
@@ -445,6 +457,7 @@ def true_risk_levels(
             for a in levels
         }
 
+    check_oracle_k(oracle_k, levels)
     k = oracle_batch_size(oracle_k) * ORACLE_BATCHES
     values = _oracle_sample(dist, k, seed)
     batches = values.reshape(ORACLE_BATCHES, -1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable
 
 import numpy as np
@@ -20,23 +19,14 @@ from scipy.stats import norm
 from .core import (
     MONOTONE_ATOL,
     WEIGHT_SUM_ATOL,
-    GeneralWeightScheme,
     WeightVector,
     apply_l_estimator,
     score_sorted_rows,
 )
 
 __all__ = [
-    "EstimatorId",
+    "ESTIMATORS",
     "LEstimatorSpec",
-    "build_var_weights",
-    "build_var_interp_1pct",
-    "build_es1",
-    "build_es2",
-    "build_es3",
-    "build_es4",
-    "build_es5",
-    "build_es6",
     "build_estimator",
     "gaussian_plugin_es",
     "ExpectileSolution",
@@ -62,17 +52,6 @@ _INFLATED_FIRST = 0.5 + 1.0 / (1.0 - DEFAULT_XI)
 _FLOOR_SNAP = 1e-9
 
 EXPECTILE_RESIDUAL_RTOL = 1e-10
-
-
-class EstimatorId(str, Enum):
-    VAR_EMP = "var"
-    VAR_INTERP_1PCT = "var1"
-    ES1 = "es1"
-    ES2 = "es2"
-    ES3 = "es3"
-    ES4 = "es4"
-    ES5 = "es5"
-    ES6 = "es6"
 
 
 def snapped_floor(value: float) -> int:
@@ -114,18 +93,18 @@ class LEstimatorSpec:
     """A named weighted order-statistic estimator of fixed size.
 
     Attributes:
-        id: which estimator family this is.
+        name: the estimator's key in ESTIMATORS.
         alpha: the tail level the weights were built for.
         n: sample size the weights apply to.
-        weights: full-length weight scheme (no simplex constraint imposed).
+        weights: read-only full-length weight array (no simplex constraint).
         is_cre: True when the weights are non-negative, sum to one, and are
             non-increasing, which makes x -> -<w, s(x)> a coherent estimator.
     """
 
-    id: EstimatorId
+    name: str
     alpha: float
     n: int
-    weights: GeneralWeightScheme
+    weights: np.ndarray
     is_cre: bool
 
     def as_callable(self) -> Callable[[np.ndarray], float]:
@@ -140,49 +119,31 @@ class LEstimatorSpec:
         return estimate
 
 
-def _finish(est_id: EstimatorId, alpha: float, n: int, w: np.ndarray) -> LEstimatorSpec:
-    scheme = GeneralWeightScheme(w)
-    return LEstimatorSpec(
-        id=est_id,
-        alpha=alpha,
-        n=n,
-        weights=scheme,
-        is_cre=_structurally_coherent(scheme.weights),
-    )
-
-
-def build_var_weights(alpha: float, n: int) -> LEstimatorSpec:
-    """Empirical VaR: weight one on the (floor(alpha*n)+1)-th worst outcome."""
-    _check_level(alpha)
-    _check_size(n)
+def _var_weight_array(alpha: float, n: int) -> np.ndarray:
     m, _ = _snapped_split(alpha * n)
     if m + 1 > n:
         raise ValueError(f"empirical VaR needs floor(alpha*n)+1 <= n, got {m + 1} > {n}")
     w = np.zeros(n)
     w[m] = 1.0
-    return _finish(EstimatorId.VAR_EMP, alpha, n, w)
+    return w
 
 
-def build_var_interp_1pct(n: int) -> LEstimatorSpec:
-    """Interpolated 1% VaR, defined only at n=250: 0.49 x_(2) + 0.51 x_(3)."""
+def _var1_weight_array(alpha: float, n: int) -> np.ndarray:
     if n != 250:
         raise ValueError(f"interpolated 1% VaR weights are defined for n=250 only, got n={n}")
     w = np.zeros(n)
     w[1] = 0.49
     w[2] = 0.51
-    return _finish(EstimatorId.VAR_INTERP_1PCT, 0.01, n, w)
+    return w
 
 
-def build_es1(alpha: float, n: int) -> LEstimatorSpec:
-    """Average of the floor(alpha*n) worst outcomes, equal weights 1/floor(alpha*n)."""
-    _check_level(alpha)
-    _check_size(n)
+def _es1_weight_array(alpha: float, n: int) -> np.ndarray:
     m, _ = _snapped_split(alpha * n)
     if m < 1:
         raise ValueError(f"need floor(alpha*n) >= 1, got alpha*n = {alpha * n}")
     w = np.zeros(n)
     w[:m] = 1.0 / m
-    return _finish(EstimatorId.ES1, alpha, n, w)
+    return w
 
 
 def _es2_weight_array(alpha: float, n: int) -> np.ndarray:
@@ -201,13 +162,6 @@ def _es2_weight_array(alpha: float, n: int) -> np.ndarray:
     return w
 
 
-def build_es2(alpha: float, n: int) -> LEstimatorSpec:
-    """Tail average at exact mass alpha*n: equal weights plus one fractional weight."""
-    _check_level(alpha)
-    _check_size(n)
-    return _finish(EstimatorId.ES2, alpha, n, _es2_weight_array(alpha, n))
-
-
 def _es34_weight_array(alpha: float, n: int, first_coef: float) -> np.ndarray:
     v = alpha * (n + 1)
     m, r = _snapped_split(v)
@@ -224,22 +178,6 @@ def _es34_weight_array(alpha: float, n: int, first_coef: float) -> np.ndarray:
     return w
 
 
-def build_es3(alpha: float, n: int) -> LEstimatorSpec:
-    """Quantile-integral weights at level alpha*(n+1), worst outcome bumped to 3/2."""
-    _check_level(alpha)
-    _check_size(n)
-    return _finish(EstimatorId.ES3, alpha, n, _es34_weight_array(alpha, n, 1.5))
-
-
-def build_es4(alpha: float, n: int) -> LEstimatorSpec:
-    """Same layout as the quantile-integral weights with the worst-outcome
-    coefficient inflated to 1/2 + 1/(1-xi), xi = DEFAULT_XI; leaves the
-    simplex (sum > 1)."""
-    _check_level(alpha)
-    _check_size(n)
-    return _finish(EstimatorId.ES4, alpha, n, _es34_weight_array(alpha, n, _INFLATED_FIRST))
-
-
 def _es56_weight_array(alpha: float, n: int, first_coef: float) -> np.ndarray:
     m, _ = _snapped_split(alpha * (n + 1))
     if m < 1:
@@ -252,45 +190,41 @@ def _es56_weight_array(alpha: float, n: int, first_coef: float) -> np.ndarray:
     return w
 
 
-def build_es5(alpha: float, n: int) -> LEstimatorSpec:
-    """Truncated tail average over floor(alpha*(n+1)) outcomes, worst bumped to 3/2."""
-    _check_level(alpha)
-    _check_size(n)
-    return _finish(EstimatorId.ES5, alpha, n, _es56_weight_array(alpha, n, 1.5))
-
-
-def build_es6(alpha: float, n: int) -> LEstimatorSpec:
-    """Truncated tail average with the worst-outcome coefficient 1/2 + 1/(1-xi),
-    xi = DEFAULT_XI."""
-    _check_level(alpha)
-    _check_size(n)
-    return _finish(EstimatorId.ES6, alpha, n, _es56_weight_array(alpha, n, _INFLATED_FIRST))
-
-
-_BUILDERS: dict[str, Callable[..., LEstimatorSpec]] = {
-    "var": build_var_weights,
-    "es1": build_es1,
-    "es2": build_es2,
-    "es3": build_es3,
-    "es4": build_es4,
-    "es5": build_es5,
-    "es6": build_es6,
+# name -> (alpha, n) -> full-length weight array, x_(1) the worst outcome.
+# es3/es5 bump the worst outcome's weight to 3/2, es4/es6 to 1/2 + 1/(1-xi)
+# with xi = DEFAULT_XI, so es4 leaves the simplex (sum > 1).
+ESTIMATORS: dict[str, Callable[[float, int], np.ndarray]] = {
+    "var": _var_weight_array,  # weight one on x_(floor(alpha*n)+1)
+    "var1": _var1_weight_array,  # 0.49 x_(2) + 0.51 x_(3), at n=250 only
+    "es1": _es1_weight_array,  # equal weights on the floor(alpha*n) worst
+    "es2": _es2_weight_array,  # tail average at exact mass alpha*n
+    # quantile-integral weights at level alpha*(n+1)
+    "es3": functools.partial(_es34_weight_array, first_coef=1.5),
+    "es4": functools.partial(_es34_weight_array, first_coef=_INFLATED_FIRST),
+    # truncated tail average over the floor(alpha*(n+1)) worst
+    "es5": functools.partial(_es56_weight_array, first_coef=1.5),
+    "es6": functools.partial(_es56_weight_array, first_coef=_INFLATED_FIRST),
 }
 
 
 def build_estimator(name: str, alpha: float, n: int) -> LEstimatorSpec:
-    """Build a named estimator spec; 'var1' ignores alpha (fixed 1% level)."""
+    """ESTIMATORS[name] at level alpha and sample size n, its weights
+    read-only; 'var1' ignores alpha (fixed 1% level). Raises ValueError on
+    an unknown name or an (alpha, n) the weights cannot take."""
     key = name.lower()
-    if key == "var1":
-        return build_var_interp_1pct(n)
     try:
-        builder = _BUILDERS[key]
+        rule = ESTIMATORS[key]
     except KeyError:
         raise ValueError(
-            f"unknown estimator {name!r}; expected one of "
-            f"{sorted([*_BUILDERS, 'var1'])}"
+            f"unknown estimator {name!r}; expected one of {sorted(ESTIMATORS)}"
         ) from None
-    return builder(alpha, n)
+    if key == "var1":
+        alpha = 0.01
+    _check_level(alpha)
+    _check_size(n)
+    weights = rule(alpha, n)
+    weights.setflags(write=False)
+    return LEstimatorSpec(key, alpha, n, weights, _structurally_coherent(weights))
 
 
 @functools.lru_cache(maxsize=64)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import score_sorted_rows
 from .distributions import TrueRisk, dist_label, sample as draw_dist
-from .estimators import EstimatorId, LEstimatorSpec, es1_tail_average, snapped_floor
+from .estimators import LEstimatorSpec, es1_tail_average, snapped_floor
 from .sampling import RandomnessContract, ReplicationBlock, SamplingScheme, scheme_label
 
 __all__ = [
@@ -40,7 +40,7 @@ DEFAULT_CHUNK = 4096
 _BLOCK = 128
 
 # var-style estimators are benchmarked against true VaR instead of true ES
-_VAR_IDS = (EstimatorId.VAR_EMP, EstimatorId.VAR_INTERP_1PCT)
+_VAR_IDS = ("var", "var1")
 
 
 @dataclass(frozen=True)
@@ -171,33 +171,32 @@ def _metrics_from(
 
 def reference_value(estimator: LEstimatorSpec, true: TrueRisk) -> float:
     """VaR-family estimators are measured against true VaR, the rest against ES."""
-    return true.var_alpha if estimator.id in _VAR_IDS else true.es_alpha
+    return true.var_alpha if estimator.name in _VAR_IDS else true.es_alpha
 
 
 def run_group(
     distribution,
     scheme: SamplingScheme,
     estimators: Sequence[LEstimatorSpec],
-    levels: Sequence[float],
     references: Sequence[float],
     K: int,
     contract: RandomnessContract,
 ) -> list[MetricReport]:
     """Run one (distribution, scheme) group of cells on shared draws.
 
-    levels[i] and references[i] are the metric level and true value for
-    estimators[i]. Identical to running each cell alone: the streams do not
-    depend on the estimator list.
+    references[i] is the true value for estimators[i], and the estimator's
+    own level estimators[i].alpha is its metric level. Identical to running
+    each cell alone: the streams do not depend on the estimator list.
     """
-    if not (len(estimators) == len(levels) == len(references)):
-        raise ValueError("estimators, levels, and references must align")
-    for a in levels:
-        if snapped_floor(a * K) < 1:
-            raise ValueError(f"floor(alpha*K) >= 1 required, got alpha={a}, K={K}")
+    if len(estimators) != len(references):
+        raise ValueError("estimators and references must align")
+    for spec in estimators:
+        if snapped_floor(spec.alpha * K) < 1:
+            raise ValueError(f"floor(alpha*K) >= 1 required, got alpha={spec.alpha}, K={K}")
     estimates, companions = _evaluate_replications(distribution, scheme, estimators, K, contract)
     return [
-        _metrics_from(estimates[:, i], companions, float(levels[i]), float(references[i]))
-        for i in range(len(estimators))
+        _metrics_from(estimates[:, i], companions, float(spec.alpha), float(references[i]))
+        for i, spec in enumerate(estimators)
     ]
 
 

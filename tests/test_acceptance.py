@@ -15,11 +15,7 @@ from riskbench.coherence import (
     check_cash_additivity_slope,
     extract_comonotonic_weights,
 )
-from riskbench.consistency import (
-    check_partial_integrals,
-    empirical_consistency,
-    integral_approximation,
-)
+from riskbench.consistency import check_partial_integrals, empirical_consistency
 from riskbench.core import (
     SupremumCre,
     WeightVector,
@@ -32,7 +28,6 @@ from riskbench.estimators import (
     build_estimator,
     build_spectral_weights,
     build_spectral_weights_alt,
-    build_var_weights,
     es_spectrum,
     expectile_estimate,
     gaussian_plugin_es,
@@ -84,7 +79,7 @@ EXACT_SUMS = {
 def test_c01_weight_rows_and_exact_sums():
     failures = []
     for name, want in SEVEN_WEIGHTS_3DP.items():
-        w = build_estimator(name, ALPHA, N).weights.weights
+        w = build_estimator(name, ALPHA, N).weights
         got = [round(float(v), 3) for v in w[:7]]
         if got != want:
             failures.append(f"{name} first seven weights {got} != {want}")
@@ -106,7 +101,7 @@ def test_c02_counterexamples():
     if not hi > lo:
         failures.append(f"expected a monotonicity violation, got {hi!r} <= {lo!r}")
     # two single-spike losses at the 1% level break subadditivity
-    fn = build_var_weights(0.01, 100).as_callable()
+    fn = build_estimator("var", 0.01, 100).as_callable()
     x = np.zeros(100)
     x[0] = -100.0
     y = np.zeros(100)
@@ -210,11 +205,11 @@ def test_c06_spectral_builders_match_tail_estimators():
     failures = []
     s = es_spectrum(ALPHA)
     integral = build_spectral_weights(s, N).weights
-    direct2 = build_estimator("es2", ALPHA, N).weights.weights
+    direct2 = build_estimator("es2", ALPHA, N).weights
     if not np.array_equal(integral, direct2):
         failures.append("integral builder differs from the second tail estimator")
     alt = build_spectral_weights_alt(s, N).weights
-    direct1 = build_estimator("es1", ALPHA, N).weights.weights
+    direct1 = build_estimator("es1", ALPHA, N).weights
     if not np.array_equal(alt, direct1):
         failures.append("alternative builder differs from the first tail estimator")
     _report(6, "spectral builders reproduce tail-average weights exactly", failures)
@@ -304,10 +299,10 @@ def test_c08_study_reproduction_at_reduced_scale():
 
 def test_c09_consistency_ladder():
     failures = []
-    approx = integral_approximation(es_spectrum(ALPHA))
+    spectrum = es_spectrum(ALPHA)
     n_list = (100, 1000, 10_000, 100_000)
     rows = empirical_consistency(
-        parse_dist("normal:0:1"), approx, ALPHA, n_list, reps=50, seed=9
+        parse_dist("normal:0:1"), spectrum, "integral", ALPHA, n_list, reps=50, seed=9
     )
     medians = [row.median_abs_error for row in rows]
     for earlier, later in zip(medians, medians[1:]):
@@ -316,13 +311,13 @@ def test_c09_consistency_ladder():
             break
     if not medians[-1] < 0.02:
         failures.append(f"median error {medians[-1]!r} at n=100000 not under 0.02")
-    sup = approx.spectrum.sup_bound
+    sup = spectrum.sup_bound
     grid = sorted(
         set(np.linspace(0.0, 1.0, 201))
         | {(np.floor(ALPHA * n) + 0.5) / n for n in n_list}
         | {ALPHA}
     )
-    deviations = check_partial_integrals(approx, grid, n_list)
+    deviations = check_partial_integrals(spectrum, "integral", grid, n_list)
     for n in n_list:
         bound = sup / n
         if deviations[n] > bound * (1.0 + 1e-9):

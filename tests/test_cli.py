@@ -122,6 +122,15 @@ class TestTrueRisk:
         assert payload["oracle_k"] == 40000
         assert payload["standard_error"] > 0
 
+    @pytest.mark.parametrize("oracle_k", ["100", "-5"])
+    def test_too_small_oracle_k_is_a_usage_error(self, capsys, oracle_k):
+        with pytest.raises(SystemExit) as exc:
+            main(["true-risk", "--dist", "nig:0.4:0.14:0:1", "--oracle-k", oracle_k])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("riskbench: error: oracle_k:")
+
 
 class TestConsistency:
     def test_csv_output(self, capsys):
@@ -144,6 +153,14 @@ class TestConsistency:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == "riskbench: error: need at least one sample size"
+
+    def test_non_integer_size_names_the_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["consistency", "--n", "100,abc"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("riskbench: error: --n:")
 
 
 class TestExtract:

@@ -20,10 +20,7 @@ from riskbench.coherence import (
 )
 from riskbench.core import WeightVector, apply_l_estimator
 from riskbench.estimators import (
-    build_es2,
-    build_es5,
     build_estimator,
-    build_var_weights,
     expectile_estimate,
     gaussian_plugin_es,
 )
@@ -70,7 +67,7 @@ class TestAxiomBattery:
 
     def test_empirical_var_subadditivity_spikes(self):
         # two single-spike vectors at the 1% level break subadditivity
-        spec = build_var_weights(0.01, 100)
+        spec = build_estimator("var", 0.01, 100)
         check = check_axiom(spec.as_callable(), "subadditivity", 100, trials=50, seed=0)
         assert not check.passed
         w = check.witness
@@ -83,7 +80,7 @@ class TestAxiomBattery:
         assert not check.passed
 
     def test_unknown_axiom(self):
-        spec = build_es2(0.1, 20)
+        spec = build_estimator("es2", 0.1, 20)
         with pytest.raises(ValueError):
             check_axiom(spec.as_callable(), "convexity", 20)
 
@@ -221,7 +218,7 @@ class TestWitness:
             assert w.replay(fn) == pytest.approx(abs(w.defect), abs=1e-12)
 
     def test_report_json_shape(self):
-        spec = build_es2(0.05, 40)
+        spec = build_estimator("es2", 0.05, 40)
         report = check_all(spec.as_callable(), 40, trials=50, seed=9)
         data = json.loads(report.to_json())
         assert {c["axiom"] for c in data} == set(AXIOMS)
@@ -240,7 +237,7 @@ class TestCashSlope:
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_unit_slope_for_cre(self):
-        spec = build_es2(0.025, 250)
+        spec = build_estimator("es2", 0.025, 250)
         got = check_cash_additivity_slope(spec.as_callable(), 250)
         assert got == pytest.approx(1.0, abs=1e-12)
 
@@ -252,13 +249,13 @@ class TestCashSlope:
 
 class TestRepresentation:
     def test_verify_accepts_matching_pair(self):
-        spec = build_es2(0.05, 30)
-        weights = WeightVector(spec.weights.weights, monotone_flag=True)
+        spec = build_estimator("es2", 0.05, 30)
+        weights = WeightVector(spec.weights, monotone_flag=True)
         res = verify_representation(spec.as_callable(), weights, trials=100)
         assert res.passed
 
     def test_verify_rejects_wrong_weights(self):
-        spec = build_es2(0.05, 30)
+        spec = build_estimator("es2", 0.05, 30)
         wrong = WeightVector(np.full(30, 1.0 / 30.0))
         res = verify_representation(spec.as_callable(), wrong, trials=100)
         assert not res.passed
@@ -268,12 +265,12 @@ class TestRepresentation:
     def test_extraction_round_trip(self, name):
         spec = build_estimator(name, 0.05, 60)
         got = extract_comonotonic_weights(spec.as_callable(), 60)
-        assert np.allclose(got.weights, spec.weights.weights, atol=1e-12)
+        assert np.allclose(got.weights, spec.weights, atol=1e-12)
 
     def test_extraction_rejects_rising_weights(self):
         # empirical VaR puts its unit weight past position one, so the
         # ladder increments rise and cannot come from a monotone CRE
-        spec = build_var_weights(0.05, 60)
+        spec = build_estimator("var", 0.05, 60)
         with pytest.raises(NotComonotonicError):
             extract_comonotonic_weights(spec.as_callable(), 60)
 
@@ -287,7 +284,7 @@ class TestRepresentation:
         assert np.allclose(got.weights, w.weights, atol=1e-12)
 
     def test_extraction_rejects_inflated_weights(self):
-        spec = build_es5(0.025, 100)
+        spec = build_estimator("es5", 0.025, 100)
         with pytest.raises(NotComonotonicError):
             extract_comonotonic_weights(spec.as_callable(), 100)
 

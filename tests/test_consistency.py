@@ -1,16 +1,10 @@
 import numpy as np
 import pytest
 
-from riskbench.consistency import (
-    ConsistencyRow,
-    alternative_approximation,
-    check_partial_integrals,
-    empirical_consistency,
-    integral_approximation,
-)
+from riskbench.consistency import ConsistencyRow, check_partial_integrals, empirical_consistency
 from riskbench.core import apply_l_estimator
 from riskbench.distributions import Normal, sample, true_risk
-from riskbench.estimators import es_spectrum
+from riskbench.estimators import build_spectral_weights, es_spectrum
 from riskbench.sampling import RandomnessContract
 
 ALPHA = 0.025
@@ -18,16 +12,16 @@ ALPHA = 0.025
 
 class TestPartialIntegrals:
     def test_integral_builder_is_exact_on_cell_boundaries(self):
-        approx = integral_approximation(es_spectrum(ALPHA))
+        spectrum = es_spectrum(ALPHA)
         n = 200
         grid = [k / n for k in range(1, n + 1, 13)]
-        errs = check_partial_integrals(approx, grid, [n])
+        errs = check_partial_integrals(spectrum, "integral", grid, [n])
         assert errs[n] <= 1e-12
 
     def test_error_bounded_by_sup_over_n(self):
-        approx = integral_approximation(es_spectrum(ALPHA))
+        spectrum = es_spectrum(ALPHA)
         grid = list(np.linspace(0.001, 1.0, 113))
-        errs = check_partial_integrals(approx, grid, [100, 1000, 10_000])
+        errs = check_partial_integrals(spectrum, "integral", grid, [100, 1000, 10_000])
         sup = 1.0 / ALPHA
         for n, err in errs.items():
             assert err <= sup / n + 1e-12
@@ -36,25 +30,25 @@ class TestPartialIntegrals:
         # the step density deviates from phi only inside the cell containing
         # alpha, so probe the middle of that cell; sizes are chosen with
         # fractional alpha*n because integer alpha*n makes the builder exact
-        approx = integral_approximation(es_spectrum(ALPHA))
+        spectrum = es_spectrum(ALPHA)
         errs = {}
         for n in (130, 1310, 13_010):
             probe = (np.floor(ALPHA * n) + 0.5) / n
-            errs[n] = check_partial_integrals(approx, [probe], [n])[n]
+            errs[n] = check_partial_integrals(spectrum, "integral", [probe], [n])[n]
         assert errs[130] > errs[1310] > errs[13_010] > 1e-9
 
     def test_exact_when_alpha_n_is_integer(self):
-        approx = integral_approximation(es_spectrum(ALPHA))
+        spectrum = es_spectrum(ALPHA)
         grid = list(np.linspace(0.001, 1.0, 229))
-        errs = check_partial_integrals(approx, grid, [1000, 10_000])
+        errs = check_partial_integrals(spectrum, "integral", grid, [1000, 10_000])
         assert all(err <= 1e-12 for err in errs.values())
 
 
 class TestEmpirical:
     def test_median_error_ladder_decreases(self):
-        approx = integral_approximation(es_spectrum(ALPHA))
+        spectrum = es_spectrum(ALPHA)
         rows = empirical_consistency(
-            Normal(), approx, ALPHA, [100, 1000, 10_000], reps=30, seed=0
+            Normal(), spectrum, "integral", ALPHA, [100, 1000, 10_000], reps=30, seed=0
         )
         assert [r.n for r in rows] == [100, 1000, 10_000]
         meds = [r.median_abs_error for r in rows]
@@ -62,20 +56,22 @@ class TestEmpirical:
         assert all(r.iqr >= 0.0 for r in rows)
 
     def test_deterministic_given_seed(self):
-        approx = integral_approximation(es_spectrum(ALPHA))
-        a = empirical_consistency(Normal(), approx, ALPHA, [200], reps=10, seed=3)
-        b = empirical_consistency(Normal(), approx, ALPHA, [200], reps=10, seed=3)
+        spectrum = es_spectrum(ALPHA)
+        a = empirical_consistency(Normal(), spectrum, "integral", ALPHA, [200], reps=10, seed=3)
+        b = empirical_consistency(Normal(), spectrum, "integral", ALPHA, [200], reps=10, seed=3)
         assert a[0].median_abs_error == b[0].median_abs_error
         assert a[0].iqr == b[0].iqr
 
     def test_replications_draw_from_their_named_streams(self):
-        approx = integral_approximation(es_spectrum(ALPHA))
-        rows = empirical_consistency(Normal(), approx, ALPHA, [100, 300], reps=7, seed=11)
+        spectrum = es_spectrum(ALPHA)
+        rows = empirical_consistency(
+            Normal(), spectrum, "integral", ALPHA, [100, 300], reps=7, seed=11
+        )
         reference = true_risk(Normal(), ALPHA).es_alpha
         contract = RandomnessContract(11)
         for row in rows:
-            w = approx.builder(row.n)
-            tag = f"consistency|{approx.name}|n={row.n}"
+            w = build_spectral_weights(spectrum, row.n)
+            tag = f"consistency|es-integral|n={row.n}"
             errors = [
                 abs(
                     apply_l_estimator(w, sample(Normal(), row.n, contract.stream(tag, rep)))
@@ -88,11 +84,21 @@ class TestEmpirical:
             assert row.iqr == float(q75 - q25)
 
     def test_needs_sizes(self):
-        approx = integral_approximation(es_spectrum(ALPHA))
+        spectrum = es_spectrum(ALPHA)
         with pytest.raises(ValueError, match="need at least one sample size"):
-            empirical_consistency(Normal(), approx, ALPHA, [], reps=5, seed=5)
+            empirical_consistency(Normal(), spectrum, "integral", ALPHA, [], reps=5, seed=5)
 
     def test_row_type(self):
-        approx = alternative_approximation(es_spectrum(ALPHA))
-        rows = empirical_consistency(Normal(), approx, ALPHA, [100], reps=5, seed=5)
+        spectrum = es_spectrum(ALPHA)
+        rows = empirical_consistency(
+            Normal(), spectrum, "alternative", ALPHA, [100], reps=5, seed=5
+        )
         assert isinstance(rows[0], ConsistencyRow)
+
+
+def test_unknown_discretization_is_named():
+    spectrum = es_spectrum(ALPHA)
+    with pytest.raises(ValueError, match="unknown discretization 'midpoint'"):
+        check_partial_integrals(spectrum, "midpoint", [0.5], [10])
+    with pytest.raises(ValueError, match="unknown discretization 'midpoint'"):
+        empirical_consistency(Normal(), spectrum, "midpoint", ALPHA, [100], reps=5, seed=0)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riskbench.core import (
-    GeneralWeightScheme,
     SupremumCre,
     WeightVector,
     apply_l_estimator,
@@ -55,8 +54,9 @@ class TestWeightVector:
             WeightVector(np.array([0.4, 0.6]), monotone_flag=True)
 
     def test_general_scheme_allows_non_unit_sum(self):
-        w = GeneralWeightScheme(np.array([0.5, 0.25, 0.5]))
-        assert w.weights.sum() == 1.25
+        # a plain array carries no simplex constraint: sum 1.25 scores as given
+        # sorted (1, 2, 3): -(0.5*1 + 0.25*2 + 0.5*3) = -2.5
+        assert apply_l_estimator(np.array([0.5, 0.25, 0.5]), [3.0, 1.0, 2.0]) == -2.5
 
     def test_weights_are_read_only(self):
         w = WeightVector(np.array([1.0, 0.0]))

@@ -4,19 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from riskbench.bench import DEFAULT_ESTIMATORS
 from riskbench.core import WeightVector, apply_l_estimator
 from riskbench.estimators import (
-    EstimatorId,
+    ESTIMATORS,
     SpectrumSpec,
-    build_es1,
-    build_es2,
-    build_es3,
-    build_es5,
     build_estimator,
     build_spectral_weights,
     build_spectral_weights_alt,
-    build_var_interp_1pct,
-    build_var_weights,
     es1_tail_average,
     es2_tail_average,
     es_spectrum,
@@ -53,25 +48,25 @@ EXACT_SUMS = {
 class TestWeightTables:
     @pytest.mark.parametrize("name", sorted(SEVEN_WEIGHTS_3DP))
     def test_first_seven_weights(self, name):
-        w = build_estimator(name, ALPHA, N).weights.weights
+        w = build_estimator(name, ALPHA, N).weights
         got = [round(float(v), 3) for v in w[:7]]
         assert got == SEVEN_WEIGHTS_3DP[name]
         assert np.all(w[7:] == 0.0)
 
     @pytest.mark.parametrize("name", sorted(EXACT_SUMS))
     def test_exact_sums(self, name):
-        w = build_estimator(name, ALPHA, N).weights.weights
+        w = build_estimator(name, ALPHA, N).weights
         assert float(w.sum()) == pytest.approx(EXACT_SUMS[name], abs=1e-12)
 
     def test_exact_fractions_es1_es2(self):
-        w1 = build_es1(ALPHA, N).weights.weights
+        w1 = build_estimator("es1", ALPHA, N).weights
         assert np.all(w1[:6] == 1.0 / 6.0)
-        w2 = build_es2(ALPHA, N).weights.weights
+        w2 = build_estimator("es2", ALPHA, N).weights
         assert np.all(w2[:6] == 1.0 / 6.25)
         assert w2[6] == 0.25 / 6.25
 
     def test_exact_fractions_es3(self):
-        w = build_es3(ALPHA, N).weights.weights
+        w = build_estimator("es3", ALPHA, N).weights
         scale = ALPHA * (N + 1)  # 6.275 up to float rounding
         r = scale - 6.0
         assert w[0] == 1.5 / scale
@@ -91,30 +86,31 @@ class TestWeightTables:
             assert build_estimator(name, ALPHA, N).is_cre is expect
 
     def test_weight_vector_only_for_cre(self):
-        assert WeightVector(build_es2(ALPHA, N).weights.weights, monotone_flag=True).monotone_flag
+        es2 = build_estimator("es2", ALPHA, N).weights
+        assert WeightVector(es2, monotone_flag=True).monotone_flag
         with pytest.raises(ValueError):
-            WeightVector(build_es5(ALPHA, N).weights.weights, monotone_flag=True)
+            WeightVector(build_estimator("es5", ALPHA, N).weights, monotone_flag=True)
 
     @pytest.mark.parametrize("name", sorted(SEVEN_WEIGHTS_3DP))
     def test_weights_are_non_increasing(self, name):
-        w = build_estimator(name, ALPHA, N).weights.weights
+        w = build_estimator(name, ALPHA, N).weights
         assert np.all(np.diff(w) <= 1e-15)
 
 
 class TestFloorSnapping:
     def test_float_product_snaps_to_integer(self):
         # 0.29 * 100 = 28.999999999999996 in binary; the tail count must be 29
-        w = build_es1(0.29, 100).weights.weights
+        w = build_estimator("es1", 0.29, 100).weights
         assert np.count_nonzero(w) == 29
         assert w[28] == 1.0 / 29.0
 
     def test_es2_collapses_to_es1_on_integer_product(self):
-        w1 = build_es1(0.29, 100).weights.weights
-        w2 = build_es2(0.29, 100).weights.weights
+        w1 = build_estimator("es1", 0.29, 100).weights
+        w2 = build_estimator("es2", 0.29, 100).weights
         assert np.array_equal(w1, w2)
 
     def test_es2_keeps_fraction_otherwise(self):
-        w = build_es2(0.3, 4).weights.weights
+        w = build_estimator("es2", 0.3, 4).weights
         # alpha*n = 1.2: full weight 1/1.2 then fractional 0.2/1.2
         assert w[0] == 1.0 / 1.2
         assert w[1] == pytest.approx(0.2 / 1.2, abs=1e-16)
@@ -122,48 +118,64 @@ class TestFloorSnapping:
 
 class TestBuilderGuards:
     def test_var_interp_only_n250(self):
-        spec = build_var_interp_1pct(250)
-        assert spec.weights.weights[1] == 0.49
-        assert spec.weights.weights[2] == 0.51
+        spec = build_estimator("var1", 0.01, 250)
+        assert spec.weights[1] == 0.49
+        assert spec.weights[2] == 0.51
         with pytest.raises(ValueError):
-            build_var_interp_1pct(100)
+            build_estimator("var1", 0.01, 100)
 
     def test_var_weights_position(self):
-        w = build_var_weights(0.01, 100).weights.weights
+        w = build_estimator("var", 0.01, 100).weights
         assert w[1] == 1.0  # floor(1) + 1 = 2nd order statistic
         assert np.count_nonzero(w) == 1
 
     def test_es1_needs_nonempty_tail(self):
         with pytest.raises(ValueError):
-            build_es1(0.025, 30)
+            build_estimator("es1", 0.025, 30)
 
     def test_es3_needs_two_full_cells(self):
         with pytest.raises(ValueError):
-            build_es3(0.025, 50)
-        build_es3(0.025, 80)
+            build_estimator("es3", 0.025, 50)
+        build_estimator("es3", 0.025, 80)
 
     def test_es5_needs_one_cell(self):
         with pytest.raises(ValueError):
-            build_es5(0.025, 30)
-        build_es5(0.025, 40)
+            build_estimator("es5", 0.025, 30)
+        build_estimator("es5", 0.025, 40)
 
     def test_level_bounds(self):
         for bad in (0.0, 1.0, -0.1, 1.3):
             with pytest.raises(ValueError):
-                build_es1(bad, 250)
+                build_estimator("es1", bad, 250)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             build_estimator("es9", 0.025, 250)
 
     def test_var1_ignores_alpha(self):
-        a = build_estimator("var1", 0.33, 250).weights.weights
-        b = build_var_interp_1pct(250).weights.weights
+        a = build_estimator("var1", 0.33, 250).weights
+        b = build_estimator("var1", 0.01, 250).weights
         assert np.array_equal(a, b)
 
     def test_dispatcher_ids(self):
-        assert build_estimator("var", 0.01, 100).id == EstimatorId.VAR_EMP
-        assert build_estimator("es4", 0.025, 250).id == EstimatorId.ES4
+        assert build_estimator("var", 0.01, 100).name == "var"
+        assert build_estimator("es4", 0.025, 250).name == "es4"
+
+
+class TestEstimatorTable:
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_spec_is_named_by_its_key_and_frozen(self, name):
+        spec = build_estimator(name, ALPHA, N)
+        assert spec.name == name
+        assert np.array_equal(spec.weights, ESTIMATORS[name](spec.alpha, N))
+        with pytest.raises(ValueError):
+            spec.weights[0] = 1.0
+
+    def test_var1_level_is_one_percent(self):
+        assert build_estimator("var1", ALPHA, N).alpha == 0.01
+
+    def test_every_default_study_estimator_is_a_key(self):
+        assert set(DEFAULT_ESTIMATORS) <= set(ESTIMATORS)
 
 
 class TestGaussianPlugin:
@@ -289,14 +301,14 @@ class TestSpectra:
         s = es_spectrum(ALPHA)
         for n in (50, 100, 250):
             built = build_spectral_weights(s, n).weights
-            direct = build_es2(ALPHA, n).weights.weights
+            direct = build_estimator("es2", ALPHA, n).weights
             assert np.array_equal(built, direct)
 
     def test_es_spectrum_alternative_equals_es1_bitwise(self):
         s = es_spectrum(ALPHA)
         for n in (100, 250):
             built = build_spectral_weights_alt(s, n).weights
-            direct = build_es1(ALPHA, n).weights.weights
+            direct = build_estimator("es1", ALPHA, n).weights
             assert np.array_equal(built, direct)
 
     def test_uniform_spectrum_gives_equal_weights(self):
@@ -360,14 +372,14 @@ class TestTailEvaluators:
     def test_es2_matches_weight_builder(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=40)
-        spec = build_es2(0.025, 40)
+        spec = build_estimator("es2", 0.025, 40)
         want = apply_l_estimator(spec.weights, x)
         assert es2_tail_average(x, 0.025) == pytest.approx(want, abs=1e-12)
 
     def test_var_matches_weight_builder(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=100)
-        spec = build_var_weights(0.05, 100)
+        spec = build_estimator("var", 0.05, 100)
         want = apply_l_estimator(spec.weights, x)
         assert var_and_es2_tail(x, 0.05)[0] == pytest.approx(want, abs=1e-12)
 
@@ -376,7 +388,7 @@ class TestEvaluationSemantics:
     def test_estimate_is_negative_weighted_tail(self):
         # hand check: losses are the smallest order statistics, risk is positive
         x = np.array([-5.0, 1.0, 1.0, 1.0] + [1.0] * 36)
-        v = apply_l_estimator(build_es1(0.025, 40).weights, x)
+        v = apply_l_estimator(build_estimator("es1", 0.025, 40).weights, x)
         assert v == 5.0  # single tail cell picks the worst outcome
 
     @given(st.integers(min_value=0, max_value=2**31))
@@ -384,5 +396,5 @@ class TestEvaluationSemantics:
     def test_callable_matches_evaluate(self, seed):
         rng = np.random.default_rng(seed)
         x = rng.normal(size=250)
-        spec = build_es3(ALPHA, N)
+        spec = build_estimator("es3", ALPHA, N)
         assert spec.as_callable()(x) == apply_l_estimator(spec.weights, x)

@@ -15,10 +15,7 @@ from riskbench.distributions import (
     true_risk,
 )
 from riskbench.estimators import (
-    build_es1,
-    build_es2,
     build_estimator,
-    build_var_weights,
     es1_tail_average,
 )
 from riskbench.metrics import (
@@ -90,8 +87,8 @@ def naive_metrics(estimates, companions, alpha, reference):
 class TestAgainstNaiveReplay:
     def setup_method(self):
         self.contract = RandomnessContract(99)
-        self.specs = [build_es1(ALPHA, N), build_es2(ALPHA, N)]
-        self.estimators = self.specs + [build_var_weights(ALPHA, N)]
+        self.specs = [build_estimator("es1", ALPHA, N), build_estimator("es2", ALPHA, N)]
+        self.estimators = self.specs + [build_estimator("var", ALPHA, N)]
         self.true = true_risk(Normal(), ALPHA)
 
     def test_vectorized_path_matches_replay(self):
@@ -108,7 +105,6 @@ class TestAgainstNaiveReplay:
             Normal(),
             Iid(N),
             self.estimators,
-            [ALPHA] * 3,
             refs,
             K,
             self.contract,
@@ -202,8 +198,8 @@ class TestBlockDraws:
 class TestMetricDefinitions:
     def test_reference_dispatch(self):
         true = TrueRisk(var_alpha=2.0, es_alpha=3.0, method="closed_form", standard_error=0.0)
-        assert reference_value(build_var_weights(0.05, 100), true) == 2.0
-        assert reference_value(build_es1(0.05, 100), true) == 3.0
+        assert reference_value(build_estimator("var", 0.05, 100), true) == 2.0
+        assert reference_value(build_estimator("es1", 0.05, 100), true) == 3.0
 
     def test_never_crossed_flag(self):
         companions = np.random.default_rng(1).standard_normal(50)
@@ -240,17 +236,18 @@ class TestMetricDefinitions:
         alpha, k = 1.0 / 49.0, 49
         assert alpha * k < 1.0
         assert es1_tail_average(np.arange(k) + 5.0, alpha) == -5.0
-        spec = build_es1(ALPHA, N)
-        rep = run_group(Normal(), Iid(N), [spec], [alpha], [1.0], k, RandomnessContract(1))[0]
+        # the metric level is the spec's own: n = 49 snaps to a one-outcome tail too
+        spec = build_estimator("es1", alpha, k)
+        rep = run_group(Normal(), Iid(k), [spec], [1.0], k, RandomnessContract(1))[0]
         estimates, companions = _evaluate_replications(
-            Normal(), Iid(N), [spec], k, RandomnessContract(1)
+            Normal(), Iid(k), [spec], k, RandomnessContract(1)
         )
         assert rep.rb == -es1_tail_average(companions + estimates[:, 0], alpha)
 
     def test_rejects_nonpositive_reference(self):
         contract = RandomnessContract(1)
         with pytest.raises(ValueError):
-            run_group(Normal(), Iid(N), [build_es1(ALPHA, N)], [ALPHA], [-2.0], 50, contract)
+            run_group(Normal(), Iid(N), [build_estimator("es1", ALPHA, N)], [-2.0], 50, contract)
 
 
 class TestOrderStatisticMeans:
@@ -264,16 +261,16 @@ class TestOrderStatisticMeans:
 
     def test_bias_predicted_from_order_statistics(self):
         # -sum_i w_i E[X_(i:n)] must match the simulated mean estimate
-        spec = build_es1(ALPHA, N)
-        nz = np.nonzero(spec.weights.weights)[0]
+        spec = build_estimator("es1", ALPHA, N)
+        nz = np.nonzero(spec.weights)[0]
         osm = order_statistic_means(Normal(), N, list(nz + 1), k_oracle=400_000, seed=2)
-        predicted = -float(np.dot(spec.weights.weights[nz], osm.means))
+        predicted = -float(np.dot(spec.weights[nz], osm.means))
 
         contract = RandomnessContract(4)
         est, _ = _evaluate_replications(Normal(), Iid(N), [spec], 40_000, contract)
         simulated = float(est.mean())
         sim_err = float(est.std(ddof=1)) / math.sqrt(est.size)
-        pred_err = float(np.abs(spec.weights.weights[nz]) @ osm.stderrs)
+        pred_err = float(np.abs(spec.weights[nz]) @ osm.stderrs)
         assert abs(predicted - simulated) < 5 * (sim_err + pred_err)
 
     def test_position_guard(self):

@@ -36,8 +36,10 @@ REPO = Path(__file__).resolve().parent.parent
 
 # Run in a fresh interpreter: argv[1] is the tree's src directory. Times
 # run_study plus to_csv, and wraps the two names bench looks up per group.
+# The run_group wrapper passes its arguments through unchanged and reads
+# the three it reports by name, so it follows run_group's signature.
 STUDY_CHILD = r"""
-import hashlib, json, sys, time
+import hashlib, inspect, json, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy, scipy
 from riskbench import bench
@@ -53,14 +55,15 @@ def timed_reference(*args, **kwargs):
     reference_s.append(time.perf_counter() - start)
     return out
 
-def timed_group(distribution, scheme, estimators, levels, references, K, contract):
+def timed_group(*args, **kwargs):
+    bound = inspect.signature(run_group).bind(*args, **kwargs).arguments
     start = time.perf_counter()
-    out = run_group(distribution, scheme, estimators, levels, references, K, contract)
+    out = run_group(*args, **kwargs)
     seconds = time.perf_counter() - start
-    groups[f"{dist_label(distribution)}|{scheme_label(scheme)}"] = {
+    groups[f"{dist_label(bound['distribution'])}|{scheme_label(bound['scheme'])}"] = {
         "reference_s": round(reference_s.pop(), 4),
         "run_group_s": round(seconds, 4),
-        "us_per_replication": round(seconds / K * 1e6, 3),
+        "us_per_replication": round(seconds / bound["K"] * 1e6, 3),
     }
     return out
 
