@@ -95,6 +95,10 @@ def _resolve_functional(name: str, alpha: float, n: int):
 
 
 def _cmd_coherence(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials: need at least 1 trial, got {args.trials}")
+    if args.seed < 0:
+        raise ValueError(f"--seed: need a non-negative integer, got {args.seed}")
     fn = _resolve_functional(args.estimator, args.alpha, args.n)
     report = check_all(fn, args.n, trials=args.trials, seed=args.seed)
     if args.json:
@@ -122,6 +126,8 @@ def _add_true_risk(sub) -> None:
 
 
 def _cmd_true_risk(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed: need a non-negative integer, got {args.seed}")
     dist = parse_dist(args.dist)
     risk = true_risk(dist, args.alpha, oracle_k=args.oracle_k, seed=args.seed)
     payload = {

@@ -14,9 +14,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.stats import norm, t as student_t
+from scipy import special
 
-from .estimators import es2_tail_average, snapped_floor, var_and_es2_tail
+from .estimators import (
+    _normal_density_at_quantile,
+    es2_tail_average,
+    snapped_floor,
+    var_and_es2_tail,
+)
 
 __all__ = [
     "Normal",
@@ -305,21 +310,31 @@ def horizon_target(dist, h: int):
 
 
 def normal_var(dist: Normal, alpha: float) -> float:
-    return float(-dist.mu - dist.sigma * norm.ppf(alpha))
+    return float(-dist.mu - dist.sigma * special.ndtri(alpha))
 
 
 def normal_es(dist: Normal, alpha: float) -> float:
-    return float(-dist.mu + dist.sigma * norm.pdf(norm.ppf(alpha)) / alpha)
+    return float(-dist.mu + dist.sigma * _normal_density_at_quantile(alpha) / alpha)
+
+
+def _student_t_density(x, nu: float):
+    """The t(nu) density at x, in the expressions scipy.stats.t uses, so each
+    value keeps its bits."""
+    return np.exp(
+        np.log(special.poch(0.5 * nu, 0.5))
+        - 0.5 * (np.log(nu) + np.log(np.pi))
+        - (nu + 1) / 2 * np.log1p(x * x / nu)
+    )
 
 
 def student_t_var(nu: float, alpha: float) -> float:
-    return float(-student_t.ppf(alpha, nu))
+    return float(-special.stdtrit(nu, alpha))
 
 
 def student_t_es(nu: float, alpha: float) -> float:
     """Analytic tail mean: pdf(q) * (nu + q^2) / (alpha * (nu - 1)), q the alpha quantile."""
-    q = student_t.ppf(alpha, nu)
-    return float(student_t.pdf(q, nu) * (nu + q * q) / (alpha * (nu - 1.0)))
+    q = special.stdtrit(nu, alpha)
+    return float(_student_t_density(q, nu) * (nu + q * q) / (alpha * (nu - 1.0)))
 
 
 @dataclass(frozen=True)

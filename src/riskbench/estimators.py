@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import norm
+from scipy import special
 
 from .core import (
     MONOTONE_ATOL,
@@ -229,8 +229,11 @@ def build_estimator(name: str, alpha: float, n: int) -> LEstimatorSpec:
 
 @functools.lru_cache(maxsize=64)
 def _normal_density_at_quantile(alpha: float) -> float:
-    """phi(Phi^-1(alpha)), the standard normal density at its alpha-quantile."""
-    return float(norm.pdf(norm.ppf(alpha)))
+    """phi(Phi^-1(alpha)), the standard normal density at its alpha-quantile,
+    in the expressions scipy.stats.norm uses, so each value keeps its bits
+    (q * q, as numpy squares arrays: a scalar q**2 calls pow and may differ)."""
+    q = special.ndtri(alpha)
+    return float(np.exp(-(q * q) / 2.0) / np.sqrt(2 * np.pi))
 
 
 def gaussian_plugin_es(alpha: float, x) -> float:

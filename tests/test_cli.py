@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from riskbench import cli
 from riskbench.cli import main
 
 
@@ -95,6 +99,16 @@ class TestCoherence:
         witness = next(c["witness"] for c in checks if not c["passed"])
         assert witness["defect"] != 0.0
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--seed", "-1")])
+    def test_out_of_range_flag_is_a_usage_error(self, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "check_all", pytest.fail)  # no battery runs
+        with pytest.raises(SystemExit) as exc:
+            main(["coherence", "--estimator", "es1", "--n", "50", flag, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"riskbench: error: {flag}:")
+
 
 class TestTrueRisk:
     def test_closed_form(self, capsys):
@@ -130,6 +144,15 @@ class TestTrueRisk:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("riskbench: error: oracle_k:")
+
+    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "true_risk", pytest.fail)  # no oracle runs
+        with pytest.raises(SystemExit) as exc:
+            main(["true-risk", "--dist", "nig:0.4:0.14:0:1", "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("riskbench: error: --seed:")
 
 
 class TestConsistency:
@@ -239,3 +262,21 @@ class TestBench:
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def test_import_leaves_scipy_stats_and_integrate_unloaded():
+    # importing scipy.stats costs more start-up than all of riskbench; the
+    # closed forms use scipy.special only, so a fresh interpreter must not
+    # load scipy.stats or scipy.integrate
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import riskbench, riskbench.cli; "
+        "print(riskbench.__file__); "
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy.stats', 'scipy.integrate'))))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    where, loaded = proc.stdout.splitlines()
+    assert where.startswith(src)
+    assert loaded == "[]"

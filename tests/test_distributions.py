@@ -25,6 +25,7 @@ from riskbench.distributions import (
     true_risk,
     true_risk_levels,
 )
+from riskbench.estimators import _normal_density_at_quantile
 
 
 class TestClosedForms:
@@ -61,6 +62,27 @@ class TestClosedForms:
     def test_student_t_needs_finite_mean(self):
         with pytest.raises(ValueError):
             StudentT(1.0)
+
+    # at 0.22 a scalar q**2 (pow) and q*q (how numpy squares arrays) differ
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.025, 0.05, 0.2, 0.22, 0.5])
+    def test_closed_forms_keep_the_bits_of_scipy_stats(self, alpha):
+        # the closed forms come from scipy.special; each value must equal the
+        # scipy.stats expression it replaced, bit for bit
+        d = Normal(mu=0.3, sigma=1.7)
+        density = stats.norm.pdf(stats.norm.ppf(alpha))
+        pairs = [
+            (_normal_density_at_quantile(alpha), float(density)),
+            (normal_var(d, alpha), float(-d.mu - d.sigma * stats.norm.ppf(alpha))),
+            (normal_es(d, alpha), float(-d.mu + d.sigma * density / alpha)),
+        ]
+        for nu in (1.5, 3.0, 4.0, 5.0, 10.0, 100.0):
+            q = stats.t.ppf(alpha, nu)
+            pairs.append((student_t_var(nu, alpha), float(-q)))
+            pairs.append((
+                student_t_es(nu, alpha),
+                float(stats.t.pdf(q, nu) * (nu + q * q) / (alpha * (nu - 1.0))),
+            ))
+        assert [new.hex() for new, _ in pairs] == [old.hex() for _, old in pairs]
 
 
 FINITE = st.floats(min_value=-1e300, max_value=1e300)

@@ -12,6 +12,9 @@ an after file come from one machine in one session. The file holds:
   a fresh process: wall time, CSV sha256, and per (distribution, scheme)
   group the seconds of its reference risk, the seconds of its replication
   loop and metrics (`run_group`) and the microseconds per replication;
+- start-up: over STARTUP_RUNS fresh interpreters that each run
+  `import riskbench.cli` and exit, the median wall seconds of the whole
+  process and the median of its peak resident set (ru_maxrss) in MB;
 - the end-to-end medians of every workload in the tree's BENCHMARK.json,
   from its perfbench/run.py run unmodified as a subprocess at the
   benchmark's own run length and main seed.
@@ -27,6 +30,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -82,6 +86,17 @@ print(json.dumps({
 """
 
 
+# Run in a fresh interpreter: argv[1] is the tree's src directory. Prints
+# the process's peak resident set in KB once the CLI module is imported.
+STARTUP_CHILD = r"""
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+import riskbench.cli
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+STARTUP_RUNS = 7
+
+
 def child_env() -> dict:
     env = dict(os.environ)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -130,6 +145,23 @@ def run_study(tree: Path) -> dict:
     return json.loads(proc.stdout)
 
 
+def run_startup(tree: Path) -> dict:
+    wall, rss_mb = [], []
+    for _ in range(STARTUP_RUNS):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_CHILD, str(tree / "src")],
+            capture_output=True, text=True, cwd=tree, env=child_env(), check=True,
+        )
+        wall.append(time.perf_counter() - start)
+        rss_mb.append(int(proc.stdout) / 1024.0)
+    return {
+        "runs": STARTUP_RUNS,
+        "wall_s": round(statistics.median(wall), 4),
+        "peak_rss_mb": round(statistics.median(rss_mb), 1),
+    }
+
+
 def run_workload(tree: Path, name: str, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", name, "--seconds", str(seconds),
@@ -164,6 +196,8 @@ def main(argv=None) -> int:
         "uncommitted_changes": bool(git(tree, "status", "--porcelain", "--untracked-files=no")),
         "src_sha256": source_digest(tree),
     }
+    print(f"start-up of {tree} ...", file=sys.stderr)
+    record["startup"] = run_startup(tree)
     print(f"full default study in {tree} ...", file=sys.stderr)
     record["study"] = run_study(tree)
     record["perfbench"] = {}
