@@ -318,8 +318,8 @@ def normal_es(dist: Normal, alpha: float) -> float:
 
 
 def _student_t_density(x, nu: float):
-    """The t(nu) density at x, in the expressions scipy.stats.t uses, so each
-    value keeps its bits."""
+    """The t(nu) density at x in the expressions of SciPy's t distribution,
+    so each value keeps its bits."""
     return np.exp(
         np.log(special.poch(0.5 * nu, 0.5))
         - 0.5 * (np.log(nu) + np.log(np.pi))

@@ -230,8 +230,8 @@ def build_estimator(name: str, alpha: float, n: int) -> LEstimatorSpec:
 @functools.lru_cache(maxsize=64)
 def _normal_density_at_quantile(alpha: float) -> float:
     """phi(Phi^-1(alpha)), the standard normal density at its alpha-quantile,
-    in the expressions scipy.stats.norm uses, so each value keeps its bits
-    (q * q, as numpy squares arrays: a scalar q**2 calls pow and may differ)."""
+    in the expressions of SciPy's norm distribution, so each value keeps its
+    bits (q * q, as numpy squares arrays; a scalar q**2 calls pow and can differ)."""
     q = special.ndtri(alpha)
     return float(np.exp(-(q * q) / 2.0) / np.sqrt(2 * np.pi))
 
