@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -36,15 +36,6 @@ __all__ = [
 ]
 
 Estimator = Callable[[np.ndarray], float]
-
-AXIOMS = (
-    "monotonicity",
-    "cash_additivity",
-    "positive_homogeneity",
-    "subadditivity",
-    "law_invariance",
-    "comonotonic_additivity",
-)
 
 # A defect counts as a violation when it exceeds 1e-9 * (1 + scale), where
 # scale is the largest magnitude among the probe inputs involved.
@@ -76,27 +67,13 @@ class Witness:
         return self.lhs - self.rhs
 
     def replay(self, estimator: Estimator) -> float:
-        """Re-evaluate the defect for this witness against an estimator."""
-        x = self.inputs[0]
-        if self.axiom == "monotonicity":
-            y = self.inputs[1]
-            return estimator(x) - estimator(y)
-        if self.axiom == "cash_additivity":
-            m = self.aux
-            return abs(estimator(x + m) - (estimator(x) - m))
-        if self.axiom == "positive_homogeneity":
-            lam = self.aux
-            return abs(estimator(lam * x) - lam * estimator(x))
-        if self.axiom == "subadditivity":
-            y = self.inputs[1]
-            return estimator(x + y) - (estimator(x) + estimator(y))
-        if self.axiom == "law_invariance":
-            y = self.inputs[1]
-            return abs(estimator(y) - estimator(x))
-        if self.axiom == "comonotonic_additivity":
-            y = self.inputs[1]
-            return abs(estimator(x + y) - (estimator(x) + estimator(y)))
-        raise ValueError(f"unknown axiom {self.axiom!r}")
+        """Re-evaluate the defect for this witness against an estimator:
+        signed for monotonicity and subadditivity, absolute for the rest."""
+        spec = _AXIOMS[self.axiom]
+        b = np.array([[self.aux]]) if spec.aux else self.inputs[1][None]
+        lhs, rhs = spec.sides(_rows(estimator), self.inputs[0][None], b)
+        defect = (lhs - rhs).item()
+        return defect if spec.one_sided else abs(defect)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,15 +149,6 @@ def _random_probes(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
     return probes
 
 
-def _monotone_transform(rng: np.random.Generator, base: np.ndarray) -> np.ndarray:
-    """A random non-decreasing map applied entrywise to the base vector."""
-    a = rng.uniform(0.0, 3.0)
-    b = rng.uniform(0.0, 2.0)
-    c = rng.uniform(-1.0, 1.0)
-    knot = rng.uniform(-1.0, 1.0)
-    return a * base + b * np.maximum(base, knot) + c
-
-
 # Probes are scored in blocks of at most this many floats, so memory stays
 # flat in the trial count (262 rows at n = 250).
 _BLOCK_FLOATS = 1 << 16
@@ -197,14 +165,14 @@ def _rows(estimator: Estimator) -> Rows:
     return lambda block: np.array([estimator(x) for x in block], dtype=float)
 
 
-def _probe_blocks(total: int, n: int, rows_per_probe: int, lead_rows: int = 0):
-    """(start, stop) probe slices whose scored rows, plus lead_rows fixed rows
-    in the first slice, fit in _BLOCK_FLOATS floats; at least one probe each."""
-    cap = max(1, _BLOCK_FLOATS // n)
+def _probe_blocks(probes: np.ndarray, rows_per_probe: int, lead_rows: int = 0):
+    """(start, block) slices of probes, at least one probe each, whose scored
+    rows plus lead_rows fixed rows in the first fit in _BLOCK_FLOATS floats."""
+    cap = max(1, _BLOCK_FLOATS // probes.shape[1])
     start = 0
-    while start < total:
-        stop = min(total, start + max(1, (cap - lead_rows) // rows_per_probe))
-        yield start, stop
+    while start < len(probes):
+        stop = start + max(1, (cap - lead_rows) // rows_per_probe)
+        yield start, probes[start:stop]
         start, lead_rows = stop, 0
 
 
@@ -224,21 +192,55 @@ def _first(violated: np.ndarray) -> Optional[int]:
     return int(hits[0]) if hits.size else None
 
 
-# Each scan below draws its probe inputs from rng block by block, in one
-# fixed order (probe by probe, each probe's draws in turn), scores each
-# block in one call, and returns (inputs, aux, lhs, rhs, description) for
-# the first violation in (probe, case) order, or None. Blocks after the one
-# holding the first violation are neither drawn nor scored.
+# A relation scores the row blocks (a, b) of one block of cases and returns
+# its two sides (lhs, rhs), one value per case; the defect is lhs - rhs. b
+# holds rows, or for cash shifts and scalings one aux value per case. The
+# scan and Witness.replay (on one-row blocks) share these five functions.
 
 
-def _scan_monotonicity(score: Rows, probes: np.ndarray, rng: np.random.Generator):
-    # x >= y entrywise must give estimator(x) <= estimator(y); probe 0 is
+def _dominance(score: Rows, hi: np.ndarray, lo: np.ndarray):
+    # hi >= lo entrywise must give estimator(hi) <= estimator(lo)
+    values = score(np.vstack([hi, lo]))
+    return values[: len(hi)], values[len(hi) :]
+
+
+def _shift(score: Rows, x: np.ndarray, m: np.ndarray):
+    base = score(x)
+    got = score((x[:, None, :] + m[:, :, None]).reshape(-1, x.shape[1]))
+    return got.reshape(m.shape), base[:, None] - m
+
+
+def _scale(score: Rows, x: np.ndarray, lam: np.ndarray):
+    base = score(x)
+    got = score((lam[:, :, None] * x[:, None, :]).reshape(-1, x.shape[1]))
+    return got.reshape(lam.shape), lam * base[:, None]
+
+
+def _merge(score: Rows, x: np.ndarray, y: np.ndarray):
+    c = len(x)
+    values = score(np.vstack([x, y, x + y]))
+    return values[2 * c :], values[:c] + values[c : 2 * c]
+
+
+def _reorder(score: Rows, x: np.ndarray, y: np.ndarray):
+    # each row of x is followed in y by len(y) // len(x) reorderings of it
+    values = score(np.vstack([x, y]))
+    return values[len(x) :], np.repeat(values[: len(x)], len(y) // len(x))
+
+
+# Each case generator below draws its inputs from rng block by block, in one
+# fixed order (probe by probe, each probe's draws in turn), and yields
+# (a, b, tol) per block, one tolerance per case. The scan stops pulling at
+# the first violation, so later blocks are neither drawn nor scored.
+
+
+def _monotonicity_cases(probes: np.ndarray, rng: np.random.Generator):
+    # each probe lo against lo plus a random non-negative bump; probe 0 is
     # preceded by two fixed pairs
     n = probes.shape[1]
-    fixed_hi = np.array([_unit(n, 0), np.ones(n)])
-    fixed_lo = np.zeros((2, n))
-    for start, stop in _probe_blocks(len(probes), n, 2, lead_rows=4):
-        lo = probes[start:stop]
+    for start, lo in _probe_blocks(probes, 2, lead_rows=4):
+        # the stream interleaves each row's normal and coin draws, so these
+        # stay per row
         bump = np.empty_like(lo)
         coin = np.empty_like(lo)
         for i in range(len(lo)):
@@ -247,127 +249,113 @@ def _scan_monotonicity(score: Rows, probes: np.ndarray, rng: np.random.Generator
         bump = np.abs(bump) * (1.0 + 0.1 * _max_abs(lo))[:, None]
         hi = lo + np.where(coin < 0.5, bump, 0.0)
         if start == 0:
-            hi, lo = np.vstack([fixed_hi, hi]), np.vstack([fixed_lo, lo])
-        values = score(np.vstack([hi, lo]))
-        lhs, rhs = values[: len(hi)], values[len(hi) :]
-        j = _first(lhs - rhs > _tols(_max_abs(hi), _max_abs(lo)))
-        if j is not None:
-            return (hi[j], lo[j]), None, lhs[j], rhs[j], "higher outcomes scored riskier"
-    return None
+            hi = np.vstack([_unit(n, 0), np.ones(n), hi])
+            lo = np.vstack([np.zeros((2, n)), lo])
+        yield hi, lo, _tols(_max_abs(hi), _max_abs(lo))
 
 
-def _scan_cash_additivity(score: Rows, probes: np.ndarray, rng: np.random.Generator):
-    n = probes.shape[1]
-    for start, stop in _probe_blocks(len(probes), n, 6):
-        x = probes[start:stop]
-        m = np.empty((len(x), 5))
-        m[:, :4] = (1.0, -1.0, 0.5, -0.5)
-        m[:, 4] = [rng.uniform(-10.0, 10.0) for _ in range(len(x))]
-        base = score(x)
-        got = score((x[:, None, :] + m[:, :, None]).reshape(-1, n)).reshape(m.shape)
-        want = base[:, None] - m
-        j = _first(np.abs(got - want) > _tols(_max_abs(x)[:, None], np.abs(m)))
-        if j is not None:
-            p, k = divmod(j, 5)
-            return (
-                (x[p],), float(m[p, k]), got[p, k], want[p, k],
-                "cash shift not subtracted one for one",
-            )
-    return None
+def _cash_cases(probes: np.ndarray, rng: np.random.Generator):
+    for _, x in _probe_blocks(probes, 6):
+        m = np.tile((1.0, -1.0, 0.5, -0.5, 0.0), (len(x), 1))
+        m[:, 4] = rng.uniform(-10.0, 10.0, len(x))
+        yield x, m, _tols(_max_abs(x)[:, None], np.abs(m))
 
 
-def _scan_positive_homogeneity(score: Rows, probes: np.ndarray, rng: np.random.Generator):
-    n = probes.shape[1]
-    for start, stop in _probe_blocks(len(probes), n, 5):
-        x = probes[start:stop]
-        lam = np.empty((len(x), 4))
-        lam[:, :3] = (0.0, 0.5, 2.0)
-        lam[:, 3] = [rng.uniform(0.0, 20.0) for _ in range(len(x))]
-        scaled = lam[:, :, None] * x[:, None, :]
-        base = score(x)
-        got = score(scaled.reshape(-1, n)).reshape(lam.shape)
-        want = lam * base[:, None]
-        j = _first(np.abs(got - want) > _tols(_max_abs(x)[:, None], _max_abs(scaled)))
-        if j is not None:
-            p, k = divmod(j, 4)
-            return (x[p],), float(lam[p, k]), got[p, k], want[p, k], "not positively homogeneous"
-    return None
+def _homogeneity_cases(probes: np.ndarray, rng: np.random.Generator):
+    for _, x in _probe_blocks(probes, 5):
+        lam = np.tile((0.0, 0.5, 2.0, 0.0), (len(x), 1))
+        lam[:, 3] = rng.uniform(0.0, 20.0, len(x))
+        # lam >= 0, so lam times a row's largest magnitude is the scaled row's
+        scale = _max_abs(x)[:, None]
+        yield x, lam, _tols(scale, lam * scale)
 
 
-def _scan_subadditivity(score: Rows, probes: np.ndarray, rng: np.random.Generator):
-    # two fixed pairs of tail spikes come first when n >= 2
+def _subadditivity_cases(probes: np.ndarray, rng: np.random.Generator):
+    # each probe with an independent partner and a correlated one; two fixed
+    # pairs of tail spikes come first when n >= 2
     n = probes.shape[1]
     if n >= 2:
         fixed_x = np.array([-100.0 * _unit(n, 0), _unit(n, 0)])
         fixed_y = np.array([-100.0 * _unit(n, 1), _unit(n, 1)])
     else:
         fixed_x = fixed_y = np.empty((0, n))
-    for start, stop in _probe_blocks(len(probes), n, 6, lead_rows=3 * len(fixed_x)):
-        block = probes[start:stop]
-        y = np.empty((2 * len(block), n))
-        for i, row in enumerate(block):
-            y[2 * i] = rng.standard_normal(n) * (1.0 + 0.5 * float(np.std(row)))
-            y[2 * i + 1] = 0.5 * row + 0.5 * rng.standard_normal(n)
+    for start, block in _probe_blocks(probes, 6, lead_rows=3 * len(fixed_x)):
+        y = rng.standard_normal((2 * len(block), n))
+        y[0::2] *= (1.0 + 0.5 * np.std(block, axis=1))[:, None]
+        y[1::2] = 0.5 * block + 0.5 * y[1::2]
         x = np.repeat(block, 2, axis=0)
         if start == 0:
             x, y = np.vstack([fixed_x, x]), np.vstack([fixed_y, y])
-        c = len(x)
-        values = score(np.vstack([x, y, x + y]))
-        lhs = values[2 * c :]
-        rhs = values[:c] + values[c : 2 * c]
-        j = _first(lhs - rhs > _tols(_max_abs(x), _max_abs(y)))
-        if j is not None:
-            return (x[j], y[j]), None, lhs[j], rhs[j], "merging positions raised total risk"
-    return None
+        yield x, y, _tols(_max_abs(x), _max_abs(y))
 
 
-def _scan_law_invariance(score: Rows, probes: np.ndarray, rng: np.random.Generator):
-    n = probes.shape[1]
-    for start, stop in _probe_blocks(len(probes), n, 3):
-        x = probes[start:stop]
-        y = np.empty((2 * len(x), n))
-        for i, row in enumerate(x):
-            y[2 * i] = row[rng.permutation(n)]
-            y[2 * i + 1] = row[::-1]
-        values = score(np.vstack([x, y]))
-        lhs = values[len(x) :]
-        rhs = np.repeat(values[: len(x)], 2)
-        j = _first(np.abs(lhs - rhs) > np.repeat(_tols(_max_abs(x)), 2))
+def _law_invariance_cases(probes: np.ndarray, rng: np.random.Generator):
+    # each probe against a random permutation of it, then its reversal
+    for _, x in _probe_blocks(probes, 3):
+        y = np.repeat(x[:, ::-1], 2, axis=0)
+        y[0::2] = rng.permuted(x, axis=1)
+        yield x, y, np.repeat(_tols(_max_abs(x)), 2)
+
+
+def _comonotone_cases(probes: np.ndarray, rng: np.random.Generator):
+    # two random non-decreasing maps a*x + b*max(x, knot) + c of each probe
+    for _, x in _probe_blocks(probes, 3):
+        draws = rng.uniform((0.0, 0.0, -1.0, -1.0), (3.0, 2.0, 1.0, 1.0), (len(x), 2, 4))
+        a, b, c, knot = np.moveaxis(draws, -1, 0)[..., None]
+        x = x[:, None, :]
+        u, v = (a * x + b * np.maximum(x, knot) + c).transpose(1, 0, 2)
+        yield u, v, _tols(_max_abs(u), _max_abs(v))
+
+
+class _Axiom(NamedTuple):
+    sides: Callable  # (score, a, b) -> (lhs, rhs)
+    one_sided: bool  # only lhs - rhs > tol violates, else |lhs - rhs| > tol
+    aux: bool  # b holds one aux value per case rather than rows
+    cases: Callable  # (probes, rng) -> (a, b, tol) per block
+    description: str
+
+
+_AXIOMS = {
+    "monotonicity": _Axiom(
+        _dominance, True, False, _monotonicity_cases, "higher outcomes scored riskier"
+    ),
+    "cash_additivity": _Axiom(
+        _shift, False, True, _cash_cases, "cash shift not subtracted one for one"
+    ),
+    "positive_homogeneity": _Axiom(
+        _scale, False, True, _homogeneity_cases, "not positively homogeneous"
+    ),
+    "subadditivity": _Axiom(
+        _merge, True, False, _subadditivity_cases, "merging positions raised total risk"
+    ),
+    "law_invariance": _Axiom(
+        _reorder, False, False, _law_invariance_cases, "reordering the sample changed the value"
+    ),
+    "comonotonic_additivity": _Axiom(
+        _merge, False, False, _comonotone_cases, "not additive on comonotone pairs"
+    ),
+}
+AXIOMS = tuple(_AXIOMS)
+
+
+def _scan(axiom: str, score: Rows, probes: np.ndarray, rng: np.random.Generator):
+    """The first violation of one axiom in (probe, case) order, or None."""
+    spec = _AXIOMS[axiom]
+    for a, b, tol in spec.cases(probes, rng):
+        lhs, rhs = spec.sides(score, a, b)
+        defect = lhs - rhs
+        j = _first((defect if spec.one_sided else np.abs(defect)) > tol)
         if j is not None:
-            return (
-                (x[j // 2], y[j]), None, lhs[j], rhs[j],
-                "reordering the sample changed the value",
+            row = np.array(a[j // (lhs.size // len(a))])  # cases per row of a
+            return Witness(
+                axiom=axiom,
+                inputs=(row,) if spec.aux else (row, np.array(b[j])),
+                aux=float(b.flat[j]) if spec.aux else None,
+                lhs=float(lhs.flat[j]),
+                rhs=float(rhs.flat[j]),
+                description=spec.description,
             )
     return None
-
-
-def _scan_comonotonic_additivity(score: Rows, probes: np.ndarray, rng: np.random.Generator):
-    n = probes.shape[1]
-    for start, stop in _probe_blocks(len(probes), n, 3):
-        x = probes[start:stop]
-        u = np.empty_like(x)
-        v = np.empty_like(x)
-        for i, row in enumerate(x):
-            u[i] = _monotone_transform(rng, row)
-            v[i] = _monotone_transform(rng, row)
-        values = score(np.vstack([u, v, u + v]))
-        c = len(x)
-        lhs = values[2 * c :]
-        rhs = values[:c] + values[c : 2 * c]
-        j = _first(np.abs(lhs - rhs) > _tols(_max_abs(u), _max_abs(v)))
-        if j is not None:
-            return (u[j], v[j]), None, lhs[j], rhs[j], "not additive on comonotone pairs"
-    return None
-
-
-_SCANS = {
-    "monotonicity": _scan_monotonicity,
-    "cash_additivity": _scan_cash_additivity,
-    "positive_homogeneity": _scan_positive_homogeneity,
-    "subadditivity": _scan_subadditivity,
-    "law_invariance": _scan_law_invariance,
-    "comonotonic_additivity": _scan_comonotonic_additivity,
-}
 
 
 def check_axiom(
@@ -398,22 +386,9 @@ def check_axiom(
     if trials < 0:
         raise ValueError("trials must be non-negative")
     rng = np.random.default_rng(seed)
-    probes = np.vstack([_deck(n), _random_probes(rng, trials, n)]) if trials else np.array(_deck(n))
-    total = probes.shape[0]
-
-    found = _SCANS[axiom](_rows(estimator), probes, rng)
-    if found is None:
-        return AxiomCheck(axiom=axiom, passed=True, trials=total, witness=None)
-    inputs, aux, lhs, rhs, description = found
-    witness = Witness(
-        axiom=axiom,
-        inputs=tuple(np.array(v) for v in inputs),
-        aux=aux,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        description=description,
-    )
-    return AxiomCheck(axiom=axiom, passed=False, trials=total, witness=witness)
+    probes = np.vstack([_deck(n), _random_probes(rng, trials, n)])
+    witness = _scan(axiom, _rows(estimator), probes, rng)
+    return AxiomCheck(axiom=axiom, passed=witness is None, trials=len(probes), witness=witness)
 
 
 def check_all(
@@ -473,8 +448,7 @@ def verify_representation(
     rng = np.random.default_rng(0)
     probes = np.vstack([_deck(n), _random_probes(rng, trials, n)])
     score = _rows(estimator)
-    for start, stop in _probe_blocks(len(probes), n, 1):
-        x = probes[start:stop]
+    for _, x in _probe_blocks(probes, 1):
         got = score(x)
         want = np.array([apply_l_estimator(weights, row) for row in x])
         j = _first(np.abs(got - want) > _tols(_max_abs(x)))
@@ -513,7 +487,7 @@ def extract_comonotonic_weights(estimator: Estimator, n: int) -> WeightVector:
         raise ValueError("dimension must be at least 1")
     ladder = np.tril(np.full((n + 1, n), -1.0), k=-1)
     score = _rows(estimator)
-    values = np.concatenate([score(ladder[a:b]) for a, b in _probe_blocks(n + 1, n, 1)])
+    values = np.concatenate([score(block) for _, block in _probe_blocks(ladder, 1)])
     a = np.diff(values)
 
     if float(np.min(a)) < -VIOLATION_RTOL:

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import special
 
 from .estimators import (
+    _check_level,
     _normal_density_at_quantile,
     es2_tail_average,
     snapped_floor,
@@ -38,7 +39,6 @@ __all__ = [
     "inverse_gaussian_transform",
     "NigMoments",
     "nig_moments",
-    "horizon_convolve",
     "horizon_target",
     "TrueRisk",
     "true_risk",
@@ -283,13 +283,6 @@ def nig_moments(spec: Nig) -> NigMoments:
     )
 
 
-def horizon_convolve(spec: Nig, h: int) -> Nig:
-    """The h-fold convolution: NIG is closed under summation in (mu, delta)."""
-    if not (isinstance(h, int) and h >= 1):
-        raise ValueError(f"horizon must be a positive integer, got {h!r}")
-    return Nig(spec.a, spec.b, h * spec.mu, h * spec.delta)
-
-
 def horizon_target(dist, h: int):
     """The distribution of the h-day sum of i.i.d. copies of dist."""
     if not (isinstance(h, int) and h >= 1):
@@ -298,8 +291,8 @@ def horizon_target(dist, h: int):
         return dist
     if isinstance(dist, Normal):
         return Normal(h * dist.mu, dist.sigma * math.sqrt(h))
-    if isinstance(dist, Nig):
-        return horizon_convolve(dist, h)
+    if isinstance(dist, Nig):  # closed under summation in (mu, delta)
+        return Nig(dist.a, dist.b, h * dist.mu, h * dist.delta)
     if isinstance(dist, StudentT):
         return HorizonSum(dist, h)
     raise ValueError(f"unknown distribution object {dist!r}")
@@ -457,8 +450,7 @@ def true_risk_levels(
     """
     levels = [float(a) for a in alphas]
     for a in levels:
-        if not (0.0 < a < 1.0):
-            raise ValueError(f"level alpha must lie in (0, 1), got {a}")
+        _check_level(a)
     if not (force_oracle or needs_oracle(dist)):
         if isinstance(dist, Normal):
             return {

@@ -44,16 +44,19 @@ class TestAxiomBattery:
     @pytest.mark.parametrize("name", ["es4", "es5", "es6"])
     def test_inflated_estimators_fail_only_cash(self, name):
         spec = build_estimator(name, 0.025, 100)
-        report = check_all(spec.as_callable(), 100, trials=TRIALS, seed=4)
-        assert report.failed_axioms() == ["cash_additivity"]
-        (w,) = [c.witness for c in report.checks if c.axiom == "cash_additivity"]
-        assert w is not None
-        scale = max(float(np.max(np.abs(w.inputs[0]))), abs(w.aux))
-        assert abs(w.defect) > VIOLATION_RTOL * (1.0 + scale)
-        # the witness the per-call battery found: the zero probe shifted by one
-        assert len(w.inputs) == 1
-        assert np.array_equal(w.inputs[0], np.zeros(100))
-        assert w.aux == 1.0
+        # trials=0 runs the ten-probe deck alone, to the same verdicts
+        for trials in (TRIALS, 0):
+            report = check_all(spec.as_callable(), 100, trials=trials, seed=4)
+            assert [c.trials for c in report.checks] == [10 + trials] * len(AXIOMS)
+            assert report.failed_axioms() == ["cash_additivity"]
+            (w,) = [c.witness for c in report.checks if c.axiom == "cash_additivity"]
+            assert w is not None
+            scale = max(float(np.max(np.abs(w.inputs[0]))), abs(w.aux))
+            assert abs(w.defect) > VIOLATION_RTOL * (1.0 + scale)
+            # the witness the per-call battery found: the zero probe shifted by one
+            assert len(w.inputs) == 1
+            assert np.array_equal(w.inputs[0], np.zeros(100))
+            assert w.aux == 1.0
 
     def test_gaussian_plugin_failures(self):
         fn = lambda x: gaussian_plugin_es(0.01, x)
@@ -147,7 +150,8 @@ class TestBlockScoring:
         assert hashlib.sha256(b"".join(sorted(seen))).hexdigest() == digest
 
     # sha256 of CoherenceReport.to_json(), recorded from the per-call battery
-    # that scored one probe input per estimator call
+    # that scored one probe input per estimator call; es4 is scored through
+    # its block kernel `.rows`, recorded from the block-scored battery
     @pytest.mark.parametrize(
         "fn, digest",
         [
@@ -159,8 +163,12 @@ class TestBlockScoring:
                 lambda x: expectile_estimate(0.1, x).exp_var,
                 "eaf04b6d5c6b873a32158f62358ff3d8373cf8cdf257bba117f81834f08b3ff0",
             ),
+            (
+                build_estimator("es4", 0.05, 40).as_callable(),
+                "30e72df3a03ef904873665657ad947405ded57fa3fc43ccfdccb8a96eb440b21",
+            ),
         ],
-        ids=["gaussian", "expvar"],
+        ids=["gaussian", "expvar", "es4"],
     )
     def test_black_box_reports_are_pinned(self, fn, digest):
         report = check_all(fn, 40, trials=80, seed=21)
@@ -203,6 +211,11 @@ class TestBlockScoring:
         check = check_axiom(counted, axiom, n, trials=1000, seed=0)
         assert not check.passed
         assert len(calls) <= coherence._BLOCK_FLOATS // n
+        # replay runs the scan's relation again: signed for the one-sided
+        # axioms, absolute for the rest
+        defect = check.witness.defect
+        one_sided = axiom in ("monotonicity", "subadditivity")
+        assert check.witness.replay(fn) == (defect if one_sided else abs(defect))
 
 
 class TestWitness:

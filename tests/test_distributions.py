@@ -12,7 +12,6 @@ from riskbench.distributions import (
     StudentT,
     TrueRisk,
     dist_label,
-    horizon_convolve,
     horizon_target,
     inverse_gaussian_transform,
     nig_moments,
@@ -211,12 +210,12 @@ class TestSamplers:
 
 class TestHorizon:
     def test_convolution_parameters(self):
-        out = horizon_convolve(Nig(0.4, 0.14, 0.3, 1.0), 10)
+        out = horizon_target(Nig(0.4, 0.14, 0.3, 1.0), 10)
         assert out == Nig(0.4, 0.14, 3.0, 10.0)
 
     def test_convolution_matches_summed_moments(self):
         one = nig_moments(Nig(0.4, -0.22))
-        ten = nig_moments(horizon_convolve(Nig(0.4, -0.22), 10))
+        ten = nig_moments(horizon_target(Nig(0.4, -0.22), 10))
         assert ten.mean == pytest.approx(10 * one.mean, rel=1e-12)
         assert ten.variance == pytest.approx(10 * one.variance, rel=1e-12)
 
