@@ -13,7 +13,7 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Optional
 
 from .distributions import (
@@ -115,18 +115,7 @@ class BenchConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "n": self.n,
-            "k": self.k,
-            "seed": self.seed,
-            "oracle_k": self.oracle_k,
-            "distributions": list(self.distributions),
-            "estimators": list(self.estimators),
-            "schemes": list(self.schemes),
-            "out": self.out,
-            "format": self.format,
-        }
+        return asdict(self)
 
     def build_id(self) -> str:
         """Short content hash of everything that determines the numbers."""
@@ -163,6 +152,12 @@ def _parse_each(field_name: str, names: tuple[str, ...], parse) -> list:
         raise ValueError(f"{field_name}: {exc}") from None
 
 
+# the column names of the CSV header and of the JSON rows, in ResultRow order
+_COLUMNS = (
+    "distribution", "scheme", "estimator", "alpha", "n", "K", "metric", "value", "mc_stderr"
+)
+
+
 @dataclass(frozen=True)
 class ResultRow:
     distribution: str
@@ -195,7 +190,7 @@ class ResultTable:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("distribution,scheme,estimator,alpha,n,K,metric,value,mc_stderr\n")
+        buf.write(",".join(_COLUMNS) + "\n")
         for r in self.rows:
             stderr = "" if r.mc_stderr is None else repr(r.mc_stderr)
             buf.write(
@@ -205,26 +200,8 @@ class ResultTable:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "metadata": self.metadata,
-                "rows": [
-                    {
-                        "distribution": r.distribution,
-                        "scheme": r.scheme,
-                        "estimator": r.estimator,
-                        "alpha": r.alpha,
-                        "n": r.n,
-                        "K": r.k,
-                        "metric": r.metric,
-                        "value": r.value,
-                        "mc_stderr": r.mc_stderr,
-                    }
-                    for r in self.rows
-                ],
-            },
-            indent=2,
-        )
+        rows = [dict(zip(_COLUMNS, astuple(r))) for r in self.rows]
+        return json.dumps({"metadata": self.metadata, "rows": rows}, indent=2)
 
     def value(self, distribution: str, scheme: str, estimator: str, metric: str) -> float:
         for r in self.rows:

@@ -88,6 +88,8 @@ def _add_coherence(sub) -> None:
 
 def _resolve_functional(name: str, alpha: float, n: int):
     if name == "gaussian":
+        if n < 2:
+            raise ValueError(f"--n: the gaussian plug-in needs n >= 2, got {n}")
         return lambda x: gaussian_plugin_es(alpha, x)
     if name == "expvar":
         return lambda x: expectile_estimate(alpha, x).exp_var
@@ -160,6 +162,8 @@ def _add_consistency(sub) -> None:
 
 
 def _cmd_consistency(args) -> int:
+    if args.reps < 2:
+        raise ValueError(f"--reps: need at least two replications per size, got {args.reps}")
     spectrum = es_spectrum(args.alpha) if args.spectrum == "es" else uniform_spectrum()
     try:
         n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]

@@ -432,9 +432,18 @@ def check_cash_additivity_slope(estimator: Estimator, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class VerificationResult:
+    """The verdict over `trials` probes; on a mismatch, the first offending
+    sample with the estimator's value there and -<weights, sort(sample)>."""
+
     passed: bool
     trials: int
-    witness: Optional[Witness]
+    sample: Optional[np.ndarray] = None
+    estimate: Optional[float] = None
+    represented: Optional[float] = None
+
+    @property
+    def defect(self) -> float:
+        return self.estimate - self.represented
 
 
 def verify_representation(
@@ -453,16 +462,10 @@ def verify_representation(
         want = np.array([apply_l_estimator(weights, row) for row in x])
         j = _first(np.abs(got - want) > _tols(_max_abs(x)))
         if j is not None:
-            witness = Witness(
-                axiom="law_invariance",
-                inputs=(np.array(x[j]), np.array(x[j])),
-                aux=None,
-                lhs=float(got[j]),
-                rhs=float(want[j]),
-                description="estimator deviates from its candidate weight representation",
+            return VerificationResult(
+                False, probes.shape[0], np.array(x[j]), float(got[j]), float(want[j])
             )
-            return VerificationResult(passed=False, trials=probes.shape[0], witness=witness)
-    return VerificationResult(passed=True, trials=probes.shape[0], witness=None)
+    return VerificationResult(True, probes.shape[0])
 
 
 def extract_comonotonic_weights(estimator: Estimator, n: int) -> WeightVector:
@@ -517,6 +520,6 @@ def extract_comonotonic_weights(estimator: Estimator, n: int) -> WeightVector:
     if not res.passed:
         raise NotComonotonicError(
             "probe-ladder weights do not reproduce the estimator: defect "
-            f"{res.witness.defect!r} at a verification probe"
+            f"{res.defect!r} at a verification probe"
         )
     return weights

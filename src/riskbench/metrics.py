@@ -32,11 +32,11 @@ __all__ = [
     "OrderStatisticMeans",
 ]
 
-DEFAULT_CHUNK = 4096
-# replications whose raw draws are transformed together. Any size gives the
-# same bits; this one keeps the block arrays, with their transform, under a
-# quarter of a 4096-row chunk (NIG overlapping:10 at n = 250: three
-# 128 x 259 raw arrays, 0.8 MB, beside the 8.2 MB chunk)
+# replications drawn, finished, sorted and scored together: the study's bits
+# were recorded with 4096-row chunks, and 128-row tiles give every row the
+# same draws and the same per-row matvec bits (checked against the golden
+# hashes), while the tile arrays stay small (NIG overlapping:10 at n = 250:
+# three 128 x 259 raw arrays and a 128 x 250 row buffer, about 1 MB)
 _BLOCK = 128
 
 # var-style estimators are benchmarked against true VaR instead of true ES
@@ -82,15 +82,13 @@ def _evaluate_replications(
     estimators: Sequence[LEstimatorSpec],
     K: int,
     contract: RandomnessContract,
-    *,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, np.ndarray]:
     """All K replications for one (distribution, scheme) group.
 
     Returns (estimates matrix of shape (K, len(estimators)), companions of
     shape (K,)). Per-replication streams are keyed by the cell identity and
     the replication index only, so every estimator scores the same draw and
-    the draws are independent of the chunking.
+    the draws are independent of the tile size.
     """
     cell_tag = f"{dist_label(distribution)}|{scheme_label(scheme)}"
     sample_tag = f"sample|{cell_tag}"
@@ -98,27 +96,24 @@ def _evaluate_replications(
 
     estimates = np.empty((K, len(estimators)))
     companions = np.empty(K)
-    # one sample buffer for every chunk, so at most one chunk is held at once
-    buffer = np.empty((min(chunk_size, K), scheme.n))
-    block = ReplicationBlock(distribution, scheme, min(_BLOCK, chunk_size, K))
-    for c0 in range(0, K, chunk_size):
-        c1 = min(c0 + chunk_size, K)
-        # one generator per chunk, re-keyed per stream: its draws match
-        # contract.stream(tag, k) exactly
-        rng = contract.stream(sample_tag, c0)
-        rows = buffer[: c1 - c0]
-        for b0 in range(c0, c1, _BLOCK):
-            b1 = min(b0 + _BLOCK, c1)
-            for j, k in enumerate(range(b0, b1)):
-                block.draw(contract.rekey(rng, sample_tag, k), j)
-                block.draw_companion(contract.rekey(rng, companion_tag, k), j)
-            block.finish(rows[b0 - c0 : b1 - c0], companions[b0:b1])
-        rows.sort(axis=1)
-        # one matvec per estimator: the bits of a column then depend only on
-        # the cell and the chunk partition, never on which other estimators
-        # share the group
+    rows = np.empty((min(_BLOCK, K), scheme.n))
+    block = ReplicationBlock(distribution, scheme, len(rows))
+    # one generator per group, re-keyed per stream: its draws match
+    # contract.stream(tag, k) exactly
+    rng = contract.stream(sample_tag, 0)
+    for b0 in range(0, K, _BLOCK):
+        b1 = min(b0 + _BLOCK, K)
+        for j, k in enumerate(range(b0, b1)):
+            block.draw(contract.rekey(rng, sample_tag, k), j)
+            block.draw_companion(contract.rekey(rng, companion_tag, k), j)
+        tile = rows[: b1 - b0]
+        block.finish(tile, companions[b0:b1])
+        tile.sort(axis=1)
+        # one matvec per estimator: a single gemm over all estimators moves
+        # the last bits of some rows, and the bits of a column must not depend
+        # on which other estimators share the group
         for i, spec in enumerate(estimators):
-            estimates[c0:c1, i] = score_sorted_rows(spec.weights, rows)
+            estimates[b0:b1, i] = score_sorted_rows(spec.weights, tile)
     return estimates, companions
 
 

@@ -109,6 +109,17 @@ class TestCoherence:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith(f"riskbench: error: {flag}:")
 
+    @pytest.mark.parametrize("command", ["coherence", "extract"])
+    def test_gaussian_sample_of_one_names_the_flag(self, capsys, monkeypatch, command):
+        monkeypatch.setattr(cli, "check_all", pytest.fail)  # no probe runs
+        monkeypatch.setattr(cli, "extract_comonotonic_weights", pytest.fail)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--estimator", "gaussian", "--n", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("riskbench: error: --n:")
+
 
 class TestTrueRisk:
     def test_closed_form(self, capsys):
@@ -184,6 +195,15 @@ class TestConsistency:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("riskbench: error: --n:")
+
+    def test_single_replication_names_the_flag(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "empirical_consistency", pytest.fail)  # no draws run
+        with pytest.raises(SystemExit) as exc:
+            main(["consistency", "--reps", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith("riskbench: error: --reps:")
 
 
 class TestExtract:

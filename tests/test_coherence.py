@@ -272,7 +272,20 @@ class TestRepresentation:
         wrong = WeightVector(np.full(30, 1.0 / 30.0))
         res = verify_representation(spec.as_callable(), wrong, trials=100)
         assert not res.passed
-        assert res.witness is not None
+        assert res.sample is not None
+
+    def test_mismatch_carries_the_sample_and_both_values(self):
+        # es2 checked against uniform weights: re-scoring the returned sample
+        # gives back both values, and they differ by the reported defect
+        spec = build_estimator("es2", 0.1, 20)
+        uniform = WeightVector(np.full(20, 1.0 / 20.0))
+        fn = spec.as_callable()
+        res = verify_representation(fn, uniform, trials=100)
+        assert not res.passed
+        assert fn(res.sample) == res.estimate
+        assert apply_l_estimator(uniform, res.sample) == res.represented
+        assert res.defect == res.estimate - res.represented
+        assert abs(res.defect) > VIOLATION_RTOL
 
     @pytest.mark.parametrize("name", ["es1", "es2", "es3"])
     def test_extraction_round_trip(self, name):

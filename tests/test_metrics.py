@@ -118,18 +118,6 @@ class TestAgainstNaiveReplay:
             assert rep.rb == pytest.approx(rb, abs=1e-12)
             assert rep.ct == pytest.approx(ct, abs=1e-15)
 
-    def test_chunking_changes_at_most_float_dust(self):
-        # a different chunk partition reshapes the BLAS calls, which may move
-        # the last ulp; draws themselves must stay identical
-        a, ca = _evaluate_replications(
-            Normal(), Iid(N), self.specs, K, self.contract, chunk_size=4096
-        )
-        b, cb = _evaluate_replications(
-            Normal(), Iid(N), self.specs, K, self.contract, chunk_size=37
-        )
-        assert np.array_equal(ca, cb)
-        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
-
     def test_group_membership_does_not_change_bits(self):
         solo, _ = _evaluate_replications(
             Normal(), Iid(N), [self.specs[0]], K, self.contract
@@ -159,20 +147,18 @@ class TestBlockDraws:
     @pytest.mark.parametrize("dist", ["normal:0:1", "t:5", "nig:0.4:0.14:0:1"])
     def test_block_path_equals_the_replay(self, dist, scheme):
         # raw draws per replication, transforms per block: every bit of the
-        # rows and companions must match the one-replication replay. A chunk
-        # of 300 is no multiple of the block, so partial blocks are covered;
-        # the replay scores its rows in the same chunks with the same kernel.
+        # rows and companions must match the one-replication replay. K = 300
+        # gives tiles of 128, 128 and 44, so a partial tile is covered; the
+        # replay scores its rows in the same tiles with the same kernel.
         distribution, sch = parse_dist(dist), parse_scheme(scheme, 250)
-        K, chunk, contract = 1000, 300, RandomnessContract(2024)
-        got_est, got_comp = _evaluate_replications(
-            distribution, sch, self.STUDY, K, contract, chunk_size=chunk
-        )
+        K, tile, contract = 300, 128, RandomnessContract(2024)
+        got_est, got_comp = _evaluate_replications(distribution, sch, self.STUDY, K, contract)
         samples, want_comp = replay_draws(distribution, sch, K, contract)
         samples.sort(axis=1)
-        chunks = [samples[c : c + chunk] for c in range(0, K, chunk)]
+        tiles = [samples[t : t + tile] for t in range(0, K, tile)]
         want_est = np.column_stack(
             [
-                np.concatenate([score_sorted_rows(spec.weights, rows) for rows in chunks])
+                np.concatenate([score_sorted_rows(spec.weights, rows) for rows in tiles])
                 for spec in self.STUDY
             ]
         )
@@ -181,8 +167,8 @@ class TestBlockDraws:
 
     @pytest.mark.parametrize("dist", ["normal:0:1", "t:5", "nig:0.4:0.14:0:1"])
     def test_block_arrays_stay_small_beside_the_chunk(self, dist):
-        # one full chunk of rows is the loop's floor; the raw block arrays and
-        # their transforms may add at most a quarter of it
+        # the K x (estimators + 1) outputs are the loop's floor; the tile's raw
+        # arrays, their transforms and its row buffer may add at most 2 MB
         K, n = 4096, 250
         tracemalloc.start()
         try:
@@ -192,7 +178,7 @@ class TestBlockDraws:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * K * n * 8
+        assert peak < K * (len(self.STUDY) + 1) * 8 + 2_000_000
 
 
 class TestMetricDefinitions:

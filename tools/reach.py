@@ -58,10 +58,7 @@ KEEP = {
 
 # "<module>:<qualified name>(<parameter>)" -> why the default stays although
 # nothing above binds another value
-KEEP_KNOBS = {
-    "metrics:_evaluate_replications(chunk_size)":
-        "the chunk-partition seam: tests pin that the draws do not depend on chunking",
-}
+KEEP_KNOBS: dict[str, str] = {}
 
 # (argv, expected exit status); {tmp} is a scratch directory
 COMMANDS = (
