@@ -22,10 +22,13 @@ from .coherence import NotComonotonicError, check_all, extract_comonotonic_weigh
 from .consistency import DISCRETIZATIONS, empirical_consistency
 from .distributions import parse_dist, true_risk
 from .estimators import (
+    ESTIMATORS,
     build_estimator,
     es_spectrum,
     expectile_estimate,
+    expectile_rows,
     gaussian_plugin_es,
+    gaussian_plugin_rows,
     uniform_spectrum,
 )
 
@@ -87,13 +90,30 @@ def _add_coherence(sub) -> None:
 
 
 def _resolve_functional(name: str, alpha: float, n: int):
-    if name == "gaussian":
-        if n < 2:
-            raise ValueError(f"--n: the gaussian plug-in needs n >= 2, got {n}")
-        return lambda x: gaussian_plugin_es(alpha, x)
+    """The functional --estimator names, carrying `.rows(block)`. --alpha and
+    --n are checked here, before any probe is drawn."""
     if name == "expvar":
-        return lambda x: expectile_estimate(alpha, x).exp_var
-    return build_estimator(name, alpha, n).as_callable()
+        level_ok, levels = 0.0 < alpha <= 0.5, "(0, 1/2]"
+    else:  # var1 ignores --alpha
+        level_ok, levels = 0.0 < alpha < 1.0 or name.lower() == "var1", "(0, 1)"
+    if not level_ok:
+        raise ValueError(f"--alpha: {name} needs a level in {levels}, got {alpha}")
+    if name not in ("gaussian", "expvar"):
+        try:
+            return build_estimator(name, alpha, n).as_callable()
+        except ValueError as exc:  # the size rule of a known name, or an unknown name
+            flag = "--n" if name.lower() in ESTIMATORS else "--estimator"
+            raise ValueError(f"{flag}: {exc}") from None
+    least = 2 if name == "gaussian" else 1
+    if n < least:
+        raise ValueError(f"--n: {name} needs n >= {least}, got {n}")
+    if name == "gaussian":
+        fn = lambda x: gaussian_plugin_es(alpha, x)
+        fn.rows = lambda block: gaussian_plugin_rows(alpha, block)
+    else:
+        fn = lambda x: expectile_estimate(alpha, x).exp_var
+        fn.rows = lambda block: expectile_rows(alpha, block)
+    return fn
 
 
 def _cmd_coherence(args) -> int:

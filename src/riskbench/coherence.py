@@ -4,9 +4,9 @@ An estimator here is any callable from length-n float arrays to floats.
 Each axiom check runs a fixed adversarial deck first (unit spikes, constant
 shifts, paired tail spikes) and then randomized probes, and returns either
 PASS with the trial count or FAIL with a replayable witness. Probes are
-scored in row blocks: through the estimator's `.rows(block)` when it has
-one (weight estimators do: one sort and one matrix-vector product per
-block), otherwise one call per row.
+scored in row blocks through the estimator's `.rows(block)`. Every built-in
+functional carries one (weight estimators, suprema, the Gaussian plug-in and
+the expectile); only a user's own callable without it is called once per row.
 """
 
 from __future__ import annotations
@@ -157,8 +157,8 @@ Rows = Callable[[np.ndarray], np.ndarray]
 
 
 def _rows(estimator: Estimator) -> Rows:
-    """Score an (m, n) block to m values: through the estimator's own
-    `.rows` when it has one (LEstimatorSpec.as_callable), else row by row."""
+    """Score an (m, n) block to m values through the estimator's own `.rows`,
+    which every built-in functional has; else row by row, for a user's callable."""
     rows = getattr(estimator, "rows", None)
     if rows is not None:
         return rows

@@ -114,6 +114,15 @@ class SupremumCre:
     def n(self) -> int:
         return self.candidates[0].n
 
+    def as_callable(self):
+        """x -> apply_supremum(self, x).value, carrying `.rows(block)`: an (m, n)
+        block to its m values through one row-wise sort, one (m, n) x (n,
+        candidates) product and the row-wise max. Last bits can differ."""
+        table = np.column_stack([w.weights for w in self.candidates])
+        estimate = lambda x: apply_supremum(self, x).value
+        estimate.rows = lambda block: np.max(-(np.sort(block, axis=1) @ table), axis=1)
+        return estimate
+
 
 def _weight_array(w) -> np.ndarray:
     if isinstance(w, WeightVector):

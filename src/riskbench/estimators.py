@@ -29,8 +29,10 @@ __all__ = [
     "LEstimatorSpec",
     "build_estimator",
     "gaussian_plugin_es",
+    "gaussian_plugin_rows",
     "ExpectileSolution",
     "expectile_estimate",
+    "expectile_rows",
     "SpectrumSpec",
     "es_spectrum",
     "uniform_spectrum",
@@ -111,10 +113,7 @@ class LEstimatorSpec:
         """x -> estimate, carrying `.rows(block)`: an (m, n) block to its m
         estimates through one row-wise sort and one matrix-vector product."""
         weights = self.weights
-
-        def estimate(x) -> float:
-            return apply_l_estimator(weights, x)
-
+        estimate = lambda x: apply_l_estimator(weights, x)
         estimate.rows = lambda block: score_sorted_rows(weights, np.sort(block, axis=1))
         return estimate
 
@@ -236,6 +235,26 @@ def _normal_density_at_quantile(alpha: float) -> float:
     return float(np.exp(-(q * q) / 2.0) / np.sqrt(2 * np.pi))
 
 
+def _sample_rows(block, least: int) -> np.ndarray:
+    """block as a C-ordered (m, n) float array, n >= least, all finite: C
+    order keeps each row's reductions those of the row alone."""
+    rows = np.ascontiguousarray(block, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] < least:
+        raise ValueError(f"need an (m, n) block of samples with n >= {least}, got {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("sample must contain only finite values")
+    return rows
+
+
+def gaussian_plugin_rows(alpha: float, block) -> np.ndarray:
+    """gaussian_plugin_es of every row of an (m, n) block, n >= 2, each row's
+    value bit for bit the one it has alone."""
+    _check_level(alpha)
+    rows = _sample_rows(block, 2)
+    sd = np.std(rows, axis=1, ddof=1)
+    return -(np.mean(rows, axis=1) - sd * _normal_density_at_quantile(alpha) / alpha)
+
+
 def gaussian_plugin_es(alpha: float, x) -> float:
     """Normal moment plug-in: -(mean - sd * phi(Phi^-1(alpha)) / alpha).
 
@@ -243,14 +262,7 @@ def gaussian_plugin_es(alpha: float, x) -> float:
     required. Not an order-statistic estimator, and not monotone: it can
     assign higher risk to a dominating sample.
     """
-    _check_level(alpha)
-    values = np.asarray(x, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("plug-in needs a one-dimensional sample with n >= 2")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("sample must contain only finite values")
-    sd = float(np.std(values, ddof=1))
-    return float(-(np.mean(values) - sd * _normal_density_at_quantile(alpha) / alpha))
+    return float(gaussian_plugin_rows(alpha, np.asarray(x, dtype=float)[None])[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,65 +297,64 @@ class ExpectileSolution:
         return WeightVector(a, monotone_flag=True)
 
 
-def expectile_estimate(alpha: float, x) -> ExpectileSolution:
-    """Solve the empirical expectile equation exactly, segment by segment.
+def expectile_rows(alpha: float, block) -> np.ndarray:
+    """The expectile risk -e of every row of an (m, n) block, e the row's
+    exact empirical expectile; a row's value has the same bits in any block.
 
     The first-order condition g(c) = alpha*sum(x-c)_+ - (1-alpha)*sum(x-c)_-
-    is continuous, piecewise linear, and strictly decreasing, so the root is
+    is continuous, piecewise linear, and strictly decreasing, so each root is
     pinned between two order statistics and solved by one linear equation;
     no iterative tolerance is involved. Requires 0 < alpha <= 1/2 so that
     the realized weights are non-increasing.
     """
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
-    values = np.asarray(x, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValueError("expectile needs a non-empty one-dimensional sample")
-    if not np.all(np.isfinite(values)):
-        raise ValueError("sample must contain only finite values")
-
-    s = np.sort(values)
-    n = s.size
-    prefix = np.cumsum(s)
-    total = prefix[-1]
-
-    # g at every order statistic: g(s_j) with the sums split at k = j
+    s = np.sort(_sample_rows(block, 1), axis=1)
+    rows, n = np.arange(len(s)), s.shape[1]
+    prefix = np.cumsum(s, axis=1)
+    total = prefix[:, -1]
     j = np.arange(1, n + 1)
-    g = alpha * ((total - prefix) - (n - j) * s) - (1.0 - alpha) * (j * s - prefix)
 
-    # g(s_1) >= 0 and g(s_n) <= 0 always; find the first order statistic
-    # where g dips to zero or below.
-    hits = np.flatnonzero(g <= 0.0)
-    if not hits.size:
-        # g(s_n) <= 0 mathematically, but prefix-sum dust can leave g(s_n)
-        # a few ulp above zero on near-constant samples; the root is then
-        # s_n itself and the residual check below still vouches for it.
-        root = float(s[-1])
-    elif hits[0] == 0:
-        root = float(s[0])
-    else:
-        k = int(hits[0])
-        below = prefix[k - 1]
-        num = alpha * (total - below) + (1.0 - alpha) * below
-        den = alpha * (n - k) + (1.0 - alpha) * k
-        root = num / den
+    # g at every order statistic, g(s_j) with the sums split at k = j, in
+    # two scratch buffers: alpha*((total - prefix) - (n-j)*s) - (1-alpha)*(j*s - prefix)
+    g, t = np.subtract(total[:, None], prefix), np.multiply(n - j, s)
+    g = np.multiply(alpha, np.subtract(g, t, out=g), out=g)
+    g -= np.multiply(1.0 - alpha, np.subtract(np.multiply(j, s, out=t), prefix, out=t), out=t)
 
-    diff = s - root
-    residual = alpha * float(np.sum(diff[diff > 0.0])) + (1.0 - alpha) * float(
-        np.sum(diff[diff < 0.0])
-    )
-    scale = 1.0 + float(np.sum(np.abs(diff)))
-    if abs(residual) > EXPECTILE_RESIDUAL_RTOL * scale:
-        raise RuntimeError(
-            f"expectile residual {residual!r} exceeds tolerance at scale {scale!r}"
-        )
+    # g(s_1) >= 0 and g(s_n) <= 0 always; the root follows the first s_k
+    # with g(s_k) <= 0. With no hit, prefix-sum dust left g(s_n) a few ulp
+    # above zero on a near-constant sample: the root is s_n itself.
+    hits = g <= 0.0
+    k = np.argmax(hits, axis=1)
+    below = prefix[rows, k - 1]
+    num = alpha * (total - below) + (1.0 - alpha) * below
+    root = np.where(k == 0, s[:, 0], num / (alpha * (n - k) + (1.0 - alpha) * k))
+    root = np.where(hits[rows, k], root, s[:, -1])
 
+    # each root's residual, from s - root in the same two buffers
+    np.subtract(s, root[:, None], out=g)
+    up = np.maximum(g, 0.0, out=t).sum(axis=1)
+    down = np.minimum(g, 0.0, out=t).sum(axis=1)
+    residual = alpha * up + (1.0 - alpha) * down
+    scale = 1.0 + up - down
+    bad = np.flatnonzero(np.abs(residual) > EXPECTILE_RESIDUAL_RTOL * scale)
+    if bad.size:
+        r, c = residual[bad[0]], scale[bad[0]]
+        raise RuntimeError(f"expectile residual {r!r} exceeds tolerance at scale {c!r}")
+    return -root
+
+
+def expectile_estimate(alpha: float, x) -> ExpectileSolution:
+    """The exact empirical expectile of one sample: expectile_rows on its
+    one-row block."""
+    values = np.asarray(x, dtype=float)
+    exp_var = float(expectile_rows(alpha, values[None])[0])
     return ExpectileSolution(
         alpha=alpha,
-        expectile=float(root),
-        exp_var=float(-root),
-        n_star=int(np.searchsorted(s, root, side="right")),
-        n=n,
+        expectile=-exp_var,
+        exp_var=exp_var,
+        n_star=int(np.count_nonzero(values <= -exp_var)),
+        n=values.size,
     )
 
 

@@ -175,7 +175,7 @@ def test_c05_axiom_battery():
                 for _ in range(3)
             )
         )
-        fn = lambda x, m=m: apply_supremum(m, x).value
+        fn = m.as_callable()
         for axiom in (
             "monotonicity",
             "cash_additivity",

@@ -120,6 +120,30 @@ class TestCoherence:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("riskbench: error: --n:")
 
+    # --alpha and --n are checked for every kind of estimator before any
+    # probe is drawn, and the message names the flag
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["coherence", "--estimator", "es1", "--n", "1"], "--n"),
+            (["extract", "--estimator", "es1", "--n", "0"], "--n"),
+            (["coherence", "--estimator", "expvar", "--n", "0"], "--n"),
+            (["coherence", "--estimator", "expvar", "--alpha", "0.7"], "--alpha"),
+            (["extract", "--estimator", "expvar", "--alpha", "0.7"], "--alpha"),
+            (["coherence", "--estimator", "es1", "--alpha", "1.5"], "--alpha"),
+            (["extract", "--estimator", "gaussian", "--alpha", "0"], "--alpha"),
+        ],
+    )
+    def test_bad_level_or_size_names_the_flag(self, capsys, monkeypatch, argv, flag):
+        monkeypatch.setattr(cli, "check_all", pytest.fail)  # no probe runs
+        monkeypatch.setattr(cli, "extract_comonotonic_weights", pytest.fail)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"riskbench: error: {flag}:")
+
 
 class TestTrueRisk:
     def test_closed_form(self, capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskbench import coherence
+from riskbench import cli, coherence
 from riskbench.coherence import (
     AXIOMS,
     VIOLATION_RTOL,
@@ -18,7 +18,7 @@ from riskbench.coherence import (
     extract_comonotonic_weights,
     verify_representation,
 )
-from riskbench.core import WeightVector, apply_l_estimator
+from riskbench.core import SupremumCre, WeightVector, apply_l_estimator, apply_supremum
 from riskbench.estimators import (
     build_estimator,
     expectile_estimate,
@@ -174,6 +174,53 @@ class TestBlockScoring:
         report = check_all(fn, 40, trials=80, seed=21)
         assert report.failed_axioms()
         assert _sha256(report.to_json()) == digest
+
+    # the CLI's gaussian and expvar carry `.rows` block kernels: the battery
+    # never calls them per row, and their reports keep the digests pinned
+    # above from the per-call battery
+    @pytest.mark.parametrize(
+        "name, alpha, scalar, digest",
+        [
+            (
+                "gaussian",
+                0.025,
+                "gaussian_plugin_es",
+                "8ba5c357d74fb187365eb7bf800ecee1a460229e5e094a456cc45c17f7b62160",
+            ),
+            (
+                "expvar",
+                0.1,
+                "expectile_estimate",
+                "eaf04b6d5c6b873a32158f62358ff3d8373cf8cdf257bba117f81834f08b3ff0",
+            ),
+        ],
+    )
+    def test_cli_block_kernels_keep_the_pinned_reports(
+        self, monkeypatch, name, alpha, scalar, digest
+    ):
+        fn = cli._resolve_functional(name, alpha, 40)
+        monkeypatch.setattr(cli, scalar, pytest.fail)  # no per-row call
+        report = check_all(fn, 40, trials=80, seed=21)
+        assert _sha256(report.to_json()) == digest
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_supremum_kernel_matches_the_row_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 20
+        m = SupremumCre(
+            tuple(WeightVector(monotone_simplex(rng, n), monotone_flag=True) for _ in range(4))
+        )
+        fn = m.as_callable()
+        block = np.vstack([coherence._deck(n), coherence._random_probes(rng, 300, n)])
+        want = np.array([apply_supremum(m, x).value for x in block])
+        scale = np.max(np.abs(block), axis=1)
+        assert np.all(np.abs(fn.rows(block) - want) <= 1e-12 * (1.0 + scale))
+        assert [fn(x) for x in block] == want.tolist()
+        by_row = check_all(lambda x: apply_supremum(m, x).value, n, trials=300, seed=seed)
+        by_block = check_all(fn, n, trials=300, seed=seed)
+        verdicts = [c.passed for c in by_block.checks]
+        assert verdicts == [c.passed for c in by_row.checks]
+        assert verdicts[:5] == [True] * 5
 
     def test_violation_past_the_first_block(self):
         calls = []

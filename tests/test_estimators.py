@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from riskbench import estimators
 from riskbench.bench import DEFAULT_ESTIMATORS
 from riskbench.core import WeightVector, apply_l_estimator
 from riskbench.estimators import (
@@ -16,7 +17,9 @@ from riskbench.estimators import (
     es2_tail_average,
     es_spectrum,
     expectile_estimate,
+    expectile_rows,
     gaussian_plugin_es,
+    gaussian_plugin_rows,
     uniform_spectrum,
     var_and_es2_tail,
 )
@@ -294,6 +297,57 @@ class TestExpectile:
         sol = expectile_estimate(0.2, x)
         got = apply_l_estimator(sol.realized_weights, x)
         assert got == pytest.approx(sol.exp_var, abs=1e-9 * (1 + np.abs(x).max()))
+
+
+def _kernel_blocks():
+    """(m, n) blocks with ties, constant rows, t(2) rows, n = 2, and one
+    non-contiguous block."""
+    rng = np.random.default_rng(29)
+    heavy = rng.standard_t(2.0, (12, 250)) * 10.0 ** rng.uniform(-3.0, 3.0, (12, 1))
+    ties = np.round(rng.standard_normal((12, 40)), 1)
+    constant = np.vstack([np.full(30, 1.5), np.zeros(30), np.full(30, -1e8)])
+    near_constant = np.full((6, 100), 0.3) + 1e-15 * rng.standard_normal((6, 100))
+    pairs = rng.standard_normal((20, 2))
+    strided = np.asfortranarray(rng.standard_normal((16, 300)))[::2, ::3]
+    return [heavy, ties, constant, near_constant, pairs, strided]
+
+
+class TestBlockKernels:
+    @pytest.mark.parametrize(
+        "kernel, alpha",
+        [(expectile_rows, 0.1), (expectile_rows, 0.5), (gaussian_plugin_rows, 0.025)],
+    )
+    def test_block_equals_each_row_alone(self, kernel, alpha):
+        for block in _kernel_blocks():
+            alone = np.concatenate([kernel(alpha, row[None]) for row in block])
+            assert np.array_equal(kernel(alpha, block), alone)
+
+    def test_scalar_forms_are_the_one_row_case(self):
+        for block in _kernel_blocks():
+            exp_var = [expectile_estimate(0.1, row).exp_var for row in block]
+            plug_in = [gaussian_plugin_es(0.025, row) for row in block]
+            assert np.array_equal(expectile_rows(0.1, block), exp_var)
+            assert np.array_equal(gaussian_plugin_rows(0.025, block), plug_in)
+
+    def test_residual_check_raises(self, monkeypatch):
+        monkeypatch.setattr(estimators, "EXPECTILE_RESIDUAL_RTOL", -1.0)
+        with pytest.raises(RuntimeError, match="expectile residual"):
+            expectile_rows(0.1, np.array([[1.0, 2.0, 3.0]]))
+        with pytest.raises(RuntimeError, match="expectile residual"):
+            expectile_estimate(0.1, np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize(
+        "kernel, block",
+        [
+            (expectile_rows, np.zeros((2, 0))),
+            (expectile_rows, np.zeros(5)),
+            (gaussian_plugin_rows, np.zeros((3, 1))),
+            (gaussian_plugin_rows, np.array([[0.0, np.inf]])),
+        ],
+    )
+    def test_kernels_check_their_blocks(self, kernel, block):
+        with pytest.raises(ValueError):
+            kernel(0.1, block)
 
 
 class TestSpectra:

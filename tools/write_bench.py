@@ -1,11 +1,13 @@
 """Record the end-to-end performance of one riskbench source tree.
 
-    python tools/write_bench.py --label <x> [--tree <path>]
+    python tools/write_bench.py --label <x> [--tree <path>] [--before <path>]
 
 Writes BENCH_<label>.json at the root of the repository that holds this
 script. --tree is the riskbench source tree to measure (default: that same
-repository), for example a clone of an earlier commit, so that a before and
-an after file come from one machine in one session. The file holds:
+repository). --before names a second tree, for example a clone of the parent
+commit: both are then measured, section by section in turn, and the file
+holds the two records under "before" and "after", so that both come from one
+machine in one session. A record holds:
 
 - machine facts, the tree's git commit and a digest of its source files;
 - the full default study (`run_study(BenchConfig())`, serialized to CSV) in
@@ -15,12 +17,16 @@ an after file come from one machine in one session. The file holds:
 - start-up: over STARTUP_RUNS fresh interpreters that each run
   `import riskbench.cli` and exit, the median wall seconds of the whole
   process and the median of its peak resident set (ru_maxrss) in MB;
+- the axiom battery: for es1, expvar and gaussian, `riskbench coherence
+  --json` at n = 250, 300 trials, seed 42, in one fresh process: the median
+  seconds over COHERENCE_RUNS runs, the estimator evaluations (probe rows
+  scored) per run, and evaluations per second at that median;
 - the end-to-end medians of every workload in the tree's BENCHMARK.json,
   from its perfbench/run.py run unmodified as a subprocess at the
   benchmark's own run length and main seed.
 
 Every child runs with one BLAS thread, as the benchmark's children do.
-Takes about three minutes on a 2-core machine.
+Takes about three minutes per tree on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -96,6 +102,43 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 STARTUP_RUNS = 7
 
+# Run in a fresh interpreter: argv[1] is the tree's src directory. Times
+# each battery of COHERENCE_ARGV through cli.main, stdout discarded, and
+# counts the rows that coherence._rows' scorers are handed.
+COHERENCE_CHILD = r"""
+import contextlib, io, json, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from riskbench import cli, coherence
+
+evals, rows_of = [0], coherence._rows
+
+def counted(estimator):
+    score = rows_of(estimator)
+    def count(block):
+        evals[0] += len(block)
+        return score(block)
+    return count
+
+coherence._rows = counted
+out = {}
+for name in json.loads(sys.argv[2]):
+    argv = ["coherence", "--estimator", name, *json.loads(sys.argv[3])]
+    seconds = []
+    for _ in range(int(sys.argv[4])):
+        evals[0] = 0
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(argv)
+        seconds.append(time.perf_counter() - start)
+    median = statistics.median(seconds)
+    out[name] = {"exit_status": rc, "seconds": round(median, 4), "evals": evals[0],
+                 "evals_per_s": round(evals[0] / median)}
+print(json.dumps(out))
+"""
+COHERENCE_ESTIMATORS = ("es1", "expvar", "gaussian")
+COHERENCE_ARGV = ("--n", "250", "--trials", "300", "--seed", "42", "--json")
+COHERENCE_RUNS = 5
+
 
 def child_env() -> dict:
     env = dict(os.environ)
@@ -162,6 +205,15 @@ def run_startup(tree: Path) -> dict:
     }
 
 
+def run_coherence(tree: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", COHERENCE_CHILD, str(tree / "src"),
+         json.dumps(COHERENCE_ESTIMATORS), json.dumps(COHERENCE_ARGV), str(COHERENCE_RUNS)],
+        capture_output=True, text=True, cwd=tree, env=child_env(), check=True,
+    )
+    return {"argv": list(COHERENCE_ARGV), "runs": COHERENCE_RUNS, **json.loads(proc.stdout)}
+
+
 def run_workload(tree: Path, name: str, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", name, "--seconds", str(seconds),
@@ -175,37 +227,54 @@ def run_workload(tree: Path, name: str, seconds: int) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--tree", type=Path, default=REPO, help="source tree to measure")
-    args = parser.parse_args(argv)
-    if not args.label.replace("-", "").replace("_", "").isalnum():
-        parser.error(f"label must be letters, digits, '-' or '_', got {args.label!r}")
-    tree = args.tree.resolve()
+def source_tree(parser, path: Path) -> Path:
+    tree = path.resolve()
     if not (tree / "src" / "riskbench" / "__init__.py").is_file():
         parser.error(f"no riskbench source tree at {tree}")
-    benchmark = json.loads((tree / "BENCHMARK.json").read_text())
+    return tree
 
-    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    record = {
-        "label": args.label,
-        "started_utc": started,
-        "machine": machine_facts(),
+
+def tree_facts(tree: Path) -> dict:
+    return {
         "git_commit": git(tree, "rev-parse", "HEAD"),
         "uncommitted_changes": bool(git(tree, "status", "--porcelain", "--untracked-files=no")),
         "src_sha256": source_digest(tree),
     }
-    print(f"start-up of {tree} ...", file=sys.stderr)
-    record["startup"] = run_startup(tree)
-    print(f"full default study in {tree} ...", file=sys.stderr)
-    record["study"] = run_study(tree)
-    record["perfbench"] = {}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--tree", type=Path, default=REPO, help="source tree to measure")
+    parser.add_argument("--before", type=Path, help="a second tree, measured in turn with --tree")
+    args = parser.parse_args(argv)
+    if not args.label.replace("-", "").replace("_", "").isalnum():
+        parser.error(f"label must be letters, digits, '-' or '_', got {args.label!r}")
+    trees = {"after": source_tree(parser, args.tree)}
+    if args.before is not None:
+        trees = {"before": source_tree(parser, args.before), **trees}
+    benchmark = json.loads((trees["after"] / "BENCHMARK.json").read_text())
+
+    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    header = {"label": args.label, "started_utc": started, "machine": machine_facts()}
+    records = {key: tree_facts(tree) for key, tree in trees.items()}
+    sections = [
+        ("startup", "start-up", run_startup),
+        ("study", "full default study", run_study),
+        ("coherence", "coherence batteries", run_coherence),
+    ]
+    for field, what, run in sections:
+        for key, tree in trees.items():
+            print(f"{what} in {tree} ...", file=sys.stderr)
+            records[key][field] = run(tree)
     for workload in benchmark["workloads"]:
         name = workload["name"]
-        print(f"perfbench {name} ...", file=sys.stderr)
-        record["perfbench"][name] = run_workload(tree, name, benchmark["run_seconds"])
+        for key, tree in trees.items():
+            print(f"perfbench {name} in {tree} ...", file=sys.stderr)
+            perfbench = records[key].setdefault("perfbench", {})
+            perfbench[name] = run_workload(tree, name, benchmark["run_seconds"])
 
+    record = {**header, **records} if args.before is not None else {**header, **records["after"]}
     out = REPO / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {out}", file=sys.stderr)
