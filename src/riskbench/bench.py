@@ -95,10 +95,10 @@ class BenchConfig:
             "estimators", self.estimators, lambda name: build_estimator(name, self.alpha, self.n)
         )
         for spec in specs:
-            if snapped_floor(spec.alpha * self.k) < 1:
+            if not 1 <= snapped_floor(spec.alpha * self.k) < self.k:
                 raise ValueError(
                     f"k: estimator {spec.name!r} at level {spec.alpha} needs "
-                    f"floor(alpha*k) >= 1, got k = {self.k}"
+                    f"1 <= floor(alpha*k) < k, got k = {self.k}"
                 )
         if any(needs_oracle(horizon_target(d, s.horizon)) for d in dists for s in schemes):
             check_oracle_k(self.oracle_k, [spec.alpha for spec in specs])

@@ -89,21 +89,28 @@ def _add_coherence(sub) -> None:
     p.set_defaults(run=_cmd_coherence)
 
 
+# the functionals --estimator names besides the weight-based ones
+_BLACK_BOXES = ("expvar", "gaussian")
+
+
 def _resolve_functional(name: str, alpha: float, n: int):
-    """The functional --estimator names, carrying `.rows(block)`. --alpha and
-    --n are checked here, before any probe is drawn."""
+    """The functional --estimator names, in any case, carrying `.rows(block)`.
+    The name, --alpha and --n are checked here, before any probe is drawn."""
+    name = name.lower()
+    if name not in ESTIMATORS and name not in _BLACK_BOXES:
+        known = sorted([*ESTIMATORS, *_BLACK_BOXES])
+        raise ValueError(f"--estimator: unknown estimator {name!r}; expected one of {known}")
     if name == "expvar":
         level_ok, levels = 0.0 < alpha <= 0.5, "(0, 1/2]"
     else:  # var1 ignores --alpha
-        level_ok, levels = 0.0 < alpha < 1.0 or name.lower() == "var1", "(0, 1)"
+        level_ok, levels = 0.0 < alpha < 1.0 or name == "var1", "(0, 1)"
     if not level_ok:
         raise ValueError(f"--alpha: {name} needs a level in {levels}, got {alpha}")
-    if name not in ("gaussian", "expvar"):
+    if name not in _BLACK_BOXES:
         try:
             return build_estimator(name, alpha, n).as_callable()
-        except ValueError as exc:  # the size rule of a known name, or an unknown name
-            flag = "--n" if name.lower() in ESTIMATORS else "--estimator"
-            raise ValueError(f"{flag}: {exc}") from None
+        except ValueError as exc:  # the size rule of a known name
+            raise ValueError(f"--n: {exc}") from None
     least = 2 if name == "gaussian" else 1
     if n < least:
         raise ValueError(f"--n: {name} needs n >= {least}, got {n}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "WeightVector",
     "SupremumCre",
     "SupremumResult",
+    "simplex_defect",
     "apply_l_estimator",
     "score_sorted_rows",
     "apply_supremum",
@@ -48,6 +49,21 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
+def simplex_defect(weights: np.ndarray, monotone: bool) -> Optional[str]:
+    """The first simplex gate the weights fail, as a message, or None: entries
+    non-negative, sum within WEIGHT_SUM_ATOL of one and, when monotone is
+    set, non-increasing within MONOTONE_ATOL. With monotone set, passing
+    every gate is the comonotonic-CRE criterion."""
+    if np.any(weights < 0.0):
+        return "weights must be non-negative"
+    total = float(np.sum(weights))
+    if abs(total - 1.0) > WEIGHT_SUM_ATOL:
+        return f"weights must sum to 1 within {WEIGHT_SUM_ATOL}: got {total!r}"
+    if monotone and np.any(np.diff(weights) > MONOTONE_ATOL):
+        return "monotone_flag set but weights are not non-increasing"
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class WeightVector:
     """A point of the probability simplex: w_i >= 0, sum w_i = 1 (within 1e-12).
@@ -66,15 +82,9 @@ class WeightVector:
 
     def __post_init__(self):
         arr = _as_vector(self.weights, "weights")
-        if np.any(arr < 0.0):
-            raise ValueError("weights must be non-negative")
-        total = float(np.sum(arr))
-        if abs(total - 1.0) > WEIGHT_SUM_ATOL:
-            raise ValueError(
-                f"weights must sum to 1 within {WEIGHT_SUM_ATOL}: got {total!r}"
-            )
-        if self.monotone_flag and np.any(np.diff(arr) > MONOTONE_ATOL):
-            raise ValueError("monotone_flag set but weights are not non-increasing")
+        defect = simplex_defect(arr, self.monotone_flag)
+        if defect is not None:
+            raise ValueError(defect)
         object.__setattr__(self, "weights", arr)
 
     @property

@@ -19,9 +19,8 @@ from scipy import special
 from .estimators import (
     _check_level,
     _normal_density_at_quantile,
-    es2_tail_average,
     snapped_floor,
-    var_and_es2_tail,
+    tail_rows,
 )
 
 __all__ = [
@@ -426,12 +425,12 @@ def oracle_batch_size(oracle_k: int) -> int:
 def check_oracle_k(oracle_k: int, alphas) -> None:
     """Reject an oracle size too small for each batch's tail average at every level."""
     batch = oracle_batch_size(oracle_k)
-    low = min(alphas)
-    if snapped_floor(low * batch) < 1:
-        raise ValueError(
-            f"oracle_k: {oracle_k} leaves {batch} draws per oracle batch, "
-            f"too few for a tail average at level {low}; need floor(alpha*batch) >= 1"
-        )
+    for a in alphas:
+        if not 1 <= snapped_floor(a * batch) < batch:
+            raise ValueError(
+                f"oracle_k: {oracle_k} leaves {batch} draws per oracle batch, too few "
+                f"for a tail average at level {a}; need 1 <= floor(alpha*batch) < batch"
+            )
 
 
 def true_risk_levels(
@@ -467,13 +466,14 @@ def true_risk_levels(
     check_oracle_k(oracle_k, levels)
     k = oracle_batch_size(oracle_k) * ORACLE_BATCHES
     values = _oracle_sample(dist, k, seed)
-    batches = values.reshape(ORACLE_BATCHES, -1)
     out = {}
     for a in levels:
-        var, es = var_and_es2_tail(values, a)
-        per_batch = np.array([es2_tail_average(b, a) for b in batches])
+        var, _, es = tail_rows(a, values[None])
+        _, _, per_batch = tail_rows(a, values.reshape(ORACLE_BATCHES, -1))
         se = float(np.std(per_batch, ddof=1) / math.sqrt(ORACLE_BATCHES))
-        out[a] = TrueRisk(var, es, "mc_oracle", se, oracle_k=k, oracle_seed=seed)
+        out[a] = TrueRisk(
+            float(var[0]), float(es[0]), "mc_oracle", se, oracle_k=k, oracle_seed=seed
+        )
     return out
 
 

@@ -16,13 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .core import (
-    MONOTONE_ATOL,
-    WEIGHT_SUM_ATOL,
-    WeightVector,
-    apply_l_estimator,
-    score_sorted_rows,
-)
+from .core import WeightVector, apply_l_estimator, score_sorted_rows, simplex_defect
 
 __all__ = [
     "ESTIMATORS",
@@ -30,6 +24,7 @@ __all__ = [
     "build_estimator",
     "gaussian_plugin_es",
     "gaussian_plugin_rows",
+    "tail_rows",
     "ExpectileSolution",
     "expectile_estimate",
     "expectile_rows",
@@ -38,9 +33,6 @@ __all__ = [
     "uniform_spectrum",
     "build_spectral_weights",
     "build_spectral_weights_alt",
-    "es1_tail_average",
-    "es2_tail_average",
-    "var_and_es2_tail",
     "snapped_floor",
     "DEFAULT_XI",
 ]
@@ -79,15 +71,6 @@ def _check_level(alpha: float) -> None:
 def _check_size(n: int) -> None:
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError(f"sample size n must be a positive integer, got {n!r}")
-
-
-def _structurally_coherent(weights: np.ndarray) -> bool:
-    """Simplex membership plus non-increase: the comonotonic-CRE criterion."""
-    if np.any(weights < 0.0):
-        return False
-    if abs(float(np.sum(weights)) - 1.0) > WEIGHT_SUM_ATOL:
-        return False
-    return not np.any(np.diff(weights) > MONOTONE_ATOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +206,7 @@ def build_estimator(name: str, alpha: float, n: int) -> LEstimatorSpec:
     _check_size(n)
     weights = rule(alpha, n)
     weights.setflags(write=False)
-    return LEstimatorSpec(key, alpha, n, weights, _structurally_coherent(weights))
+    return LEstimatorSpec(key, alpha, n, weights, simplex_defect(weights, True) is None)
 
 
 @functools.lru_cache(maxsize=64)
@@ -263,6 +246,27 @@ def gaussian_plugin_es(alpha: float, x) -> float:
     assign higher risk to a dominating sample.
     """
     return float(gaussian_plugin_rows(alpha, np.asarray(x, dtype=float)[None])[0])
+
+
+def tail_rows(alpha: float, block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The var, es1 and es2 estimates (var, es1, es2) of every row of an
+    (m, n) block, each row's values bit for bit those it has alone.
+
+    With k = floor(alpha*n) and frac its remainder, var is -x_(k+1), es1 is
+    -(x_(1) + ... + x_(k)) / k and es2 is -(x_(1) + ... + x_(k) +
+    frac * x_(k+1)) / (k + frac). One row-wise partition stands in for the
+    full sort, so rows may be as long as an oracle sample. Needs 1 <= k < n.
+    """
+    _check_level(alpha)
+    rows = _sample_rows(block, 1)
+    n = rows.shape[1]
+    k, frac = _snapped_split(alpha * n)
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= floor(alpha*n) < n, got {k} at n = {n}")
+    part = np.partition(rows, k, axis=1)
+    tail = np.sum(part[:, :k], axis=1)
+    boundary = part[:, k]
+    return -boundary, -tail / k, -(tail + frac * boundary) / (k + frac)
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,60 +457,3 @@ def build_spectral_weights_alt(spectrum: SpectrumSpec, n: int) -> WeightVector:
     if total <= 0.0:
         raise ValueError("spectrum vanishes at every grid point i/n")
     return WeightVector(raw / total, monotone_flag=True)
-
-
-# ---------------------------------------------------------------------------
-# Direct tail evaluations on large flat samples. Same definitions as the
-# weight-built estimators, but via partition rather than a full sort, for
-# oracle-sized inputs. Cross-checked against the weight route in the tests.
-
-
-def _flat_sample(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("need a non-empty one-dimensional sample")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample must contain only finite values")
-    return arr
-
-
-def es1_tail_average(values, alpha: float) -> float:
-    """Minus the mean of the floor(alpha n) worst outcomes."""
-    _check_level(alpha)
-    arr = _flat_sample(values)
-    m, _ = _snapped_split(alpha * arr.size)
-    if m < 1:
-        raise ValueError(f"need floor(alpha*n) >= 1, got alpha*n = {alpha * arr.size}")
-    if m >= arr.size:
-        return float(-np.mean(arr))
-    return float(-np.mean(np.partition(arr, m)[:m]))
-
-
-def es2_tail_average(values, alpha: float) -> float:
-    """Exact-mass tail average: fractional weight on the boundary order statistic."""
-    _check_level(alpha)
-    arr = _flat_sample(values)
-    m, frac = _snapped_split(alpha * arr.size)
-    if m < 1:
-        raise ValueError(f"need floor(alpha*n) >= 1, got alpha*n = {alpha * arr.size}")
-    if m >= arr.size:
-        return float(-np.mean(arr))
-    return _es2_of_partition(np.partition(arr, m), m, frac)
-
-
-def var_and_es2_tail(values, alpha: float) -> tuple[float, float]:
-    """(empirical VaR -x_(m+1), es2_tail_average) of one sample, m =
-    floor(alpha n), read from one partition: VaR's order statistic is ES2's
-    boundary one."""
-    _check_level(alpha)
-    arr = _flat_sample(values)
-    m, frac = _snapped_split(alpha * arr.size)
-    if not 1 <= m < arr.size:
-        raise ValueError(f"need 1 <= floor(alpha*n) < n, got {m} at n = {arr.size}")
-    part = np.partition(arr, m)
-    return float(-part[m]), _es2_of_partition(part, m, frac)
-
-
-def _es2_of_partition(part: np.ndarray, m: int, frac: float) -> float:
-    tail = float(np.sum(part[:m])) + frac * float(part[m])
-    return float(-tail / (m + frac))

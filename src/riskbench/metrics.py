@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import score_sorted_rows
 from .distributions import TrueRisk, dist_label, sample as draw_dist
-from .estimators import LEstimatorSpec, es1_tail_average, snapped_floor
+from .estimators import LEstimatorSpec, snapped_floor, tail_rows
 from .sampling import RandomnessContract, ReplicationBlock, SamplingScheme, scheme_label
 
 __all__ = [
@@ -140,7 +140,8 @@ def _metrics_from(
         se_stderr = 0.0
 
     secured = companions + estimates
-    rb = -es1_tail_average(secured, alpha) / reference
+    _, es1, _ = tail_rows(alpha, secured[None])
+    rb = -es1[0] / reference
 
     prefix = np.cumsum(np.sort(secured))
     hits = np.nonzero(prefix >= 0.0)[0]
@@ -186,8 +187,8 @@ def run_group(
     if len(estimators) != len(references):
         raise ValueError("estimators and references must align")
     for spec in estimators:
-        if snapped_floor(spec.alpha * K) < 1:
-            raise ValueError(f"floor(alpha*K) >= 1 required, got alpha={spec.alpha}, K={K}")
+        if not 1 <= snapped_floor(spec.alpha * K) < K:
+            raise ValueError(f"1 <= floor(alpha*K) < K required, got alpha={spec.alpha}, K={K}")
     estimates, companions = _evaluate_replications(distribution, scheme, estimators, K, contract)
     return [
         _metrics_from(estimates[:, i], companions, float(spec.alpha), float(references[i]))

@@ -107,6 +107,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{field}\b"):
             tiny_config(**overrides)
 
+    def test_level_next_to_one_fails_at_construction(self):
+        # floor(alpha*k) snaps up to k = 20, which leaves no outcome past the
+        # rb tail; without the upper bound the study runs and reports rb = -2.4e10
+        with pytest.raises(ValueError, match=r"^k:"):
+            run_study(
+                BenchConfig(
+                    alpha=1 - 1e-12,
+                    k=20,
+                    n=20,
+                    distributions=("normal:0:1",),
+                    schemes=("iid",),
+                    estimators=("es1",),
+                )
+            )
+
     @pytest.mark.parametrize(
         "overrides, accepted",
         [
@@ -125,6 +140,18 @@ class TestConfig:
             (dict(distributions=("t:5",), oracle_k=100), False),
             (dict(distributions=("t:5",), schemes=("iid",), oracle_k=100), True),
             (dict(distributions=("normal:0:1",), oracle_k=1), True),
+            # k = 1000 leaves a secured outcome past the rb tail at this level,
+            # but a batch of 40 draws snaps floor(alpha*40) up to 40
+            (
+                dict(
+                    distributions=("nig:0.4:0.14:0:1",),
+                    schemes=("iid",),
+                    alpha=1 - 1e-11,
+                    k=1000,
+                    oracle_k=800,
+                ),
+                False,
+            ),
         ],
     )
     def test_oracle_k_must_fill_every_oracle_batch(self, overrides, accepted):

@@ -99,6 +99,22 @@ class TestCoherence:
         witness = next(c["witness"] for c in checks if not c["passed"])
         assert witness["defect"] != 0.0
 
+    def test_black_box_names_ignore_case(self, capsys):
+        argv = ["coherence", "--alpha", "0.1", "--n", "40", "--trials", "50", "--json"]
+        upper = run_cli(capsys, *argv, "--estimator", "GAUSSIAN")
+        lower = run_cli(capsys, *argv, "--estimator", "gaussian")
+        assert upper == lower
+        assert upper[0] == 1
+
+    @pytest.mark.parametrize("command", ["coherence", "extract"])
+    def test_unknown_name_lists_the_black_boxes(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--estimator", "es9"])
+        assert exc.value.code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("riskbench: error: --estimator: unknown estimator 'es9'")
+        assert "'expvar'" in last and "'gaussian'" in last
+
     @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--seed", "-1")])
     def test_out_of_range_flag_is_a_usage_error(self, capsys, monkeypatch, flag, value):
         monkeypatch.setattr(cli, "check_all", pytest.fail)  # no battery runs

@@ -256,6 +256,31 @@ class TestTrueRisk:
         assert pair[0.025].es_alpha == solo[0.025].es_alpha
         assert pair[0.01].es_alpha > pair[0.025].es_alpha
 
+    # (var_alpha, es_alpha, standard_error) as float.hex at oracle_k = 100 000,
+    # seed 0, recorded with one flat partition per oracle batch, a path
+    # independent of the row-wise tail kernel; 0.0123 leaves a fractional
+    # boundary weight in every batch of 5 000 draws, 0.025 none
+    ORACLE_BITS = {
+        (Nig(0.4, 0.14), 0.0123): (
+            "0x1.a68f5536af558p+1", "0x1.22940a1adad0ap+2", "0x1.7931cff3b6f21p-5"
+        ),
+        (Nig(0.4, 0.14), 0.025): (
+            "0x1.46341b2c5c259p+1", "0x1.d83dfbef9010dp+1", "0x1.00b82e3421bdfp-5"
+        ),
+        (HorizonSum(StudentT(5.0), 10), 0.0123): (
+            "0x1.2d16abaf1e868p+3", "0x1.6734805f1f9c5p+3", "0x1.2e3485f5221f1p-4"
+        ),
+        (HorizonSum(StudentT(5.0), 10), 0.025): (
+            "0x1.02cb83914dc54p+3", "0x1.3d9412cac3540p+3", "0x1.b3dba20342667p-5"
+        ),
+    }
+
+    @pytest.mark.parametrize("dist, alpha", list(ORACLE_BITS))
+    def test_oracle_bits_are_pinned(self, dist, alpha):
+        tr = true_risk(dist, alpha, oracle_k=100_000)
+        got = (tr.var_alpha.hex(), tr.es_alpha.hex(), tr.standard_error.hex())
+        assert got == self.ORACLE_BITS[dist, alpha]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrueRisk(var_alpha=2.0, es_alpha=1.0, method="closed_form", standard_error=0.0)

@@ -13,15 +13,13 @@ from riskbench.estimators import (
     build_estimator,
     build_spectral_weights,
     build_spectral_weights_alt,
-    es1_tail_average,
-    es2_tail_average,
     es_spectrum,
     expectile_estimate,
     expectile_rows,
     gaussian_plugin_es,
     gaussian_plugin_rows,
+    tail_rows,
     uniform_spectrum,
-    var_and_es2_tail,
 )
 
 ALPHA = 0.025
@@ -93,6 +91,19 @@ class TestWeightTables:
         assert WeightVector(es2, monotone_flag=True).monotone_flag
         with pytest.raises(ValueError):
             WeightVector(build_estimator("es5", ALPHA, N).weights, monotone_flag=True)
+
+    @pytest.mark.parametrize("alpha, n", [(0.025, 250), (0.1, 40), (0.2, 10)])
+    def test_is_cre_is_the_monotone_weight_vector_gate(self, alpha, n):
+        for name in ESTIMATORS:
+            if name == "var1" and n != 250:
+                continue  # defined at n = 250 only
+            spec = build_estimator(name, alpha, n)
+            try:
+                WeightVector(spec.weights, monotone_flag=True)
+            except ValueError:
+                assert not spec.is_cre, name
+            else:
+                assert spec.is_cre, name
 
     @pytest.mark.parametrize("name", sorted(SEVEN_WEIGHTS_3DP))
     def test_weights_are_non_increasing(self, name):
@@ -417,25 +428,70 @@ class TestTailEvaluators:
     def test_var_counterexample_inputs(self):
         x = np.zeros(100)
         x[0] = -100.0
-        assert var_and_es2_tail(x, 0.01)[0] == 0.0
+        assert tail_rows(0.01, x[None])[0][0] == 0.0
 
     def test_es1_hand_value(self):
-        got = es1_tail_average(np.array([4.0, 3.0, 1.0, 2.0]), 0.5)
-        assert got == -1.5
+        _, es1, _ = tail_rows(0.5, np.array([[4.0, 3.0, 1.0, 2.0]]))
+        assert es1[0] == -1.5
 
     def test_es2_matches_weight_builder(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=40)
         spec = build_estimator("es2", 0.025, 40)
         want = apply_l_estimator(spec.weights, x)
-        assert es2_tail_average(x, 0.025) == pytest.approx(want, abs=1e-12)
+        assert tail_rows(0.025, x[None])[2][0] == pytest.approx(want, abs=1e-12)
 
     def test_var_matches_weight_builder(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=100)
         spec = build_estimator("var", 0.05, 100)
         want = apply_l_estimator(spec.weights, x)
-        assert var_and_es2_tail(x, 0.05)[0] == pytest.approx(want, abs=1e-12)
+        assert tail_rows(0.05, x[None])[0][0] == pytest.approx(want, abs=1e-12)
+
+
+def _tail_blocks():
+    rng = np.random.default_rng(2024)
+    wide = rng.standard_normal((8, 90))
+    return {
+        "ties": (0.1, rng.integers(-3, 3, size=(12, 40)).astype(float)),
+        "fractional": (0.0123, rng.standard_normal((9, 250))),
+        "integral": (0.025, rng.standard_normal((9, 240))),
+        "t2": (0.025, rng.standard_t(2.0, size=(10, 250))),
+        "n2": (0.5, rng.standard_normal((7, 2))),
+        "strided": (0.05, wide[::2, ::3]),
+        "wide": (0.025, rng.standard_normal((20, 50_000))),
+    }
+
+
+class TestTailRows:
+    @pytest.mark.parametrize("case", list(_tail_blocks()))
+    def test_each_row_has_its_bits_alone(self, case):
+        alpha, block = _tail_blocks()[case]
+        got = tail_rows(alpha, block)
+        for i, row in enumerate(block):
+            alone = tail_rows(alpha, row[None])
+            for values, one in zip(got, alone):
+                assert np.array_equal(values[i : i + 1], one)
+
+    def test_fractional_boundary_weight(self):
+        # alpha*n = 1.5: es2 puts weight 1 on x_(1) and 1/2 on x_(2)
+        var, es1, es2 = tail_rows(0.375, np.array([[3.0, -2.0, 1.0, -4.0]]))
+        assert (var[0], es1[0], es2[0]) == (2.0, 4.0, -(-4.0 - 1.0) / 1.5)
+
+    @pytest.mark.parametrize("alpha, n", [(0.01, 50), (1.0 - 1e-12, 20)])
+    def test_rejects_an_empty_or_full_tail(self, alpha, n):
+        k = estimators.snapped_floor(alpha * n)
+        with pytest.raises(ValueError, match=rf"got {k} at n = {n}$"):
+            tail_rows(alpha, np.zeros((3, n)))
+
+    @pytest.mark.parametrize("alpha, n", [(0.025, 250), (0.1, 40), (0.2, 10)])
+    @pytest.mark.parametrize("name", ["var", "es1", "es2"])
+    def test_matches_the_weight_estimators(self, name, alpha, n):
+        block = np.random.default_rng(5).standard_normal((6, n))
+        weights = build_estimator(name, alpha, n).weights
+        got = tail_rows(alpha, block)[("var", "es1", "es2").index(name)]
+        want = [apply_l_estimator(weights, row) for row in block]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 
 class TestEvaluationSemantics:

@@ -14,10 +14,8 @@ from riskbench.distributions import (
     sample,
     true_risk,
 )
-from riskbench.estimators import (
-    build_estimator,
-    es1_tail_average,
-)
+from riskbench import metrics
+from riskbench.estimators import build_estimator, snapped_floor, tail_rows
 from riskbench.metrics import (
     MetricReport,
     _evaluate_replications,
@@ -77,7 +75,11 @@ def naive_metrics(estimates, companions, alpha, reference):
     se = math.sqrt(np.mean(err**2)) / reference
     sb = np.mean(estimates) / reference - 1.0
     secured = companions + estimates
-    rb = -es1_tail_average(secured, alpha) / reference
+    # es1 of the secured outcomes from a flat partition, independent of the
+    # row-wise tail kernel the study reads
+    m = snapped_floor(alpha * len(secured))
+    es1 = -np.mean(np.partition(secured, m)[:m])
+    rb = -es1 / reference
     prefix = np.cumsum(np.sort(secured))
     hits = np.nonzero(prefix >= 0.0)[0]
     ct = (hits[0] + 1) / len(secured) if hits.size else 1.0
@@ -115,7 +117,7 @@ class TestAgainstNaiveReplay:
             assert rep.ae == pytest.approx(ae, abs=1e-12)
             assert rep.se == pytest.approx(se, abs=1e-12)
             assert rep.sb == pytest.approx(sb, abs=1e-12)
-            assert rep.rb == pytest.approx(rb, abs=1e-12)
+            assert rep.rb == rb
             assert rep.ct == pytest.approx(ct, abs=1e-15)
 
     def test_group_membership_does_not_change_bits(self):
@@ -218,17 +220,26 @@ class TestMetricDefinitions:
 
     def test_tail_gates_share_the_snapped_floor(self):
         # alpha*K = 0.9999999999999999 here: a plain int() floor gives 0, while
-        # es1_tail_average snaps it to a one-outcome tail
+        # the tail kernel snaps it to a one-outcome tail
         alpha, k = 1.0 / 49.0, 49
         assert alpha * k < 1.0
-        assert es1_tail_average(np.arange(k) + 5.0, alpha) == -5.0
+        assert tail_rows(alpha, np.arange(k)[None] + 5.0)[1][0] == -5.0
         # the metric level is the spec's own: n = 49 snaps to a one-outcome tail too
         spec = build_estimator("es1", alpha, k)
         rep = run_group(Normal(), Iid(k), [spec], [1.0], k, RandomnessContract(1))[0]
         estimates, companions = _evaluate_replications(
             Normal(), Iid(k), [spec], k, RandomnessContract(1)
         )
-        assert rep.rb == -es1_tail_average(companions + estimates[:, 0], alpha)
+        assert rep.rb == naive_metrics(estimates[:, 0], companions, alpha, 1.0)[3]
+
+    def test_level_next_to_one_is_rejected_before_any_draw(self, monkeypatch):
+        # floor(alpha*K) snaps up to K: no outcome is left past the tail
+        alpha, k = 1.0 - 1e-12, 20
+        assert snapped_floor(alpha * k) == k
+        spec = build_estimator("es1", alpha, k)
+        monkeypatch.setattr(metrics, "_evaluate_replications", pytest.fail)
+        with pytest.raises(ValueError, match=r"1 <= floor\(alpha\*K\) < K"):
+            run_group(Normal(), Iid(k), [spec], [1.0], k, RandomnessContract(1))
 
     def test_rejects_nonpositive_reference(self):
         contract = RandomnessContract(1)
