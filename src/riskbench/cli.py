@@ -10,6 +10,7 @@ runs the Monte Carlo study.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -25,9 +26,7 @@ from .estimators import (
     ESTIMATORS,
     build_estimator,
     es_spectrum,
-    expectile_estimate,
     expectile_rows,
-    gaussian_plugin_es,
     gaussian_plugin_rows,
     uniform_spectrum,
 )
@@ -94,7 +93,7 @@ _BLACK_BOXES = ("expvar", "gaussian")
 
 
 def _resolve_functional(name: str, alpha: float, n: int):
-    """The functional --estimator names, in any case, carrying `.rows(block)`.
+    """The block function of the functional --estimator names, in any case.
     The name, --alpha and --n are checked here, before any probe is drawn."""
     name = name.lower()
     if name not in ESTIMATORS and name not in _BLACK_BOXES:
@@ -108,19 +107,14 @@ def _resolve_functional(name: str, alpha: float, n: int):
         raise ValueError(f"--alpha: {name} needs a level in {levels}, got {alpha}")
     if name not in _BLACK_BOXES:
         try:
-            return build_estimator(name, alpha, n).as_callable()
+            return build_estimator(name, alpha, n).rows
         except ValueError as exc:  # the size rule of a known name
             raise ValueError(f"--n: {exc}") from None
     least = 2 if name == "gaussian" else 1
     if n < least:
         raise ValueError(f"--n: {name} needs n >= {least}, got {n}")
-    if name == "gaussian":
-        fn = lambda x: gaussian_plugin_es(alpha, x)
-        fn.rows = lambda block: gaussian_plugin_rows(alpha, block)
-    else:
-        fn = lambda x: expectile_estimate(alpha, x).exp_var
-        fn.rows = lambda block: expectile_rows(alpha, block)
-    return fn
+    kernel = gaussian_plugin_rows if name == "gaussian" else expectile_rows
+    return functools.partial(kernel, alpha)
 
 
 def _cmd_coherence(args) -> int:
@@ -154,10 +148,19 @@ def _add_true_risk(sub) -> None:
     p.set_defaults(run=_cmd_true_risk)
 
 
+def _parse_dist(text: str):
+    try:
+        return parse_dist(text)
+    except ValueError as exc:
+        raise ValueError(f"--dist: {exc}") from None
+
+
 def _cmd_true_risk(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed: need a non-negative integer, got {args.seed}")
-    dist = parse_dist(args.dist)
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"--alpha: need a level in (0, 1), got {args.alpha}")
+    dist = _parse_dist(args.dist)
     risk = true_risk(dist, args.alpha, oracle_k=args.oracle_k, seed=args.seed)
     payload = {
         "dist": args.dist,
@@ -179,7 +182,7 @@ def _add_consistency(sub) -> None:
         "consistency", help="empirical error of a spectral approximation vs sample size"
     )
     p.add_argument("--spectrum", choices=("es", "uniform"), default="es")
-    p.add_argument("--alpha", type=float, default=0.025)
+    p.add_argument("--alpha", type=float, default=0.025, help="the es spectrum's level")
     p.add_argument("--builder", choices=tuple(DISCRETIZATIONS), default="integral")
     p.add_argument("--n", default="100,1000,10000", help="comma separated sample sizes")
     p.add_argument("--dist", default="normal:0:1")
@@ -191,12 +194,22 @@ def _add_consistency(sub) -> None:
 def _cmd_consistency(args) -> int:
     if args.reps < 2:
         raise ValueError(f"--reps: need at least two replications per size, got {args.reps}")
-    spectrum = es_spectrum(args.alpha) if args.spectrum == "es" else uniform_spectrum()
+    try:
+        spectrum = es_spectrum(args.alpha) if args.spectrum == "es" else uniform_spectrum()
+    except ValueError as exc:
+        raise ValueError(f"--alpha: {exc}") from None
     try:
         n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"--n: expected comma separated integers, got {args.n!r}") from None
-    dist = parse_dist(args.dist)
+    if not n_list:
+        raise ValueError("--n: need at least one sample size")
+    for n in n_list:  # each size's weights must exist before any draw
+        try:
+            DISCRETIZATIONS[args.builder](spectrum, n)
+        except ValueError as exc:
+            raise ValueError(f"--n: {exc}") from None
+    dist = _parse_dist(args.dist)
     rows = empirical_consistency(
         dist, spectrum, args.builder, args.alpha, n_list, reps=args.reps, seed=args.seed
     )

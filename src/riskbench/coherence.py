@@ -1,12 +1,12 @@
 """Black-box coherence testing and robust-representation extraction.
 
-An estimator here is any callable from length-n float arrays to floats.
-Each axiom check runs a fixed adversarial deck first (unit spikes, constant
-shifts, paired tail spikes) and then randomized probes, and returns either
-PASS with the trial count or FAIL with a replayable witness. Probes are
-scored in row blocks through the estimator's `.rows(block)`. Every built-in
-functional carries one (weight estimators, suprema, the Gaussian plug-in and
-the expectile); only a user's own callable without it is called once per row.
+An estimator here is a block function: it maps an (m, n) float array, one
+sample per row, to the m values of its rows (`LEstimatorSpec.rows`,
+`SupremumCre.rows`, `gaussian_plugin_rows` and `expectile_rows` bound to a
+level). Each axiom check runs a fixed adversarial deck first (unit spikes,
+constant shifts, paired tail spikes) and then randomized probes, scored in
+row blocks, and returns either PASS with the trial count or FAIL with a
+replayable witness.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = [
     "VIOLATION_RTOL",
 ]
 
-Estimator = Callable[[np.ndarray], float]
+Estimator = Callable[[np.ndarray], np.ndarray]  # an (m, n) block to its m values
 
 # A defect counts as a violation when it exceeds 1e-9 * (1 + scale), where
 # scale is the largest magnitude among the probe inputs involved.
@@ -153,16 +153,22 @@ def _random_probes(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
 # flat in the trial count (262 rows at n = 250).
 _BLOCK_FLOATS = 1 << 16
 
-Rows = Callable[[np.ndarray], np.ndarray]
 
+def _rows(estimator: Estimator) -> Estimator:
+    """The estimator, checked to map each (m, n) block to its m values: it
+    comes from outside the program, so a per-sample function fails here."""
 
-def _rows(estimator: Estimator) -> Rows:
-    """Score an (m, n) block to m values through the estimator's own `.rows`,
-    which every built-in functional has; else row by row, for a user's callable."""
-    rows = getattr(estimator, "rows", None)
-    if rows is not None:
-        return rows
-    return lambda block: np.array([estimator(x) for x in block], dtype=float)
+    def score(block: np.ndarray) -> np.ndarray:
+        expected = f"estimator must map a block of shape {block.shape} to shape ({len(block)},)"
+        try:
+            values = np.asarray(estimator(block), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{expected}; it raised: {exc}") from exc
+        if values.shape != (len(block),):
+            raise ValueError(f"{expected}, got shape {values.shape}")
+        return values
+
+    return score
 
 
 def _probe_blocks(probes: np.ndarray, rows_per_probe: int, lead_rows: int = 0):
@@ -198,31 +204,31 @@ def _first(violated: np.ndarray) -> Optional[int]:
 # scan and Witness.replay (on one-row blocks) share these five functions.
 
 
-def _dominance(score: Rows, hi: np.ndarray, lo: np.ndarray):
+def _dominance(score: Estimator, hi: np.ndarray, lo: np.ndarray):
     # hi >= lo entrywise must give estimator(hi) <= estimator(lo)
     values = score(np.vstack([hi, lo]))
     return values[: len(hi)], values[len(hi) :]
 
 
-def _shift(score: Rows, x: np.ndarray, m: np.ndarray):
+def _shift(score: Estimator, x: np.ndarray, m: np.ndarray):
     base = score(x)
     got = score((x[:, None, :] + m[:, :, None]).reshape(-1, x.shape[1]))
     return got.reshape(m.shape), base[:, None] - m
 
 
-def _scale(score: Rows, x: np.ndarray, lam: np.ndarray):
+def _scale(score: Estimator, x: np.ndarray, lam: np.ndarray):
     base = score(x)
     got = score((lam[:, :, None] * x[:, None, :]).reshape(-1, x.shape[1]))
     return got.reshape(lam.shape), lam * base[:, None]
 
 
-def _merge(score: Rows, x: np.ndarray, y: np.ndarray):
+def _merge(score: Estimator, x: np.ndarray, y: np.ndarray):
     c = len(x)
     values = score(np.vstack([x, y, x + y]))
     return values[2 * c :], values[:c] + values[c : 2 * c]
 
 
-def _reorder(score: Rows, x: np.ndarray, y: np.ndarray):
+def _reorder(score: Estimator, x: np.ndarray, y: np.ndarray):
     # each row of x is followed in y by len(y) // len(x) reorderings of it
     values = score(np.vstack([x, y]))
     return values[len(x) :], np.repeat(values[: len(x)], len(y) // len(x))
@@ -338,7 +344,7 @@ _AXIOMS = {
 AXIOMS = tuple(_AXIOMS)
 
 
-def _scan(axiom: str, score: Rows, probes: np.ndarray, rng: np.random.Generator):
+def _scan(axiom: str, score: Estimator, probes: np.ndarray, rng: np.random.Generator):
     """The first violation of one axiom in (probe, case) order, or None."""
     spec = _AXIOMS[axiom]
     for a, b, tol in spec.cases(probes, rng):
@@ -368,8 +374,8 @@ def check_axiom(
     """Probe one axiom with the adversarial deck plus randomized inputs.
 
     Args:
-        estimator: callable from length-n arrays to floats; must be pure.
-            One that carries `.rows` is scored a block of probes at a time.
+        estimator: block function from (m, n) arrays to their m values;
+            must be pure.
         axiom: one of AXIOMS.
         n: probe dimension, n >= 1.
         trials: number of randomized probes after the deck.
@@ -451,8 +457,8 @@ def verify_representation(
     weights: WeightVector,
     trials: int = 200,
 ) -> VerificationResult:
-    """Check estimator(x) == -<weights, sort(x)> on deck plus random probes
-    drawn from seed 0."""
+    """Check that the estimator scores every probe x as -<weights, sort(x)>,
+    on the deck plus random probes drawn from seed 0."""
     n = weights.n
     rng = np.random.default_rng(0)
     probes = np.vstack([_deck(n), _random_probes(rng, trials, n)])

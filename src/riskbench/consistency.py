@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import WeightVector, apply_l_estimator
-from .distributions import true_risk
+from .distributions import Nig, Normal, nig_moments, true_risk
 from .estimators import SpectrumSpec, build_spectral_weights, build_spectral_weights_alt
 from .sampling import RandomnessContract
 from .distributions import sample as draw_dist
@@ -75,6 +75,19 @@ def check_partial_integrals(
     return out
 
 
+def _target(dist, spectrum: SpectrumSpec, alpha: float) -> float:
+    """The risk a spectrum's estimators converge to: the true ES at alpha for
+    'es', and -E[X], the sample mean's limit, for 'uniform' (the Student-t
+    here is the standard, centred one)."""
+    if spectrum.name == "es":
+        return true_risk(dist, alpha).es_alpha
+    if spectrum.name != "uniform":
+        raise ValueError(f"no target for spectrum {spectrum.name!r}; expected 'es' or 'uniform'")
+    if isinstance(dist, Nig):
+        return -nig_moments(dist).mean
+    return -dist.mu if isinstance(dist, Normal) else 0.0
+
+
 @dataclass(frozen=True)
 class ConsistencyRow:
     n: int
@@ -91,20 +104,20 @@ def empirical_consistency(
     reps: int,
     seed: int,
 ) -> list[ConsistencyRow]:
-    """Median |estimate - true ES| per sample size, over independent replications.
+    """Median |estimate - target| per sample size, over independent replications.
 
     Size n scores the named discretization of spectrum (ValueError when
     unknown) on samples from the stream "consistency|{spectrum.name}-
-    {discretization}|n={n}". The spectrum is assumed to target expected
-    shortfall at the given level, so the reference is
-    true_risk(dist, alpha).es_alpha.
+    {discretization}|n={n}". Each spectrum is scored against its own
+    target: true_risk(dist, alpha).es_alpha for 'es', and -E[X] for
+    'uniform', which ignores alpha.
     """
     build = _discretization(discretization)
     if not n_list:
         raise ValueError("need at least one sample size")
     if reps < 2:
         raise ValueError("need at least two replications per size")
-    reference = true_risk(dist, alpha).es_alpha
+    reference = _target(dist, spectrum, alpha)
     contract = RandomnessContract(seed)
     rows = []
     for n_raw in n_list:

@@ -124,14 +124,12 @@ class SupremumCre:
     def n(self) -> int:
         return self.candidates[0].n
 
-    def as_callable(self):
-        """x -> apply_supremum(self, x).value, carrying `.rows(block)`: an (m, n)
-        block to its m values through one row-wise sort, one (m, n) x (n,
-        candidates) product and the row-wise max. Last bits can differ."""
+    def rows(self, block: np.ndarray) -> np.ndarray:
+        """apply_supremum's value for every row of an (m, n) block, through one
+        row-wise sort, one (m, n) x (n, candidates) product and the row-wise
+        max. Last bits can differ from apply_supremum."""
         table = np.column_stack([w.weights for w in self.candidates])
-        estimate = lambda x: apply_supremum(self, x).value
-        estimate.rows = lambda block: np.max(-(np.sort(block, axis=1) @ table), axis=1)
-        return estimate
+        return np.max(-(np.sort(block, axis=1) @ table), axis=1)
 
 
 def _weight_array(w) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy import special
 
-from .core import WeightVector, apply_l_estimator, score_sorted_rows, simplex_defect
+from .core import WeightVector, score_sorted_rows, simplex_defect
 
 __all__ = [
     "ESTIMATORS",
@@ -92,13 +92,11 @@ class LEstimatorSpec:
     weights: np.ndarray
     is_cre: bool
 
-    def as_callable(self) -> Callable[[np.ndarray], float]:
-        """x -> estimate, carrying `.rows(block)`: an (m, n) block to its m
-        estimates through one row-wise sort and one matrix-vector product."""
-        weights = self.weights
-        estimate = lambda x: apply_l_estimator(weights, x)
-        estimate.rows = lambda block: score_sorted_rows(weights, np.sort(block, axis=1))
-        return estimate
+    def rows(self, block: np.ndarray) -> np.ndarray:
+        """The estimate of every row of an (m, n) block, through one row-wise
+        sort and one matrix-vector product. Last bits can differ from
+        apply_l_estimator."""
+        return score_sorted_rows(self.weights, np.sort(block, axis=1))
 
 
 def _var_weight_array(alpha: float, n: int) -> np.ndarray:

@@ -182,6 +182,11 @@ class TestConfig:
             with pytest.raises(ValueError, match=rf"^unknown config keys: \['{key}'\]$"):
                 BenchConfig.from_json(json.dumps({key: 1}))
 
+    @pytest.mark.parametrize("text", ["[]", "null", '"normal:0:1"', "42"])
+    def test_from_json_rejects_a_non_object(self, text):
+        with pytest.raises(ValueError, match="^config JSON must be an object$"):
+            BenchConfig.from_json(text)
+
     def test_build_id_tracks_content_not_presentation(self):
         a = tiny_config()
         assert len(a.build_id()) == 12

@@ -196,6 +196,22 @@ class TestTrueRisk:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("riskbench: error: oracle_k:")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--dist", "t:5", "--alpha", "1"], "--alpha"),
+            (["--dist", "nig:0.4"], "--dist"),
+        ],
+    )
+    def test_bad_level_or_distribution_names_the_flag(self, capsys, monkeypatch, argv, flag):
+        monkeypatch.setattr(cli, "true_risk", pytest.fail)  # no reference runs
+        with pytest.raises(SystemExit) as exc:
+            main(["true-risk", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"riskbench: error: {flag}:")
+
     def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "true_risk", pytest.fail)  # no oracle runs
         with pytest.raises(SystemExit) as exc:
@@ -226,7 +242,9 @@ class TestConsistency:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1] == "riskbench: error: need at least one sample size"
+        assert captured.err.splitlines()[-1] == (
+            "riskbench: error: --n: need at least one sample size"
+        )
 
     def test_non_integer_size_names_the_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -235,6 +253,33 @@ class TestConsistency:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("riskbench: error: --n:")
+
+    # every size's weights, the level and the distribution are checked
+    # before any draw, and the message names the flag
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--n", "100,3"], "--n"),
+            (["--n", "0"], "--n"),
+            (["--alpha", "0"], "--alpha"),
+            (["--dist", "lognormal:0:1"], "--dist"),
+        ],
+    )
+    def test_bad_size_level_or_distribution_names_the_flag(
+        self, capsys, monkeypatch, argv, flag
+    ):
+        monkeypatch.setattr(cli, "empirical_consistency", pytest.fail)  # no draws run
+        with pytest.raises(SystemExit) as exc:
+            main(["consistency", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"riskbench: error: {flag}:")
+
+    def test_uniform_spectrum_ignores_the_level(self, capsys):
+        # --alpha is the es spectrum's level; the sample mean has none
+        argv = ["consistency", "--spectrum", "uniform", "--n", "50", "--reps", "5"]
+        assert run_cli(capsys, *argv, "--alpha", "0") == run_cli(capsys, *argv)
 
     def test_single_replication_names_the_flag(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "empirical_consistency", pytest.fail)  # no draws run

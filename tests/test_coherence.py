@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riskbench import cli, coherence
+from riskbench import cli, coherence, estimators
 from riskbench.coherence import (
     AXIOMS,
     VIOLATION_RTOL,
@@ -22,10 +23,18 @@ from riskbench.core import SupremumCre, WeightVector, apply_l_estimator, apply_s
 from riskbench.estimators import (
     build_estimator,
     expectile_estimate,
+    expectile_rows,
     gaussian_plugin_es,
+    gaussian_plugin_rows,
 )
 
 TRIALS = 300
+
+
+def by_row(f):
+    """A per-sample function as a block function, one call per row: the
+    reference the block kernels are compared against."""
+    return lambda block: np.array([f(x) for x in block], dtype=float)
 
 
 def monotone_simplex(rng, n):
@@ -38,7 +47,7 @@ class TestAxiomBattery:
     @pytest.mark.parametrize("name", ["es1", "es2", "es3"])
     def test_cre_estimators_pass_everything(self, name):
         spec = build_estimator(name, 0.025, 100)
-        report = check_all(spec.as_callable(), 100, trials=TRIALS, seed=3)
+        report = check_all(spec.rows, 100, trials=TRIALS, seed=3)
         assert report.all_pass, report.failed_axioms()
 
     @pytest.mark.parametrize("name", ["es4", "es5", "es6"])
@@ -46,7 +55,7 @@ class TestAxiomBattery:
         spec = build_estimator(name, 0.025, 100)
         # trials=0 runs the ten-probe deck alone, to the same verdicts
         for trials in (TRIALS, 0):
-            report = check_all(spec.as_callable(), 100, trials=trials, seed=4)
+            report = check_all(spec.rows, 100, trials=trials, seed=4)
             assert [c.trials for c in report.checks] == [10 + trials] * len(AXIOMS)
             assert report.failed_axioms() == ["cash_additivity"]
             (w,) = [c.witness for c in report.checks if c.axiom == "cash_additivity"]
@@ -59,33 +68,77 @@ class TestAxiomBattery:
             assert w.aux == 1.0
 
     def test_gaussian_plugin_failures(self):
-        fn = lambda x: gaussian_plugin_es(0.01, x)
+        fn = functools.partial(gaussian_plugin_rows, 0.01)
         report = check_all(fn, 50, trials=TRIALS, seed=5)
         assert report.failed_axioms() == ["monotonicity", "comonotonic_additivity"]
 
     def test_expectile_fails_only_comonotonic_additivity(self):
-        fn = lambda x: expectile_estimate(0.25, x).exp_var
+        fn = functools.partial(expectile_rows, 0.25)
         report = check_all(fn, 30, trials=TRIALS, seed=6)
         assert report.failed_axioms() == ["comonotonic_additivity"]
 
     def test_empirical_var_subadditivity_spikes(self):
         # two single-spike vectors at the 1% level break subadditivity
         spec = build_estimator("var", 0.01, 100)
-        check = check_axiom(spec.as_callable(), "subadditivity", 100, trials=50, seed=0)
+        check = check_axiom(spec.rows, "subadditivity", 100, trials=50, seed=0)
         assert not check.passed
         w = check.witness
         assert w.lhs == 100.0
         assert w.rhs == 0.0
 
     def test_non_law_invariant_estimator_is_caught(self):
-        fn = lambda x: -float(x[0])
+        fn = lambda block: -block[:, 0]
         check = check_axiom(fn, "law_invariance", 10, trials=TRIALS, seed=7)
         assert not check.passed
 
     def test_unknown_axiom(self):
         spec = build_estimator("es2", 0.1, 20)
         with pytest.raises(ValueError):
-            check_axiom(spec.as_callable(), "convexity", 20)
+            check_axiom(spec.rows, "convexity", 20)
+
+
+class TestBlockProtocol:
+    # per-sample functions handed a block: one returns a scalar, one a row,
+    # one raises a ValueError and one a TypeError
+    PER_SAMPLE = [
+        lambda x: float(-np.mean(x)),
+        lambda x: -np.sort(x)[0],
+        lambda x: apply_l_estimator(np.full(6, 1.0 / 6.0), x),
+        lambda x: -float(x[0]),
+    ]
+    ENTRY_POINTS = {
+        "check_axiom": lambda fn: check_axiom(fn, "law_invariance", 6, trials=20),
+        "check_all": lambda fn: check_all(fn, 6, trials=20),
+        "slope": lambda fn: check_cash_additivity_slope(fn, 6),
+        "verify": lambda fn: verify_representation(fn, WeightVector(np.full(6, 1.0 / 6.0))),
+        "extract": lambda fn: extract_comonotonic_weights(fn, 6),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("per_sample", range(len(PER_SAMPLE)))
+    def test_a_per_sample_function_fails_naming_the_shape(self, entry, per_sample):
+        with pytest.raises(ValueError, match=r"to shape \(\d+,\)") as exc:
+            self.ENTRY_POINTS[entry](self.PER_SAMPLE[per_sample])
+        assert not isinstance(exc.value, NotComonotonicError)
+
+    def test_replay_checks_the_shape_too(self):
+        check = check_axiom(lambda block: -block[:, 0], "law_invariance", 6, trials=20)
+        with pytest.raises(ValueError, match=r"to shape \(2,\), got shape \(\)"):
+            check.witness.replay(self.PER_SAMPLE[0])
+
+    def test_a_wrapper_is_scored_not_bypassed(self):
+        # a functools.wraps wrapper (a tracer, a counter) sees every row
+        spec = build_estimator("es1", 0.05, 40)
+        rows = []
+
+        @functools.wraps(spec.rows)
+        def counted(block):
+            rows.append(len(block))
+            return spec.rows(block)
+
+        report = check_all(counted, 40, trials=50, seed=3)
+        assert report.to_json() == check_all(spec.rows, 40, trials=50, seed=3).to_json()
+        assert sum(rows) > 6 * 60
 
 
 def _sha256(text):
@@ -103,7 +156,7 @@ class TestBlockScoring:
         + [("var1", 0.01, 250)],
     )
     def test_block_scores_match_row_loop(self, name, alpha, n):
-        fn = build_estimator(name, alpha, n).as_callable()
+        spec = build_estimator(name, alpha, n)
         rng = np.random.default_rng(n)
         block = np.vstack(
             [
@@ -112,8 +165,8 @@ class TestBlockScoring:
                 np.round(rng.standard_normal((20, n)), 1),
             ]
         )
-        got = fn.rows(block)
-        want = np.array([fn(x) for x in block])
+        got = spec.rows(block)
+        want = by_row(lambda x: apply_l_estimator(spec.weights, x))(block)
         scale = np.max(np.abs(block), axis=1)
         assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + scale))
 
@@ -146,25 +199,25 @@ class TestBlockScoring:
             seen.add(np.asarray(x, dtype=float).tobytes())
             return float(-np.mean(x))
 
-        assert check_axiom(mean_box, axiom, 12, trials=50, seed=3).passed
+        assert check_axiom(by_row(mean_box), axiom, 12, trials=50, seed=3).passed
         assert hashlib.sha256(b"".join(sorted(seen))).hexdigest() == digest
 
     # sha256 of CoherenceReport.to_json(), recorded from the per-call battery
     # that scored one probe input per estimator call; es4 is scored through
-    # its block kernel `.rows`, recorded from the block-scored battery
+    # its block kernel `rows`, recorded from the block-scored battery
     @pytest.mark.parametrize(
         "fn, digest",
         [
             (
-                lambda x: gaussian_plugin_es(0.025, x),
+                by_row(lambda x: gaussian_plugin_es(0.025, x)),
                 "8ba5c357d74fb187365eb7bf800ecee1a460229e5e094a456cc45c17f7b62160",
             ),
             (
-                lambda x: expectile_estimate(0.1, x).exp_var,
+                by_row(lambda x: expectile_estimate(0.1, x).exp_var),
                 "eaf04b6d5c6b873a32158f62358ff3d8373cf8cdf257bba117f81834f08b3ff0",
             ),
             (
-                build_estimator("es4", 0.05, 40).as_callable(),
+                build_estimator("es4", 0.05, 40).rows,
                 "30e72df3a03ef904873665657ad947405ded57fa3fc43ccfdccb8a96eb440b21",
             ),
         ],
@@ -175,9 +228,9 @@ class TestBlockScoring:
         assert report.failed_axioms()
         assert _sha256(report.to_json()) == digest
 
-    # the CLI's gaussian and expvar carry `.rows` block kernels: the battery
-    # never calls them per row, and their reports keep the digests pinned
-    # above from the per-call battery
+    # the CLI's gaussian and expvar are block kernels: the battery never calls
+    # their per-sample forms, and their reports keep the digests pinned above
+    # from the per-call battery
     @pytest.mark.parametrize(
         "name, alpha, scalar, digest",
         [
@@ -199,7 +252,7 @@ class TestBlockScoring:
         self, monkeypatch, name, alpha, scalar, digest
     ):
         fn = cli._resolve_functional(name, alpha, 40)
-        monkeypatch.setattr(cli, scalar, pytest.fail)  # no per-row call
+        monkeypatch.setattr(estimators, scalar, pytest.fail)  # no per-row call
         report = check_all(fn, 40, trials=80, seed=21)
         assert _sha256(report.to_json()) == digest
 
@@ -210,16 +263,15 @@ class TestBlockScoring:
         m = SupremumCre(
             tuple(WeightVector(monotone_simplex(rng, n), monotone_flag=True) for _ in range(4))
         )
-        fn = m.as_callable()
+        per_row = by_row(lambda x: apply_supremum(m, x).value)
         block = np.vstack([coherence._deck(n), coherence._random_probes(rng, 300, n)])
-        want = np.array([apply_supremum(m, x).value for x in block])
+        want = per_row(block)
         scale = np.max(np.abs(block), axis=1)
-        assert np.all(np.abs(fn.rows(block) - want) <= 1e-12 * (1.0 + scale))
-        assert [fn(x) for x in block] == want.tolist()
-        by_row = check_all(lambda x: apply_supremum(m, x).value, n, trials=300, seed=seed)
-        by_block = check_all(fn, n, trials=300, seed=seed)
-        verdicts = [c.passed for c in by_block.checks]
-        assert verdicts == [c.passed for c in by_row.checks]
+        assert np.all(np.abs(m.rows(block) - want) <= 1e-12 * (1.0 + scale))
+        row_report = check_all(per_row, n, trials=300, seed=seed)
+        block_report = check_all(m.rows, n, trials=300, seed=seed)
+        verdicts = [c.passed for c in block_report.checks]
+        assert verdicts == [c.passed for c in row_report.checks]
         assert verdicts[:5] == [True] * 5
 
     def test_violation_past_the_first_block(self):
@@ -229,7 +281,7 @@ class TestBlockScoring:
             calls.append(None)
             return float(-np.mean(x) - (1e-3 * x[0] if np.max(x) > 2000.0 else 0.0))
 
-        check = check_axiom(late, "law_invariance", 250, trials=300, seed=7)
+        check = check_axiom(by_row(late), "law_invariance", 250, trials=300, seed=7)
         # probe 124 is the first to exceed 2000, so a later block finds it
         assert len(calls) > coherence._BLOCK_FLOATS // 250
         assert _sha256(CoherenceReport((check,)).to_json()) == (
@@ -255,20 +307,20 @@ class TestBlockScoring:
             calls.append(None)
             return fn(x)
 
-        check = check_axiom(counted, axiom, n, trials=1000, seed=0)
+        check = check_axiom(by_row(counted), axiom, n, trials=1000, seed=0)
         assert not check.passed
         assert len(calls) <= coherence._BLOCK_FLOATS // n
         # replay runs the scan's relation again: signed for the one-sided
         # axioms, absolute for the rest
         defect = check.witness.defect
         one_sided = axiom in ("monotonicity", "subadditivity")
-        assert check.witness.replay(fn) == (defect if one_sided else abs(defect))
+        assert check.witness.replay(by_row(fn)) == (defect if one_sided else abs(defect))
 
 
 class TestWitness:
     def test_replay_reproduces_defect(self):
         # replay is signed for the one-sided axioms, absolute for the rest
-        fn = lambda x: gaussian_plugin_es(0.01, x)
+        fn = functools.partial(gaussian_plugin_rows, 0.01)
         report = check_all(fn, 40, trials=TRIALS, seed=8)
         assert report.failed_axioms()
         for check in report.checks:
@@ -279,7 +331,7 @@ class TestWitness:
 
     def test_report_json_shape(self):
         spec = build_estimator("es2", 0.05, 40)
-        report = check_all(spec.as_callable(), 40, trials=50, seed=9)
+        report = check_all(spec.rows, 40, trials=50, seed=9)
         data = json.loads(report.to_json())
         assert {c["axiom"] for c in data} == set(AXIOMS)
         assert all(c["passed"] for c in data)
@@ -293,17 +345,17 @@ class TestCashSlope:
             ("es6", 7.0 / 6.0),
         ):
             spec = build_estimator(name, 0.025, 250)
-            got = check_cash_additivity_slope(spec.as_callable(), 250)
+            got = check_cash_additivity_slope(spec.rows, 250)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_unit_slope_for_cre(self):
         spec = build_estimator("es2", 0.025, 250)
-        got = check_cash_additivity_slope(spec.as_callable(), 250)
+        got = check_cash_additivity_slope(spec.rows, 250)
         assert got == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_affine_response(self):
-        fn = lambda x: float(np.sort(x)[0] ** 3)
-        with pytest.raises(ValueError):
+        fn = lambda block: np.sort(block, axis=1)[:, 0] ** 3
+        with pytest.raises(ValueError, match="cash response is not affine"):
             check_cash_additivity_slope(fn, 5)
 
 
@@ -311,13 +363,13 @@ class TestRepresentation:
     def test_verify_accepts_matching_pair(self):
         spec = build_estimator("es2", 0.05, 30)
         weights = WeightVector(spec.weights, monotone_flag=True)
-        res = verify_representation(spec.as_callable(), weights, trials=100)
+        res = verify_representation(spec.rows, weights, trials=100)
         assert res.passed
 
     def test_verify_rejects_wrong_weights(self):
         spec = build_estimator("es2", 0.05, 30)
         wrong = WeightVector(np.full(30, 1.0 / 30.0))
-        res = verify_representation(spec.as_callable(), wrong, trials=100)
+        res = verify_representation(spec.rows, wrong, trials=100)
         assert not res.passed
         assert res.sample is not None
 
@@ -326,10 +378,9 @@ class TestRepresentation:
         # gives back both values, and they differ by the reported defect
         spec = build_estimator("es2", 0.1, 20)
         uniform = WeightVector(np.full(20, 1.0 / 20.0))
-        fn = spec.as_callable()
-        res = verify_representation(fn, uniform, trials=100)
+        res = verify_representation(spec.rows, uniform, trials=100)
         assert not res.passed
-        assert fn(res.sample) == res.estimate
+        assert apply_l_estimator(spec.weights, res.sample) == res.estimate
         assert apply_l_estimator(uniform, res.sample) == res.represented
         assert res.defect == res.estimate - res.represented
         assert abs(res.defect) > VIOLATION_RTOL
@@ -337,7 +388,7 @@ class TestRepresentation:
     @pytest.mark.parametrize("name", ["es1", "es2", "es3"])
     def test_extraction_round_trip(self, name):
         spec = build_estimator(name, 0.05, 60)
-        got = extract_comonotonic_weights(spec.as_callable(), 60)
+        got = extract_comonotonic_weights(spec.rows, 60)
         assert np.allclose(got.weights, spec.weights, atol=1e-12)
 
     def test_extraction_rejects_rising_weights(self):
@@ -345,29 +396,43 @@ class TestRepresentation:
         # ladder increments rise and cannot come from a monotone CRE
         spec = build_estimator("var", 0.05, 60)
         with pytest.raises(NotComonotonicError):
-            extract_comonotonic_weights(spec.as_callable(), 60)
+            extract_comonotonic_weights(spec.rows, 60)
 
     @given(st.integers(min_value=2, max_value=40), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60, deadline=None)
     def test_extraction_inverts_application(self, n, seed):
         rng = np.random.default_rng(seed)
         w = WeightVector(monotone_simplex(rng, n), monotone_flag=True)
-        fn = lambda x: apply_l_estimator(w, x)
+        fn = by_row(lambda x: apply_l_estimator(w, x))
         got = extract_comonotonic_weights(fn, n)
         assert np.allclose(got.weights, w.weights, atol=1e-12)
+
+    def test_extraction_scrubs_float_dust(self):
+        # ladder increments off the simplex by less than VIOLATION_RTOL pass
+        # the hard checks; the clean-up then clips the negative entry, takes
+        # the running minimum over the rise and renormalizes the sum, so the
+        # stricter WeightVector gates hold
+        dusty = np.array([0.4 + 3e-11, 0.3, 0.3 + 2e-11, -1e-11])
+        fn = lambda block: -(np.sort(block, axis=1) @ dusty)
+        got = extract_comonotonic_weights(fn, 4).weights
+        assert got[3] == 0.0
+        assert got[1] == got[2]
+        assert np.all(np.diff(got) <= 0.0)
+        assert abs(float(np.sum(got)) - 1.0) <= 1e-12
+        assert np.allclose(got, [0.4, 0.3, 0.3, 0.0], rtol=0.0, atol=1e-10)
 
     def test_extraction_rejects_inflated_weights(self):
         spec = build_estimator("es5", 0.025, 100)
         with pytest.raises(NotComonotonicError):
-            extract_comonotonic_weights(spec.as_callable(), 100)
+            extract_comonotonic_weights(spec.rows, 100)
 
     def test_extraction_rejects_expectile(self):
-        fn = lambda x: expectile_estimate(0.25, x).exp_var
+        fn = functools.partial(expectile_rows, 0.25)
         with pytest.raises(NotComonotonicError):
             extract_comonotonic_weights(fn, 4)
 
     def test_extraction_rejects_gaussian_plugin(self):
-        fn = lambda x: gaussian_plugin_es(0.025, x)
+        fn = functools.partial(gaussian_plugin_rows, 0.025)
         with pytest.raises(NotComonotonicError):
             extract_comonotonic_weights(fn, 20)
 

@@ -3,8 +3,13 @@ import pytest
 
 from riskbench.consistency import ConsistencyRow, check_partial_integrals, empirical_consistency
 from riskbench.core import apply_l_estimator
-from riskbench.distributions import Normal, sample, true_risk
-from riskbench.estimators import build_spectral_weights, es_spectrum
+from riskbench.distributions import Normal, nig_moments, parse_dist, sample, true_risk
+from riskbench.estimators import (
+    SpectrumSpec,
+    build_spectral_weights,
+    es_spectrum,
+    uniform_spectrum,
+)
 from riskbench.sampling import RandomnessContract
 
 ALPHA = 0.025
@@ -54,6 +59,34 @@ class TestEmpirical:
         meds = [r.median_abs_error for r in rows]
         assert meds[0] > meds[1] > meds[2]
         assert all(r.iqr >= 0.0 for r in rows)
+
+    @pytest.mark.parametrize("dist", ["normal:0:1", "t:5", "nig:0.4:0.14:0:1"])
+    def test_uniform_ladder_falls(self, dist):
+        # the sample mean is scored against -E[X], so its error shrinks like
+        # 1/sqrt(n) instead of levelling off at the distance to the ES
+        rows = empirical_consistency(
+            parse_dist(dist), uniform_spectrum(), "integral", ALPHA, [100, 1000, 10_000],
+            reps=30, seed=0,
+        )
+        meds = [r.median_abs_error for r in rows]
+        assert meds[0] > meds[1] > meds[2]
+        assert meds[2] < 0.05
+
+    def test_uniform_target_is_the_negated_mean(self):
+        # nig:0.4:0.14:0:1 has mean delta*b/gamma = 0.373...; a sample of
+        # 10^5 scores the mean within a few standard errors (sd 1.7 / 316)
+        nig = parse_dist("nig:0.4:0.14:0:1")
+        (row,) = empirical_consistency(
+            nig, uniform_spectrum(), "integral", ALPHA, [100_000], reps=5, seed=2
+        )
+        assert nig_moments(nig).mean > 0.3
+        assert row.median_abs_error < 0.03
+
+    def test_unknown_spectrum_has_no_target(self):
+        flat = uniform_spectrum()
+        other = SpectrumSpec(flat.evaluator, "flat", 1.0, flat.cells, flat.integral)
+        with pytest.raises(ValueError, match="no target for spectrum 'flat'"):
+            empirical_consistency(Normal(), other, "integral", ALPHA, [100], reps=5, seed=0)
 
     def test_deterministic_given_seed(self):
         spectrum = es_spectrum(ALPHA)

@@ -18,6 +18,7 @@ from riskbench.estimators import (
     expectile_rows,
     gaussian_plugin_es,
     gaussian_plugin_rows,
+    snapped_floor,
     tail_rows,
     uniform_spectrum,
 )
@@ -190,6 +191,35 @@ class TestEstimatorTable:
 
     def test_every_default_study_estimator_is_a_key(self):
         assert set(DEFAULT_ESTIMATORS) <= set(ESTIMATORS)
+
+    # the last position that can carry weight: floor(alpha*n)+1 for the
+    # estimators built at level alpha*n, floor(alpha*(n+1))+1 for those built
+    # at alpha*(n+1), and x_(3) for var1
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_weights_vanish_past_the_head(self, name):
+        built = 0
+        for alpha in np.arange(1, 100, 3) * 0.005:
+            for n in [*range(2, 121), 250]:
+                try:
+                    weights = build_estimator(name, alpha, n).weights
+                except ValueError:  # an (alpha, n) the weights cannot take
+                    continue
+                built += 1
+                if name == "var1":
+                    reach = 3
+                elif name in ("es3", "es4", "es5", "es6"):
+                    reach = snapped_floor(alpha * (n + 1)) + 1
+                else:
+                    reach = snapped_floor(alpha * n) + 1
+                assert int(np.flatnonzero(weights)[-1]) + 1 <= reach, (alpha, n)
+        assert built > 0
+
+    def test_es3_reaches_past_floor_alpha_n(self):
+        # alpha*(n+1) = 4.2: es3's boundary weight sits at position 5, one
+        # past floor(alpha*n)+1 = 4, and exactly at floor(alpha*(n+1))+1
+        weights = build_estimator("es3", 0.3, 13).weights
+        assert np.flatnonzero(weights)[-1] + 1 == 5
+        assert snapped_floor(0.3 * 13) + 1 == 4
 
 
 class TestGaussianPlugin:
@@ -504,7 +534,8 @@ class TestEvaluationSemantics:
     @given(st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=30, deadline=None)
     def test_callable_matches_evaluate(self, seed):
+        # the one-row block of the block kernel is the per-sample evaluation
         rng = np.random.default_rng(seed)
         x = rng.normal(size=250)
         spec = build_estimator("es3", ALPHA, N)
-        assert spec.as_callable()(x) == apply_l_estimator(spec.weights, x)
+        assert spec.rows(x[None])[0] == apply_l_estimator(spec.weights, x)

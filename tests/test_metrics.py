@@ -201,6 +201,14 @@ class TestMetricDefinitions:
         assert rep.ct == pytest.approx(1.0 / 50.0)
         assert rep.ct_crossed
 
+    def test_exact_estimates_have_zero_se_and_zero_stderr(self):
+        # every estimate on the reference: no squared error, so the se
+        # standard error is 0 rather than 0/0
+        companions = np.random.default_rng(1).standard_normal(50)
+        rep = _metrics_from(np.full(50, 2.0), companions, ALPHA, 2.0)
+        assert (rep.ae, rep.se, rep.sb) == (0.0, 0.0, 0.0)
+        assert (rep.ae_stderr, rep.se_stderr, rep.sb_stderr) == (0.0, 0.0, 0.0)
+
     def test_report_validation(self):
         with pytest.raises(ValueError):
             MetricReport(
