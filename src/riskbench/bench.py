@@ -101,7 +101,10 @@ class BenchConfig:
                     f"1 <= floor(alpha*k) < k, got k = {self.k}"
                 )
         if any(needs_oracle(horizon_target(d, s.horizon)) for d in dists for s in schemes):
-            check_oracle_k(self.oracle_k, [spec.alpha for spec in specs])
+            try:
+                check_oracle_k(self.oracle_k, [spec.alpha for spec in specs])
+            except ValueError as exc:
+                raise ValueError(f"oracle_k: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
@@ -228,6 +231,10 @@ def run_study(config: BenchConfig) -> ResultTable:
         build_estimator(name, config.alpha, config.n) for name in config.estimators
     ]
     contract = RandomnessContract(config.seed)
+    # the study's own level first: the oracle's first level keeps the bits of
+    # its es alone, so no column depends on which other estimators share the
+    # group (var1 reads only the var of its 1% level)
+    levels = sorted({spec.alpha for spec in specs}, key=lambda a: (a != config.alpha, a))
 
     rows: list[ResultRow] = []
     for dist in dists:
@@ -235,7 +242,6 @@ def run_study(config: BenchConfig) -> ResultTable:
             cell_tag = f"{dist_label(dist)}|{scheme_label(scheme)}"
             try:
                 target = horizon_target(dist, scheme.horizon)
-                levels = sorted({spec.alpha for spec in specs})
                 oracle_seed = stream_key(config.seed, f"oracle|{cell_tag}", 0)
                 risks = true_risk_levels(
                     target, levels, oracle_k=config.oracle_k, seed=oracle_seed

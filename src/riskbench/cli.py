@@ -21,7 +21,7 @@ import numpy as np
 from .bench import BenchConfig, format_metric_table, run_study
 from .coherence import NotComonotonicError, check_all, extract_comonotonic_weights
 from .consistency import DISCRETIZATIONS, empirical_consistency
-from .distributions import parse_dist, true_risk
+from .distributions import check_oracle_k, needs_oracle, parse_dist, true_risk
 from .estimators import (
     ESTIMATORS,
     build_estimator,
@@ -161,6 +161,11 @@ def _cmd_true_risk(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"--alpha: need a level in (0, 1), got {args.alpha}")
     dist = _parse_dist(args.dist)
+    if needs_oracle(dist):
+        try:
+            check_oracle_k(args.oracle_k, [args.alpha])
+        except ValueError as exc:
+            raise ValueError(f"--oracle-k: {exc}") from None
     risk = true_risk(dist, args.alpha, oracle_k=args.oracle_k, seed=args.seed)
     payload = {
         "dist": args.dist,

@@ -19,6 +19,7 @@ from scipy import special
 from .estimators import (
     _check_level,
     _normal_density_at_quantile,
+    _tail_levels,
     snapped_floor,
     tail_rows,
 )
@@ -113,12 +114,15 @@ class Nig:
 
 @dataclass(frozen=True)
 class HorizonSum:
-    """Sum of h independent copies of a base distribution; oracle-only true risk."""
+    """Sum of h independent copies of a Student-t; oracle-only true risk.
+    Normal and NIG are closed under sums (see horizon_target)."""
 
-    base: Union[Normal, StudentT, Nig]
+    base: StudentT
     h: int
 
     def __post_init__(self):
+        if not isinstance(self.base, StudentT):
+            raise ValueError(f"base must be a StudentT, got {self.base!r}")
         if not (isinstance(self.h, int) and self.h >= 1):
             raise ValueError(f"horizon must be a positive integer, got {self.h!r}")
 
@@ -355,54 +359,79 @@ class TrueRisk:
             )
 
 
-def _antithetic_values(dist, half: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Paired draws (X+, X-) sharing mixing variables, Z mirrored."""
-    if isinstance(dist, Normal):
-        z = rng.standard_normal(half)
-        return dist.mu + dist.sigma * z, dist.mu - dist.sigma * z
-    if isinstance(dist, StudentT):
-        # z * sqrt(nu / w), computed in the chi-square buffer
-        w = rng.chisquare(dist.nu, half)
-        z = rng.standard_normal(half)
-        np.divide(dist.nu, w, out=w)
-        np.sqrt(w, out=w)
-        w *= z
-        del z
-        return w, -w
-    if isinstance(dist, Nig):
-        # same draws (y, u, then z) and transform as sample; each array of
-        # `half` draws is freed or reused as soon as it is spent
-        y = rng.standard_normal(half)
-        u = rng.random(half)
-        v = inverse_gaussian_transform(dist.delta / dist.gamma, dist.delta**2, y, u)
-        del y, u
-        z = rng.standard_normal(half)
-        drift = dist.mu + dist.b * v
-        spread = np.sqrt(v, out=v)
-        spread *= z
-        del z
-        return drift + spread, drift - spread
-    if isinstance(dist, HorizonSum):
-        plus = np.zeros(half)
-        minus = np.zeros(half)
-        for _ in range(dist.h):
-            p, m = _antithetic_values(dist.base, half, rng)
-            plus += p
-            minus += m
-            del p, m  # freed before the next day's draws
-        return plus, minus
-    raise ValueError(f"unknown distribution object {dist!r}")
+# pairs per chunk of the oracle's in-place passes: each chunk's temporaries
+# stay a few hundred KB beside the k-double sample
+_ORACLE_CHUNK = 1 << 14
+
+
+def _chunks(half: int):
+    for i0 in range(0, half, _ORACLE_CHUNK):
+        yield i0, min(i0 + _ORACLE_CHUNK, half)
 
 
 def _oracle_sample(dist, k: int, seed: int) -> np.ndarray:
-    """k antithetic draws (pairs adjacent), k a multiple of 2*ORACLE_BATCHES."""
+    """k antithetic draws in one k-double array, pairs (X+, X-) adjacent,
+    sharing mixing variables with Z mirrored; k a multiple of 2*ORACLE_BATCHES.
+
+    Pair i's source (the normal, the inverse Gaussian or the t value) sits
+    in out[half + i]. Pairs are written to out[2i] and out[2i + 1] in
+    increasing chunks of pairs: a chunk [i0, i1) writes below
+    2*i1 <= half + i1, so it overwrites only sources already read.
+    """
     rng = np.random.default_rng(seed)
     half = k // 2
-    plus, minus = _antithetic_values(dist, half, rng)
     out = np.empty(k)
-    out[0::2] = plus
-    out[1::2] = minus
-    return out
+    src = out[half:]
+    if isinstance(dist, Normal):
+        rng.standard_normal(out=src)
+        for i0, i1 in _chunks(half):
+            spread = dist.sigma * src[i0:i1]
+            out[2 * i0 : 2 * i1 : 2] = dist.mu + spread
+            out[2 * i0 + 1 : 2 * i1 : 2] = dist.mu - spread
+        return out
+    if isinstance(dist, Nig):
+        # the draws (y, u, then z) and transform of sample: y whole, then v
+        # over y chunk by chunk, then z chunk by chunk into the pairs
+        mean = dist.delta / dist.gamma
+        rng.standard_normal(out=src)
+        for i0, i1 in _chunks(half):
+            u = rng.random(i1 - i0)
+            src[i0:i1] = inverse_gaussian_transform(mean, dist.delta**2, src[i0:i1], u)
+        for i0, i1 in _chunks(half):
+            z = rng.standard_normal(i1 - i0)
+            v = src[i0:i1]
+            drift = dist.mu + dist.b * v
+            spread = np.sqrt(v)
+            spread *= z
+            out[2 * i0 : 2 * i1 : 2] = drift + spread
+            out[2 * i0 + 1 : 2 * i1 : 2] = drift - spread
+        return out
+    if isinstance(dist, (StudentT, HorizonSum)):
+        # each day: chi-square draws w into out[:half], then normals z; the
+        # day's z * sqrt(nu / w) is computed in w, then kept (a plain t) or
+        # added to the sum in out[half:], which starts from zeros
+        summed = isinstance(dist, HorizonSum)
+        nu = dist.base.nu if summed else dist.nu
+        if summed:
+            src[:] = 0.0
+        for _ in range(dist.h if summed else 1):
+            for i0, i1 in _chunks(half):
+                out[i0:i1] = rng.chisquare(nu, i1 - i0)
+            for i0, i1 in _chunks(half):
+                w = out[i0:i1]
+                np.divide(nu, w, out=w)
+                np.sqrt(w, out=w)
+                w *= rng.standard_normal(i1 - i0)
+                if summed:
+                    src[i0:i1] += w
+                else:
+                    src[i0:i1] = w
+        for i0, i1 in _chunks(half):
+            plus = src[i0:i1].copy()
+            out[2 * i0 : 2 * i1 : 2] = plus
+            np.negative(plus, out=out[2 * i0 + 1 : 2 * i1 : 2])
+        return out
+    raise ValueError(f"unknown distribution object {dist!r}")
 
 
 def _round_up(k: int, multiple: int) -> int:
@@ -423,12 +452,13 @@ def oracle_batch_size(oracle_k: int) -> int:
 
 
 def check_oracle_k(oracle_k: int, alphas) -> None:
-    """Reject an oracle size too small for each batch's tail average at every level."""
+    """Reject an oracle size too small for each batch's tail average at every
+    level. The message leaves the name of the size to the caller."""
     batch = oracle_batch_size(oracle_k)
     for a in alphas:
         if not 1 <= snapped_floor(a * batch) < batch:
             raise ValueError(
-                f"oracle_k: {oracle_k} leaves {batch} draws per oracle batch, too few "
+                f"{oracle_k} leaves {batch} draws per oracle batch, too few "
                 f"for a tail average at level {a}; need 1 <= floor(alpha*batch) < batch"
             )
 
@@ -446,8 +476,14 @@ def true_risk_levels(
     Closed forms are used for Normal and Student-t unless force_oracle; NIG
     and h-day sums always go through the oracle. The oracle size is rounded
     up so the 20 batches tile it in whole antithetic pairs.
+
+    The oracle partitions its sample in place at the first level and reads
+    later levels from that partition (estimators._tail_levels). The first
+    level's var, es and standard error, and every level's var and standard
+    error, are bit for bit those of a one-level call; a later level's es may
+    differ in the last bits, so pass first the level whose es matters.
     """
-    levels = [float(a) for a in alphas]
+    levels = list(dict.fromkeys(float(a) for a in alphas))
     for a in levels:
         _check_level(a)
     if not (force_oracle or needs_oracle(dist)):
@@ -466,15 +502,20 @@ def true_risk_levels(
     check_oracle_k(oracle_k, levels)
     k = oracle_batch_size(oracle_k) * ORACLE_BATCHES
     values = _oracle_sample(dist, k, seed)
-    out = {}
-    for a in levels:
-        var, _, es = tail_rows(a, values[None])
-        _, _, per_batch = tail_rows(a, values.reshape(ORACLE_BATCHES, -1))
-        se = float(np.std(per_batch, ddof=1) / math.sqrt(ORACLE_BATCHES))
-        out[a] = TrueRisk(
-            float(var[0]), float(es[0]), "mc_oracle", se, oracle_k=k, oracle_seed=seed
+    # every batch's es from a copy of its batch, before the partitions below
+    # rearrange the sample in place
+    batches = values.reshape(ORACLE_BATCHES, -1)
+    ses = [
+        float(
+            np.std([tail_rows(a, batch[None])[2][0] for batch in batches], ddof=1)
+            / math.sqrt(ORACLE_BATCHES)
         )
-    return out
+        for a in levels
+    ]
+    return {
+        a: TrueRisk(var, es, "mc_oracle", se, oracle_k=k, oracle_seed=seed)
+        for a, (var, _, es), se in zip(levels, _tail_levels(levels, values), ses)
+    }
 
 
 def true_risk(

@@ -252,19 +252,54 @@ def tail_rows(alpha: float, block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     With k = floor(alpha*n) and frac its remainder, var is -x_(k+1), es1 is
     -(x_(1) + ... + x_(k)) / k and es2 is -(x_(1) + ... + x_(k) +
-    frac * x_(k+1)) / (k + frac). One row-wise partition stands in for the
-    full sort, so rows may be as long as an oracle sample. Needs 1 <= k < n.
+    frac * x_(k+1)) / (k + frac). One row-wise partition of a copy stands in
+    for the full sort, so rows may be as long as an oracle sample. Needs
+    1 <= k < n.
     """
     _check_level(alpha)
     rows = _sample_rows(block, 1)
-    n = rows.shape[1]
+    k, frac = _tail_split(alpha, rows.shape[1])
+    return _partitioned_tail(np.partition(rows, k, axis=1), k, frac)
+
+
+def _tail_split(alpha: float, n: int) -> tuple[int, float]:
     k, frac = _snapped_split(alpha * n)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= floor(alpha*n) < n, got {k} at n = {n}")
-    part = np.partition(rows, k, axis=1)
+    return k, frac
+
+
+def _partitioned_tail(part: np.ndarray, k: int, frac: float):
+    """(var, es1, es2) of every row of an (m, n) block whose rows hold their
+    k smallest values in columns [0, k) and x_(k+1) in column k."""
     tail = np.sum(part[:, :k], axis=1)
     boundary = part[:, k]
     return -boundary, -tail / k, -(tail + frac * boundary) / (k + frac)
+
+
+def _tail_levels(alphas, sample: np.ndarray) -> list[tuple[float, float, float]]:
+    """(var, es1, es2) of a flat finite sample at each level, partitioning
+    the sample in place instead of copying it.
+
+    The first level partitions the whole sample, and its values are bit for
+    bit those of tail_rows. Every later level sub-partitions that
+    partition's prefix or suffix. Its var is an order statistic, so it too
+    keeps the bits of tail_rows; its es1 and es2 sum a different arrangement
+    of the same values and may differ in the last bits.
+    """
+    rows = sample[None]
+    splits = [_tail_split(a, sample.size) for a in alphas]
+    first = splits[0][0]
+    rows.partition(first, axis=1)
+    out = []
+    for k, frac in splits:
+        if k < first:
+            sample[:first].partition(k)
+        elif k > first:
+            sample[first + 1 :].partition(k - first - 1)
+        var, es1, es2 = _partitioned_tail(rows, k, frac)
+        out.append((float(var[0]), float(es1[0]), float(es2[0])))
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -194,7 +194,7 @@ class TestTrueRisk:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith("riskbench: error: oracle_k:")
+        assert captured.err.splitlines()[-1].startswith("riskbench: error: --oracle-k:")
 
     @pytest.mark.parametrize(
         "argv, flag",

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from riskbench import distributions
+from riskbench.bench import BenchConfig, run_study
 from riskbench.distributions import (
     HorizonSum,
     Nig,
@@ -118,6 +121,13 @@ class TestLabels:
 
     def test_horizon_sum_label(self):
         assert dist_label(HorizonSum(StudentT(5.0), 10)) == "sum10(t:5)"
+
+    @pytest.mark.parametrize("base", [Normal(), Nig(0.4, 0.14), HorizonSum(StudentT(5.0), 2)])
+    def test_horizon_sum_takes_a_student_t_only(self, base):
+        # normal and NIG sums have closed forms, so horizon_target never
+        # builds one
+        with pytest.raises(ValueError, match=r"^base must be a StudentT"):
+            HorizonSum(base, 10)
 
     def test_rejects_garbage(self):
         for bad in ("gaussian", "t", "nig:1", "normal:a:b", ""):
@@ -250,11 +260,65 @@ class TestTrueRisk:
         tr = true_risk(Nig(0.4, 0.14), 0.1, oracle_k=4001, seed=0)
         assert tr.oracle_k == 4040
 
-    def test_levels_share_one_sample(self):
-        pair = true_risk_levels(Nig(0.4, 0.14), [0.01, 0.025], oracle_k=50_000, seed=7)
-        solo = true_risk_levels(Nig(0.4, 0.14), [0.025], oracle_k=50_000, seed=7)
-        assert pair[0.025].es_alpha == solo[0.025].es_alpha
-        assert pair[0.01].es_alpha > pair[0.025].es_alpha
+    ORACLE_TARGETS = [
+        (Nig(0.4, 0.14), False),
+        (HorizonSum(StudentT(5.0), 10), False),
+        (Normal(0.3, 2.0), True),
+        (StudentT(5.0), True),
+    ]
+    ORACLE_IDS = ["nig", "t5-10day", "normal-forced", "t5-forced"]
+
+    @pytest.mark.parametrize("dist, force", ORACLE_TARGETS, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("levels", [[0.025, 0.01], [0.01, 0.025], [0.0123, 0.3, 0.005]])
+    def test_later_levels_keep_var_and_se_bits(self, dist, force, levels):
+        # one sample partitioned in place at the first level: the first
+        # level's var, es and se, and every level's var and se, are those of
+        # a one-level call; a later level's es sums another arrangement
+        many = true_risk_levels(dist, levels, oracle_k=50_000, seed=7, force_oracle=force)
+        assert list(many) == levels
+        for j, a in enumerate(levels):
+            one = true_risk_levels(dist, [a], oracle_k=50_000, seed=7, force_oracle=force)[a]
+            got = many[a]
+            assert (got.var_alpha, got.standard_error) == (one.var_alpha, one.standard_error)
+            if j == 0:
+                assert got.es_alpha == one.es_alpha
+            else:
+                assert got.es_alpha == pytest.approx(one.es_alpha, rel=1e-12, abs=0.0)
+        # a deeper tail has the larger es
+        es = [many[a].es_alpha for a in sorted(levels)]
+        assert es == sorted(es, reverse=True)
+
+    @pytest.mark.parametrize("dist, force", ORACLE_TARGETS, ids=ORACLE_IDS)
+    def test_oracle_holds_one_sample_sized_array(self, dist, force):
+        # drawn, transformed and partitioned inside one k-double buffer:
+        # no stage holds a second sample-sized array
+        k = 1_000_000
+        tracemalloc.start()
+        try:
+            true_risk_levels(dist, [0.025, 0.01], oracle_k=k, seed=1, force_oracle=force)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * k
+
+    @pytest.mark.parametrize("alpha", [0.005, 0.025])
+    def test_study_rows_do_not_depend_on_the_other_levels(self, alpha):
+        # var1 adds the 1% level to the oracle, below 0.025 and above 0.005;
+        # es1's rows hold either way. Read as a later level, the es at
+        # alpha moves in the last bits in at least one of these four groups
+        def es1_rows(estimators):
+            config = BenchConfig(
+                alpha=alpha,
+                k=400,
+                oracle_k=40_000,
+                seed=3,
+                distributions=("nig:0.4:0.14:0:1", "nig:0.4:-0.22:0:1"),
+                schemes=("iid", "overlapping:10"),
+                estimators=estimators,
+            )
+            return [r for r in run_study(config).rows if r.estimator == "es1"]
+
+        assert es1_rows(("es1",)) == es1_rows(("var1", "es1"))
 
     # (var_alpha, es_alpha, standard_error) as float.hex at oracle_k = 100 000,
     # seed 0, recorded with one flat partition per oracle batch, a path

@@ -11,9 +11,10 @@ machine in one session. A record holds:
 
 - machine facts, the tree's git commit and a digest of its source files;
 - the full default study (`run_study(BenchConfig())`, serialized to CSV) in
-  a fresh process: wall time, CSV sha256, and per (distribution, scheme)
-  group the seconds of its reference risk, the seconds of its replication
-  loop and metrics (`run_group`) and the microseconds per replication;
+  a fresh process: wall time, the process's peak resident set (ru_maxrss)
+  in MB, CSV sha256, and per (distribution, scheme) group the seconds of
+  its reference risk, the seconds of its replication loop and metrics
+  (`run_group`) and the microseconds per replication;
 - start-up: over STARTUP_RUNS fresh interpreters that each run
   `import riskbench.cli` and exit, the median wall seconds of the whole
   process and the median of its peak resident set (ru_maxrss) in MB;
@@ -49,7 +50,7 @@ REPO = Path(__file__).resolve().parent.parent
 # The run_group wrapper passes its arguments through unchanged and reads
 # the three it reports by name, so it follows run_group's signature.
 STUDY_CHILD = r"""
-import hashlib, inspect, json, sys, time
+import hashlib, inspect, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy, scipy
 from riskbench import bench
@@ -85,6 +86,7 @@ wall = time.perf_counter() - start
 print(json.dumps({
     "config": config.to_dict(),
     "wall_s": round(wall, 3),
+    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, 1),
     "csv_sha256": hashlib.sha256(text.encode()).hexdigest(),
     "groups": groups,
     "versions": {"numpy": numpy.__version__, "scipy": scipy.__version__},
