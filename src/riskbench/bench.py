@@ -24,7 +24,7 @@ from .distributions import (
     parse_dist,
     true_risk_levels,
 )
-from .estimators import LEstimatorSpec, build_estimator, snapped_floor
+from .estimators import LEstimatorSpec, build_estimator, tail_split
 from .metrics import MetricReport, RandomnessContract, reference_value, run_group
 from .sampling import parse_scheme, scheme_label, stream_key
 
@@ -95,11 +95,12 @@ class BenchConfig:
             "estimators", self.estimators, lambda name: build_estimator(name, self.alpha, self.n)
         )
         for spec in specs:
-            if not 1 <= snapped_floor(spec.alpha * self.k) < self.k:
+            try:
+                tail_split(spec.alpha, self.k)
+            except ValueError as exc:
                 raise ValueError(
-                    f"k: estimator {spec.name!r} at level {spec.alpha} needs "
-                    f"1 <= floor(alpha*k) < k, got k = {self.k}"
-                )
+                    f"k: estimator {spec.name!r} at level {spec.alpha}: {exc}"
+                ) from None
         if any(needs_oracle(horizon_target(d, s.horizon)) for d in dists for s in schemes):
             try:
                 check_oracle_k(self.oracle_k, [spec.alpha for spec in specs])

@@ -156,6 +156,8 @@ def _parse_dist(text: str):
 
 
 def _cmd_true_risk(args) -> int:
+    if args.oracle_k < 1:
+        raise ValueError(f"--oracle-k: need at least 1 draw, got {args.oracle_k}")
     if args.seed < 0:
         raise ValueError(f"--seed: need a non-negative integer, got {args.seed}")
     if not 0.0 < args.alpha < 1.0:

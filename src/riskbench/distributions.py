@@ -16,13 +16,7 @@ from typing import NamedTuple, Union
 import numpy as np
 from scipy import special
 
-from .estimators import (
-    _check_level,
-    _normal_density_at_quantile,
-    _tail_levels,
-    snapped_floor,
-    tail_rows,
-)
+from .estimators import _check_level, _normal_density_at_quantile, tail_levels, tail_split
 
 __all__ = [
     "Normal",
@@ -456,11 +450,13 @@ def check_oracle_k(oracle_k: int, alphas) -> None:
     level. The message leaves the name of the size to the caller."""
     batch = oracle_batch_size(oracle_k)
     for a in alphas:
-        if not 1 <= snapped_floor(a * batch) < batch:
+        try:
+            tail_split(a, batch)
+        except ValueError as exc:
             raise ValueError(
                 f"{oracle_k} leaves {batch} draws per oracle batch, too few "
-                f"for a tail average at level {a}; need 1 <= floor(alpha*batch) < batch"
-            )
+                f"for a tail average at level {a}: {exc}"
+            ) from None
 
 
 def true_risk_levels(
@@ -477,8 +473,9 @@ def true_risk_levels(
     and h-day sums always go through the oracle. The oracle size is rounded
     up so the 20 batches tile it in whole antithetic pairs.
 
-    The oracle partitions its sample in place at the first level and reads
-    later levels from that partition (estimators._tail_levels). The first
+    The oracle reads every level from one sample through
+    estimators.tail_levels, which partitions it in place; each batch's es,
+    for the standard error, comes from a copy of that batch. The first
     level's var, es and standard error, and every level's var and standard
     error, are bit for bit those of a one-level call; a later level's es may
     differ in the last bits, so pass first the level whose es matters.
@@ -507,14 +504,14 @@ def true_risk_levels(
     batches = values.reshape(ORACLE_BATCHES, -1)
     ses = [
         float(
-            np.std([tail_rows(a, batch[None])[2][0] for batch in batches], ddof=1)
+            np.std([tail_levels([a], batch.copy())[0][2] for batch in batches], ddof=1)
             / math.sqrt(ORACLE_BATCHES)
         )
         for a in levels
     ]
     return {
         a: TrueRisk(var, es, "mc_oracle", se, oracle_k=k, oracle_seed=seed)
-        for a, (var, _, es), se in zip(levels, _tail_levels(levels, values), ses)
+        for a, (var, _, es), se in zip(levels, tail_levels(levels, values), ses)
     }
 
 

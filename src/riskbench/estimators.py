@@ -22,18 +22,15 @@ __all__ = [
     "ESTIMATORS",
     "LEstimatorSpec",
     "build_estimator",
-    "gaussian_plugin_es",
     "gaussian_plugin_rows",
-    "tail_rows",
-    "ExpectileSolution",
-    "expectile_estimate",
+    "tail_levels",
+    "tail_split",
     "expectile_rows",
     "SpectrumSpec",
     "es_spectrum",
     "uniform_spectrum",
     "build_spectral_weights",
     "build_spectral_weights_alt",
-    "snapped_floor",
     "DEFAULT_XI",
 ]
 
@@ -48,19 +45,12 @@ _FLOOR_SNAP = 1e-9
 EXPECTILE_RESIDUAL_RTOL = 1e-10
 
 
-def snapped_floor(value: float) -> int:
-    """floor(value), snapping float dust just below an integer up to it: the
-    one floor rule for tail counts such as floor(alpha*n)."""
-    return int(np.floor(value + _FLOOR_SNAP))
-
-
 def _snapped_split(value: float) -> tuple[int, float]:
-    """Split into (floor, fractional part), snapping float dust at integers."""
-    m = snapped_floor(value)
+    """(floor, fractional part) of value, snapping float dust just below an
+    integer up to it: the one floor rule for tail counts such as floor(alpha*n)."""
+    m = int(np.floor(value + _FLOOR_SNAP))
     frac = value - m
-    if frac < _FLOOR_SNAP:
-        frac = 0.0
-    return m, frac
+    return m, (0.0 if frac < _FLOOR_SNAP else frac)
 
 
 def _check_level(alpha: float) -> None:
@@ -228,110 +218,56 @@ def _sample_rows(block, least: int) -> np.ndarray:
 
 
 def gaussian_plugin_rows(alpha: float, block) -> np.ndarray:
-    """gaussian_plugin_es of every row of an (m, n) block, n >= 2, each row's
-    value bit for bit the one it has alone."""
+    """The normal moment plug-in -(mean - sd * phi(Phi^-1(alpha)) / alpha) of
+    every row of an (m, n) block, n >= 2; a row's value has the same bits in
+    any block.
+
+    The sample standard deviation uses the n-1 denominator. Not an
+    order-statistic estimator, and not monotone: it can assign higher risk to
+    a dominating sample.
+    """
     _check_level(alpha)
     rows = _sample_rows(block, 2)
     sd = np.std(rows, axis=1, ddof=1)
     return -(np.mean(rows, axis=1) - sd * _normal_density_at_quantile(alpha) / alpha)
 
 
-def gaussian_plugin_es(alpha: float, x) -> float:
-    """Normal moment plug-in: -(mean - sd * phi(Phi^-1(alpha)) / alpha).
-
-    The sample standard deviation uses the n-1 denominator, so n >= 2 is
-    required. Not an order-statistic estimator, and not monotone: it can
-    assign higher risk to a dominating sample.
-    """
-    return float(gaussian_plugin_rows(alpha, np.asarray(x, dtype=float)[None])[0])
-
-
-def tail_rows(alpha: float, block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The var, es1 and es2 estimates (var, es1, es2) of every row of an
-    (m, n) block, each row's values bit for bit those it has alone.
-
-    With k = floor(alpha*n) and frac its remainder, var is -x_(k+1), es1 is
-    -(x_(1) + ... + x_(k)) / k and es2 is -(x_(1) + ... + x_(k) +
-    frac * x_(k+1)) / (k + frac). One row-wise partition of a copy stands in
-    for the full sort, so rows may be as long as an oracle sample. Needs
-    1 <= k < n.
-    """
-    _check_level(alpha)
-    rows = _sample_rows(block, 1)
-    k, frac = _tail_split(alpha, rows.shape[1])
-    return _partitioned_tail(np.partition(rows, k, axis=1), k, frac)
-
-
-def _tail_split(alpha: float, n: int) -> tuple[int, float]:
+def tail_split(alpha: float, n: int) -> tuple[int, float]:
+    """(k, frac): k = floor(alpha*n) by the snapped floor and frac its
+    remainder. Raises ValueError unless 1 <= k < n, so that a sample of n
+    outcomes has a k-outcome tail and an outcome x_(k+1) past it."""
     k, frac = _snapped_split(alpha * n)
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= floor(alpha*n) < n, got {k} at n = {n}")
     return k, frac
 
 
-def _partitioned_tail(part: np.ndarray, k: int, frac: float):
-    """(var, es1, es2) of every row of an (m, n) block whose rows hold their
-    k smallest values in columns [0, k) and x_(k+1) in column k."""
-    tail = np.sum(part[:, :k], axis=1)
-    boundary = part[:, k]
-    return -boundary, -tail / k, -(tail + frac * boundary) / (k + frac)
+def tail_levels(alphas, sample: np.ndarray) -> list[tuple[float, float, float]]:
+    """(var, es1, es2) of a flat sample at each level, partitioning the
+    sample in place: pass a copy to keep its order.
 
+    With k = floor(alpha*n) and frac its remainder (tail_split), var is
+    -x_(k+1), es1 is -(x_(1) + ... + x_(k)) / k and es2 is -(x_(1) + ... +
+    x_(k) + frac * x_(k+1)) / (k + frac).
 
-def _tail_levels(alphas, sample: np.ndarray) -> list[tuple[float, float, float]]:
-    """(var, es1, es2) of a flat finite sample at each level, partitioning
-    the sample in place instead of copying it.
-
-    The first level partitions the whole sample, and its values are bit for
-    bit those of tail_rows. Every later level sub-partitions that
-    partition's prefix or suffix. Its var is an order statistic, so it too
-    keeps the bits of tail_rows; its es1 and es2 sum a different arrangement
-    of the same values and may differ in the last bits.
+    The first level partitions the whole sample, so its values are those of a
+    one-level call. Every later level sub-partitions that partition's prefix
+    or suffix. Its var is an order statistic, so it keeps the one-level bits;
+    its es1 and es2 sum a different arrangement of the same values and may
+    differ in the last bits.
     """
-    rows = sample[None]
-    splits = [_tail_split(a, sample.size) for a in alphas]
+    splits = [tail_split(a, sample.size) for a in alphas]
     first = splits[0][0]
-    rows.partition(first, axis=1)
+    sample.partition(first)
     out = []
     for k, frac in splits:
         if k < first:
             sample[:first].partition(k)
         elif k > first:
             sample[first + 1 :].partition(k - first - 1)
-        var, es1, es2 = _partitioned_tail(rows, k, frac)
-        out.append((float(var[0]), float(es1[0]), float(es2[0])))
+        tail, boundary = float(np.sum(sample[:k])), float(sample[k])
+        out.append((-boundary, -tail / k, -(tail + frac * boundary) / (k + frac)))
     return out
-
-
-@dataclass(frozen=True, eq=False)
-class ExpectileSolution:
-    """Exact empirical expectile of a sample and the induced risk value.
-
-    Attributes:
-        alpha: asymmetry level in (0, 1/2].
-        expectile: the unique root e of
-            alpha * sum (x_i - e)_+ = (1-alpha) * sum (x_i - e)_-.
-        exp_var: -expectile; the risk value, same orientation as the other
-            estimators here.
-        n_star: number of sample points <= expectile.
-        n: the sample size.
-    """
-
-    alpha: float
-    expectile: float
-    exp_var: float
-    n_star: int
-    n: int
-
-    @property
-    def realized_weights(self) -> WeightVector:
-        """The sample-dependent simplex weights that reproduce exp_var as
-        -<a, s(x)> at this particular sample, built on each access."""
-        alpha, n_star = self.alpha, self.n_star
-        den = (1.0 - 2.0 * alpha) * n_star + self.n * alpha
-        a = np.full(self.n, alpha / den)
-        a[:n_star] = (1.0 - alpha) / den
-        a /= a.sum()
-        return WeightVector(a, monotone_flag=True)
 
 
 def expectile_rows(alpha: float, block) -> np.ndarray:
@@ -342,7 +278,7 @@ def expectile_rows(alpha: float, block) -> np.ndarray:
     is continuous, piecewise linear, and strictly decreasing, so each root is
     pinned between two order statistics and solved by one linear equation;
     no iterative tolerance is involved. Requires 0 < alpha <= 1/2 so that
-    the realized weights are non-increasing.
+    the sample-dependent weights a writing -e as -<a, s(x)> are non-increasing.
     """
     if not (0.0 < alpha <= 0.5):
         raise ValueError(f"alpha must lie in (0, 1/2], got {alpha}")
@@ -379,20 +315,6 @@ def expectile_rows(alpha: float, block) -> np.ndarray:
         r, c = residual[bad[0]], scale[bad[0]]
         raise RuntimeError(f"expectile residual {r!r} exceeds tolerance at scale {c!r}")
     return -root
-
-
-def expectile_estimate(alpha: float, x) -> ExpectileSolution:
-    """The exact empirical expectile of one sample: expectile_rows on its
-    one-row block."""
-    values = np.asarray(x, dtype=float)
-    exp_var = float(expectile_rows(alpha, values[None])[0])
-    return ExpectileSolution(
-        alpha=alpha,
-        expectile=-exp_var,
-        exp_var=exp_var,
-        n_star=int(np.count_nonzero(values <= -exp_var)),
-        n=values.size,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import score_sorted_rows
 from .distributions import TrueRisk, dist_label, sample as draw_dist
-from .estimators import LEstimatorSpec, snapped_floor, tail_rows
+from .estimators import LEstimatorSpec, tail_levels, tail_split
 from .sampling import RandomnessContract, ReplicationBlock, SamplingScheme, scheme_label
 
 __all__ = [
@@ -140,8 +140,9 @@ def _metrics_from(
         se_stderr = 0.0
 
     secured = companions + estimates
-    _, es1, _ = tail_rows(alpha, secured[None])
-    rb = -es1[0] / reference
+    # partitioned in place: secured is this call's own array
+    ((_, es1, _),) = tail_levels([alpha], secured)
+    rb = -es1 / reference
 
     prefix = np.cumsum(np.sort(secured))
     hits = np.nonzero(prefix >= 0.0)[0]
@@ -156,7 +157,7 @@ def _metrics_from(
         ae=ae,
         se=se,
         sb=sb,
-        rb=float(rb),
+        rb=rb,
         ct=ct,
         ae_stderr=ae_stderr,
         se_stderr=se_stderr,
@@ -187,8 +188,10 @@ def run_group(
     if len(estimators) != len(references):
         raise ValueError("estimators and references must align")
     for spec in estimators:
-        if not 1 <= snapped_floor(spec.alpha * K) < K:
-            raise ValueError(f"1 <= floor(alpha*K) < K required, got alpha={spec.alpha}, K={K}")
+        try:
+            tail_split(spec.alpha, K)
+        except ValueError as exc:
+            raise ValueError(f"K: estimator {spec.name!r} at level {spec.alpha}: {exc}") from None
     estimates, companions = _evaluate_replications(distribution, scheme, estimators, K, contract)
     return [
         _metrics_from(estimates[:, i], companions, float(spec.alpha), float(references[i]))

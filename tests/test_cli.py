@@ -196,6 +196,21 @@ class TestTrueRisk:
         assert captured.out == ""
         assert captured.err.splitlines()[-1].startswith("riskbench: error: --oracle-k:")
 
+    @pytest.mark.parametrize("dist", ["nig:0.4:0.14:0:1", "normal:0:1"])
+    @pytest.mark.parametrize("oracle_k", ["-5", "0"])
+    def test_oracle_k_below_one_is_rejected_first(self, capsys, monkeypatch, dist, oracle_k):
+        # a closed-form target draws no oracle but still rejects the size, and
+        # the size is checked before the seed
+        monkeypatch.setattr(cli, "true_risk", pytest.fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["true-risk", "--dist", dist, "--oracle-k", oracle_k, "--seed", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1] == (
+            f"riskbench: error: --oracle-k: need at least 1 draw, got {oracle_k}"
+        )
+
     @pytest.mark.parametrize(
         "argv, flag",
         [

@@ -20,13 +20,7 @@ from riskbench.coherence import (
     verify_representation,
 )
 from riskbench.core import SupremumCre, WeightVector, apply_l_estimator, apply_supremum
-from riskbench.estimators import (
-    build_estimator,
-    expectile_estimate,
-    expectile_rows,
-    gaussian_plugin_es,
-    gaussian_plugin_rows,
-)
+from riskbench.estimators import build_estimator, expectile_rows, gaussian_plugin_rows
 
 TRIALS = 300
 
@@ -209,11 +203,11 @@ class TestBlockScoring:
         "fn, digest",
         [
             (
-                by_row(lambda x: gaussian_plugin_es(0.025, x)),
+                by_row(lambda x: gaussian_plugin_rows(0.025, x[None])[0]),
                 "8ba5c357d74fb187365eb7bf800ecee1a460229e5e094a456cc45c17f7b62160",
             ),
             (
-                by_row(lambda x: expectile_estimate(0.1, x).exp_var),
+                by_row(lambda x: expectile_rows(0.1, x[None])[0]),
                 "eaf04b6d5c6b873a32158f62358ff3d8373cf8cdf257bba117f81834f08b3ff0",
             ),
             (
@@ -228,31 +222,29 @@ class TestBlockScoring:
         assert report.failed_axioms()
         assert _sha256(report.to_json()) == digest
 
-    # the CLI's gaussian and expvar are block kernels: the battery never calls
-    # their per-sample forms, and their reports keep the digests pinned above
-    # from the per-call battery
+    # the CLI's gaussian and expvar are their block kernels, scored a block at
+    # a time, and their reports keep the digests pinned above from the
+    # per-call battery
     @pytest.mark.parametrize(
-        "name, alpha, scalar, digest",
+        "name, alpha, kernel, digest",
         [
             (
                 "gaussian",
                 0.025,
-                "gaussian_plugin_es",
+                "gaussian_plugin_rows",
                 "8ba5c357d74fb187365eb7bf800ecee1a460229e5e094a456cc45c17f7b62160",
             ),
             (
                 "expvar",
                 0.1,
-                "expectile_estimate",
+                "expectile_rows",
                 "eaf04b6d5c6b873a32158f62358ff3d8373cf8cdf257bba117f81834f08b3ff0",
             ),
         ],
     )
-    def test_cli_block_kernels_keep_the_pinned_reports(
-        self, monkeypatch, name, alpha, scalar, digest
-    ):
+    def test_cli_block_kernels_keep_the_pinned_reports(self, name, alpha, kernel, digest):
         fn = cli._resolve_functional(name, alpha, 40)
-        monkeypatch.setattr(estimators, scalar, pytest.fail)  # no per-row call
+        assert fn.func is getattr(estimators, kernel)
         report = check_all(fn, 40, trials=80, seed=21)
         assert _sha256(report.to_json()) == digest
 

@@ -14,17 +14,20 @@ from riskbench.estimators import (
     build_spectral_weights,
     build_spectral_weights_alt,
     es_spectrum,
-    expectile_estimate,
     expectile_rows,
-    gaussian_plugin_es,
     gaussian_plugin_rows,
-    snapped_floor,
-    tail_rows,
+    tail_levels,
+    tail_split,
     uniform_spectrum,
 )
 
 ALPHA = 0.025
 N = 250
+
+
+def _floor(value):
+    """The snapped floor the estimators count their tails with."""
+    return estimators._snapped_split(value)[0]
 
 # First seven weights at alpha=2.5%, n=250, rounded to 3 decimals, and the
 # exact weight sums. Frozen from the closed forms: M = floor(alpha*(n+1)) = 6,
@@ -208,9 +211,9 @@ class TestEstimatorTable:
                 if name == "var1":
                     reach = 3
                 elif name in ("es3", "es4", "es5", "es6"):
-                    reach = snapped_floor(alpha * (n + 1)) + 1
+                    reach = _floor(alpha * (n + 1)) + 1
                 else:
-                    reach = snapped_floor(alpha * n) + 1
+                    reach = _floor(alpha * n) + 1
                 assert int(np.flatnonzero(weights)[-1]) + 1 <= reach, (alpha, n)
         assert built > 0
 
@@ -219,14 +222,19 @@ class TestEstimatorTable:
         # past floor(alpha*n)+1 = 4, and exactly at floor(alpha*(n+1))+1
         weights = build_estimator("es3", 0.3, 13).weights
         assert np.flatnonzero(weights)[-1] + 1 == 5
-        assert snapped_floor(0.3 * 13) + 1 == 4
+        assert _floor(0.3 * 13) + 1 == 4
+
+
+def _plugin(alpha, x):
+    """gaussian_plugin_rows of one sample, as its one-row block."""
+    return float(gaussian_plugin_rows(alpha, np.asarray(x, dtype=float)[None])[0])
 
 
 class TestGaussianPlugin:
     def test_counterexample_value(self):
-        got = gaussian_plugin_es(0.01, np.array([1.0, 0.0]))
+        got = _plugin(0.01, [1.0, 0.0])
         assert got == pytest.approx(1.3845910485213384, abs=1e-12)
-        assert gaussian_plugin_es(0.01, np.array([0.0, 0.0])) == 0.0
+        assert _plugin(0.01, [0.0, 0.0]) == 0.0
 
     def test_matches_closed_form(self):
         rng = np.random.default_rng(5)
@@ -234,11 +242,11 @@ class TestGaussianPlugin:
         alpha = 0.05
         q = stats.norm.ppf(alpha)
         want = -(x.mean() - x.std(ddof=1) * stats.norm.pdf(q) / alpha)
-        assert gaussian_plugin_es(alpha, x) == pytest.approx(want, abs=1e-12)
+        assert _plugin(alpha, x) == pytest.approx(want, abs=1e-12)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
-            gaussian_plugin_es(0.05, np.array([1.0]))
+            _plugin(0.05, [1.0])
 
 
 def _scanned_expectile(alpha, x):
@@ -261,6 +269,25 @@ def _scanned_expectile(alpha, x):
     return float(s[-1])
 
 
+def _expectile(alpha, x):
+    """The empirical expectile e of one sample: minus expectile_rows of its
+    one-row block."""
+    return -float(expectile_rows(alpha, np.asarray(x, dtype=float)[None])[0])
+
+
+def _realized_weights(alpha, x):
+    """The sample-dependent simplex weights a that write the expectile risk
+    of x as -<a, s(x)>: (1-alpha)/D on the n* points at or below the
+    expectile, alpha/D above, D = (1 - 2 alpha) n* + n alpha."""
+    n = len(x)
+    n_star = int(np.count_nonzero(np.asarray(x) <= _expectile(alpha, x)))
+    den = (1.0 - 2.0 * alpha) * n_star + n * alpha
+    a = np.full(n, alpha / den)
+    a[:n_star] = (1.0 - alpha) / den
+    a /= a.sum()
+    return WeightVector(a, monotone_flag=True)
+
+
 class TestExpectile:
     def test_root_matches_a_scan_over_order_statistics(self):
         rng = np.random.default_rng(17)
@@ -273,7 +300,7 @@ class TestExpectile:
                 x = np.full(n, rng.standard_normal()) + 1e-15 * rng.standard_normal(n)
             else:
                 x = rng.standard_t(2.0, n) * 10.0 ** rng.uniform(-3.0, 3.0)
-            assert expectile_estimate(alpha, x).expectile == _scanned_expectile(alpha, x)
+            assert _expectile(alpha, x) == _scanned_expectile(alpha, x)
 
     def test_worked_examples(self):
         for x, want, n_star in (
@@ -281,40 +308,36 @@ class TestExpectile:
             ((0.0, 0.0, 1.0), 1.0 / 7.0, 2),
             ((1.0, 2.0, 4.0), 1.8, 1),
         ):
-            sol = expectile_estimate(0.25, np.array(x))
-            assert sol.expectile == pytest.approx(want, abs=1e-9)
-            assert sol.exp_var == -sol.expectile
-            assert sol.n_star == n_star
+            e = _expectile(0.25, x)
+            assert e == pytest.approx(want, abs=1e-9)
+            assert np.count_nonzero(np.array(x) <= e) == n_star
 
     def test_non_additivity_gap(self):
         # (1,2,3) and (0,0,1) are comonotonic yet the values do not add up
-        a = expectile_estimate(0.25, np.array([1.0, 2.0, 3.0])).expectile
-        b = expectile_estimate(0.25, np.array([0.0, 0.0, 1.0])).expectile
-        c = expectile_estimate(0.25, np.array([1.0, 2.0, 4.0])).expectile
+        a = _expectile(0.25, [1.0, 2.0, 3.0])
+        b = _expectile(0.25, [0.0, 0.0, 1.0])
+        c = _expectile(0.25, [1.0, 2.0, 4.0])
         assert c - (a + b) == pytest.approx(1.8 - (1.6 + 1.0 / 7.0), abs=1e-9)
         assert c - (a + b) > 0.05
 
     def test_realized_weights(self):
-        sol = expectile_estimate(0.25, np.array([1.0, 2.0, 3.0]))
-        w = sol.realized_weights
-        assert isinstance(w, WeightVector)
-        assert w.monotone_flag
+        x = [1.0, 2.0, 3.0]
+        w = _realized_weights(0.25, x)
         # D = (1 - 2a) n* + n a = 1.25; below weight 0.75/D, above 0.25/D
         assert np.allclose(w.weights, [0.6, 0.2, 0.2], atol=1e-12)
-        assert apply_l_estimator(w, np.array([1.0, 2.0, 3.0])) == pytest.approx(
-            sol.exp_var, abs=1e-12
+        assert apply_l_estimator(w, np.array(x)) == pytest.approx(
+            expectile_rows(0.25, np.array([x]))[0], abs=1e-12
         )
 
     def test_half_level_is_mean(self):
         x = np.array([-3.0, 1.0, 5.0, 9.0])
-        sol = expectile_estimate(0.5, x)
-        assert sol.expectile == pytest.approx(x.mean(), abs=1e-12)
+        assert _expectile(0.5, x) == pytest.approx(x.mean(), abs=1e-12)
 
     def test_level_guard(self):
         with pytest.raises(ValueError):
-            expectile_estimate(0.75, np.array([1.0, 2.0]))
+            expectile_rows(0.75, np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError):
-            expectile_estimate(0.0, np.array([1.0, 2.0]))
+            expectile_rows(0.0, np.array([[1.0, 2.0]]))
 
     @given(
         st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=40),
@@ -323,8 +346,7 @@ class TestExpectile:
     @settings(max_examples=200, deadline=None)
     def test_first_order_condition(self, xs, alpha):
         x = np.array(xs)
-        sol = expectile_estimate(alpha, x)
-        c = sol.expectile
+        c = _expectile(alpha, x)
         up = alpha * np.clip(x - c, 0.0, None).sum()
         down = (1.0 - alpha) * np.clip(c - x, 0.0, None).sum()
         scale = 1.0 + np.abs(x).max()
@@ -335,9 +357,9 @@ class TestExpectile:
     @settings(max_examples=100, deadline=None)
     def test_realized_weights_reproduce_value(self, xs):
         x = np.array(xs)
-        sol = expectile_estimate(0.2, x)
-        got = apply_l_estimator(sol.realized_weights, x)
-        assert got == pytest.approx(sol.exp_var, abs=1e-9 * (1 + np.abs(x).max()))
+        got = apply_l_estimator(_realized_weights(0.2, x), x)
+        want = expectile_rows(0.2, x[None])[0]
+        assert got == pytest.approx(want, abs=1e-9 * (1 + np.abs(x).max()))
 
 
 def _kernel_blocks():
@@ -363,19 +385,10 @@ class TestBlockKernels:
             alone = np.concatenate([kernel(alpha, row[None]) for row in block])
             assert np.array_equal(kernel(alpha, block), alone)
 
-    def test_scalar_forms_are_the_one_row_case(self):
-        for block in _kernel_blocks():
-            exp_var = [expectile_estimate(0.1, row).exp_var for row in block]
-            plug_in = [gaussian_plugin_es(0.025, row) for row in block]
-            assert np.array_equal(expectile_rows(0.1, block), exp_var)
-            assert np.array_equal(gaussian_plugin_rows(0.025, block), plug_in)
-
     def test_residual_check_raises(self, monkeypatch):
         monkeypatch.setattr(estimators, "EXPECTILE_RESIDUAL_RTOL", -1.0)
         with pytest.raises(RuntimeError, match="expectile residual"):
             expectile_rows(0.1, np.array([[1.0, 2.0, 3.0]]))
-        with pytest.raises(RuntimeError, match="expectile residual"):
-            expectile_estimate(0.1, np.array([1.0, 2.0, 3.0]))
 
     @pytest.mark.parametrize(
         "kernel, block",
@@ -458,69 +471,101 @@ class TestTailEvaluators:
     def test_var_counterexample_inputs(self):
         x = np.zeros(100)
         x[0] = -100.0
-        assert tail_rows(0.01, x[None])[0][0] == 0.0
+        assert tail_levels([0.01], x)[0][0] == 0.0
 
     def test_es1_hand_value(self):
-        _, es1, _ = tail_rows(0.5, np.array([[4.0, 3.0, 1.0, 2.0]]))
-        assert es1[0] == -1.5
+        _, es1, _ = tail_levels([0.5], np.array([4.0, 3.0, 1.0, 2.0]))[0]
+        assert es1 == -1.5
 
     def test_es2_matches_weight_builder(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=40)
         spec = build_estimator("es2", 0.025, 40)
         want = apply_l_estimator(spec.weights, x)
-        assert tail_rows(0.025, x[None])[2][0] == pytest.approx(want, abs=1e-12)
+        assert tail_levels([0.025], x)[0][2] == pytest.approx(want, abs=1e-12)
 
     def test_var_matches_weight_builder(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=100)
         spec = build_estimator("var", 0.05, 100)
         want = apply_l_estimator(spec.weights, x)
-        assert tail_rows(0.05, x[None])[0][0] == pytest.approx(want, abs=1e-12)
+        assert tail_levels([0.05], x)[0][0] == pytest.approx(want, abs=1e-12)
 
 
-def _tail_blocks():
-    rng = np.random.default_rng(2024)
-    wide = rng.standard_normal((8, 90))
-    return {
-        "ties": (0.1, rng.integers(-3, 3, size=(12, 40)).astype(float)),
-        "fractional": (0.0123, rng.standard_normal((9, 250))),
-        "integral": (0.025, rng.standard_normal((9, 240))),
-        "t2": (0.025, rng.standard_t(2.0, size=(10, 250))),
-        "n2": (0.5, rng.standard_normal((7, 2))),
-        "strided": (0.05, wide[::2, ::3]),
-        "wide": (0.025, rng.standard_normal((20, 50_000))),
+def _tail_samples():
+    """{id: (alpha, rows)}: normal rows at three (alpha, n), then rows with
+    ties, a fractional and an integral boundary, t(2) tails, n = 2, and
+    n = 50 000."""
+    cases = {
+        f"{alpha}-{n}": (alpha, np.random.default_rng(5).standard_normal((6, n)))
+        for alpha, n in ((0.025, 250), (0.1, 40), (0.2, 10))
     }
+    rng = np.random.default_rng(2024)
+    cases.update(
+        ties=(0.1, rng.integers(-3, 3, size=(12, 40)).astype(float)),
+        fractional=(0.0123, rng.standard_normal((9, 250))),
+        integral=(0.025, rng.standard_normal((9, 240))),
+        t2=(0.025, rng.standard_t(2.0, size=(10, 250))),
+        n2=(0.5, rng.standard_normal((7, 2))),
+        wide=(0.025, rng.standard_normal((4, 50_000))),
+    )
+    return cases
+
+
+# (var, es1, es2) as float.hex, recorded from the row-block tail kernel this
+# one replaced, at the levels given: a 10^6-draw normal at 2.5% and then 1%
+# (the 1% values read from sub-partitions of the 2.5% partition), and a
+# 250-draw t(3) at alpha*n = 3.075, a fractional boundary
+TAIL_BITS = {
+    "normal": (
+        (0.025, 0.01),
+        lambda rng: rng.standard_normal(1_000_000),
+        [
+            ("0x1.f5531e243f3edp+0", "0x1.2aedb5a1a3593p+1", "0x1.2aedb5a1a3593p+1"),
+            ("0x1.29a5a7e8a1055p+1", "0x1.546dddbabe756p+1", "0x1.546dddbabe756p+1"),
+        ],
+    ),
+    "t3": (
+        (0.0123,),
+        lambda rng: rng.standard_t(3.0, 250),
+        [("0x1.4ca62e0251412p+2", "0x1.c9cd56979b75fp+2", "0x1.c6bfe5364eb94p+2")],
+    ),
+}
 
 
 class TestTailRows:
-    @pytest.mark.parametrize("case", list(_tail_blocks()))
-    def test_each_row_has_its_bits_alone(self, case):
-        alpha, block = _tail_blocks()[case]
-        got = tail_rows(alpha, block)
-        for i, row in enumerate(block):
-            alone = tail_rows(alpha, row[None])
-            for values, one in zip(got, alone):
-                assert np.array_equal(values[i : i + 1], one)
+    @pytest.mark.parametrize("case", list(TAIL_BITS))
+    def test_keeps_the_recorded_bits(self, case):
+        levels, draw, want = TAIL_BITS[case]
+        got = tail_levels(levels, draw(np.random.default_rng(20261019)))
+        assert [tuple(v.hex() for v in values) for values in got] == want
+
+    def test_partitions_the_sample_in_place(self):
+        x = np.array([3.0, -2.0, 1.0, -4.0, 0.5])
+        tail_levels([0.4], x)
+        assert sorted(x[:2]) == [-4.0, -2.0] and x[2] == 0.5
 
     def test_fractional_boundary_weight(self):
         # alpha*n = 1.5: es2 puts weight 1 on x_(1) and 1/2 on x_(2)
-        var, es1, es2 = tail_rows(0.375, np.array([[3.0, -2.0, 1.0, -4.0]]))
-        assert (var[0], es1[0], es2[0]) == (2.0, 4.0, -(-4.0 - 1.0) / 1.5)
+        var, es1, es2 = tail_levels([0.375], np.array([3.0, -2.0, 1.0, -4.0]))[0]
+        assert (var, es1, es2) == (2.0, 4.0, -(-4.0 - 1.0) / 1.5)
 
     @pytest.mark.parametrize("alpha, n", [(0.01, 50), (1.0 - 1e-12, 20)])
     def test_rejects_an_empty_or_full_tail(self, alpha, n):
-        k = estimators.snapped_floor(alpha * n)
+        k = estimators._snapped_split(alpha * n)[0]
         with pytest.raises(ValueError, match=rf"got {k} at n = {n}$"):
-            tail_rows(alpha, np.zeros((3, n)))
+            tail_split(alpha, n)
+        with pytest.raises(ValueError, match=rf"got {k} at n = {n}$"):
+            tail_levels([0.1, alpha], np.zeros(n))
 
-    @pytest.mark.parametrize("alpha, n", [(0.025, 250), (0.1, 40), (0.2, 10)])
+    @pytest.mark.parametrize("case", list(_tail_samples()))
     @pytest.mark.parametrize("name", ["var", "es1", "es2"])
-    def test_matches_the_weight_estimators(self, name, alpha, n):
-        block = np.random.default_rng(5).standard_normal((6, n))
-        weights = build_estimator(name, alpha, n).weights
-        got = tail_rows(alpha, block)[("var", "es1", "es2").index(name)]
-        want = [apply_l_estimator(weights, row) for row in block]
+    def test_matches_the_weight_estimators(self, name, case):
+        alpha, rows = _tail_samples()[case]
+        weights = build_estimator(name, alpha, rows.shape[1]).weights
+        column = ("var", "es1", "es2").index(name)
+        got = [tail_levels([alpha], row.copy())[0][column] for row in rows]
+        want = [apply_l_estimator(weights, row) for row in rows]
         assert np.allclose(got, want, rtol=0.0, atol=1e-12)
 
 

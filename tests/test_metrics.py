@@ -15,7 +15,7 @@ from riskbench.distributions import (
     true_risk,
 )
 from riskbench import metrics
-from riskbench.estimators import build_estimator, snapped_floor, tail_rows
+from riskbench.estimators import _snapped_split, build_estimator, tail_levels, tail_split
 from riskbench.metrics import (
     MetricReport,
     _evaluate_replications,
@@ -75,9 +75,9 @@ def naive_metrics(estimates, companions, alpha, reference):
     se = math.sqrt(np.mean(err**2)) / reference
     sb = np.mean(estimates) / reference - 1.0
     secured = companions + estimates
-    # es1 of the secured outcomes from a flat partition, independent of the
-    # row-wise tail kernel the study reads
-    m = snapped_floor(alpha * len(secured))
+    # es1 of the secured outcomes from the mean of a partitioned copy,
+    # independent of the tail kernel the study reads
+    m = _snapped_split(alpha * len(secured))[0]
     es1 = -np.mean(np.partition(secured, m)[:m])
     rb = -es1 / reference
     prefix = np.cumsum(np.sort(secured))
@@ -209,6 +209,14 @@ class TestMetricDefinitions:
         assert (rep.ae, rep.se, rep.sb) == (0.0, 0.0, 0.0)
         assert (rep.ae_stderr, rep.se_stderr, rep.sb_stderr) == (0.0, 0.0, 0.0)
 
+    def test_inputs_are_left_unchanged(self):
+        # the rb tail partitions the secured outcomes in place, and only them
+        rng = np.random.default_rng(3)
+        estimates, companions = rng.standard_normal(200) + 2.0, rng.standard_normal(200)
+        kept = estimates.copy(), companions.copy()
+        _metrics_from(estimates, companions, ALPHA, 2.0)
+        assert np.array_equal(estimates, kept[0]) and np.array_equal(companions, kept[1])
+
     def test_report_validation(self):
         with pytest.raises(ValueError):
             MetricReport(
@@ -231,7 +239,8 @@ class TestMetricDefinitions:
         # the tail kernel snaps it to a one-outcome tail
         alpha, k = 1.0 / 49.0, 49
         assert alpha * k < 1.0
-        assert tail_rows(alpha, np.arange(k)[None] + 5.0)[1][0] == -5.0
+        assert tail_split(alpha, k) == (1, 0.0)
+        assert tail_levels([alpha], np.arange(k) + 5.0)[0][1] == -5.0
         # the metric level is the spec's own: n = 49 snaps to a one-outcome tail too
         spec = build_estimator("es1", alpha, k)
         rep = run_group(Normal(), Iid(k), [spec], [1.0], k, RandomnessContract(1))[0]
@@ -243,10 +252,10 @@ class TestMetricDefinitions:
     def test_level_next_to_one_is_rejected_before_any_draw(self, monkeypatch):
         # floor(alpha*K) snaps up to K: no outcome is left past the tail
         alpha, k = 1.0 - 1e-12, 20
-        assert snapped_floor(alpha * k) == k
+        assert _snapped_split(alpha * k)[0] == k
         spec = build_estimator("es1", alpha, k)
         monkeypatch.setattr(metrics, "_evaluate_replications", pytest.fail)
-        with pytest.raises(ValueError, match=r"1 <= floor\(alpha\*K\) < K"):
+        with pytest.raises(ValueError, match=r"^K: .*need 1 <= floor\(alpha\*n\) < n, got 20"):
             run_group(Normal(), Iid(k), [spec], [1.0], k, RandomnessContract(1))
 
     def test_rejects_nonpositive_reference(self):

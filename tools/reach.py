@@ -23,7 +23,7 @@ Exit status: 0 when every unreached function is in KEEP and every unturned
 knob in KEEP_KNOBS; 1 otherwise; 2 when the probe could not run as intended
 (riskbench imported from another tree, the battery not collected, or a
 command line exiting with a status other than its expected one). Takes about
-half a minute.
+a minute.
 """
 
 from __future__ import annotations
@@ -48,10 +48,6 @@ KEEP = {
         "the witnesses a report prints replay against the estimator",
     "coherence:CoherenceReport.failed_axioms":
         "criterion 5 calls it to name the axioms that failed",
-    "distributions:nig_moments":
-        "closed-form NIG moments, the reference the sampler tests compare against",
-    "estimators:ExpectileSolution.realized_weights":
-        "the sample-dependent weights writing the expectile risk as -<a, s(x)>; built when read",
     "metrics:order_statistic_means":
         "exact order-statistic means, the reference the study's bias is tested against",
 }
@@ -75,6 +71,8 @@ COMMANDS = (
     (["true-risk", "--dist", "nig:0.4:-0.14:0:1", "--oracle-k", "100000"], 0),
     (["consistency", "--builder", "alternative", "--n", "100,1000", "--reps", "5"], 0),
     (["consistency", "--spectrum", "uniform", "--n", "50", "--reps", "3"], 0),
+    (["consistency", "--spectrum", "uniform", "--dist", "nig:0.4:0.14:0:1", "--n", "50",
+      "--reps", "3"], 0),
     (["consistency", "--n", ""], 2),
     (["bench", "--config", "{tmp}/study.json", "--k", "200", "--oracle-k", "100000", "--table"], 0),
     (["bench", "--config", "{tmp}/study.json", "--k", "200", "--oracle-k", "100000",
