@@ -24,6 +24,7 @@ from .consistency import DISCRETIZATIONS, empirical_consistency
 from .distributions import check_oracle_k, needs_oracle, parse_dist, true_risk
 from .estimators import (
     ESTIMATORS,
+    LEstimatorSpec,
     build_estimator,
     es_spectrum,
     expectile_rows,
@@ -44,7 +45,7 @@ def _add_weights(sub) -> None:
 
 
 def _cmd_weights(args) -> int:
-    spec = build_estimator(args.estimator, args.alpha, args.n)
+    spec = _estimator_spec(args.estimator, args.alpha, args.n, sorted(ESTIMATORS))
     w = spec.weights
     if args.json:
         payload = {
@@ -92,24 +93,33 @@ def _add_coherence(sub) -> None:
 _BLACK_BOXES = ("expvar", "gaussian")
 
 
+def _estimator_spec(name: str, alpha: float, n: int, known) -> LEstimatorSpec:
+    """The weights --estimator names, in any case, at --alpha and --n. Each
+    input is checked here, before any compute, and a bad one names its flag;
+    known lists the names the flag takes."""
+    name = name.lower()
+    if name not in ESTIMATORS:
+        raise ValueError(f"--estimator: unknown estimator {name!r}; expected one of {known}")
+    if not (0.0 < alpha < 1.0 or name == "var1"):  # var1 ignores --alpha
+        raise ValueError(f"--alpha: {name} needs a level in (0, 1), got {alpha}")
+    try:
+        return build_estimator(name, alpha, n)
+    except ValueError as exc:  # the size rule of a known name
+        raise ValueError(f"--n: {exc}") from None
+
+
 def _resolve_functional(name: str, alpha: float, n: int):
     """The block function of the functional --estimator names, in any case.
     The name, --alpha and --n are checked here, before any probe is drawn."""
     name = name.lower()
-    if name not in ESTIMATORS and name not in _BLACK_BOXES:
-        known = sorted([*ESTIMATORS, *_BLACK_BOXES])
-        raise ValueError(f"--estimator: unknown estimator {name!r}; expected one of {known}")
+    if name not in _BLACK_BOXES:
+        return _estimator_spec(name, alpha, n, sorted([*ESTIMATORS, *_BLACK_BOXES])).rows
     if name == "expvar":
         level_ok, levels = 0.0 < alpha <= 0.5, "(0, 1/2]"
-    else:  # var1 ignores --alpha
-        level_ok, levels = 0.0 < alpha < 1.0 or name == "var1", "(0, 1)"
+    else:
+        level_ok, levels = 0.0 < alpha < 1.0, "(0, 1)"
     if not level_ok:
         raise ValueError(f"--alpha: {name} needs a level in {levels}, got {alpha}")
-    if name not in _BLACK_BOXES:
-        try:
-            return build_estimator(name, alpha, n).rows
-        except ValueError as exc:  # the size rule of a known name
-            raise ValueError(f"--n: {exc}") from None
     least = 2 if name == "gaussian" else 1
     if n < least:
         raise ValueError(f"--n: {name} needs n >= {least}, got {n}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -24,11 +24,9 @@ PERMUTATION_ORACLE_MAX_N = 8
 __all__ = [
     "WeightVector",
     "SupremumCre",
-    "SupremumResult",
     "simplex_defect",
     "apply_l_estimator",
     "score_sorted_rows",
-    "apply_supremum",
     "permutation_closure_oracle",
     "WEIGHT_SUM_ATOL",
     "MONOTONE_ATOL",
@@ -92,11 +90,6 @@ class WeightVector:
         return int(self.weights.size)
 
 
-class SupremumResult(NamedTuple):
-    value: float
-    winner: int
-
-
 @dataclass(frozen=True, eq=False)
 class SupremumCre:
     """A finite family of non-increasing simplex weight vectors, applied as a sup.
@@ -125,11 +118,11 @@ class SupremumCre:
         return self.candidates[0].n
 
     def rows(self, block: np.ndarray) -> np.ndarray:
-        """apply_supremum's value for every row of an (m, n) block, through one
-        row-wise sort, one (m, n) x (n, candidates) product and the row-wise
-        max. Last bits can differ from apply_supremum."""
-        table = np.column_stack([w.weights for w in self.candidates])
-        return np.max(-(np.sort(block, axis=1) @ table), axis=1)
+        """max over candidates of -<a, s(x)> for every row x of an (m, n)
+        block: one row-wise sort, score_sorted_rows per candidate, then the
+        row-wise max. One sample's value is m.rows(x[None])[0]."""
+        values = np.sort(block, axis=1)
+        return np.max([score_sorted_rows(w, values) for w in self.candidates], axis=0)
 
 
 def _weight_array(w) -> np.ndarray:
@@ -138,12 +131,9 @@ def _weight_array(w) -> np.ndarray:
     return _as_vector(w, "weights")
 
 
-def _sorted_values(x) -> np.ndarray:
-    return np.sort(_as_vector(x, "sample"))
-
-
 def apply_l_estimator(w, x) -> float:
-    """Evaluate -<w, s(x)> where s(x) is the sample sorted non-decreasingly.
+    """Evaluate -<w, s(x)> where s(x) is the sample sorted non-decreasingly:
+    the validated one-sample entry to score_sorted_rows.
 
     Args:
         w: WeightVector, or a plain weight array (no simplex constraint).
@@ -156,36 +146,21 @@ def apply_l_estimator(w, x) -> float:
         ValueError: length mismatch between weights and sample.
     """
     weights = _weight_array(w)
-    values = _sorted_values(x)
+    values = np.sort(_as_vector(x, "sample"))
     if weights.size != values.size:
         raise ValueError(
             f"weights of length {weights.size} cannot score a sample of length {values.size}"
         )
-    return float(-np.dot(weights, values))
+    return float(score_sorted_rows(weights, values[None])[0])
 
 
 def score_sorted_rows(w, rows: np.ndarray) -> np.ndarray:
     """Evaluate -<w, row> for every row of an (m, n) block sorted along axis 1.
 
-    The block form of apply_l_estimator: one matrix-vector product, no
-    validation. Its last bits can differ from a per-row dot product.
+    The one product of weights and sorted values: one matrix-vector product,
+    no validation. A row's last bits can depend on the block it sits in.
     """
     return -(rows @ _weight_array(w))
-
-
-def apply_supremum(m: SupremumCre, x) -> SupremumResult:
-    """Evaluate max over candidates of -<a, s(x)>, reporting the winner.
-
-    Ties go to the lowest candidate index.
-    """
-    values = _sorted_values(x)
-    if m.n != values.size:
-        raise ValueError(
-            f"candidates of length {m.n} cannot score a sample of length {values.size}"
-        )
-    scores = np.array([-np.dot(w.weights, values) for w in m.candidates])
-    winner = int(np.argmax(scores))
-    return SupremumResult(float(scores[winner]), winner)
 
 
 def permutation_closure_oracle(m: SupremumCre, x) -> float:
@@ -193,7 +168,7 @@ def permutation_closure_oracle(m: SupremumCre, x) -> float:
 
     The sample is NOT sorted here; the sup runs over every rearrangement of
     each candidate against x as given. For non-increasing candidates this
-    equals apply_supremum(m, x).value by the rearrangement inequality, which
+    equals m.rows(x[None])[0] by the rearrangement inequality, which
     is exactly what makes this an independent cross-check. Guarded to n <= 8.
     """
     values = _as_vector(x, "sample")

@@ -401,25 +401,20 @@ def _oracle_sample(dist, k: int, seed: int) -> np.ndarray:
             out[2 * i0 + 1 : 2 * i1 : 2] = drift - spread
         return out
     if isinstance(dist, (StudentT, HorizonSum)):
-        # each day: chi-square draws w into out[:half], then normals z; the
-        # day's z * sqrt(nu / w) is computed in w, then kept (a plain t) or
-        # added to the sum in out[half:], which starts from zeros
-        summed = isinstance(dist, HorizonSum)
-        nu = dist.base.nu if summed else dist.nu
-        if summed:
-            src[:] = 0.0
-        for _ in range(dist.h if summed else 1):
+        # a plain t is a one-day sum. Each day: chi-square draws w into
+        # out[:half], then normals z; the day's z * sqrt(nu / w) is computed
+        # in w and added to the sum in out[half:], which starts from zeros
+        base, days = (dist.base, dist.h) if isinstance(dist, HorizonSum) else (dist, 1)
+        src[:] = 0.0
+        for _ in range(days):
             for i0, i1 in _chunks(half):
-                out[i0:i1] = rng.chisquare(nu, i1 - i0)
+                out[i0:i1] = rng.chisquare(base.nu, i1 - i0)
             for i0, i1 in _chunks(half):
                 w = out[i0:i1]
-                np.divide(nu, w, out=w)
+                np.divide(base.nu, w, out=w)
                 np.sqrt(w, out=w)
                 w *= rng.standard_normal(i1 - i0)
-                if summed:
-                    src[i0:i1] += w
-                else:
-                    src[i0:i1] = w
+                src[i0:i1] += w
         for i0, i1 in _chunks(half):
             plus = src[i0:i1].copy()
             out[2 * i0 : 2 * i1 : 2] = plus

@@ -21,15 +21,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import score_sorted_rows
-from .distributions import TrueRisk, dist_label, sample as draw_dist
+from .distributions import TrueRisk, dist_label
 from .estimators import LEstimatorSpec, tail_levels, tail_split
 from .sampling import RandomnessContract, ReplicationBlock, SamplingScheme, scheme_label
 
 __all__ = [
     "MetricReport",
     "run_group",
-    "order_statistic_means",
-    "OrderStatisticMeans",
 ]
 
 # replications drawn, finished, sorted and scored together: the study's bits
@@ -197,49 +195,3 @@ def run_group(
         _metrics_from(estimates[:, i], companions, float(spec.alpha), float(references[i]))
         for i, spec in enumerate(estimators)
     ]
-
-
-@dataclass(frozen=True, eq=False)
-class OrderStatisticMeans:
-    positions: tuple[int, ...]
-    means: np.ndarray
-    stderrs: np.ndarray
-
-
-def order_statistic_means(
-    dist,
-    n: int,
-    positions: Sequence[int],
-    k_oracle: int = 200_000,
-    seed: int = 0,
-) -> OrderStatisticMeans:
-    """Monte Carlo E[X_(i:n)] at the given 1-based positions, batch-means stderr.
-
-    An independent oracle for semi-analytic bias checks: for a weight vector
-    a, the expected estimate is -sum_i a_i E[X_(i:n)].
-    """
-    positions = tuple(int(p) for p in positions)
-    if not positions:
-        raise ValueError("need at least one position")
-    for p in positions:
-        if not (1 <= p <= n):
-            raise ValueError(f"positions must lie in 1..{n}, got {p}")
-    batches = 20
-    per_batch = max(k_oracle // batches, 1)
-    rng = np.random.default_rng(seed)
-    idx = np.array(positions) - 1
-    batch_means = np.empty((batches, len(positions)))
-    chunk = max(1, min(per_batch, (1 << 22) // max(n, 1)))
-    for b in range(batches):
-        acc = np.zeros(len(positions))
-        done = 0
-        while done < per_batch:
-            take = min(chunk, per_batch - done)
-            block = draw_dist(dist, take * n, rng).reshape(take, n)
-            block.sort(axis=1)
-            acc += block[:, idx].sum(axis=0)
-            done += take
-        batch_means[b] = acc / per_batch
-    means = batch_means.mean(axis=0)
-    stderrs = batch_means.std(axis=0, ddof=1) / math.sqrt(batches)
-    return OrderStatisticMeans(positions=positions, means=means, stderrs=stderrs)

@@ -60,7 +60,28 @@ class TestWeights:
         captured = capsys.readouterr()
         assert captured.out == ""
         last = captured.err.splitlines()[-1]
-        assert last.startswith("riskbench: error: unknown estimator 'es9'")
+        assert last.startswith("riskbench: error: --estimator: unknown estimator 'es9'")
+        # weights prints weights, so it offers only the weight-based names
+        assert "gaussian" not in last
+
+    # the name, --alpha and --n go through the check that coherence and
+    # extract use, and the message names the flag
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--estimator", "es9"], "--estimator"),
+            (["--estimator", "es1", "--alpha", "2"], "--alpha"),
+            (["--estimator", "es1", "--n", "0"], "--n"),
+            (["--estimator", "es1", "--n", "10"], "--n"),
+        ],
+    )
+    def test_bad_name_level_or_size_names_the_flag(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["weights", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[-1].startswith(f"riskbench: error: {flag}:")
 
 
 class TestCoherence:

@@ -19,7 +19,7 @@ from riskbench.coherence import (
     extract_comonotonic_weights,
     verify_representation,
 )
-from riskbench.core import SupremumCre, WeightVector, apply_l_estimator, apply_supremum
+from riskbench.core import SupremumCre, WeightVector, apply_l_estimator, score_sorted_rows
 from riskbench.estimators import build_estimator, expectile_rows, gaussian_plugin_rows
 
 TRIALS = 300
@@ -255,7 +255,8 @@ class TestBlockScoring:
         m = SupremumCre(
             tuple(WeightVector(monotone_simplex(rng, n), monotone_flag=True) for _ in range(4))
         )
-        per_row = by_row(lambda x: apply_supremum(m, x).value)
+        # the supremum spelled out one sample at a time, apart from the kernel
+        per_row = by_row(lambda x: max(-np.dot(w.weights, np.sort(x)) for w in m.candidates))
         block = np.vstack([coherence._deck(n), coherence._random_probes(rng, 300, n)])
         want = per_row(block)
         scale = np.max(np.abs(block), axis=1)
@@ -367,13 +368,14 @@ class TestRepresentation:
 
     def test_mismatch_carries_the_sample_and_both_values(self):
         # es2 checked against uniform weights: re-scoring the returned sample
-        # gives back both values, and they differ by the reported defect
+        # with the block kernels gives back both values, and they differ by
+        # the reported defect
         spec = build_estimator("es2", 0.1, 20)
         uniform = WeightVector(np.full(20, 1.0 / 20.0))
         res = verify_representation(spec.rows, uniform, trials=100)
         assert not res.passed
-        assert apply_l_estimator(spec.weights, res.sample) == res.estimate
-        assert apply_l_estimator(uniform, res.sample) == res.represented
+        assert spec.rows(res.sample[None])[0] == res.estimate
+        assert score_sorted_rows(uniform, np.sort(res.sample)[None])[0] == res.represented
         assert res.defect == res.estimate - res.represented
         assert abs(res.defect) > VIOLATION_RTOL
 

@@ -7,7 +7,6 @@ from riskbench.core import (
     SupremumCre,
     WeightVector,
     apply_l_estimator,
-    apply_supremum,
     permutation_closure_oracle,
 )
 
@@ -105,17 +104,7 @@ class TestSupremum:
         )
         m = SupremumCre(cands)
         # x = (-3, 1): candidate 0 gives 3, candidate 1 gives 1
-        res = apply_supremum(m, np.array([1.0, -3.0]))
-        assert res.value == 3.0
-        assert res.winner == 0
-
-    def test_tie_goes_to_first(self):
-        cands = (
-            WeightVector(np.array([0.5, 0.5]), monotone_flag=True),
-            WeightVector(np.array([0.5, 0.5]), monotone_flag=True),
-        )
-        res = apply_supremum(SupremumCre(cands), np.array([1.0, 2.0]))
-        assert res.winner == 0
+        assert m.rows(np.array([[1.0, -3.0]]))[0] == 3.0
 
     def test_rejects_non_monotone_candidate(self):
         with pytest.raises(ValueError):
@@ -146,7 +135,7 @@ class TestSupremum:
         )
         m = SupremumCre(cands)
         x = rng.normal(size=n) * 3.0
-        direct = apply_supremum(m, x).value
+        direct = m.rows(x[None])[0]
         brute = permutation_closure_oracle(m, x)
         assert brute == pytest.approx(direct, abs=1e-9 * (1 + np.abs(x).max()))
 

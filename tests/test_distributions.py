@@ -323,7 +323,9 @@ class TestTrueRisk:
     # (var_alpha, es_alpha, standard_error) as float.hex at oracle_k = 100 000,
     # seed 0, recorded with one flat partition per oracle batch, a path
     # independent of the row-wise tail kernel; 0.0123 leaves a fractional
-    # boundary weight in every batch of 5 000 draws, 0.025 none
+    # boundary weight in every batch of 5 000 draws, 0.025 none. The plain
+    # t(5) oracle is forced (its closed form is the default); its pins were
+    # recorded before it shared the h-day sums' day loop
     ORACLE_BITS = {
         (Nig(0.4, 0.14), 0.0123): (
             "0x1.a68f5536af558p+1", "0x1.22940a1adad0ap+2", "0x1.7931cff3b6f21p-5"
@@ -337,11 +339,17 @@ class TestTrueRisk:
         (HorizonSum(StudentT(5.0), 10), 0.025): (
             "0x1.02cb83914dc54p+3", "0x1.3d9412cac3540p+3", "0x1.b3dba20342667p-5"
         ),
+        (StudentT(5.0), 0.0123): (
+            "0x1.93a1d447f94f4p+1", "0x1.0f9579870e37cp+2", "0x1.96d24fa2c3570p-5"
+        ),
+        (StudentT(5.0), 0.025): (
+            "0x1.4b17a4f139d3ep+1", "0x1.c365af39b3be4p+1", "0x1.00c2fd3038d2ep-5"
+        ),
     }
 
     @pytest.mark.parametrize("dist, alpha", list(ORACLE_BITS))
     def test_oracle_bits_are_pinned(self, dist, alpha):
-        tr = true_risk(dist, alpha, oracle_k=100_000)
+        tr = true_risk(dist, alpha, oracle_k=100_000, force_oracle=True)
         got = (tr.var_alpha.hex(), tr.es_alpha.hex(), tr.standard_error.hex())
         assert got == self.ORACLE_BITS[dist, alpha]
 

@@ -48,8 +48,6 @@ KEEP = {
         "the witnesses a report prints replay against the estimator",
     "coherence:CoherenceReport.failed_axioms":
         "criterion 5 calls it to name the axioms that failed",
-    "metrics:order_statistic_means":
-        "exact order-statistic means, the reference the study's bias is tested against",
 }
 
 # "<module>:<qualified name>(<parameter>)" -> why the default stays although
@@ -62,6 +60,7 @@ COMMANDS = (
     (["weights", "--estimator", "var1", "--json"], 0),
     (["weights", "--estimator", "es6", "--alpha", "0.05", "--n", "40", "--csv"], 0),
     (["weights", "--estimator", "es9"], 2),
+    (["weights", "--estimator", "es1", "--n", "10"], 2),
     (["coherence", "--estimator", "es1", "--n", "50", "--trials", "100"], 0),
     (["coherence", "--estimator", "es5", "--n", "50", "--trials", "100", "--json"], 1),
     (["coherence", "--estimator", "gaussian", "--n", "40", "--trials", "100"], 1),
