@@ -34,7 +34,6 @@ from .distributions import (
     Normal,
     StudentT,
     TrueRisk,
-    dist_label,
     horizon_target,
     nig_moments,
     parse_dist,
@@ -42,11 +41,9 @@ from .distributions import (
     true_risk_levels,
 )
 from .sampling import (
-    Iid,
-    Overlapping,
     RandomnessContract,
+    Scheme,
     parse_scheme,
-    scheme_label,
     stream_key,
 )
 from .metrics import MetricReport, run_group
@@ -69,16 +66,15 @@ __all__ = [
     "DISCRETIZATIONS",
     "ESTIMATORS",
     "HorizonSum",
-    "Iid",
     "LEstimatorSpec",
     "MetricReport",
     "Nig",
     "Normal",
     "NotComonotonicError",
-    "Overlapping",
     "RandomnessContract",
     "ResultRow",
     "ResultTable",
+    "Scheme",
     "SpectrumSpec",
     "StudentT",
     "SupremumCre",
@@ -93,7 +89,6 @@ __all__ = [
     "check_axiom",
     "check_cash_additivity_slope",
     "check_partial_integrals",
-    "dist_label",
     "empirical_consistency",
     "es_spectrum",
     "extract_comonotonic_weights",
@@ -105,7 +100,6 @@ __all__ = [
     "permutation_closure_oracle",
     "run_group",
     "run_study",
-    "scheme_label",
     "stream_key",
     "true_risk",
     "true_risk_levels",

@@ -18,7 +18,6 @@ from typing import Optional
 
 from .distributions import (
     check_oracle_k,
-    dist_label,
     horizon_target,
     needs_oracle,
     parse_dist,
@@ -26,7 +25,7 @@ from .distributions import (
 )
 from .estimators import LEstimatorSpec, build_estimator, tail_split
 from .metrics import MetricReport, RandomnessContract, reference_value, run_group
-from .sampling import parse_scheme, scheme_label, stream_key
+from .sampling import parse_scheme, stream_key
 
 __all__ = [
     "DEFAULT_DISTRIBUTIONS",
@@ -101,7 +100,7 @@ class BenchConfig:
                 raise ValueError(
                     f"k: estimator {spec.name!r} at level {spec.alpha}: {exc}"
                 ) from None
-        if any(needs_oracle(horizon_target(d, s.horizon)) for d in dists for s in schemes):
+        if any(needs_oracle(horizon_target(d, s.h)) for d in dists for s in schemes):
             try:
                 check_oracle_k(self.oracle_k, [spec.alpha for spec in specs])
             except ValueError as exc:
@@ -240,9 +239,9 @@ def run_study(config: BenchConfig) -> ResultTable:
     rows: list[ResultRow] = []
     for dist in dists:
         for scheme in schemes:
-            cell_tag = f"{dist_label(dist)}|{scheme_label(scheme)}"
+            cell_tag = f"{dist.label}|{scheme.label}"
             try:
-                target = horizon_target(dist, scheme.horizon)
+                target = horizon_target(dist, scheme.h)
                 oracle_seed = stream_key(config.seed, f"oracle|{cell_tag}", 0)
                 risks = true_risk_levels(
                     target, levels, oracle_k=config.oracle_k, seed=oracle_seed
@@ -270,8 +269,8 @@ def _rows_for(
     for metric in METRICS:
         out.append(
             ResultRow(
-                distribution=dist_label(dist),
-                scheme=scheme_label(scheme),
+                distribution=dist.label,
+                scheme=scheme.label,
                 estimator=spec.name,
                 alpha=spec.alpha,
                 n=config.n,

@@ -465,7 +465,7 @@ def verify_representation(
     score = _rows(estimator)
     for _, x in _probe_blocks(probes, 1):
         got = score(x)
-        want = score_sorted_rows(weights, np.sort(x, axis=1))
+        want = score_sorted_rows(weights.weights, np.sort(x, axis=1))
         j = _first(np.abs(got - want) > _tols(_max_abs(x)))
         if j is not None:
             return VerificationResult(

@@ -122,13 +122,7 @@ class SupremumCre:
         block: one row-wise sort, score_sorted_rows per candidate, then the
         row-wise max. One sample's value is m.rows(x[None])[0]."""
         values = np.sort(block, axis=1)
-        return np.max([score_sorted_rows(w, values) for w in self.candidates], axis=0)
-
-
-def _weight_array(w) -> np.ndarray:
-    if isinstance(w, WeightVector):
-        return w.weights
-    return _as_vector(w, "weights")
+        return np.max([score_sorted_rows(w.weights, values) for w in self.candidates], axis=0)
 
 
 def apply_l_estimator(w, x) -> float:
@@ -145,7 +139,7 @@ def apply_l_estimator(w, x) -> float:
     Raises:
         ValueError: length mismatch between weights and sample.
     """
-    weights = _weight_array(w)
+    weights = w.weights if isinstance(w, WeightVector) else _as_vector(w, "weights")
     values = np.sort(_as_vector(x, "sample"))
     if weights.size != values.size:
         raise ValueError(
@@ -154,13 +148,15 @@ def apply_l_estimator(w, x) -> float:
     return float(score_sorted_rows(weights, values[None])[0])
 
 
-def score_sorted_rows(w, rows: np.ndarray) -> np.ndarray:
-    """Evaluate -<w, row> for every row of an (m, n) block sorted along axis 1.
+def score_sorted_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Evaluate -<weights, row> for every row of an (m, n) block sorted along axis 1.
 
-    The one product of weights and sorted values: one matrix-vector product,
-    no validation. A row's last bits can depend on the block it sits in.
+    The one product of weights and sorted values: one matrix-vector product.
+    The weights must already be validated (WeightVector.weights,
+    LEstimatorSpec.weights); nothing is checked here. A row's last bits can
+    depend on the block it sits in.
     """
-    return -(rows @ _weight_array(w))
+    return -(rows @ weights)
 
 
 def permutation_closure_oracle(m: SupremumCre, x) -> float:

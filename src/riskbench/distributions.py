@@ -24,12 +24,8 @@ __all__ = [
     "Nig",
     "HorizonSum",
     "DistributionSpec",
-    "dist_label",
     "parse_dist",
     "sample",
-    "raw_arrays",
-    "draw_raw",
-    "transform",
     "inverse_gaussian_transform",
     "NigMoments",
     "nig_moments",
@@ -52,14 +48,37 @@ DEFAULT_ORACLE_K = 10_000_000
 ORACLE_BATCHES = 20
 
 
+# Each distribution samples in two steps. draw fills the raw arrays (RAW_ARRAYS
+# of them, one per generator call) from rng in a fixed order, the generator
+# calls only. transform turns raw draws of any shape into variates,
+# elementwise, so the bits of a variate do not depend on the shape it is
+# computed in; it may overwrite the raw draws. label is the canonical text
+# form, also accepted by parse_dist.
+
+
 @dataclass(frozen=True)
 class Normal:
     mu: float = 0.0
     sigma: float = 1.0
 
+    RAW_ARRAYS = 1
+
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma) and math.isfinite(self.mu)):
             raise ValueError(f"need finite mu and sigma > 0, got ({self.mu}, {self.sigma})")
+
+    @property
+    def label(self) -> str:
+        return f"normal:{_param(self.mu)}:{_param(self.sigma)}"
+
+    def draw(self, rng: np.random.Generator, raw, row=...) -> None:
+        rng.standard_normal(out=raw[0][row])
+
+    def transform(self, raw) -> np.ndarray:
+        (x,) = raw
+        x *= self.sigma
+        x += self.mu
+        return x
 
 
 @dataclass(frozen=True)
@@ -68,9 +87,24 @@ class StudentT:
 
     nu: float
 
+    RAW_ARRAYS = 1
+
     def __post_init__(self):
         if not (self.nu > 1.0 and math.isfinite(self.nu)):
             raise ValueError(f"need nu > 1, got {self.nu}")
+
+    @property
+    def label(self) -> str:
+        return f"t:{_param(self.nu)}"
+
+    def draw(self, rng: np.random.Generator, raw, row=...) -> None:
+        # one standard_t call: its internal gamma draws cannot be split from
+        # its normals without moving the stream
+        out = raw[0][row]
+        out[...] = rng.standard_t(self.nu, out.shape)
+
+    def transform(self, raw) -> np.ndarray:
+        return raw[0]
 
 
 @dataclass(frozen=True)
@@ -85,6 +119,8 @@ class Nig:
     b: float
     mu: float = 0.0
     delta: float = 1.0
+
+    RAW_ARRAYS = 3  # y, u and z
 
     def __post_init__(self):
         ok = (
@@ -104,6 +140,26 @@ class Nig:
     @property
     def gamma(self) -> float:
         return math.sqrt(self.a * self.a - self.b * self.b)
+
+    @property
+    def label(self) -> str:
+        return f"nig:{_param(self.a)}:{_param(self.b)}:{_param(self.mu)}:{_param(self.delta)}"
+
+    def draw(self, rng: np.random.Generator, raw, row=...) -> None:
+        y, u, z = raw
+        rng.standard_normal(out=y[row])
+        rng.random(out=u[row])
+        rng.standard_normal(out=z[row])
+
+    def transform(self, raw) -> np.ndarray:
+        y, u, z = raw
+        v = inverse_gaussian_transform(self.delta / self.gamma, self.delta**2, y, u)
+        # mu + b*v + sqrt(v)*z, accumulated in v
+        z *= np.sqrt(v)
+        v *= self.b
+        v += self.mu
+        v += z
+        return v
 
 
 @dataclass(frozen=True)
@@ -129,19 +185,6 @@ def _param(value: float) -> str:
     so distinct parameters never share a label."""
     short = f"{value:g}"
     return short if float(short) == value else repr(float(value))
-
-
-def dist_label(dist) -> str:
-    """Canonical text form, also accepted by parse_dist."""
-    if isinstance(dist, Normal):
-        return f"normal:{_param(dist.mu)}:{_param(dist.sigma)}"
-    if isinstance(dist, StudentT):
-        return f"t:{_param(dist.nu)}"
-    if isinstance(dist, Nig):
-        return f"nig:{_param(dist.a)}:{_param(dist.b)}:{_param(dist.mu)}:{_param(dist.delta)}"
-    if isinstance(dist, HorizonSum):
-        return f"sum{dist.h}({dist_label(dist.base)})"
-    raise ValueError(f"unknown distribution object {dist!r}")
 
 
 def parse_dist(text: str) -> DistributionSpec:
@@ -202,65 +245,12 @@ def inverse_gaussian_transform(
     return x
 
 
-def raw_arrays(dist, shape) -> tuple[np.ndarray, ...]:
-    """Empty arrays for the raw generator draws behind `shape` variates of a
-    base distribution (one per generator call: Nig draws y, u and z)."""
-    if isinstance(dist, (Normal, StudentT)):
-        return (np.empty(shape),)
-    if isinstance(dist, Nig):
-        return (np.empty(shape), np.empty(shape), np.empty(shape))
-    raise ValueError(f"no raw draws for distribution object {dist!r}")
-
-
-def draw_raw(dist, rng: np.random.Generator, raw, row=...) -> None:
-    """Fill raw[i][row] from rng in the distribution's fixed draw order.
-
-    The generator calls only; transform turns the raw draws into variates.
-    Student-t keeps one standard_t call, whose internal gamma draws cannot be
-    split from its normals without moving the stream.
-    """
-    if isinstance(dist, Normal):
-        rng.standard_normal(out=raw[0][row])
-    elif isinstance(dist, StudentT):
-        out = raw[0][row]
-        out[...] = rng.standard_t(dist.nu, out.shape)
-    elif isinstance(dist, Nig):
-        y, u, z = raw
-        rng.standard_normal(out=y[row])
-        rng.random(out=u[row])
-        rng.standard_normal(out=z[row])
-    else:
-        raise ValueError(f"no raw draws for distribution object {dist!r}")
-
-
-def transform(dist, raw) -> np.ndarray:
-    """Variates from raw draws of any shape, elementwise, so the bits of a
-    variate do not depend on the shape it is computed in. May overwrite raw."""
-    if isinstance(dist, Normal):
-        (x,) = raw
-        x *= dist.sigma
-        x += dist.mu
-        return x
-    if isinstance(dist, StudentT):
-        return raw[0]
-    if isinstance(dist, Nig):
-        y, u, z = raw
-        v = inverse_gaussian_transform(dist.delta / dist.gamma, dist.delta**2, y, u)
-        # mu + b*v + sqrt(v)*z, accumulated in v
-        z *= np.sqrt(v)
-        v *= dist.b
-        v += dist.mu
-        v += z
-        return v
-    raise ValueError(f"no raw draws for distribution object {dist!r}")
-
-
 def sample(dist, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `size` variates of a base distribution: transform(dist, raw
-    draws); the draw order per variate is fixed per distribution."""
-    raw = raw_arrays(dist, size)
-    draw_raw(dist, rng, raw)
-    return transform(dist, raw)
+    """Draw `size` variates of a base distribution: its transform of its raw
+    draws; the draw order per variate is fixed per distribution."""
+    raw = tuple(np.empty(size) for _ in range(dist.RAW_ARRAYS))
+    dist.draw(rng, raw)
+    return dist.transform(raw)
 
 
 class NigMoments(NamedTuple):

@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import score_sorted_rows
-from .distributions import TrueRisk, dist_label
+from .distributions import TrueRisk
 from .estimators import LEstimatorSpec, tail_levels, tail_split
-from .sampling import RandomnessContract, ReplicationBlock, SamplingScheme, scheme_label
+from .sampling import RandomnessContract, ReplicationBlock, Scheme
 
 __all__ = [
     "MetricReport",
@@ -76,7 +76,7 @@ class MetricReport:
 
 def _evaluate_replications(
     distribution,
-    scheme: SamplingScheme,
+    scheme: Scheme,
     estimators: Sequence[LEstimatorSpec],
     K: int,
     contract: RandomnessContract,
@@ -88,7 +88,7 @@ def _evaluate_replications(
     the replication index only, so every estimator scores the same draw and
     the draws are independent of the tile size.
     """
-    cell_tag = f"{dist_label(distribution)}|{scheme_label(scheme)}"
+    cell_tag = f"{distribution.label}|{scheme.label}"
     sample_tag = f"sample|{cell_tag}"
     companion_tag = f"companion|{cell_tag}"
 
@@ -171,7 +171,7 @@ def reference_value(estimator: LEstimatorSpec, true: TrueRisk) -> float:
 
 def run_group(
     distribution,
-    scheme: SamplingScheme,
+    scheme: Scheme,
     estimators: Sequence[LEstimatorSpec],
     references: Sequence[float],
     K: int,

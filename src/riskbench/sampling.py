@@ -11,49 +11,27 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .distributions import draw_raw, raw_arrays, transform
-
 __all__ = [
-    "Iid",
-    "Overlapping",
-    "SamplingScheme",
-    "scheme_label",
+    "Scheme",
     "parse_scheme",
     "RandomnessContract",
     "stream_key",
     "ReplicationBlock",
-    "base_draw_count",
 ]
 
 _MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
-class Iid:
-    """n independent one-day outcomes."""
+class Scheme:
+    """n observations, each the sum of h consecutive one-day outcomes.
 
-    n: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 1):
-            raise ValueError(f"sample size must be a positive integer, got {self.n!r}")
-
-    @property
-    def horizon(self) -> int:
-        return 1
-
-
-@dataclass(frozen=True)
-class Overlapping:
-    """n overlapping h-day sums built from n + h - 1 base draws.
-
-    X_i = Z_i + ... + Z_{i+h-1} over a single stream of base outcomes, so
-    consecutive observations share h - 1 summands. Overlapping(n, 1) is
-    Iid(n) draw for draw on the same stream.
+    X_i = Z_i + ... + Z_{i+h-1} over a single stream of n + h - 1 base
+    outcomes, so consecutive observations share h - 1 summands; h = 1 gives
+    n independent one-day outcomes.
     """
 
     n: int
@@ -66,40 +44,26 @@ class Overlapping:
             raise ValueError(f"window must be a positive integer, got {self.h!r}")
 
     @property
-    def horizon(self) -> int:
-        return self.h
+    def label(self) -> str:
+        """Canonical text form, also accepted by parse_scheme."""
+        return "iid" if self.h == 1 else f"overlapping:{self.h}"
 
 
-SamplingScheme = Union[Iid, Overlapping]
-
-
-def scheme_label(scheme: SamplingScheme) -> str:
-    if isinstance(scheme, Iid):
-        return "iid"
-    if isinstance(scheme, Overlapping):
-        return f"overlapping:{scheme.h}"
-    raise ValueError(f"unknown scheme object {scheme!r}")
-
-
-def parse_scheme(text: str, n: int) -> SamplingScheme:
-    """Parse 'iid' or 'overlapping:h' at sample size n."""
+def parse_scheme(text: str, n: int) -> Scheme:
+    """Parse 'iid' or 'overlapping:h' (h >= 2, 10 when left out) at sample size n."""
     parts = text.strip().lower().split(":")
     if parts[0] == "iid" and len(parts) == 1:
-        return Iid(n)
+        return Scheme(n, 1)
     if parts[0] == "overlapping" and len(parts) <= 2:
         h = parts[1] if len(parts) == 2 else "10"
         if h.isdecimal():
-            return Overlapping(n, int(h))
+            if int(h) < 2:
+                raise ValueError(
+                    f"sampling scheme {text!r} needs a window of at least 2; "
+                    "one-day outcomes are 'iid'"
+                )
+            return Scheme(n, int(h))
     raise ValueError(f"unknown sampling scheme {text!r}")
-
-
-def base_draw_count(scheme: SamplingScheme) -> int:
-    """Base variates one sample consumes: n for Iid, n + h - 1 for Overlapping."""
-    if isinstance(scheme, Iid):
-        return scheme.n
-    if isinstance(scheme, Overlapping):
-        return scheme.n + scheme.h - 1
-    raise ValueError(f"unknown scheme object {scheme!r}")
 
 
 @functools.lru_cache(maxsize=1024)
@@ -176,29 +140,28 @@ class ReplicationBlock:
     has the bits of a one-replication draw whatever the block size.
     """
 
-    def __init__(self, dist, scheme: SamplingScheme, rows: int):
+    def __init__(self, dist, scheme: Scheme, rows: int):
         self.dist = dist
-        self.n = scheme.n
-        self.h = scheme.horizon
-        self.raw = raw_arrays(dist, (rows, base_draw_count(scheme)))
-        self.companion_raw = raw_arrays(dist, (rows, self.h))
+        self.n, self.h = scheme.n, scheme.h
+        self.raw = tuple(np.empty((rows, self.n + self.h - 1)) for _ in range(dist.RAW_ARRAYS))
+        self.companion_raw = tuple(np.empty((rows, self.h)) for _ in range(dist.RAW_ARRAYS))
 
     def draw(self, rng: np.random.Generator, j: int) -> None:
-        """Row j's base draws: n for Iid, n + h - 1 for Overlapping."""
-        draw_raw(self.dist, rng, self.raw, j)
+        """Row j's n + h - 1 base draws."""
+        self.dist.draw(rng, self.raw, j)
 
     def draw_companion(self, rng: np.random.Generator, j: int) -> None:
         """Row j's companion: one fresh draw of the target variable (the
-        h-day sum for overlapping schemes), used to test the secured position."""
-        draw_raw(self.dist, rng, self.companion_raw, j)
+        h-day sum), used to test the secured position."""
+        self.dist.draw(rng, self.companion_raw, j)
 
     def finish(self, samples: np.ndarray, companions: np.ndarray) -> None:
         """Write rows 0..b-1 into samples (b, n) and companions (b,). The
         transforms work in place, so the raw rows must be drawn again before
         the next finish."""
         b = len(samples)
-        base = transform(self.dist, [a[:b] for a in self.raw])
-        if base.shape[1] == self.n:
+        base = self.dist.transform([a[:b] for a in self.raw])
+        if self.h == 1:
             samples[...] = base
         else:
             # X_i = Z_i + ... + Z_{i+h-1} = S_{i+h-1} - S_{i-1} over the prefix
@@ -206,5 +169,5 @@ class ReplicationBlock:
             np.cumsum(base, axis=1, out=base)
             samples[:, 0] = base[:, self.h - 1]
             np.subtract(base[:, self.h :], base[:, : self.n - 1], out=samples[:, 1:])
-        outcomes = transform(self.dist, [a[:b] for a in self.companion_raw])
+        outcomes = self.dist.transform([a[:b] for a in self.companion_raw])
         np.sum(outcomes, axis=1, out=companions)

@@ -107,6 +107,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=rf"^{field}\b"):
             tiny_config(**overrides)
 
+    def test_one_day_window_is_spelled_iid(self):
+        # a one-day window has one spelling, iid, and the message names it
+        with pytest.raises(ValueError, match=r"^schemes: .*'iid'"):
+            tiny_config(schemes=("iid", "overlapping:1"))
+
     def test_level_next_to_one_fails_at_construction(self):
         # floor(alpha*k) snaps up to k = 20, which leaves no outcome past the
         # rb tail; without the upper bound the study runs and reports rb = -2.4e10

@@ -375,7 +375,7 @@ class TestRepresentation:
         res = verify_representation(spec.rows, uniform, trials=100)
         assert not res.passed
         assert spec.rows(res.sample[None])[0] == res.estimate
-        assert score_sorted_rows(uniform, np.sort(res.sample)[None])[0] == res.represented
+        assert score_sorted_rows(uniform.weights, np.sort(res.sample)[None])[0] == res.represented
         assert res.defect == res.estimate - res.represented
         assert abs(res.defect) > VIOLATION_RTOL
 

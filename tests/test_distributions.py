@@ -14,7 +14,6 @@ from riskbench.distributions import (
     Normal,
     StudentT,
     TrueRisk,
-    dist_label,
     horizon_target,
     inverse_gaussian_transform,
     nig_moments,
@@ -112,15 +111,12 @@ class TestLabels:
         ["normal:0:1", "t:5", "nig:0.4:0.14:0:1", "nig:0.55:-0.3025:0:1", "normal:0:1.0000001"],
     )
     def test_round_trip(self, text):
-        assert dist_label(parse_dist(text)) == text
+        assert parse_dist(text).label == text
 
     @settings(max_examples=200, deadline=None)
     @given(dist=DISTRIBUTIONS)
     def test_label_parses_back_to_the_distribution(self, dist):
-        assert parse_dist(dist_label(dist)) == dist
-
-    def test_horizon_sum_label(self):
-        assert dist_label(HorizonSum(StudentT(5.0), 10)) == "sum10(t:5)"
+        assert parse_dist(dist.label) == dist
 
     @pytest.mark.parametrize("base", [Normal(), Nig(0.4, 0.14), HorizonSum(StudentT(5.0), 2)])
     def test_horizon_sum_takes_a_student_t_only(self, base):

@@ -10,7 +10,6 @@ from riskbench.distributions import (
     Normal,
     StudentT,
     TrueRisk,
-    dist_label,
     parse_dist,
     sample,
     true_risk,
@@ -24,14 +23,7 @@ from riskbench.metrics import (
     reference_value,
     run_group,
 )
-from riskbench.sampling import (
-    Iid,
-    Overlapping,
-    RandomnessContract,
-    base_draw_count,
-    parse_scheme,
-    scheme_label,
-)
+from riskbench.sampling import RandomnessContract, Scheme, parse_scheme
 
 ALPHA = 0.1
 N = 40
@@ -42,13 +34,13 @@ def replay_draws(distribution, scheme, K, contract):
     """Replay the stream contract one replication at a time: a fresh stream
     per (tag, k), distributions.sample, and rolling sums by an explicit
     prefix sum. Returns (samples (K, n), companions (K,))."""
-    tag = f"{dist_label(distribution)}|{scheme_label(scheme)}"
-    n, h = scheme.n, scheme.horizon
+    tag = f"{distribution.label}|{scheme.label}"
+    n, h = scheme.n, scheme.h
     samples = np.empty((K, n))
     companions = np.empty(K)
     for k in range(K):
         rng = contract.stream(f"sample|{tag}", k)
-        base = sample(distribution, base_draw_count(scheme), rng)
+        base = sample(distribution, n + h - 1, rng)
         if base.size == n:
             samples[k] = base
         else:
@@ -95,9 +87,9 @@ class TestAgainstNaiveReplay:
 
     def test_vectorized_path_matches_replay(self):
         got_est, got_comp = _evaluate_replications(
-            Normal(), Iid(N), self.estimators, K, self.contract
+            Normal(), Scheme(N, 1), self.estimators, K, self.contract
         )
-        want_est, want_comp = naive_cell(Normal(), Iid(N), self.estimators, K, self.contract)
+        want_est, want_comp = naive_cell(Normal(), Scheme(N, 1), self.estimators, K, self.contract)
         assert np.array_equal(got_comp, want_comp)
         assert np.allclose(got_est, want_est, rtol=0.0, atol=1e-12)
 
@@ -105,13 +97,13 @@ class TestAgainstNaiveReplay:
         refs = [reference_value(e, self.true) for e in self.estimators]
         reports = run_group(
             Normal(),
-            Iid(N),
+            Scheme(N, 1),
             self.estimators,
             refs,
             K,
             self.contract,
         )
-        est, comp = naive_cell(Normal(), Iid(N), self.estimators, K, self.contract)
+        est, comp = naive_cell(Normal(), Scheme(N, 1), self.estimators, K, self.contract)
         for i, rep in enumerate(reports):
             ae, se, sb, rb, ct = naive_metrics(est[:, i], comp, ALPHA, refs[i])
             assert rep.ae == pytest.approx(ae, abs=1e-12)
@@ -122,15 +114,15 @@ class TestAgainstNaiveReplay:
 
     def test_group_membership_does_not_change_bits(self):
         solo, _ = _evaluate_replications(
-            Normal(), Iid(N), [self.specs[0]], K, self.contract
+            Normal(), Scheme(N, 1), [self.specs[0]], K, self.contract
         )
         grouped, _ = _evaluate_replications(
-            Normal(), Iid(N), self.estimators, K, self.contract
+            Normal(), Scheme(N, 1), self.estimators, K, self.contract
         )
         assert np.array_equal(solo[:, 0], grouped[:, 0])
 
     def test_overlapping_scheme_same_contract(self):
-        scheme = Overlapping(N, 5)
+        scheme = Scheme(N, 5)
         got_est, got_comp = _evaluate_replications(
             StudentT(5.0), scheme, self.specs, 200, self.contract
         )
@@ -175,7 +167,7 @@ class TestBlockDraws:
         tracemalloc.start()
         try:
             _evaluate_replications(
-                parse_dist(dist), Overlapping(n, 10), self.STUDY, K, RandomnessContract(3)
+                parse_dist(dist), Scheme(n, 10), self.STUDY, K, RandomnessContract(3)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -243,9 +235,9 @@ class TestMetricDefinitions:
         assert tail_levels([alpha], np.arange(k) + 5.0)[0][1] == -5.0
         # the metric level is the spec's own: n = 49 snaps to a one-outcome tail too
         spec = build_estimator("es1", alpha, k)
-        rep = run_group(Normal(), Iid(k), [spec], [1.0], k, RandomnessContract(1))[0]
+        rep = run_group(Normal(), Scheme(k, 1), [spec], [1.0], k, RandomnessContract(1))[0]
         estimates, companions = _evaluate_replications(
-            Normal(), Iid(k), [spec], k, RandomnessContract(1)
+            Normal(), Scheme(k, 1), [spec], k, RandomnessContract(1)
         )
         assert rep.rb == naive_metrics(estimates[:, 0], companions, alpha, 1.0)[3]
 
@@ -256,12 +248,13 @@ class TestMetricDefinitions:
         spec = build_estimator("es1", alpha, k)
         monkeypatch.setattr(metrics, "_evaluate_replications", pytest.fail)
         with pytest.raises(ValueError, match=r"^K: .*need 1 <= floor\(alpha\*n\) < n, got 20"):
-            run_group(Normal(), Iid(k), [spec], [1.0], k, RandomnessContract(1))
+            run_group(Normal(), Scheme(k, 1), [spec], [1.0], k, RandomnessContract(1))
 
     def test_rejects_nonpositive_reference(self):
         contract = RandomnessContract(1)
+        spec = build_estimator("es1", ALPHA, N)
         with pytest.raises(ValueError):
-            run_group(Normal(), Iid(N), [build_estimator("es1", ALPHA, N)], [-2.0], 50, contract)
+            run_group(Normal(), Scheme(N, 1), [spec], [-2.0], 50, contract)
 
 
 # Exact order-statistic means, the independent reference for bias checks
@@ -348,7 +341,7 @@ class TestOrderStatisticMeans:
         predicted = -float(np.dot(spec.weights[nz], means))
 
         contract = RandomnessContract(4)
-        est, _ = _evaluate_replications(Normal(), Iid(N), [spec], 40_000, contract)
+        est, _ = _evaluate_replications(Normal(), Scheme(N, 1), [spec], 40_000, contract)
         simulated = float(est.mean())
         sim_err = float(est.std(ddof=1)) / math.sqrt(est.size)
         assert abs(predicted - simulated) < 5 * sim_err
@@ -366,7 +359,7 @@ class TestOrderStatisticMeans:
         head = 1 + max(int(np.flatnonzero(s.weights)[-1]) for s in specs)
         means = exact_order_statistic_means(law, n, range(1, head + 1))
         reports = run_group(
-            dist, Iid(n), specs, [rho] * len(specs), 20_000, RandomnessContract(11)
+            dist, Scheme(n, 1), specs, [rho] * len(specs), 20_000, RandomnessContract(11)
         )
         for spec, report in zip(specs, reports):
             exact = -float(spec.weights[:head] @ means) / rho - 1.0

@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 
 from riskbench.distributions import Nig, Normal, StudentT, sample
 from riskbench.sampling import (
-    Iid,
-    Overlapping,
     RandomnessContract,
     ReplicationBlock,
-    base_draw_count,
+    Scheme,
     parse_scheme,
-    scheme_label,
     stream_key,
 )
 
@@ -92,36 +89,44 @@ class TestRekey:
 
 class TestSchemes:
     def test_parse_and_label(self):
-        assert parse_scheme("iid", 250) == Iid(250)
-        assert parse_scheme("overlapping:10", 250) == Overlapping(250, 10)
-        assert parse_scheme("overlapping", 250) == Overlapping(250, 10)
-        assert parse_scheme("overlapping:3", 50) == Overlapping(50, 3)
-        assert scheme_label(Iid(250)) == "iid"
-        assert scheme_label(Overlapping(250, 10)) == "overlapping:10"
+        assert parse_scheme("iid", 250) == Scheme(250, 1)
+        assert parse_scheme("overlapping:10", 250) == Scheme(250, 10)
+        assert parse_scheme("overlapping", 250) == Scheme(250, 10)
+        assert parse_scheme("overlapping:3", 50) == Scheme(50, 3)
+        assert Scheme(250, 1).label == "iid"
+        assert Scheme(250, 10).label == "overlapping:10"
 
     @given(n=st.integers(1, 10**6), h=st.integers(1, 10**4), iid=st.booleans())
     def test_label_parses_back_to_the_scheme(self, n, h, iid):
-        scheme = Iid(n) if iid else Overlapping(n, h)
-        assert parse_scheme(scheme_label(scheme), n) == scheme
+        scheme = Scheme(n, 1 if iid else h)
+        assert parse_scheme(scheme.label, n) == scheme
 
     def test_parse_rejects_garbage(self):
         for bad in ("", "rolling", "overlapping:0", "overlapping:x"):
             with pytest.raises(ValueError):
                 parse_scheme(bad, 250)
 
+    def test_one_day_window_is_spelled_iid(self):
+        with pytest.raises(ValueError, match="'iid'"):
+            parse_scheme("overlapping:1", 250)
+
     def test_base_draw_count(self):
-        assert base_draw_count(Iid(250)) == 250
-        assert base_draw_count(Overlapping(250, 10)) == 259
+        block = ReplicationBlock(Nig(0.4, 0.14), Scheme(250, 10), 3)
+        assert [a.shape for a in block.raw] == [(3, 259)] * 3
+        assert [a.shape for a in block.companion_raw] == [(3, 10)] * 3
+        block = ReplicationBlock(Normal(), Scheme(250, 1), 3)
+        assert [a.shape for a in block.raw] == [(3, 250)]
+        assert [a.shape for a in block.companion_raw] == [(3, 1)]
 
     def test_horizons(self):
-        assert Iid(250).horizon == 1
-        assert Overlapping(250, 10).horizon == 10
+        assert parse_scheme("iid", 250).h == 1
+        assert parse_scheme("overlapping:10", 250).h == 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            Iid(0)
+            Scheme(0, 1)
         with pytest.raises(ValueError):
-            Overlapping(10, 0)
+            Scheme(10, 0)
 
 
 def draw_one(dist, scheme, sample_rng, companion_rng):
@@ -135,17 +140,10 @@ def draw_one(dist, scheme, sample_rng, companion_rng):
 
 
 class TestDraws:
-    def test_overlap_h1_equals_iid_bitwise(self):
-        c = RandomnessContract(11)
-        a, ca = draw_one(Normal(), Iid(64), c.stream("s", 9), c.stream("c", 9))
-        b, cb = draw_one(Normal(), Overlapping(64, 1), c.stream("s", 9), c.stream("c", 9))
-        assert np.array_equal(a, b)
-        assert ca == cb
-
     def test_rolling_sums_match_naive_loop(self):
         c = RandomnessContract(11)
         n, h = 40, 10
-        got, _ = draw_one(StudentT(5.0), Overlapping(n, h), c.stream("s", 2), c.stream("c", 2))
+        got, _ = draw_one(StudentT(5.0), Scheme(n, h), c.stream("s", 2), c.stream("c", 2))
         base = sample(StudentT(5.0), n + h - 1, c.stream("s", 2))
         naive = np.array([base[i : i + h].sum() for i in range(n)])
         assert got.shape == (n,)
@@ -153,19 +151,19 @@ class TestDraws:
 
     def test_secured_companion_is_horizon_sum(self):
         c = RandomnessContract(11)
-        _, got = draw_one(Normal(), Overlapping(30, 10), c.stream("s", 4), c.stream("c", 4))
+        _, got = draw_one(Normal(), Scheme(30, 10), c.stream("s", 4), c.stream("c", 4))
         want = float(sample(Normal(), 10, c.stream("c", 4)).sum())
         assert got == want
 
     def test_secured_companion_iid_is_single_draw(self):
         c = RandomnessContract(11)
-        _, got = draw_one(Normal(), Iid(30), c.stream("s", 5), c.stream("c", 5))
+        _, got = draw_one(Normal(), Scheme(30, 1), c.stream("s", 5), c.stream("c", 5))
         want = float(sample(Normal(), 1, c.stream("c", 5))[0])
         assert got == want
 
     def test_overlapping_autocorrelation_is_positive(self):
         # rolling sums share h-1 of h terms with their neighbors
         c = RandomnessContract(5)
-        x, _ = draw_one(Normal(), Overlapping(5000, 10), c.stream("s", 0), c.stream("c", 0))
+        x, _ = draw_one(Normal(), Scheme(5000, 10), c.stream("s", 0), c.stream("c", 0))
         lag1 = np.corrcoef(x[:-1], x[1:])[0, 1]
         assert lag1 > 0.8

@@ -77,6 +77,7 @@ COMMANDS = (
     (["bench", "--config", "{tmp}/study.json", "--k", "200", "--oracle-k", "100000",
       "--format", "json", "--out", "{tmp}/results.json"], 0),
     (["bench", "--config", "{tmp}/bad.json"], 2),
+    (["bench", "--config", "{tmp}/one-day-window.json"], 2),
     (["extract", "--estimator", "es3", "--n", "100"], 0),
     (["extract", "--estimator", "gaussian", "--n", "8"], 1),
     (["extract", "--estimator", "expvar", "--n", "8"], 1),
@@ -173,6 +174,9 @@ def run_commands(tmp: str) -> list[str]:
 
     Path(tmp, "study.json").write_text(json.dumps(STUDY), encoding="utf-8")
     Path(tmp, "bad.json").write_text(json.dumps({"out": ""}), encoding="utf-8")
+    Path(tmp, "one-day-window.json").write_text(
+        json.dumps({"schemes": ["overlapping:1"]}), encoding="utf-8"
+    )
     wrong = []
     for argv, expected in COMMANDS:
         argv = [arg.format(tmp=tmp) for arg in argv]

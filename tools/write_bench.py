@@ -47,15 +47,16 @@ REPO = Path(__file__).resolve().parent.parent
 
 # Run in a fresh interpreter: argv[1] is the tree's src directory. Times
 # run_study plus to_csv, and wraps the two names bench looks up per group.
-# The run_group wrapper passes its arguments through unchanged and reads
-# the three it reports by name, so it follows run_group's signature.
+# The run_group wrapper passes its arguments through unchanged and reads K
+# by name, so it follows run_group's signature. run_study runs the groups
+# distribution by distribution, scheme by scheme, in config order, so each
+# group is keyed by its config texts (the default config's are canonical
+# labels) and no labelling function of the tree is imported.
 STUDY_CHILD = r"""
 import hashlib, inspect, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy, scipy
 from riskbench import bench
-from riskbench.distributions import dist_label
-from riskbench.sampling import scheme_label
 
 groups, reference_s = {}, []
 true_risk_levels, run_group = bench.true_risk_levels, bench.run_group
@@ -71,7 +72,7 @@ def timed_group(*args, **kwargs):
     start = time.perf_counter()
     out = run_group(*args, **kwargs)
     seconds = time.perf_counter() - start
-    groups[f"{dist_label(bound['distribution'])}|{scheme_label(bound['scheme'])}"] = {
+    groups[next(group_keys)] = {
         "reference_s": round(reference_s.pop(), 4),
         "run_group_s": round(seconds, 4),
         "us_per_replication": round(seconds / bound["K"] * 1e6, 3),
@@ -80,6 +81,7 @@ def timed_group(*args, **kwargs):
 
 bench.true_risk_levels, bench.run_group = timed_reference, timed_group
 config = bench.BenchConfig()
+group_keys = iter([f"{d}|{s}" for d in config.distributions for s in config.schemes])
 start = time.perf_counter()
 text = bench.run_study(config).to_csv()
 wall = time.perf_counter() - start
