@@ -4,17 +4,23 @@ A study crosses distributions x sampling schemes x estimators and reports
 the five metrics per cell. True risk is computed once per (distribution,
 scheme) target variable — closed form where available, otherwise one
 oracle sample shared across the levels involved — and all estimators in a
-group score the same replication draws.
+group score the same replication draws. The references and the slices of
+replications run as independent tasks on every usable CPU.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
+import os
+import threading
 import time
 from dataclasses import asdict, astuple, dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .distributions import (
     check_oracle_k,
@@ -24,7 +30,14 @@ from .distributions import (
     true_risk_levels,
 )
 from .estimators import LEstimatorSpec, build_estimator, tail_split
-from .metrics import MetricReport, RandomnessContract, reference_value, run_group
+from .metrics import (
+    _BLOCK,
+    MetricReport,
+    RandomnessContract,
+    _evaluate_replications,
+    _metrics_from,
+    reference_value,
+)
 from .sampling import parse_scheme, stream_key
 
 __all__ = [
@@ -100,6 +113,9 @@ class BenchConfig:
                 raise ValueError(
                     f"k: estimator {spec.name!r} at level {spec.alpha}: {exc}"
                 ) from None
+        _check_distinct("distributions", self.distributions, [d.label for d in dists])
+        _check_distinct("schemes", self.schemes, [s.label for s in schemes])
+        _check_distinct("estimators", self.estimators, [spec.name for spec in specs])
         if any(needs_oracle(horizon_target(d, s.h)) for d in dists for s in schemes):
             try:
                 check_oracle_k(self.oracle_k, [spec.alpha for spec in specs])
@@ -153,6 +169,18 @@ def _parse_each(field_name: str, names: tuple[str, ...], parse) -> list:
         return [parse(name) for name in names]
     except ValueError as exc:
         raise ValueError(f"{field_name}: {exc}") from None
+
+
+def _check_distinct(field_name: str, names: tuple[str, ...], labels: list[str]) -> None:
+    """Two entries that parse to one label would run one group twice and
+    write its rows twice under one key."""
+    seen: dict[str, str] = {}
+    for name, label in zip(names, labels):
+        if label in seen:
+            raise ValueError(
+                f"{field_name}: {seen[label]!r} and {name!r} both name {label!r}"
+            )
+        seen[label] = name
 
 
 # the column names of the CSV header and of the JSON rows, in ResultRow order
@@ -221,6 +249,14 @@ class ResultTable:
 def run_study(config: BenchConfig) -> ResultTable:
     """Execute the full study described by the config.
 
+    The grid splits into independent tasks: one reference per
+    (distribution, scheme) group, then each group's replications in slices
+    of whole tiles. They run on every usable CPU (see _completed); each row
+    keeps its bits, because its streams depend only on the cell and the
+    replication index and every slice starts on a tile boundary. A group is
+    reduced to its metrics as soon as its reference and all its slices are
+    in, and its estimate arrays are then dropped.
+
     Any cell failure aborts the run with the cell identity attached; a
     study is either complete or it is an error.
     """
@@ -235,31 +271,167 @@ def run_study(config: BenchConfig) -> ResultTable:
     # its es alone, so no column depends on which other estimators share the
     # group (var1 reads only the var of its 1% level)
     levels = sorted({spec.alpha for spec in specs}, key=lambda a: (a != config.alpha, a))
+    slices = [range(s0, min(s0 + _SLICE, config.k)) for s0 in range(0, config.k, _SLICE)]
+
+    groups = [_Group(dist, scheme, len(slices), config.k) for dist in dists for scheme in schemes]
+    # the references first, so that the oracles start before the slices
+    tasks = [
+        (
+            group,
+            _reference_task,
+            (group.dist, group.scheme.h, levels, specs, config.oracle_k,
+             stream_key(config.seed, f"oracle|{group.tag}", 0)),
+        )
+        for group in groups
+    ]
+    tasks += [
+        (group, _slice_task, (group.dist, group.scheme, specs, replications, contract))
+        for group in groups
+        for replications in slices
+    ]
+    workers = _worker_count(len(tasks))
+    with contextlib.closing(_completed(tasks, workers)) as finished:
+        for (group, task, _), result in finished:
+            if task is _reference_task:
+                group.references, group.timings["reference_s"] = result
+            else:
+                group.add_slice(*result)
+            group.parts_left -= 1
+            if not group.parts_left:
+                group.reduce(specs)
 
     rows: list[ResultRow] = []
-    for dist in dists:
-        for scheme in schemes:
-            cell_tag = f"{dist.label}|{scheme.label}"
-            try:
-                target = horizon_target(dist, scheme.h)
-                oracle_seed = stream_key(config.seed, f"oracle|{cell_tag}", 0)
-                risks = true_risk_levels(
-                    target, levels, oracle_k=config.oracle_k, seed=oracle_seed
-                )
-                refs = [reference_value(spec, risks[spec.alpha]) for spec in specs]
-                reports = run_group(dist, scheme, specs, refs, config.k, contract)
-            except Exception as exc:
-                raise RuntimeError(f"benchmark cell group {cell_tag} failed: {exc}") from exc
-            for spec, report in zip(specs, reports):
-                rows.extend(_rows_for(config, dist, scheme, spec, report))
-
+    for group in groups:
+        for spec, report in zip(specs, group.reports):
+            rows.extend(_rows_for(config, group.dist, group.scheme, spec, report))
     metadata = {
         "config": config.to_dict(),
         "build_id": config.build_id(),
         "wall_seconds": round(time.monotonic() - t0, 3),
         "shape": (len(dists), len(schemes), len(specs)),
+        # per group: the reference's seconds, the slices' seconds summed over
+        # the workers that ran them, and the metric reduction's seconds
+        "timings": {
+            "workers": workers,
+            "groups": {
+                group.tag: {name: round(v, 4) for name, v in group.timings.items()}
+                for group in groups
+            },
+        },
     }
     return ResultTable(rows=tuple(rows), metadata=metadata)
+
+
+# replications per slice task: whole tiles, so every slice starts on a tile
+# boundary; a default-grid slice takes 20-40 ms, long enough that handing
+# back its 1024 x 7 estimates costs little and short enough that the last
+# slices keep every CPU busy
+_SLICE = 8 * _BLOCK
+
+
+class _Group:
+    """One (distribution, scheme) group, filled in as its tasks finish: its
+    references, then its estimates and companions slice by slice, until
+    reduce turns them into one MetricReport per estimator."""
+
+    def __init__(self, dist, scheme, slices: int, k: int):
+        self.dist, self.scheme, self.k = dist, scheme, k
+        self.tag = f"{dist.label}|{scheme.label}"
+        self.parts_left = 1 + slices  # the reference and every slice
+        self.references = self.estimates = self.companions = self.reports = None
+        self.timings = {"reference_s": 0.0, "replications_s": 0.0, "metrics_s": 0.0}
+
+    def add_slice(self, replications: range, estimates, companions, seconds: float):
+        if self.estimates is None:  # allocated with the first slice in
+            self.estimates = np.empty((self.k, estimates.shape[1]))
+            self.companions = np.empty(self.k)
+        self.estimates[replications.start : replications.stop] = estimates
+        self.companions[replications.start : replications.stop] = companions
+        self.timings["replications_s"] += seconds
+
+    def reduce(self, specs) -> None:
+        start = time.perf_counter()
+        try:
+            self.reports = [
+                _metrics_from(self.estimates[:, i], self.companions, float(spec.alpha), float(ref))
+                for i, (spec, ref) in enumerate(zip(specs, self.references))
+            ]
+        except Exception as exc:
+            raise RuntimeError(f"benchmark cell group {self.tag} failed: {exc}") from exc
+        self.estimates = self.companions = None
+        self.timings["metrics_s"] = time.perf_counter() - start
+
+
+def _reference_task(dist, h: int, levels, specs, oracle_k: int, seed: int):
+    """Each estimator's reference value for one group, and the seconds taken."""
+    start = time.perf_counter()
+    risks = true_risk_levels(horizon_target(dist, h), levels, oracle_k=oracle_k, seed=seed)
+    references = [reference_value(spec, risks[spec.alpha]) for spec in specs]
+    return references, time.perf_counter() - start
+
+
+def _slice_task(dist, scheme, specs, replications: range, contract):
+    """One slice's replications, estimates and companions, and the seconds
+    taken."""
+    start = time.perf_counter()
+    estimates, companions = _evaluate_replications(dist, scheme, specs, replications, contract)
+    return replications, estimates, companions, time.perf_counter() - start
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _worker_count(tasks: int) -> int:
+    """One worker per usable CPU, at most one per task. One, in this
+    process, where processes cannot be forked, or not safely: a fork copies
+    only the calling thread, so a lock another thread holds would stay held
+    in every worker."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus(), tasks)
+
+
+def _completed(tasks, workers: int):
+    """Yield ((group, function, args), result) for each task as it finishes.
+
+    One worker runs the tasks in order in this process. More run them on a
+    pool of forked processes, which starts them in order. On a failure the
+    pool cancels the tasks not yet started, lets the started ones end and
+    joins its workers; the group named is then that of the earliest task
+    that failed, the one an in-order run meets first.
+    """
+    if workers == 1:
+        for task in tasks:
+            group, function, args = task
+            try:
+                result = function(*args)
+            except Exception as exc:
+                raise RuntimeError(f"benchmark cell group {group.tag} failed: {exc}") from exc
+            yield task, result
+        return
+    # imported here: only a study on several CPUs needs them
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        index = {pool.submit(function, *args): i for i, (_, function, args) in enumerate(tasks)}
+        for future in as_completed(index):
+            if future.exception() is not None:
+                pool.shutdown(cancel_futures=True)
+                failed = [f for f in index if not f.cancelled() and f.exception() is not None]
+                first = min(failed, key=index.get)
+                group, exc = tasks[index[first]][0], first.exception()
+                raise RuntimeError(f"benchmark cell group {group.tag} failed: {exc}") from exc
+            # dropped once handed on, so a finished slice is held only until
+            # its group takes it in
+            yield tasks[index.pop(future)], future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _rows_for(

@@ -211,6 +211,8 @@ def _add_consistency(sub) -> None:
 def _cmd_consistency(args) -> int:
     if args.reps < 2:
         raise ValueError(f"--reps: need at least two replications per size, got {args.reps}")
+    if args.seed < 0:
+        raise ValueError(f"--seed: need a non-negative integer, got {args.seed}")
     try:
         spectrum = es_spectrum(args.alpha) if args.spectrum == "es" else uniform_spectrum()
     except ValueError as exc:

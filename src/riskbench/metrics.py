@@ -78,30 +78,38 @@ def _evaluate_replications(
     distribution,
     scheme: Scheme,
     estimators: Sequence[LEstimatorSpec],
-    K: int,
+    replications: range,
     contract: RandomnessContract,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All K replications for one (distribution, scheme) group.
+    """The given replications of one (distribution, scheme) group.
 
-    Returns (estimates matrix of shape (K, len(estimators)), companions of
-    shape (K,)). Per-replication streams are keyed by the cell identity and
-    the replication index only, so every estimator scores the same draw and
-    the draws are independent of the tile size.
+    Returns (estimates matrix of shape (len(replications), len(estimators)),
+    companions of shape (len(replications),)). Per-replication streams are
+    keyed by the cell identity and the replication index only, so every
+    estimator scores the same draw and the draws are independent of the tile
+    size. The range starts on a tile boundary, so its tiles are those of the
+    whole group and a slice's rows are that run's rows bit for bit.
     """
+    if replications.step != 1 or replications.start % _BLOCK:
+        raise ValueError(
+            f"replications must be a unit-step range starting on a multiple of {_BLOCK}, "
+            f"got {replications}"
+        )
     cell_tag = f"{distribution.label}|{scheme.label}"
     sample_tag = f"sample|{cell_tag}"
     companion_tag = f"companion|{cell_tag}"
 
+    K = len(replications)
     estimates = np.empty((K, len(estimators)))
     companions = np.empty(K)
     rows = np.empty((min(_BLOCK, K), scheme.n))
     block = ReplicationBlock(distribution, scheme, len(rows))
-    # one generator per group, re-keyed per stream: its draws match
+    # one generator per call, re-keyed per stream: its draws match
     # contract.stream(tag, k) exactly
     rng = contract.stream(sample_tag, 0)
     for b0 in range(0, K, _BLOCK):
         b1 = min(b0 + _BLOCK, K)
-        for j, k in enumerate(range(b0, b1)):
+        for j, k in enumerate(replications[b0:b1]):
             block.draw(contract.rekey(rng, sample_tag, k), j)
             block.draw_companion(contract.rekey(rng, companion_tag, k), j)
         tile = rows[: b1 - b0]
@@ -115,11 +123,15 @@ def _evaluate_replications(
     return estimates, companions
 
 
+def _check_reference(reference: float) -> None:
+    if not (reference > 0.0 and math.isfinite(reference)):
+        raise ValueError(f"true risk must be a positive finite number, got {reference!r}")
+
+
 def _metrics_from(
     estimates: np.ndarray, companions: np.ndarray, alpha: float, reference: float
 ) -> MetricReport:
-    if not (reference > 0.0 and math.isfinite(reference)):
-        raise ValueError(f"true risk must be a positive finite number, got {reference!r}")
+    _check_reference(reference)
     K = estimates.size
     err = estimates - reference
     abs_err = np.abs(err)
@@ -165,8 +177,12 @@ def _metrics_from(
 
 
 def reference_value(estimator: LEstimatorSpec, true: TrueRisk) -> float:
-    """VaR-family estimators are measured against true VaR, the rest against ES."""
-    return true.var_alpha if estimator.name in _VAR_IDS else true.es_alpha
+    """VaR-family estimators are measured against true VaR, the rest against
+    ES. A reference that is not positive and finite fails where it is read,
+    not only once replications are scored against it."""
+    reference = true.var_alpha if estimator.name in _VAR_IDS else true.es_alpha
+    _check_reference(reference)
+    return reference
 
 
 def run_group(
@@ -190,7 +206,9 @@ def run_group(
             tail_split(spec.alpha, K)
         except ValueError as exc:
             raise ValueError(f"K: estimator {spec.name!r} at level {spec.alpha}: {exc}") from None
-    estimates, companions = _evaluate_replications(distribution, scheme, estimators, K, contract)
+    estimates, companions = _evaluate_replications(
+        distribution, scheme, estimators, range(K), contract
+    )
     return [
         _metrics_from(estimates[:, i], companions, float(spec.alpha), float(references[i]))
         for i, spec in enumerate(estimators)

@@ -8,7 +8,8 @@ before reporting, so a single run shows the status of all ten criteria.
 import numpy as np
 from scipy import integrate, stats
 
-from riskbench.bench import BenchConfig, run_study
+from riskbench import bench
+from riskbench.bench import METRICS, BenchConfig, run_study
 from riskbench.coherence import (
     check_all,
     check_axiom,
@@ -31,6 +32,8 @@ from riskbench.estimators import (
     expectile_rows,
     gaussian_plugin_rows,
 )
+from riskbench.metrics import _BLOCK, reference_value, run_group
+from riskbench.sampling import RandomnessContract, parse_scheme
 
 ALPHA = 0.025
 N = 250
@@ -325,7 +328,7 @@ def test_c09_consistency_ladder():
     _report(9, "spectral estimate converges with bounded discretization", failures)
 
 
-def test_c10_determinism_across_worker_counts():
+def test_c10_determinism_across_worker_counts(monkeypatch):
     failures = []
     base = dict(
         distributions=("normal:0:1", "nig:0.4:0.14:0:1"),
@@ -346,4 +349,27 @@ def test_c10_determinism_across_worker_counts():
             in_full = [line for line in full_rows if line.split(",")[:2] == group]
             if len(alone) != 35 or alone != in_full:
                 failures.append(f"{dist}/{scheme} run alone differs from its rows in the grid")
-    _report(10, "byte-identical output across runs and grid subsets", failures)
+    # run_group, the one-call API of one group, gives that group's numbers
+    dist, scheme = parse_dist("normal:0:1"), parse_scheme("iid", N)
+    specs = [build_estimator(name, ALPHA, N) for name in BenchConfig().estimators]
+    refs = [reference_value(spec, true_risk(dist, spec.alpha)) for spec in specs]
+    reports = run_group(dist, scheme, specs, refs, base["k"], RandomnessContract(base["seed"]))
+    in_grid = {
+        (fields[2], fields[6]): float(fields[7])
+        for fields in (line.split(",") for line in full_rows)
+        if fields[:2] == ["normal:0:1", "iid"]
+    }
+    for spec, report in zip(specs, reports):
+        if any(report.metric(m) != in_grid[(spec.name, m)] for m in METRICS):
+            failures.append(f"run_group's {spec.name} metrics differ from the grid's")
+    # one CPU runs the grid's tasks in this process, three run them in forked
+    # workers; slices of three tiles (384) leave K = 2000 a short last slice
+    monkeypatch.setattr(bench, "_SLICE", 3 * _BLOCK)
+    for cpus in (1, 3):
+        monkeypatch.setattr(bench, "_usable_cpus", lambda cpus=cpus: cpus)
+        table = run_study(BenchConfig(**base))
+        if table.metadata["timings"]["workers"] != cpus:
+            failures.append(f"{cpus} CPUs ran {table.metadata['timings']['workers']} workers")
+        if table.to_csv() != full:
+            failures.append(f"the grid on {cpus} CPUs differs from the default run")
+    _report(10, "byte-identical output across runs, grid subsets and worker counts", failures)

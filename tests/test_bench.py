@@ -1,10 +1,13 @@
 import hashlib
 import json
+import multiprocessing
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riskbench import bench
 from riskbench.bench import (
     DEFAULT_DISTRIBUTIONS,
     DEFAULT_ESTIMATORS,
@@ -14,6 +17,7 @@ from riskbench.bench import (
     format_metric_table,
     run_study,
 )
+from riskbench.distributions import StudentT
 
 
 def tiny_config(**overrides):
@@ -34,7 +38,8 @@ def configs(draw):
     n = draw(st.integers(200, 400))
     # var1 is defined at n = 250 only
     estimators = DEFAULT_ESTIMATORS if n == 250 else DEFAULT_ESTIMATORS[1:]
-    names = lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=3)
+    # distinct entries: two that name one label are rejected
+    names = lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)
     return BenchConfig(
         alpha=draw(st.floats(0.01, 0.2)),
         n=n,
@@ -105,6 +110,20 @@ class TestConfig:
     )
     def test_names_are_parsed_before_any_compute(self, overrides, field):
         with pytest.raises(ValueError, match=rf"^{field}\b"):
+            tiny_config(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            (dict(schemes=("iid", "iid")), "schemes"),
+            (dict(schemes=("overlapping", "overlapping:10")), "schemes"),
+            (dict(distributions=("normal:0:1", "normal:0.0:1.0")), "distributions"),
+            (dict(estimators=("es1", "ES1")), "estimators"),
+        ],
+    )
+    def test_entries_that_parse_to_one_label_are_rejected(self, overrides, field):
+        # one group run twice would write its rows twice under one key
+        with pytest.raises(ValueError, match=rf"^{field}: '[^']+' and '[^']+' both name '"):
             tiny_config(**overrides)
 
     def test_one_day_window_is_spelled_iid(self):
@@ -219,6 +238,14 @@ class TestRunStudy:
         assert len(table.metadata["build_id"]) == 12
         assert table.metadata["wall_seconds"] >= 0.0
 
+    def test_metadata_times_every_group(self, table):
+        timings = table.metadata["timings"]
+        assert timings["workers"] >= 1
+        assert list(timings["groups"]) == ["normal:0:1|iid", "normal:0:1|overlapping:10"]
+        for phases in timings["groups"].values():
+            assert set(phases) == {"reference_s", "replications_s", "metrics_s"}
+            assert min(phases.values()) >= 0.0
+
     def test_value_lookup(self, table):
         v = table.value("normal:0:1", "iid", "es1", "sb")
         assert isinstance(v, float)
@@ -238,6 +265,56 @@ class TestRunStudy:
         bad = tiny_config(distributions=("normal:5:1",))
         with pytest.raises(RuntimeError, match=r"normal:5:1\|iid.*positive finite"):
             run_study(bad)
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_failing_group_is_named_and_no_process_outlives_the_study(
+        self, monkeypatch, cpus
+    ):
+        # the t(5) draws fail inside the slice task, in a forked worker at two
+        # CPUs (forked after the patch) and in this process at one
+        def planted(self, rng, raw, row=...):
+            raise FloatingPointError("planted draw failure")
+
+        monkeypatch.setattr(StudentT, "draw", planted)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+        threads = set(threading.enumerate())
+        config = tiny_config(distributions=("normal:0:1", "t:5"), schemes=("iid",))
+        with pytest.raises(
+            RuntimeError, match=r"^benchmark cell group t:5\|iid failed: planted draw failure$"
+        ) as info:
+            run_study(config)
+        # a worker's exception arrives with the worker's traceback as its cause
+        remote = type(info.value.__cause__.__cause__).__name__ == "_RemoteTraceback"
+        assert remote == (cpus > 1)
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) == threads
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_a_study_leaves_no_process_and_reports_its_workers(self, monkeypatch, cpus):
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+        threads = set(threading.enumerate())
+        table = run_study(tiny_config(k=300))
+        # two groups of one reference and one slice: min(cpus, 4) workers
+        assert table.metadata["timings"]["workers"] == cpus
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) == threads
+
+    def test_a_caller_with_threads_runs_the_study_in_its_own_process(self, monkeypatch):
+        # a fork copies only the calling thread, so another thread's locks
+        # would stay held in every worker
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            table = run_study(tiny_config())
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert table.metadata["timings"]["workers"] == 1
 
 
 class TestSerialization:

@@ -299,6 +299,7 @@ class TestConsistency:
             (["--n", "0"], "--n"),
             (["--alpha", "0"], "--alpha"),
             (["--dist", "lognormal:0:1"], "--dist"),
+            (["--seed", "-2"], "--seed"),
         ],
     )
     def test_bad_size_level_or_distribution_names_the_flag(

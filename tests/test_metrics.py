@@ -87,7 +87,7 @@ class TestAgainstNaiveReplay:
 
     def test_vectorized_path_matches_replay(self):
         got_est, got_comp = _evaluate_replications(
-            Normal(), Scheme(N, 1), self.estimators, K, self.contract
+            Normal(), Scheme(N, 1), self.estimators, range(K), self.contract
         )
         want_est, want_comp = naive_cell(Normal(), Scheme(N, 1), self.estimators, K, self.contract)
         assert np.array_equal(got_comp, want_comp)
@@ -114,17 +114,17 @@ class TestAgainstNaiveReplay:
 
     def test_group_membership_does_not_change_bits(self):
         solo, _ = _evaluate_replications(
-            Normal(), Scheme(N, 1), [self.specs[0]], K, self.contract
+            Normal(), Scheme(N, 1), [self.specs[0]], range(K), self.contract
         )
         grouped, _ = _evaluate_replications(
-            Normal(), Scheme(N, 1), self.estimators, K, self.contract
+            Normal(), Scheme(N, 1), self.estimators, range(K), self.contract
         )
         assert np.array_equal(solo[:, 0], grouped[:, 0])
 
     def test_overlapping_scheme_same_contract(self):
         scheme = Scheme(N, 5)
         got_est, got_comp = _evaluate_replications(
-            StudentT(5.0), scheme, self.specs, 200, self.contract
+            StudentT(5.0), scheme, self.specs, range(200), self.contract
         )
         want_est, want_comp = naive_cell(StudentT(5.0), scheme, self.specs, 200, self.contract)
         assert np.array_equal(got_comp, want_comp)
@@ -146,7 +146,9 @@ class TestBlockDraws:
         # replay scores its rows in the same tiles with the same kernel.
         distribution, sch = parse_dist(dist), parse_scheme(scheme, 250)
         K, tile, contract = 300, 128, RandomnessContract(2024)
-        got_est, got_comp = _evaluate_replications(distribution, sch, self.STUDY, K, contract)
+        got_est, got_comp = _evaluate_replications(
+            distribution, sch, self.STUDY, range(K), contract
+        )
         samples, want_comp = replay_draws(distribution, sch, K, contract)
         samples.sort(axis=1)
         tiles = [samples[t : t + tile] for t in range(0, K, tile)]
@@ -159,6 +161,27 @@ class TestBlockDraws:
         assert np.array_equal(got_comp, want_comp)
         assert np.array_equal(got_est, want_est)
 
+    def test_tile_aligned_slices_are_the_whole_run(self):
+        # the study's slice tasks: ranges that start on tile boundaries, the
+        # last one short, give the rows of one whole-group call bit for bit
+        distribution, sch = parse_dist("nig:0.4:0.14:0:1"), parse_scheme("overlapping:10", 250)
+        K, contract = 700, RandomnessContract(7)
+        whole = _evaluate_replications(distribution, sch, self.STUDY, range(K), contract)
+        slices = [range(s0, min(s0 + 256, K)) for s0 in range(0, K, 256)]
+        parts = [
+            _evaluate_replications(distribution, sch, self.STUDY, part, contract)
+            for part in slices
+        ]
+        for got, want in zip(whole, zip(*parts)):
+            assert np.array_equal(got, np.concatenate(want))
+
+    @pytest.mark.parametrize("replications", [range(100, 300), range(0, 300, 2)])
+    def test_slices_must_start_on_a_tile_boundary(self, replications):
+        with pytest.raises(ValueError, match="^replications must be a unit-step range"):
+            _evaluate_replications(
+                Normal(), Scheme(250, 1), self.STUDY, replications, RandomnessContract(1)
+            )
+
     @pytest.mark.parametrize("dist", ["normal:0:1", "t:5", "nig:0.4:0.14:0:1"])
     def test_block_arrays_stay_small_beside_the_chunk(self, dist):
         # the K x (estimators + 1) outputs are the loop's floor; the tile's raw
@@ -167,7 +190,7 @@ class TestBlockDraws:
         tracemalloc.start()
         try:
             _evaluate_replications(
-                parse_dist(dist), Scheme(n, 10), self.STUDY, K, RandomnessContract(3)
+                parse_dist(dist), Scheme(n, 10), self.STUDY, range(K), RandomnessContract(3)
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -237,7 +260,7 @@ class TestMetricDefinitions:
         spec = build_estimator("es1", alpha, k)
         rep = run_group(Normal(), Scheme(k, 1), [spec], [1.0], k, RandomnessContract(1))[0]
         estimates, companions = _evaluate_replications(
-            Normal(), Scheme(k, 1), [spec], k, RandomnessContract(1)
+            Normal(), Scheme(k, 1), [spec], range(k), RandomnessContract(1)
         )
         assert rep.rb == naive_metrics(estimates[:, 0], companions, alpha, 1.0)[3]
 
@@ -341,7 +364,7 @@ class TestOrderStatisticMeans:
         predicted = -float(np.dot(spec.weights[nz], means))
 
         contract = RandomnessContract(4)
-        est, _ = _evaluate_replications(Normal(), Scheme(N, 1), [spec], 40_000, contract)
+        est, _ = _evaluate_replications(Normal(), Scheme(N, 1), [spec], range(40_000), contract)
         simulated = float(est.mean())
         sim_err = float(est.std(ddof=1)) / math.sqrt(est.size)
         assert abs(predicted - simulated) < 5 * sim_err

@@ -4,7 +4,8 @@
 
 Runs the acceptance battery (tests/test_acceptance.py) and a fixed list of
 `riskbench` command lines, covering all six subcommands, under one
-`sys.setprofile` hook that records every code object called. Then lists
+`sys.setprofile` hook that records every code object called, pinned to
+one CPU so that the study runs its tasks in this process. Then lists
 each function and method defined in src/riskbench that never ran. Such a
 function is reached at most by its own unit tests: delete it, or keep it in
 KEEP with a one-line reason.
@@ -213,6 +214,10 @@ def main() -> int:
                 for param in [p for p, d in left.items() if not is_default(bound[p], d)]:
                     del left[param]
 
+    # run_study hands its tasks to forked workers when it sees more than one
+    # CPU, and the hook records only this process: on one CPU every task
+    # runs here
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.setprofile(hook)
     try:
         battery = pytest.main(
