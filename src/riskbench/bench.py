@@ -5,7 +5,8 @@ the five metrics per cell. True risk is computed once per (distribution,
 scheme) target variable — closed form where available, otherwise one
 oracle sample shared across the levels involved — and all estimators in a
 group score the same replication draws. The references and the slices of
-replications run as independent tasks on every usable CPU.
+replications run as independent tasks on every usable CPU, the references
+first and the costliest of them first.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .distributions import (
     check_oracle_k,
     horizon_target,
     needs_oracle,
+    oracle_passes,
     parse_dist,
     true_risk_levels,
 )
@@ -250,12 +252,12 @@ def run_study(config: BenchConfig) -> ResultTable:
     """Execute the full study described by the config.
 
     The grid splits into independent tasks: one reference per
-    (distribution, scheme) group, then each group's replications in slices
-    of whole tiles. They run on every usable CPU (see _completed); each row
-    keeps its bits, because its streams depend only on the cell and the
-    replication index and every slice starts on a tile boundary. A group is
-    reduced to its metrics as soon as its reference and all its slices are
-    in, and its estimate arrays are then dropped.
+    (distribution, scheme) group, longest first, then each group's
+    replications in slices of whole tiles. They run on every usable CPU (see
+    _completed); each row keeps its bits, because its streams depend only on
+    the cell and the replication index and every slice starts on a tile
+    boundary. A group is reduced to its metrics as soon as its reference and
+    all its slices are in, and its estimate arrays are then dropped.
 
     Any cell failure aborts the run with the cell identity attached; a
     study is either complete or it is an error.
@@ -274,15 +276,18 @@ def run_study(config: BenchConfig) -> ResultTable:
     slices = [range(s0, min(s0 + _SLICE, config.k)) for s0 in range(0, config.k, _SLICE)]
 
     groups = [_Group(dist, scheme, len(slices), config.k) for dist in dists for scheme in schemes]
-    # the references first, so that the oracles start before the slices
+    # the references first, so that the oracles start before the slices,
+    # and the costliest first (a stable sort: ties keep grid order), so that
+    # no long oracle starts after the short ones and runs on alone
+    by_cost = sorted(groups, key=lambda group: oracle_passes(group.target), reverse=True)
     tasks = [
         (
             group,
             _reference_task,
-            (group.dist, group.scheme.h, levels, specs, config.oracle_k,
+            (group.target, levels, specs, config.oracle_k,
              stream_key(config.seed, f"oracle|{group.tag}", 0)),
         )
-        for group in groups
+        for group in by_cost
     ]
     tasks += [
         (group, _slice_task, (group.dist, group.scheme, specs, replications, contract))
@@ -336,6 +341,7 @@ class _Group:
 
     def __init__(self, dist, scheme, slices: int, k: int):
         self.dist, self.scheme, self.k = dist, scheme, k
+        self.target = horizon_target(dist, scheme.h)  # the variable its reference is of
         self.tag = f"{dist.label}|{scheme.label}"
         self.parts_left = 1 + slices  # the reference and every slice
         self.references = self.estimates = self.companions = self.reports = None
@@ -362,10 +368,11 @@ class _Group:
         self.timings["metrics_s"] = time.perf_counter() - start
 
 
-def _reference_task(dist, h: int, levels, specs, oracle_k: int, seed: int):
-    """Each estimator's reference value for one group, and the seconds taken."""
+def _reference_task(target, levels, specs, oracle_k: int, seed: int):
+    """Each estimator's reference value for one group's target, and the
+    seconds taken."""
     start = time.perf_counter()
-    risks = true_risk_levels(horizon_target(dist, h), levels, oracle_k=oracle_k, seed=seed)
+    risks = true_risk_levels(target, levels, oracle_k=oracle_k, seed=seed)
     references = [reference_value(spec, risks[spec.alpha]) for spec in specs]
     return references, time.perf_counter() - start
 
@@ -402,7 +409,9 @@ def _completed(tasks, workers: int):
     pool of forked processes, which starts them in order. On a failure the
     pool cancels the tasks not yet started, lets the started ones end and
     joins its workers; the group named is then that of the earliest task
-    that failed, the one an in-order run meets first.
+    that failed, the one an in-order run meets first. Both read the one
+    list run_study built, references longest first, so they name the same
+    group.
     """
     if workers == 1:
         for task in tasks:

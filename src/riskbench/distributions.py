@@ -34,6 +34,7 @@ __all__ = [
     "true_risk",
     "true_risk_levels",
     "needs_oracle",
+    "oracle_passes",
     "oracle_batch_size",
     "check_oracle_k",
     "normal_var",
@@ -390,27 +391,29 @@ def _oracle_sample(dist, k: int, seed: int) -> np.ndarray:
             out[2 * i0 : 2 * i1 : 2] = drift + spread
             out[2 * i0 + 1 : 2 * i1 : 2] = drift - spread
         return out
-    if isinstance(dist, (StudentT, HorizonSum)):
-        # a plain t is a one-day sum. Each day: chi-square draws w into
-        # out[:half], then normals z; the day's z * sqrt(nu / w) is computed
-        # in w and added to the sum in out[half:], which starts from zeros
-        base, days = (dist.base, dist.h) if isinstance(dist, HorizonSum) else (dist, 1)
-        src[:] = 0.0
-        for _ in range(days):
-            for i0, i1 in _chunks(half):
-                out[i0:i1] = rng.chisquare(base.nu, i1 - i0)
-            for i0, i1 in _chunks(half):
-                w = out[i0:i1]
-                np.divide(base.nu, w, out=w)
-                np.sqrt(w, out=w)
-                w *= rng.standard_normal(i1 - i0)
-                src[i0:i1] += w
+    # a plain t is a one-day sum. Each day: gamma draws g of shape nu/2 into
+    # out[:half], then normals z chunk by chunk into one scratch chunk; the
+    # day's z * sqrt((nu/2) / g) is computed in g and added to the sum in
+    # out[half:], which starts from zeros. (nu/2) / g has the bits of nu / w
+    # for the chi-square draw w = 2g the same stream gives: doubling is exact
+    base, days = (dist.base, dist.h) if isinstance(dist, HorizonSum) else (dist, 1)
+    shape = base.nu / 2.0
+    scratch = np.empty(min(_ORACLE_CHUNK, half))
+    src[:] = 0.0
+    for _ in range(days):
+        rng.standard_gamma(shape, out=out[:half])
         for i0, i1 in _chunks(half):
-            plus = src[i0:i1].copy()
-            out[2 * i0 : 2 * i1 : 2] = plus
-            np.negative(plus, out=out[2 * i0 + 1 : 2 * i1 : 2])
-        return out
-    raise ValueError(f"unknown distribution object {dist!r}")
+            w = out[i0:i1]
+            np.divide(shape, w, out=w)
+            np.sqrt(w, out=w)
+            w *= rng.standard_normal(out=scratch[: i1 - i0])
+            src[i0:i1] += w
+    for i0, i1 in _chunks(half):
+        plus = scratch[: i1 - i0]
+        np.copyto(plus, src[i0:i1])
+        out[2 * i0 : 2 * i1 : 2] = plus
+        np.negative(plus, out=out[2 * i0 + 1 : 2 * i1 : 2])
+    return out
 
 
 def _round_up(k: int, multiple: int) -> int:
@@ -421,6 +424,15 @@ def needs_oracle(target) -> bool:
     """Whether the true risk of a target goes through the Monte Carlo oracle:
     Normal and Student-t have closed forms, NIG and h-day sums do not."""
     return not isinstance(target, (Normal, StudentT))
+
+
+def oracle_passes(target) -> int:
+    """The cost of a target's true risk in passes over an oracle sample, for
+    ordering work: 0 for a closed form, h for an h-day sum (one gamma and
+    one normal draw per day), 1 for any other oracle target."""
+    if not needs_oracle(target):
+        return 0
+    return target.h if isinstance(target, HorizonSum) else 1
 
 
 def oracle_batch_size(oracle_k: int) -> int:

@@ -316,6 +316,41 @@ class TestWorkers:
         assert not waiter.is_alive()
         assert table.metadata["timings"]["workers"] == 1
 
+    def test_longest_reference_runs_first_and_moves_no_bit(self, monkeypatch):
+        # the t(5) 10-day sum's oracle makes ten passes, each NIG oracle one,
+        # the t(5) closed form none: its reference is handed out first, the
+        # ties keep grid order, and the CSV holds at one and three CPUs
+        handed_out = []
+        completed = bench._completed
+
+        def spy(tasks, workers):
+            handed_out.append(list(tasks))
+            return completed(tasks, workers)
+
+        monkeypatch.setattr(bench, "_completed", spy)
+        config = BenchConfig(
+            distributions=("nig:0.4:0.14:0:1", "t:5"),
+            schemes=("iid", "overlapping:10"),
+            estimators=("var1", "es1"),
+            k=300,
+            oracle_k=100_000,
+        )
+        csvs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(bench, "_usable_cpus", lambda cpus=cpus: cpus)
+            csvs.append(run_study(config).to_csv())
+        assert csvs[0] == csvs[1]
+        longest_first = [
+            "t:5|overlapping:10",
+            "nig:0.4:0.14:0:1|iid",
+            "nig:0.4:0.14:0:1|overlapping:10",
+            "t:5|iid",
+        ]
+        assert len(handed_out) == 2
+        for tasks in handed_out:
+            heads = [(group.tag, task) for group, task, _ in tasks[:4]]
+            assert heads == [(tag, bench._reference_task) for tag in longest_first]
+
 
 class TestSerialization:
     def test_csv_schema(self, table):

@@ -19,6 +19,7 @@ from riskbench.distributions import (
     nig_moments,
     normal_es,
     normal_var,
+    oracle_passes,
     parse_dist,
     sample,
     student_t_es,
@@ -213,6 +214,22 @@ class TestSamplers:
         assert y.mean() == pytest.approx(0.0, abs=0.1)
         assert y.var() == pytest.approx(20.0, rel=0.1)
 
+    @pytest.mark.parametrize("dist", [HorizonSum(StudentT(4.0), 10), StudentT(5.0)])
+    def test_t_oracle_keeps_the_bits_of_chi_square_draws(self, dist):
+        # the t value z * sqrt(nu / w), w chi-square, each day drawn whole:
+        # all w first, then all z. A half that is not a whole number of
+        # chunks leaves a short last chunk
+        half = 3 * distributions._ORACLE_CHUNK + 108
+        base, days = (dist.base, dist.h) if isinstance(dist, HorizonSum) else (dist, 1)
+        rng = np.random.default_rng(6)
+        total = np.zeros(half)
+        for _ in range(days):
+            w = rng.chisquare(base.nu, half)
+            total += rng.standard_normal(half) * np.sqrt(base.nu / w)
+        want = np.empty(2 * half)
+        want[0::2], want[1::2] = total, -total
+        assert np.array_equal(distributions._oracle_sample(dist, 2 * half, 6), want)
+
 
 class TestHorizon:
     def test_convolution_parameters(self):
@@ -231,6 +248,20 @@ class TestHorizon:
         assert horizon_target(Nig(0.4, 0.14), 10) == Nig(0.4, 0.14, 0.0, 10.0)
         d = StudentT(5.0)
         assert horizon_target(d, 1) is d
+
+    @pytest.mark.parametrize(
+        "target, passes",
+        [
+            (Normal(0.2, 1.0), 0),
+            (StudentT(5.0), 0),
+            (Nig(0.4, 0.14), 1),
+            (HorizonSum(StudentT(5.0), 10), 10),
+            (HorizonSum(StudentT(5.0), 3), 3),
+        ],
+    )
+    def test_oracle_passes(self, target, passes):
+        # closed forms cost nothing, an h-day sum one pass per day
+        assert oracle_passes(target) == passes
 
 
 class TestTrueRisk:
