@@ -34,7 +34,6 @@ from .distributions import (
     Normal,
     StudentT,
     TrueRisk,
-    horizon_target,
     nig_moments,
     parse_dist,
     true_risk,
@@ -93,7 +92,6 @@ __all__ = [
     "es_spectrum",
     "extract_comonotonic_weights",
     "format_metric_table",
-    "horizon_target",
     "nig_moments",
     "parse_dist",
     "parse_scheme",

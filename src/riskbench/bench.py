@@ -23,14 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import (
-    check_oracle_k,
-    horizon_target,
-    needs_oracle,
-    oracle_passes,
-    parse_dist,
-    true_risk_levels,
-)
+from .distributions import check_oracle_k, parse_dist, true_risk_levels
 from .estimators import LEstimatorSpec, build_estimator, tail_split
 from .metrics import (
     _BLOCK,
@@ -118,7 +111,7 @@ class BenchConfig:
         _check_distinct("distributions", self.distributions, [d.label for d in dists])
         _check_distinct("schemes", self.schemes, [s.label for s in schemes])
         _check_distinct("estimators", self.estimators, [spec.name for spec in specs])
-        if any(needs_oracle(horizon_target(d, s.h)) for d in dists for s in schemes):
+        if any(d.horizon(s.h).oracle_passes for d in dists for s in schemes):
             try:
                 check_oracle_k(self.oracle_k, [spec.alpha for spec in specs])
             except ValueError as exc:
@@ -279,7 +272,7 @@ def run_study(config: BenchConfig) -> ResultTable:
     # the references first, so that the oracles start before the slices,
     # and the costliest first (a stable sort: ties keep grid order), so that
     # no long oracle starts after the short ones and runs on alone
-    by_cost = sorted(groups, key=lambda group: oracle_passes(group.target), reverse=True)
+    by_cost = sorted(groups, key=lambda group: group.target.oracle_passes, reverse=True)
     tasks = [
         (
             group,
@@ -341,7 +334,7 @@ class _Group:
 
     def __init__(self, dist, scheme, slices: int, k: int):
         self.dist, self.scheme, self.k = dist, scheme, k
-        self.target = horizon_target(dist, scheme.h)  # the variable its reference is of
+        self.target = dist.horizon(scheme.h)  # the variable its reference is of
         self.tag = f"{dist.label}|{scheme.label}"
         self.parts_left = 1 + slices  # the reference and every slice
         self.references = self.estimates = self.companions = self.reports = None

@@ -21,7 +21,7 @@ import numpy as np
 from .bench import BenchConfig, format_metric_table, run_study
 from .coherence import NotComonotonicError, check_all, extract_comonotonic_weights
 from .consistency import DISCRETIZATIONS, empirical_consistency
-from .distributions import check_oracle_k, needs_oracle, parse_dist, true_risk
+from .distributions import DEFAULT_ORACLE_K, check_oracle_k, parse_dist, true_risk
 from .estimators import (
     ESTIMATORS,
     LEstimatorSpec,
@@ -173,7 +173,7 @@ def _cmd_true_risk(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"--alpha: need a level in (0, 1), got {args.alpha}")
     dist = _parse_dist(args.dist)
-    if needs_oracle(dist):
+    if dist.oracle_passes:
         try:
             check_oracle_k(args.oracle_k, [args.alpha])
         except ValueError as exc:
@@ -213,8 +213,11 @@ def _cmd_consistency(args) -> int:
         raise ValueError(f"--reps: need at least two replications per size, got {args.reps}")
     if args.seed < 0:
         raise ValueError(f"--seed: need a non-negative integer, got {args.seed}")
+    dist = _parse_dist(args.dist)
     try:
         spectrum = es_spectrum(args.alpha) if args.spectrum == "es" else uniform_spectrum()
+        if args.spectrum == "es" and dist.oracle_passes:  # the es target's oracle
+            check_oracle_k(DEFAULT_ORACLE_K, [args.alpha])
     except ValueError as exc:
         raise ValueError(f"--alpha: {exc}") from None
     try:
@@ -228,7 +231,6 @@ def _cmd_consistency(args) -> int:
             DISCRETIZATIONS[args.builder](spectrum, n)
         except ValueError as exc:
             raise ValueError(f"--n: {exc}") from None
-    dist = _parse_dist(args.dist)
     rows = empirical_consistency(
         dist, spectrum, args.builder, args.alpha, n_list, reps=args.reps, seed=args.seed
     )

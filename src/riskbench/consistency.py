@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import WeightVector, apply_l_estimator
-from .distributions import Nig, Normal, nig_moments, true_risk
+from .distributions import true_risk
 from .estimators import SpectrumSpec, build_spectral_weights, build_spectral_weights_alt
 from .sampling import RandomnessContract
 from .distributions import sample as draw_dist
@@ -83,9 +83,7 @@ def _target(dist, spectrum: SpectrumSpec, alpha: float) -> float:
         return true_risk(dist, alpha).es_alpha
     if spectrum.name != "uniform":
         raise ValueError(f"no target for spectrum {spectrum.name!r}; expected 'es' or 'uniform'")
-    if isinstance(dist, Nig):
-        return -nig_moments(dist).mean
-    return -dist.mu if isinstance(dist, Normal) else 0.0
+    return -dist.mean
 
 
 @dataclass(frozen=True)

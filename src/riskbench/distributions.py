@@ -1,10 +1,11 @@
 """Return distributions for the benchmark and their true risk values.
 
-Normal and Student-t true risks have closed forms; the normal inverse
-Gaussian (and any h-day sum without a closed form) goes through an
-antithetic Monte Carlo oracle whose standard error is reported from batch
-means. Profit is positive: VaR and ES of a centered distribution come out
-positive.
+Each type carries the law of its h-day sum (horizon), its mean and its
+reference: Normal and Student-t have closed forms (quantile and es); the
+normal inverse Gaussian and h-day sums of Student-t (HorizonSum) fill an
+antithetic Monte Carlo oracle sample (oracle_pairs) whose standard error
+comes from batch means, and a Student-t can be forced through it as well.
+Profit is positive: VaR and ES of a centered distribution come out positive.
 """
 
 from __future__ import annotations
@@ -29,18 +30,11 @@ __all__ = [
     "inverse_gaussian_transform",
     "NigMoments",
     "nig_moments",
-    "horizon_target",
     "TrueRisk",
     "true_risk",
     "true_risk_levels",
-    "needs_oracle",
-    "oracle_passes",
     "oracle_batch_size",
     "check_oracle_k",
-    "normal_var",
-    "normal_es",
-    "student_t_var",
-    "student_t_es",
     "DEFAULT_ORACLE_K",
     "ORACLE_BATCHES",
 ]
@@ -55,6 +49,8 @@ ORACLE_BATCHES = 20
 # elementwise, so the bits of a variate do not depend on the shape it is
 # computed in; it may overwrite the raw draws. label is the canonical text
 # form, also accepted by parse_dist.
+# oracle_passes is a reference's cost in passes over an oracle sample (0 for
+# a closed form), by which the study hands out its references longest first.
 
 
 @dataclass(frozen=True)
@@ -63,10 +59,24 @@ class Normal:
     sigma: float = 1.0
 
     RAW_ARRAYS = 1
+    oracle_passes = 0
 
     def __post_init__(self):
         if not (self.sigma > 0.0 and math.isfinite(self.sigma) and math.isfinite(self.mu)):
             raise ValueError(f"need finite mu and sigma > 0, got ({self.mu}, {self.sigma})")
+
+    @property
+    def mean(self) -> float:
+        return self.mu
+
+    def horizon(self, h: int) -> "Normal":
+        return Normal(h * self.mu, self.sigma * math.sqrt(h))
+
+    def quantile(self, u):
+        return self.mu + self.sigma * special.ndtri(u)
+
+    def es(self, alpha: float) -> float:
+        return float(-self.mu + self.sigma * _normal_density_at_quantile(alpha) / alpha)
 
     @property
     def label(self) -> str:
@@ -89,10 +99,33 @@ class StudentT:
     nu: float
 
     RAW_ARRAYS = 1
+    oracle_passes = 0
+    mean = 0.0
 
     def __post_init__(self):
         if not (self.nu > 1.0 and math.isfinite(self.nu)):
             raise ValueError(f"need nu > 1, got {self.nu}")
+
+    def horizon(self, h: int):
+        return self if h == 1 else HorizonSum(self, h)
+
+    def quantile(self, u):
+        return special.stdtrit(self.nu, u)
+
+    def es(self, alpha: float) -> float:
+        """Analytic tail mean: pdf(q) * (nu + q^2) / (alpha * (nu - 1)), q the
+        alpha quantile, the density in the expressions of SciPy's t
+        distribution, so each value keeps its bits."""
+        nu, q = self.nu, self.quantile(alpha)
+        density = np.exp(
+            np.log(special.poch(0.5 * nu, 0.5))
+            - 0.5 * (np.log(nu) + np.log(np.pi))
+            - (nu + 1) / 2 * np.log1p(q * q / nu)
+        )
+        return float(density * (nu + q * q) / (alpha * (nu - 1.0)))
+
+    def oracle_pairs(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        _t_sum_pairs(self.nu, 1, rng, out)
 
     @property
     def label(self) -> str:
@@ -122,6 +155,7 @@ class Nig:
     delta: float = 1.0
 
     RAW_ARRAYS = 3  # y, u and z
+    oracle_passes = 1
 
     def __post_init__(self):
         ok = (
@@ -146,6 +180,13 @@ class Nig:
     def label(self) -> str:
         return f"nig:{_param(self.a)}:{_param(self.b)}:{_param(self.mu)}:{_param(self.delta)}"
 
+    @property
+    def mean(self) -> float:
+        return nig_moments(self).mean
+
+    def horizon(self, h: int) -> "Nig":  # closed under summation in (mu, delta)
+        return Nig(self.a, self.b, h * self.mu, h * self.delta)
+
     def draw(self, rng: np.random.Generator, raw, row=...) -> None:
         y, u, z = raw
         rng.standard_normal(out=y[row])
@@ -162,11 +203,30 @@ class Nig:
         v += z
         return v
 
+    def oracle_pairs(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        # the draws (y, u, then z) and transform of sample: y whole, then v
+        # over y chunk by chunk, then z chunk by chunk into the pairs
+        half = out.size // 2
+        src = out[half:]
+        mean = self.delta / self.gamma
+        rng.standard_normal(out=src)
+        for i0, i1 in _chunks(half):
+            u = rng.random(i1 - i0)
+            src[i0:i1] = inverse_gaussian_transform(mean, self.delta**2, src[i0:i1], u)
+        for i0, i1 in _chunks(half):
+            z = rng.standard_normal(i1 - i0)
+            v = src[i0:i1]
+            drift = self.mu + self.b * v
+            spread = np.sqrt(v)
+            spread *= z
+            out[2 * i0 : 2 * i1 : 2] = drift + spread
+            out[2 * i0 + 1 : 2 * i1 : 2] = drift - spread
+
 
 @dataclass(frozen=True)
 class HorizonSum:
     """Sum of h independent copies of a Student-t; oracle-only true risk.
-    Normal and NIG are closed under sums (see horizon_target)."""
+    Normal and NIG are closed under sums (see their horizon)."""
 
     base: StudentT
     h: int
@@ -176,6 +236,13 @@ class HorizonSum:
             raise ValueError(f"base must be a StudentT, got {self.base!r}")
         if not (isinstance(self.h, int) and self.h >= 1):
             raise ValueError(f"horizon must be a positive integer, got {self.h!r}")
+
+    @property
+    def oracle_passes(self) -> int:  # one gamma and one normal draw per day
+        return self.h
+
+    def oracle_pairs(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        _t_sum_pairs(self.base.nu, self.h, rng, out)
 
 
 DistributionSpec = Union[Normal, StudentT, Nig]
@@ -271,51 +338,8 @@ def nig_moments(spec: Nig) -> NigMoments:
     )
 
 
-def horizon_target(dist, h: int):
-    """The distribution of the h-day sum of i.i.d. copies of dist."""
-    if not (isinstance(h, int) and h >= 1):
-        raise ValueError(f"horizon must be a positive integer, got {h!r}")
-    if h == 1:
-        return dist
-    if isinstance(dist, Normal):
-        return Normal(h * dist.mu, dist.sigma * math.sqrt(h))
-    if isinstance(dist, Nig):  # closed under summation in (mu, delta)
-        return Nig(dist.a, dist.b, h * dist.mu, h * dist.delta)
-    if isinstance(dist, StudentT):
-        return HorizonSum(dist, h)
-    raise ValueError(f"unknown distribution object {dist!r}")
-
-
 # ---------------------------------------------------------------------------
 # True risk
-
-
-def normal_var(dist: Normal, alpha: float) -> float:
-    return float(-dist.mu - dist.sigma * special.ndtri(alpha))
-
-
-def normal_es(dist: Normal, alpha: float) -> float:
-    return float(-dist.mu + dist.sigma * _normal_density_at_quantile(alpha) / alpha)
-
-
-def _student_t_density(x, nu: float):
-    """The t(nu) density at x in the expressions of SciPy's t distribution,
-    so each value keeps its bits."""
-    return np.exp(
-        np.log(special.poch(0.5 * nu, 0.5))
-        - 0.5 * (np.log(nu) + np.log(np.pi))
-        - (nu + 1) / 2 * np.log1p(x * x / nu)
-    )
-
-
-def student_t_var(nu: float, alpha: float) -> float:
-    return float(-special.stdtrit(nu, alpha))
-
-
-def student_t_es(nu: float, alpha: float) -> float:
-    """Analytic tail mean: pdf(q) * (nu + q^2) / (alpha * (nu - 1)), q the alpha quantile."""
-    q = special.stdtrit(nu, alpha)
-    return float(_student_t_density(q, nu) * (nu + q * q) / (alpha * (nu - 1.0)))
 
 
 @dataclass(frozen=True)
@@ -358,46 +382,26 @@ def _oracle_sample(dist, k: int, seed: int) -> np.ndarray:
     """k antithetic draws in one k-double array, pairs (X+, X-) adjacent,
     sharing mixing variables with Z mirrored; k a multiple of 2*ORACLE_BATCHES.
 
-    Pair i's source (the normal, the inverse Gaussian or the t value) sits
-    in out[half + i]. Pairs are written to out[2i] and out[2i + 1] in
+    Each oracle_pairs keeps pair i's source (the inverse Gaussian or the t
+    value) in out[half + i] and writes pairs to out[2i] and out[2i + 1] in
     increasing chunks of pairs: a chunk [i0, i1) writes below
     2*i1 <= half + i1, so it overwrites only sources already read.
     """
-    rng = np.random.default_rng(seed)
-    half = k // 2
     out = np.empty(k)
+    dist.oracle_pairs(np.random.default_rng(seed), out)
+    return out
+
+
+def _t_sum_pairs(nu: float, days: int, rng: np.random.Generator, out: np.ndarray) -> None:
+    """The oracle pairs of a sum of `days` t(nu) variates (a plain t is a
+    one-day sum). Each day: gamma draws g of shape nu/2 into out[:half],
+    then normals z chunk by chunk into one scratch chunk; the day's
+    z * sqrt((nu/2) / g) is computed in g and added to the sum in out[half:],
+    which starts from zeros. (nu/2) / g has the bits of nu / w for the
+    chi-square draw w = 2g the same stream gives: doubling is exact."""
+    half = out.size // 2
     src = out[half:]
-    if isinstance(dist, Normal):
-        rng.standard_normal(out=src)
-        for i0, i1 in _chunks(half):
-            spread = dist.sigma * src[i0:i1]
-            out[2 * i0 : 2 * i1 : 2] = dist.mu + spread
-            out[2 * i0 + 1 : 2 * i1 : 2] = dist.mu - spread
-        return out
-    if isinstance(dist, Nig):
-        # the draws (y, u, then z) and transform of sample: y whole, then v
-        # over y chunk by chunk, then z chunk by chunk into the pairs
-        mean = dist.delta / dist.gamma
-        rng.standard_normal(out=src)
-        for i0, i1 in _chunks(half):
-            u = rng.random(i1 - i0)
-            src[i0:i1] = inverse_gaussian_transform(mean, dist.delta**2, src[i0:i1], u)
-        for i0, i1 in _chunks(half):
-            z = rng.standard_normal(i1 - i0)
-            v = src[i0:i1]
-            drift = dist.mu + dist.b * v
-            spread = np.sqrt(v)
-            spread *= z
-            out[2 * i0 : 2 * i1 : 2] = drift + spread
-            out[2 * i0 + 1 : 2 * i1 : 2] = drift - spread
-        return out
-    # a plain t is a one-day sum. Each day: gamma draws g of shape nu/2 into
-    # out[:half], then normals z chunk by chunk into one scratch chunk; the
-    # day's z * sqrt((nu/2) / g) is computed in g and added to the sum in
-    # out[half:], which starts from zeros. (nu/2) / g has the bits of nu / w
-    # for the chi-square draw w = 2g the same stream gives: doubling is exact
-    base, days = (dist.base, dist.h) if isinstance(dist, HorizonSum) else (dist, 1)
-    shape = base.nu / 2.0
+    shape = nu / 2.0
     scratch = np.empty(min(_ORACLE_CHUNK, half))
     src[:] = 0.0
     for _ in range(days):
@@ -413,26 +417,10 @@ def _oracle_sample(dist, k: int, seed: int) -> np.ndarray:
         np.copyto(plus, src[i0:i1])
         out[2 * i0 : 2 * i1 : 2] = plus
         np.negative(plus, out=out[2 * i0 + 1 : 2 * i1 : 2])
-    return out
 
 
 def _round_up(k: int, multiple: int) -> int:
     return ((k + multiple - 1) // multiple) * multiple
-
-
-def needs_oracle(target) -> bool:
-    """Whether the true risk of a target goes through the Monte Carlo oracle:
-    Normal and Student-t have closed forms, NIG and h-day sums do not."""
-    return not isinstance(target, (Normal, StudentT))
-
-
-def oracle_passes(target) -> int:
-    """The cost of a target's true risk in passes over an oracle sample, for
-    ordering work: 0 for a closed form, h for an h-day sum (one gamma and
-    one normal draw per day), 1 for any other oracle target."""
-    if not needs_oracle(target):
-        return 0
-    return target.h if isinstance(target, HorizonSum) else 1
 
 
 def oracle_batch_size(oracle_k: int) -> int:
@@ -466,9 +454,11 @@ def true_risk_levels(
 ) -> dict[float, TrueRisk]:
     """True risk at several levels, sharing one oracle sample across levels.
 
-    Closed forms are used for Normal and Student-t unless force_oracle; NIG
-    and h-day sums always go through the oracle. The oracle size is rounded
-    up so the 20 batches tile it in whole antithetic pairs.
+    Normal and Student-t have closed forms (their quantile and es); NIG and
+    h-day sums of Student-t always go through the oracle (their
+    oracle_pairs). force_oracle sends a Student-t through its oracle too; a
+    Normal has no oracle, and forcing one raises AttributeError. The oracle
+    size is rounded up so the 20 batches tile it in whole antithetic pairs.
 
     The oracle reads every level from one sample through
     estimators.tail_levels, which partitions it in place; each batch's es,
@@ -480,16 +470,9 @@ def true_risk_levels(
     levels = list(dict.fromkeys(float(a) for a in alphas))
     for a in levels:
         _check_level(a)
-    if not (force_oracle or needs_oracle(dist)):
-        if isinstance(dist, Normal):
-            return {
-                a: TrueRisk(normal_var(dist, a), normal_es(dist, a), "closed_form", 0.0)
-                for a in levels
-            }
+    if not (force_oracle or dist.oracle_passes):
         return {
-            a: TrueRisk(
-                student_t_var(dist.nu, a), student_t_es(dist.nu, a), "closed_form", 0.0
-            )
+            a: TrueRisk(-float(dist.quantile(a)), dist.es(a), "closed_form", 0.0)
             for a in levels
         }
 

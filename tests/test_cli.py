@@ -300,6 +300,9 @@ class TestConsistency:
             (["--alpha", "0"], "--alpha"),
             (["--dist", "lognormal:0:1"], "--dist"),
             (["--seed", "-2"], "--seed"),
+            # the NIG es target's oracle leaves too few draws per batch at
+            # this level: caught before the 10^6 weights are built
+            (["--dist", "nig:0.4:0.14:0:1", "--alpha", "1e-6", "--n", "1000000"], "--alpha"),
         ],
     )
     def test_bad_size_level_or_distribution_names_the_flag(

@@ -3,7 +3,7 @@ import pytest
 
 from riskbench.consistency import ConsistencyRow, check_partial_integrals, empirical_consistency
 from riskbench.core import apply_l_estimator
-from riskbench.distributions import Normal, nig_moments, parse_dist, sample, true_risk
+from riskbench.distributions import Normal, parse_dist, sample, true_risk
 from riskbench.estimators import (
     SpectrumSpec,
     build_spectral_weights,
@@ -72,14 +72,20 @@ class TestEmpirical:
         assert meds[0] > meds[1] > meds[2]
         assert meds[2] < 0.05
 
-    def test_uniform_target_is_the_negated_mean(self):
-        # nig:0.4:0.14:0:1 has mean delta*b/gamma = 0.373...; a sample of
-        # 10^5 scores the mean within a few standard errors (sd 1.7 / 316)
-        nig = parse_dist("nig:0.4:0.14:0:1")
+    @pytest.mark.parametrize(
+        "text, target",
+        # nig:0.4:0.14:0:1 has mean delta*b/gamma = 0.37363...
+        [("nig:0.4:0.14:0:1", -0.37363), ("normal:0.3:2", -0.3), ("t:5", 0.0)],
+        ids=["nig:0.4:0.14:0:1", "normal:0.3:2", "t:5"],
+    )
+    def test_uniform_target_is_the_negated_mean(self, text, target):
+        # a sample of 10^5 scores the mean within a few standard errors (sd
+        # 1.7 / 316 for the NIG, 2 / 316 for the normal, 1.3 / 316 for the t)
+        dist = parse_dist(text)
         (row,) = empirical_consistency(
-            nig, uniform_spectrum(), "integral", ALPHA, [100_000], reps=5, seed=2
+            dist, uniform_spectrum(), "integral", ALPHA, [100_000], reps=5, seed=2
         )
-        assert nig_moments(nig).mean > 0.3
+        assert -dist.mean == pytest.approx(target, abs=1e-4)
         assert row.median_abs_error < 0.03
 
     def test_unknown_spectrum_has_no_target(self):

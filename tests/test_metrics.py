@@ -322,17 +322,11 @@ def quantile_es(law, alpha):
 
 
 def _law(dist):
-    """(Q(u), Q(1 - v)) of a Normal, StudentT or Nig, through scipy."""
-    if isinstance(dist, Normal):
-        from scipy.special import ndtri
-
-        return (lambda u: dist.mu + dist.sigma * ndtri(u)), (
-            lambda v: dist.mu - dist.sigma * ndtri(v)
-        )
-    if isinstance(dist, StudentT):
-        from scipy.special import stdtrit
-
-        return (lambda u: stdtrit(dist.nu, u)), (lambda v: -stdtrit(dist.nu, v))
+    """(Q(u), Q(1 - v)) of a Normal, StudentT or Nig: the closed-form
+    quantile, mirrored about the mean (both laws are symmetric), or scipy's
+    NIG quantiles."""
+    if not isinstance(dist, Nig):
+        return dist.quantile, lambda v: 2 * dist.mean - dist.quantile(v)
     from scipy.stats import norminvgauss
 
     law = norminvgauss(dist.a * dist.delta, dist.b * dist.delta, loc=dist.mu, scale=dist.delta)
