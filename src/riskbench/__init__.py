@@ -45,7 +45,7 @@ from .sampling import (
     parse_scheme,
     stream_key,
 )
-from .metrics import MetricReport, run_group
+from .metrics import MetricReport
 from .consistency import DISCRETIZATIONS, check_partial_integrals, empirical_consistency
 from .bench import (
     BenchConfig,
@@ -96,7 +96,6 @@ __all__ = [
     "parse_dist",
     "parse_scheme",
     "permutation_closure_oracle",
-    "run_group",
     "run_study",
     "stream_key",
     "true_risk",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -31,6 +32,40 @@ from .estimators import (
     gaussian_plugin_rows,
     uniform_spectrum,
 )
+
+
+def _at_least(least: int):
+    """An argparse type: an integer of at least `least`."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"need at least {least}, got {value}")
+        return value
+
+    return parse
+
+
+def _sizes(text: str) -> list[int]:
+    """An argparse type: one or more distinct sample sizes, comma separated."""
+    try:
+        sizes = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        sizes = []
+    if not sizes or len(set(sizes)) < len(sizes):  # a repeated size prints its row twice
+        raise argparse.ArgumentTypeError(f"expected distinct comma separated sizes, got {text!r}")
+    return sizes
+
+
+def _flagged(flag: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the flag prefixed to a ValueError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _add_weights(sub) -> None:
@@ -83,8 +118,8 @@ def _add_coherence(sub) -> None:
     )
     p.add_argument("--alpha", type=float, default=0.025)
     p.add_argument("--n", type=int, default=250)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_at_least(1), default=1000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(run=_cmd_coherence)
 
@@ -102,10 +137,7 @@ def _estimator_spec(name: str, alpha: float, n: int, known) -> LEstimatorSpec:
         raise ValueError(f"--estimator: unknown estimator {name!r}; expected one of {known}")
     if not (0.0 < alpha < 1.0 or name == "var1"):  # var1 ignores --alpha
         raise ValueError(f"--alpha: {name} needs a level in (0, 1), got {alpha}")
-    try:
-        return build_estimator(name, alpha, n)
-    except ValueError as exc:  # the size rule of a known name
-        raise ValueError(f"--n: {exc}") from None
+    return _flagged("--n", build_estimator, name, alpha, n)  # the size rule of a known name
 
 
 def _resolve_functional(name: str, alpha: float, n: int):
@@ -128,10 +160,6 @@ def _resolve_functional(name: str, alpha: float, n: int):
 
 
 def _cmd_coherence(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials: need at least 1 trial, got {args.trials}")
-    if args.seed < 0:
-        raise ValueError(f"--seed: need a non-negative integer, got {args.seed}")
     fn = _resolve_functional(args.estimator, args.alpha, args.n)
     report = check_all(fn, args.n, trials=args.trials, seed=args.seed)
     if args.json:
@@ -153,31 +181,17 @@ def _add_true_risk(sub) -> None:
     p = sub.add_parser("true-risk", help="reference risk of a distribution")
     p.add_argument("--dist", required=True, help="e.g. normal:0:1, t:5, nig:a:b:mu:delta")
     p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--oracle-k", type=int, default=10_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--oracle-k", type=_at_least(1), default=10_000_000)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(run=_cmd_true_risk)
 
 
-def _parse_dist(text: str):
-    try:
-        return parse_dist(text)
-    except ValueError as exc:
-        raise ValueError(f"--dist: {exc}") from None
-
-
 def _cmd_true_risk(args) -> int:
-    if args.oracle_k < 1:
-        raise ValueError(f"--oracle-k: need at least 1 draw, got {args.oracle_k}")
-    if args.seed < 0:
-        raise ValueError(f"--seed: need a non-negative integer, got {args.seed}")
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"--alpha: need a level in (0, 1), got {args.alpha}")
-    dist = _parse_dist(args.dist)
+    dist = _flagged("--dist", parse_dist, args.dist)
     if dist.oracle_passes:
-        try:
-            check_oracle_k(args.oracle_k, [args.alpha])
-        except ValueError as exc:
-            raise ValueError(f"--oracle-k: {exc}") from None
+        _flagged("--oracle-k", check_oracle_k, args.oracle_k, [args.alpha])
     risk = true_risk(dist, args.alpha, oracle_k=args.oracle_k, seed=args.seed)
     payload = {
         "dist": args.dist,
@@ -201,38 +215,25 @@ def _add_consistency(sub) -> None:
     p.add_argument("--spectrum", choices=("es", "uniform"), default="es")
     p.add_argument("--alpha", type=float, default=0.025, help="the es spectrum's level")
     p.add_argument("--builder", choices=tuple(DISCRETIZATIONS), default="integral")
-    p.add_argument("--n", default="100,1000,10000", help="comma separated sample sizes")
+    p.add_argument("--n", type=_sizes, default="100,1000,10000", help="comma separated sizes")
     p.add_argument("--dist", default="normal:0:1")
-    p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reps", type=_at_least(2), default=50)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(run=_cmd_consistency)
 
 
 def _cmd_consistency(args) -> int:
-    if args.reps < 2:
-        raise ValueError(f"--reps: need at least two replications per size, got {args.reps}")
-    if args.seed < 0:
-        raise ValueError(f"--seed: need a non-negative integer, got {args.seed}")
-    dist = _parse_dist(args.dist)
-    try:
-        spectrum = es_spectrum(args.alpha) if args.spectrum == "es" else uniform_spectrum()
-        if args.spectrum == "es" and dist.oracle_passes:  # the es target's oracle
-            check_oracle_k(DEFAULT_ORACLE_K, [args.alpha])
-    except ValueError as exc:
-        raise ValueError(f"--alpha: {exc}") from None
-    try:
-        n_list = [int(tok) for tok in args.n.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"--n: expected comma separated integers, got {args.n!r}") from None
-    if not n_list:
-        raise ValueError("--n: need at least one sample size")
-    for n in n_list:  # each size's weights must exist before any draw
-        try:
-            DISCRETIZATIONS[args.builder](spectrum, n)
-        except ValueError as exc:
-            raise ValueError(f"--n: {exc}") from None
+    dist = _flagged("--dist", parse_dist, args.dist)
+    if args.spectrum == "es":
+        spectrum = _flagged("--alpha", es_spectrum, args.alpha)
+        if dist.oracle_passes:  # the es target's oracle
+            _flagged("--alpha", check_oracle_k, DEFAULT_ORACLE_K, [args.alpha])
+    else:
+        spectrum = uniform_spectrum()
+    for n in args.n:  # each size's weights must exist before any draw
+        _flagged("--n", DISCRETIZATIONS[args.builder], spectrum, n)
     rows = empirical_consistency(
-        dist, spectrum, args.builder, args.alpha, n_list, reps=args.reps, seed=args.seed
+        dist, spectrum, args.builder, args.alpha, args.n, reps=args.reps, seed=args.seed
     )
     print("n,median_abs_error,iqr")
     for row in rows:
@@ -244,9 +245,9 @@ def _add_bench(sub) -> None:
     p = sub.add_parser("bench", help="run the Monte Carlo estimator study")
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--out", help="write results here instead of stdout")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k", type=int, help="replications per cell")
-    p.add_argument("--oracle-k", type=int, dest="oracle_k")
+    p.add_argument("--seed", type=_at_least(0))
+    p.add_argument("--k", type=_at_least(1), help="replications per cell")
+    p.add_argument("--oracle-k", type=_at_least(1), dest="oracle_k")
     p.add_argument("--format", choices=("csv", "json"))
     p.add_argument(
         "--table", action="store_true", help="also print the formatted metric table"
@@ -255,19 +256,23 @@ def _add_bench(sub) -> None:
 
 
 def _cmd_bench(args) -> int:
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config = BenchConfig.from_json(fh.read())
-    else:
+    if args.config is None:
         config = BenchConfig()
-    overrides = {}
+    else:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                config = BenchConfig.from_json(fh.read())
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            # the file and its JSON; a bad field names the field itself
+            raise ValueError(f"--config: {exc}") from None
     for name in ("seed", "k", "oracle_k", "format", "out"):
         value = getattr(args, name)
         if value is not None:
-            overrides[name] = value
-    if overrides:
-        config = replace(config, **overrides)
-
+            config = _flagged(f"--{name.replace('_', '-')}", replace, config, **{name: value})
+    # checked here, not in BenchConfig, whose fields never touch the disk
+    out_dir = os.path.dirname(config.out or "") or "."
+    if config.out and (os.path.isdir(config.out) or not os.path.isdir(out_dir)):
+        raise ValueError(f"out: {config.out!r} is not a file in an existing directory")
     table = run_study(config)
     text = table.to_csv() if config.format == "csv" else table.to_json()
     if config.out:
@@ -320,9 +325,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.run(args)
     except ValueError as exc:
-        # bad input that argparse cannot see (a config file's fields, an
-        # estimator or distribution name, a size list) gets argparse's
-        # one-line report and exit status 2, not a traceback
+        # bad input that no one flag's type sees (a config file or field, a name,
+        # a rule across flags) gets argparse's one-line report and exit status 2
         parser.error(str(exc))
 
 

@@ -22,12 +22,11 @@ import numpy as np
 
 from .core import score_sorted_rows
 from .distributions import TrueRisk
-from .estimators import LEstimatorSpec, tail_levels, tail_split
+from .estimators import LEstimatorSpec, tail_levels
 from .sampling import RandomnessContract, ReplicationBlock, Scheme
 
 __all__ = [
     "MetricReport",
-    "run_group",
 ]
 
 # replications drawn, finished, sorted and scored together: the study's bits
@@ -184,32 +183,3 @@ def reference_value(estimator: LEstimatorSpec, true: TrueRisk) -> float:
     _check_reference(reference)
     return reference
 
-
-def run_group(
-    distribution,
-    scheme: Scheme,
-    estimators: Sequence[LEstimatorSpec],
-    references: Sequence[float],
-    K: int,
-    contract: RandomnessContract,
-) -> list[MetricReport]:
-    """Run one (distribution, scheme) group of cells on shared draws.
-
-    references[i] is the true value for estimators[i], and the estimator's
-    own level estimators[i].alpha is its metric level. Identical to running
-    each cell alone: the streams do not depend on the estimator list.
-    """
-    if len(estimators) != len(references):
-        raise ValueError("estimators and references must align")
-    for spec in estimators:
-        try:
-            tail_split(spec.alpha, K)
-        except ValueError as exc:
-            raise ValueError(f"K: estimator {spec.name!r} at level {spec.alpha}: {exc}") from None
-    estimates, companions = _evaluate_replications(
-        distribution, scheme, estimators, range(K), contract
-    )
-    return [
-        _metrics_from(estimates[:, i], companions, float(spec.alpha), float(references[i]))
-        for i, spec in enumerate(estimators)
-    ]

@@ -9,7 +9,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from riskbench import bench
-from riskbench.bench import METRICS, BenchConfig, run_study
+from riskbench.bench import BenchConfig, run_study
 from riskbench.coherence import (
     check_all,
     check_axiom,
@@ -32,8 +32,7 @@ from riskbench.estimators import (
     expectile_rows,
     gaussian_plugin_rows,
 )
-from riskbench.metrics import _BLOCK, reference_value, run_group
-from riskbench.sampling import RandomnessContract, parse_scheme
+from riskbench.metrics import _BLOCK
 
 ALPHA = 0.025
 N = 250
@@ -349,19 +348,6 @@ def test_c10_determinism_across_worker_counts(monkeypatch):
             in_full = [line for line in full_rows if line.split(",")[:2] == group]
             if len(alone) != 35 or alone != in_full:
                 failures.append(f"{dist}/{scheme} run alone differs from its rows in the grid")
-    # run_group, the one-call API of one group, gives that group's numbers
-    dist, scheme = parse_dist("normal:0:1"), parse_scheme("iid", N)
-    specs = [build_estimator(name, ALPHA, N) for name in BenchConfig().estimators]
-    refs = [reference_value(spec, true_risk(dist, spec.alpha)) for spec in specs]
-    reports = run_group(dist, scheme, specs, refs, base["k"], RandomnessContract(base["seed"]))
-    in_grid = {
-        (fields[2], fields[6]): float(fields[7])
-        for fields in (line.split(",") for line in full_rows)
-        if fields[:2] == ["normal:0:1", "iid"]
-    }
-    for spec, report in zip(specs, reports):
-        if any(report.metric(m) != in_grid[(spec.name, m)] for m in METRICS):
-            failures.append(f"run_group's {spec.name} metrics differ from the grid's")
     # one CPU runs the grid's tasks in this process, three run them in forked
     # workers; slices of three tiles (384) leave K = 2000 a short last slice
     monkeypatch.setattr(bench, "_SLICE", 3 * _BLOCK)

@@ -1,12 +1,15 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from riskbench import cli
 from riskbench.cli import main
+from riskbench.sampling import RandomnessContract
 
 
 def run_cli(capsys, *argv):
@@ -144,7 +147,9 @@ class TestCoherence:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith(f"riskbench: error: {flag}:")
+        assert captured.err.splitlines()[-1].startswith(
+            f"riskbench coherence: error: argument {flag}:"
+        )
 
     @pytest.mark.parametrize("command", ["coherence", "extract"])
     def test_gaussian_sample_of_one_names_the_flag(self, capsys, monkeypatch, command):
@@ -210,18 +215,20 @@ class TestTrueRisk:
 
     @pytest.mark.parametrize("oracle_k", ["100", "-5"])
     def test_too_small_oracle_k_is_a_usage_error(self, capsys, oracle_k):
+        # -5 fails the flag's own floor, 100 the oracle's batch rule at --alpha
         with pytest.raises(SystemExit) as exc:
             main(["true-risk", "--dist", "nig:0.4:0.14:0:1", "--oracle-k", oracle_k])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith("riskbench: error: --oracle-k:")
+        last = captured.err.splitlines()[-1]
+        assert re.match(r"riskbench( true-risk)?: error: (argument )?--oracle-k:", last)
 
     @pytest.mark.parametrize("dist", ["nig:0.4:0.14:0:1", "normal:0:1"])
     @pytest.mark.parametrize("oracle_k", ["-5", "0"])
     def test_oracle_k_below_one_is_rejected_first(self, capsys, monkeypatch, dist, oracle_k):
-        # a closed-form target draws no oracle but still rejects the size, and
-        # the size is checked before the seed
+        # a closed-form target draws no oracle but still rejects the size;
+        # argparse checks the flags in command-line order
         monkeypatch.setattr(cli, "true_risk", pytest.fail)
         with pytest.raises(SystemExit) as exc:
             main(["true-risk", "--dist", dist, "--oracle-k", oracle_k, "--seed", "-1"])
@@ -229,7 +236,7 @@ class TestTrueRisk:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines()[-1] == (
-            f"riskbench: error: --oracle-k: need at least 1 draw, got {oracle_k}"
+            f"riskbench true-risk: error: argument --oracle-k: need at least 1, got {oracle_k}"
         )
 
     @pytest.mark.parametrize(
@@ -255,7 +262,9 @@ class TestTrueRisk:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith("riskbench: error: --seed:")
+        assert captured.err.splitlines()[-1].startswith(
+            "riskbench true-risk: error: argument --seed:"
+        )
 
 
 class TestConsistency:
@@ -271,24 +280,6 @@ class TestConsistency:
         assert int(n) == 50
         assert float(med) > 0
         assert float(iqr) >= 0
-
-    def test_empty_size_list_fails_before_the_header(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["consistency", "--n", ""])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
-            "riskbench: error: --n: need at least one sample size"
-        )
-
-    def test_non_integer_size_names_the_flag(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["consistency", "--n", "100,abc"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith("riskbench: error: --n:")
 
     # every size's weights, the level and the distribution are checked
     # before any draw, and the message names the flag
@@ -314,7 +305,9 @@ class TestConsistency:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith(f"riskbench: error: {flag}:")
+        # --seed fails its type in argparse; the rest fail in the command
+        last = captured.err.splitlines()[-1]
+        assert re.match(rf"riskbench( consistency)?: error: (argument )?{flag}:", last)
 
     def test_uniform_spectrum_ignores_the_level(self, capsys):
         # --alpha is the es spectrum's level; the sample mean has none
@@ -328,7 +321,9 @@ class TestConsistency:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith("riskbench: error: --reps:")
+        assert captured.err.splitlines()[-1].startswith(
+            "riskbench consistency: error: argument --reps:"
+        )
 
 
 class TestExtract:
@@ -407,6 +402,126 @@ class TestBench:
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+# (command line up to the flag, the flag, the least value it takes): the
+# integer flags, whose bad values are a non-number, NaN, inf, the empty string
+# and each of -1, 0 and 1 below the least one
+INTEGER_FLAGS = {
+    "weights-n": (["weights", "--estimator", "es1"], "--n", 1),
+    "coherence-n": (["coherence", "--estimator", "es1"], "--n", 1),
+    "coherence-gaussian-n": (["coherence", "--estimator", "gaussian"], "--n", 2),
+    "coherence-trials": (["coherence", "--estimator", "es1", "--n", "50"], "--trials", 1),
+    "coherence-seed": (["coherence", "--estimator", "es1", "--n", "50"], "--seed", 0),
+    "true-risk-nig-oracle-k": (["true-risk", "--dist", "nig:0.4:0.14:0:1"], "--oracle-k", 1),
+    # a closed form draws no oracle but still rejects the size
+    "true-risk-normal-oracle-k": (["true-risk", "--dist", "normal:0:1"], "--oracle-k", 1),
+    "true-risk-seed": (["true-risk", "--dist", "nig:0.4:0.14:0:1"], "--seed", 0),
+    "consistency-reps": (["consistency"], "--reps", 2),
+    "consistency-seed": (["consistency"], "--seed", 0),
+    "bench-seed": (["bench"], "--seed", 0),
+    "bench-k": (["bench"], "--k", 1),
+    "bench-oracle-k": (["bench"], "--oracle-k", 1),
+    "extract-n": (["extract", "--estimator", "es1"], "--n", 1),
+    "extract-gaussian-n": (["extract", "--estimator", "gaussian"], "--n", 2),
+}
+
+# id -> (argv, the flag or field the error names); {tmp} is a scratch
+# directory holding undecodable.json and malformed.json
+BAD_INPUT = {
+    **{
+        f"{key}-{label}": ([*argv, flag, value], flag)
+        for key, (argv, flag, least) in INTEGER_FLAGS.items()
+        for label, value in [
+            ("non-number", "x"),
+            ("nan", "nan"),
+            ("inf", "inf"),
+            ("empty", ""),
+            *[(name, str(v)) for name, v in [("negative", -1), ("zero", 0), ("one", 1)]
+              if v < least],
+        ]
+    },
+    # the size list: one or more distinct integers, each with its weights
+    **{
+        f"consistency-n-{label}": (["consistency", "--n", value], "--n")
+        for label, value in [
+            ("non-number", "100,abc"),
+            ("nan", "nan"),
+            ("empty", ""),
+            ("blank", " , "),
+            ("duplicate", "100,100"),
+            ("duplicate-spelling", "100,0100"),
+            ("negative", "-100"),
+            ("zero", "0"),
+            ("no-tail", "100,3"),
+        ]
+    },
+    # names
+    **{
+        f"{command}-estimator-{label}": ([command, "--estimator", value], "--estimator")
+        for command in ("weights", "coherence", "extract")
+        for label, value in [("unknown", "es9"), ("empty", "")]
+    },
+    **{
+        f"{command}-dist-{label}": ([command, "--dist", value], "--dist")
+        for command in ("true-risk", "consistency")
+        for label, value in [("unknown", "lognormal:0:1"), ("short", "nig:0.4"), ("empty", "")]
+    },
+    "consistency-spectrum-unknown": (["consistency", "--spectrum", "x"], "--spectrum"),
+    "consistency-builder-unknown": (["consistency", "--builder", "x"], "--builder"),
+    "bench-format-unknown": (["bench", "--format", "x"], "--format"),
+    # a level against the estimator that reads it
+    "weights-alpha": (["weights", "--estimator", "es1", "--alpha", "2"], "--alpha"),
+    "coherence-alpha": (["coherence", "--estimator", "es1", "--alpha", "1.5"], "--alpha"),
+    "coherence-expvar-alpha": (["coherence", "--estimator", "expvar", "--alpha", "0.7"], "--alpha"),
+    "extract-gaussian-alpha": (["extract", "--estimator", "gaussian", "--alpha", "0"], "--alpha"),
+    "true-risk-alpha": (["true-risk", "--dist", "t:5", "--alpha", "nan"], "--alpha"),
+    "consistency-alpha": (["consistency", "--alpha", "0"], "--alpha"),
+    # rules across flags, each checked by the code that owns it
+    "weights-n-no-tail": (["weights", "--estimator", "es1", "--n", "10"], "--n"),
+    "true-risk-oracle-k-batch": (
+        ["true-risk", "--dist", "nig:0.4:0.14:0:1", "--oracle-k", "100"], "--oracle-k"
+    ),
+    # the NIG es target's oracle is too small for this level: caught before
+    # the 10^6 weights are built
+    "consistency-alpha-oracle": (
+        ["consistency", "--dist", "nig:0.4:0.14:0:1", "--alpha", "1e-6", "--n", "1000000"],
+        "--alpha",
+    ),
+    "bench-k-tail": (["bench", "--k", "5"], "--k"),
+    "bench-oracle-k-batch": (["bench", "--oracle-k", "100"], "--oracle-k"),
+    # files, before any compute
+    "bench-config-missing": (["bench", "--config", "{tmp}/missing.json"], "--config"),
+    "bench-config-empty": (["bench", "--config", ""], "--config"),
+    "bench-config-directory": (["bench", "--config", "{tmp}"], "--config"),
+    "bench-config-undecodable": (["bench", "--config", "{tmp}/undecodable.json"], "--config"),
+    "bench-config-malformed": (["bench", "--config", "{tmp}/malformed.json"], "--config"),
+    "bench-out-empty": (["bench", "--out", ""], "--out"),
+    "bench-out-missing-directory": (["bench", "--out", "{tmp}/no/such/dir/x.csv"], "out"),
+    "bench-out-directory": (["bench", "--out", "{tmp}"], "out"),
+}
+
+
+def _no_generator(*args, **kwargs):
+    raise AssertionError("a generator was constructed")
+
+
+@pytest.mark.parametrize("argv, flag", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_fails_before_compute(capsys, monkeypatch, tmp_path, argv, flag):
+    # a bad value of one flag is argparse's `argument --flag:` report; a name,
+    # a rule across flags or a file is riskbench's `--flag:` report
+    monkeypatch.setattr(RandomnessContract, "stream", _no_generator)
+    monkeypatch.setattr(np.random, "default_rng", _no_generator)
+    monkeypatch.setattr(cli, "run_study", _no_generator)
+    (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "malformed.json").write_text('{"k": 30,')
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert re.match(rf"riskbench( {argv[0]})?: error: (argument )?{flag}: ", last), last
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():

@@ -14,14 +14,12 @@ from riskbench.distributions import (
     sample,
     true_risk,
 )
-from riskbench import metrics
 from riskbench.estimators import _snapped_split, build_estimator, tail_levels, tail_split
 from riskbench.metrics import (
     MetricReport,
     _evaluate_replications,
     _metrics_from,
     reference_value,
-    run_group,
 )
 from riskbench.sampling import RandomnessContract, Scheme, parse_scheme
 
@@ -95,16 +93,12 @@ class TestAgainstNaiveReplay:
 
     def test_group_metrics_match_replay(self):
         refs = [reference_value(e, self.true) for e in self.estimators]
-        reports = run_group(
-            Normal(),
-            Scheme(N, 1),
-            self.estimators,
-            refs,
-            K,
-            self.contract,
+        got_est, got_comp = _evaluate_replications(
+            Normal(), Scheme(N, 1), self.estimators, range(K), self.contract
         )
         est, comp = naive_cell(Normal(), Scheme(N, 1), self.estimators, K, self.contract)
-        for i, rep in enumerate(reports):
+        for i, spec in enumerate(self.estimators):
+            rep = _metrics_from(got_est[:, i], got_comp, spec.alpha, refs[i])
             ae, se, sb, rb, ct = naive_metrics(est[:, i], comp, ALPHA, refs[i])
             assert rep.ae == pytest.approx(ae, abs=1e-12)
             assert rep.se == pytest.approx(se, abs=1e-12)
@@ -258,26 +252,15 @@ class TestMetricDefinitions:
         assert tail_levels([alpha], np.arange(k) + 5.0)[0][1] == -5.0
         # the metric level is the spec's own: n = 49 snaps to a one-outcome tail too
         spec = build_estimator("es1", alpha, k)
-        rep = run_group(Normal(), Scheme(k, 1), [spec], [1.0], k, RandomnessContract(1))[0]
         estimates, companions = _evaluate_replications(
             Normal(), Scheme(k, 1), [spec], range(k), RandomnessContract(1)
         )
+        rep = _metrics_from(estimates[:, 0], companions, spec.alpha, 1.0)
         assert rep.rb == naive_metrics(estimates[:, 0], companions, alpha, 1.0)[3]
 
-    def test_level_next_to_one_is_rejected_before_any_draw(self, monkeypatch):
-        # floor(alpha*K) snaps up to K: no outcome is left past the tail
-        alpha, k = 1.0 - 1e-12, 20
-        assert _snapped_split(alpha * k)[0] == k
-        spec = build_estimator("es1", alpha, k)
-        monkeypatch.setattr(metrics, "_evaluate_replications", pytest.fail)
-        with pytest.raises(ValueError, match=r"^K: .*need 1 <= floor\(alpha\*n\) < n, got 20"):
-            run_group(Normal(), Scheme(k, 1), [spec], [1.0], k, RandomnessContract(1))
-
     def test_rejects_nonpositive_reference(self):
-        contract = RandomnessContract(1)
-        spec = build_estimator("es1", ALPHA, N)
-        with pytest.raises(ValueError):
-            run_group(Normal(), Scheme(N, 1), [spec], [-2.0], 50, contract)
+        with pytest.raises(ValueError, match="true risk must be a positive finite number"):
+            _metrics_from(np.full(50, 1.0), np.zeros(50), ALPHA, -2.0)
 
 
 # Exact order-statistic means, the independent reference for bias checks
@@ -375,9 +358,10 @@ class TestOrderStatisticMeans:
         specs = [build_estimator(f"es{j}", alpha, n) for j in range(1, 7)]
         head = 1 + max(int(np.flatnonzero(s.weights)[-1]) for s in specs)
         means = exact_order_statistic_means(law, n, range(1, head + 1))
-        reports = run_group(
-            dist, Scheme(n, 1), specs, [rho] * len(specs), 20_000, RandomnessContract(11)
+        estimates, companions = _evaluate_replications(
+            dist, Scheme(n, 1), specs, range(20_000), RandomnessContract(11)
         )
-        for spec, report in zip(specs, reports):
+        for i, spec in enumerate(specs):
+            report = _metrics_from(estimates[:, i], companions, spec.alpha, rho)
             exact = -float(spec.weights[:head] @ means) / rho - 1.0
             assert abs(report.sb - exact) < 4 * report.sb_stderr, spec.name

@@ -74,11 +74,13 @@ COMMANDS = (
     (["consistency", "--spectrum", "uniform", "--dist", "nig:0.4:0.14:0:1", "--n", "50",
       "--reps", "3"], 0),
     (["consistency", "--n", ""], 2),
+    (["consistency", "--n", "100,100"], 2),
     (["bench", "--config", "{tmp}/study.json", "--k", "200", "--oracle-k", "100000", "--table"], 0),
     (["bench", "--config", "{tmp}/study.json", "--k", "200", "--oracle-k", "100000",
       "--format", "json", "--out", "{tmp}/results.json"], 0),
     (["bench", "--config", "{tmp}/bad.json"], 2),
     (["bench", "--config", "{tmp}/one-day-window.json"], 2),
+    (["bench", "--config", "{tmp}/missing.json"], 2),
     (["extract", "--estimator", "es3", "--n", "100"], 0),
     (["extract", "--estimator", "gaussian", "--n", "8"], 1),
     (["extract", "--estimator", "expvar", "--n", "8"], 1),
