@@ -4,7 +4,7 @@ Each type carries the law of its h-day sum (horizon), its mean and its
 reference: Normal and Student-t have closed forms (quantile and es); the
 normal inverse Gaussian and h-day sums of Student-t (HorizonSum) fill an
 antithetic Monte Carlo oracle sample (oracle_pairs) whose standard error
-comes from batch means, and a Student-t can be forced through it as well.
+comes from batch means. HorizonSum(StudentT(nu), 1) samples the plain t.
 Profit is positive: VaR and ES of a centered distribution come out positive.
 """
 
@@ -123,9 +123,6 @@ class StudentT:
             - (nu + 1) / 2 * np.log1p(q * q / nu)
         )
         return float(density * (nu + q * q) / (alpha * (nu - 1.0)))
-
-    def oracle_pairs(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        _t_sum_pairs(self.nu, 1, rng, out)
 
     @property
     def label(self) -> str:
@@ -450,15 +447,13 @@ def true_risk_levels(
     *,
     oracle_k: int = DEFAULT_ORACLE_K,
     seed: int = 0,
-    force_oracle: bool = False,
 ) -> dict[float, TrueRisk]:
     """True risk at several levels, sharing one oracle sample across levels.
 
     Normal and Student-t have closed forms (their quantile and es); NIG and
-    h-day sums of Student-t always go through the oracle (their
-    oracle_pairs). force_oracle sends a Student-t through its oracle too; a
-    Normal has no oracle, and forcing one raises AttributeError. The oracle
-    size is rounded up so the 20 batches tile it in whole antithetic pairs.
+    h-day sums of Student-t go through the oracle (their oracle_pairs). The
+    oracle size is rounded up so the 20 batches tile it in whole antithetic
+    pairs.
 
     The oracle reads every level from one sample through
     estimators.tail_levels, which partitions it in place; each batch's es,
@@ -470,7 +465,7 @@ def true_risk_levels(
     levels = list(dict.fromkeys(float(a) for a in alphas))
     for a in levels:
         _check_level(a)
-    if not (force_oracle or dist.oracle_passes):
+    if not dist.oracle_passes:
         return {
             a: TrueRisk(-float(dist.quantile(a)), dist.es(a), "closed_form", 0.0)
             for a in levels
@@ -501,9 +496,6 @@ def true_risk(
     *,
     oracle_k: int = DEFAULT_ORACLE_K,
     seed: int = 0,
-    force_oracle: bool = False,
 ) -> TrueRisk:
     """True VaR and ES of dist at one level. See true_risk_levels."""
-    return true_risk_levels(
-        dist, [alpha], oracle_k=oracle_k, seed=seed, force_oracle=force_oracle
-    )[float(alpha)]
+    return true_risk_levels(dist, [alpha], oracle_k=oracle_k, seed=seed)[float(alpha)]

@@ -23,7 +23,7 @@ import numpy as np
 from .core import score_sorted_rows
 from .distributions import TrueRisk
 from .estimators import LEstimatorSpec, tail_levels
-from .sampling import RandomnessContract, ReplicationBlock, Scheme
+from .sampling import RandomnessContract, Scheme
 
 __all__ = [
     "MetricReport",
@@ -102,17 +102,28 @@ def _evaluate_replications(
     estimates = np.empty((K, len(estimators)))
     companions = np.empty(K)
     rows = np.empty((min(_BLOCK, K), scheme.n))
-    block = ReplicationBlock(distribution, scheme, len(rows))
+    # per replication only the generator calls run, into row j of the raw
+    # arrays: n + h - 1 base draws and h companion draws (one fresh draw of
+    # the h-day target, which tests the secured position)
+    raw, companion_raw = (
+        tuple(np.empty((len(rows), width)) for _ in range(distribution.RAW_ARRAYS))
+        for width in (scheme.n + scheme.h - 1, scheme.h)
+    )
     # one generator per call, re-keyed per stream: its draws match
     # contract.stream(tag, k) exactly
     rng = contract.stream(sample_tag, 0)
     for b0 in range(0, K, _BLOCK):
         b1 = min(b0 + _BLOCK, K)
         for j, k in enumerate(replications[b0:b1]):
-            block.draw(contract.rekey(rng, sample_tag, k), j)
-            block.draw_companion(contract.rekey(rng, companion_tag, k), j)
+            distribution.draw(contract.rekey(rng, sample_tag, k), raw, j)
+            distribution.draw(contract.rekey(rng, companion_tag, k), companion_raw, j)
+        # transforms and sums run once per tile, elementwise or row-wise, so
+        # each row has the bits of a one-replication draw; the transforms work
+        # in place, so the raw rows are drawn again before the next tile
         tile = rows[: b1 - b0]
-        block.finish(tile, companions[b0:b1])
+        scheme.window_sums(distribution.transform([a[: len(tile)] for a in raw]), tile)
+        outcomes = distribution.transform([a[: len(tile)] for a in companion_raw])
+        np.sum(outcomes, axis=1, out=companions[b0:b1])
         tile.sort(axis=1)
         # one matvec per estimator: a single gemm over all estimators moves
         # the last bits of some rows, and the bits of a column must not depend

@@ -19,7 +19,6 @@ __all__ = [
     "parse_scheme",
     "RandomnessContract",
     "stream_key",
-    "ReplicationBlock",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -47,6 +46,18 @@ class Scheme:
     def label(self) -> str:
         """Canonical text form, also accepted by parse_scheme."""
         return "iid" if self.h == 1 else f"overlapping:{self.h}"
+
+    def window_sums(self, base: np.ndarray, out: np.ndarray) -> None:
+        """Write the X_i of rows of base outcomes Z (rows, n + h - 1) into
+        out (rows, n); base serves as scratch."""
+        if self.h == 1:
+            out[...] = base
+        else:
+            # X_i = Z_i + ... + Z_{i+h-1} = S_{i+h-1} - S_{i-1} over the prefix
+            # sums S, in place; S_{-1} = 0 and S - 0.0 == S, so X_0 = S_{h-1}
+            np.cumsum(base, axis=1, out=base)
+            out[:, 0] = base[:, self.h - 1]
+            np.subtract(base[:, self.h :], base[:, : self.n - 1], out=out[:, 1:])
 
 
 def parse_scheme(text: str, n: int) -> Scheme:
@@ -126,48 +137,3 @@ class RandomnessContract:
             "uinteger": 0,
         }
         return rng
-
-
-class ReplicationBlock:
-    """Raw draws of up to `rows` replications of one (distribution, scheme),
-    turned into sample rows and companion outcomes together.
-
-    Per replication only the generator calls run: draw fills row j's base
-    draws and draw_companion its companion draws, each from whatever stream
-    the caller keyed. finish then runs, once on the 2-D block, the
-    distribution's transform, the rolling sums of overlapping schemes and
-    the companion sums. Every step is elementwise or row-wise, so each row
-    has the bits of a one-replication draw whatever the block size.
-    """
-
-    def __init__(self, dist, scheme: Scheme, rows: int):
-        self.dist = dist
-        self.n, self.h = scheme.n, scheme.h
-        self.raw = tuple(np.empty((rows, self.n + self.h - 1)) for _ in range(dist.RAW_ARRAYS))
-        self.companion_raw = tuple(np.empty((rows, self.h)) for _ in range(dist.RAW_ARRAYS))
-
-    def draw(self, rng: np.random.Generator, j: int) -> None:
-        """Row j's n + h - 1 base draws."""
-        self.dist.draw(rng, self.raw, j)
-
-    def draw_companion(self, rng: np.random.Generator, j: int) -> None:
-        """Row j's companion: one fresh draw of the target variable (the
-        h-day sum), used to test the secured position."""
-        self.dist.draw(rng, self.companion_raw, j)
-
-    def finish(self, samples: np.ndarray, companions: np.ndarray) -> None:
-        """Write rows 0..b-1 into samples (b, n) and companions (b,). The
-        transforms work in place, so the raw rows must be drawn again before
-        the next finish."""
-        b = len(samples)
-        base = self.dist.transform([a[:b] for a in self.raw])
-        if self.h == 1:
-            samples[...] = base
-        else:
-            # X_i = Z_i + ... + Z_{i+h-1} = S_{i+h-1} - S_{i-1} over the prefix
-            # sums S, in place; S_{-1} = 0 and S - 0.0 == S, so X_0 = S_{h-1}
-            np.cumsum(base, axis=1, out=base)
-            samples[:, 0] = base[:, self.h - 1]
-            np.subtract(base[:, self.h :], base[:, : self.n - 1], out=samples[:, 1:])
-        outcomes = self.dist.transform([a[:b] for a in self.companion_raw])
-        np.sum(outcomes, axis=1, out=companions)

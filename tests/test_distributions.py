@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
+from scipy.special import ndtr
 
 from riskbench import distributions
 from riskbench.bench import BenchConfig, run_study
@@ -156,6 +157,27 @@ class TestNigMoments:
             Nig(0.4, 0.1, 0.0, -2.0)
 
 
+def nig_cdf(spec, q):
+    """F(q) = E[Phi((q - mu - b*V) / sqrt(V))], V inverse Gaussian of mean
+    delta/gamma and shape delta^2 (Barndorff-Nielsen 1997): 600 Gauss-Legendre
+    nodes in log V on [log(delta/gamma) - 14, log(delta/gamma) + 6]."""
+    mean, shape = spec.delta / spec.gamma, spec.delta**2
+    nodes, weights = np.polynomial.legendre.leggauss(600)
+    half = 10.0
+    v = np.exp(np.log(mean) - 4.0 + half * nodes)
+    density = np.sqrt(shape / (2.0 * np.pi * v**3)) * np.exp(
+        -shape * (v - mean) ** 2 / (2.0 * mean**2 * v)
+    )
+    weights = half * weights * density * v  # dV = V d(log V)
+    q = np.asarray(q, dtype=float)  # 1-D; about 1 000 points x 600 nodes at a time
+    return np.concatenate(
+        [
+            ndtr((block[:, None] - spec.mu - spec.b * v) / np.sqrt(v)) @ weights
+            for block in np.array_split(q, max(1, q.size // 1000))
+        ]
+    )
+
+
 class TestSamplers:
     def test_inverse_gaussian_moments(self):
         rng = np.random.default_rng(0)
@@ -176,11 +198,16 @@ class TestSamplers:
         assert y.var() == pytest.approx(want.variance, rel=0.05)
         assert stats.skew(y) == pytest.approx(want.skewness, abs=0.1)
 
+    def test_nig_mixture_cdf_matches_scipy(self):
+        q = np.linspace(-8.0, 6.0, 9)
+        want = stats.norminvgauss.cdf(q, 0.4, 0.14)
+        assert np.max(np.abs(nig_cdf(Nig(0.4, 0.14), q) - want)) < 1e-12
+
     def test_nig_sample_distribution(self):
         spec = Nig(0.4, 0.14)
         rng = np.random.default_rng(2)
         y = sample(spec, 20_000, rng)
-        stat = stats.kstest(y, lambda q: stats.norminvgauss.cdf(q, 0.4, 0.14))
+        stat = stats.kstest(y, lambda q: nig_cdf(spec, q))
         assert stat.pvalue > 1e-3
 
     @pytest.mark.parametrize("spec", [Nig(0.4, 0.14), Nig(0.55, -0.3025, 0.2, 1.5)])
@@ -213,18 +240,19 @@ class TestSamplers:
         assert y.mean() == pytest.approx(0.0, abs=0.1)
         assert y.var() == pytest.approx(20.0, rel=0.1)
 
-    @pytest.mark.parametrize("dist", [HorizonSum(StudentT(4.0), 10), StudentT(5.0)])
+    @pytest.mark.parametrize(
+        "dist", [HorizonSum(StudentT(4.0), 10), HorizonSum(StudentT(5.0), 1)]
+    )
     def test_t_oracle_keeps_the_bits_of_chi_square_draws(self, dist):
         # the t value z * sqrt(nu / w), w chi-square, each day drawn whole:
         # all w first, then all z. A half that is not a whole number of
         # chunks leaves a short last chunk
         half = 3 * distributions._ORACLE_CHUNK + 108
-        base, days = (dist.base, dist.h) if isinstance(dist, HorizonSum) else (dist, 1)
         rng = np.random.default_rng(6)
         total = np.zeros(half)
-        for _ in range(days):
-            w = rng.chisquare(base.nu, half)
-            total += rng.standard_normal(half) * np.sqrt(base.nu / w)
+        for _ in range(dist.h):
+            w = rng.chisquare(dist.base.nu, half)
+            total += rng.standard_normal(half) * np.sqrt(dist.base.nu / w)
         want = np.empty(2 * half)
         want[0::2], want[1::2] = total, -total
         assert np.array_equal(distributions._oracle_sample(dist, 2 * half, 6), want)
@@ -272,12 +300,6 @@ class TestTrueRisk:
         assert tr.standard_error == 0.0
         assert tr.es_alpha == pytest.approx(2.337802792201413, abs=1e-12)
 
-    def test_a_normal_has_no_oracle_to_force(self):
-        # the closed form is its only reference; the forced oracle of the
-        # acceptance battery is the t(5) one
-        with pytest.raises(AttributeError, match="oracle_pairs"):
-            true_risk(Normal(), 0.025, oracle_k=400_000, seed=11, force_oracle=True)
-
     def test_oracle_is_deterministic(self):
         a = true_risk(Nig(0.4, 0.14), 0.025, oracle_k=100_000, seed=3)
         b = true_risk(Nig(0.4, 0.14), 0.025, oracle_k=100_000, seed=3)
@@ -288,23 +310,24 @@ class TestTrueRisk:
         tr = true_risk(Nig(0.4, 0.14), 0.1, oracle_k=4001, seed=0)
         assert tr.oracle_k == 4040
 
+    # the plain t(5) is forced through the oracle as its one-day sum
     ORACLE_TARGETS = [
-        (Nig(0.4, 0.14), False),
-        (HorizonSum(StudentT(5.0), 10), False),
-        (StudentT(5.0), True),
+        Nig(0.4, 0.14),
+        HorizonSum(StudentT(5.0), 10),
+        HorizonSum(StudentT(5.0), 1),
     ]
     ORACLE_IDS = ["nig", "t5-10day", "t5-forced"]
 
-    @pytest.mark.parametrize("dist, force", ORACLE_TARGETS, ids=ORACLE_IDS)
+    @pytest.mark.parametrize("dist", ORACLE_TARGETS, ids=ORACLE_IDS)
     @pytest.mark.parametrize("levels", [[0.025, 0.01], [0.01, 0.025], [0.0123, 0.3, 0.005]])
-    def test_later_levels_keep_var_and_se_bits(self, dist, force, levels):
+    def test_later_levels_keep_var_and_se_bits(self, dist, levels):
         # one sample partitioned in place at the first level: the first
         # level's var, es and se, and every level's var and se, are those of
         # a one-level call; a later level's es sums another arrangement
-        many = true_risk_levels(dist, levels, oracle_k=50_000, seed=7, force_oracle=force)
+        many = true_risk_levels(dist, levels, oracle_k=50_000, seed=7)
         assert list(many) == levels
         for j, a in enumerate(levels):
-            one = true_risk_levels(dist, [a], oracle_k=50_000, seed=7, force_oracle=force)[a]
+            one = true_risk_levels(dist, [a], oracle_k=50_000, seed=7)[a]
             got = many[a]
             assert (got.var_alpha, got.standard_error) == (one.var_alpha, one.standard_error)
             if j == 0:
@@ -315,14 +338,14 @@ class TestTrueRisk:
         es = [many[a].es_alpha for a in sorted(levels)]
         assert es == sorted(es, reverse=True)
 
-    @pytest.mark.parametrize("dist, force", ORACLE_TARGETS, ids=ORACLE_IDS)
-    def test_oracle_holds_one_sample_sized_array(self, dist, force):
+    @pytest.mark.parametrize("dist", ORACLE_TARGETS, ids=ORACLE_IDS)
+    def test_oracle_holds_one_sample_sized_array(self, dist):
         # drawn, transformed and partitioned inside one k-double buffer:
         # no stage holds a second sample-sized array
         k = 1_000_000
         tracemalloc.start()
         try:
-            true_risk_levels(dist, [0.025, 0.01], oracle_k=k, seed=1, force_oracle=force)
+            true_risk_levels(dist, [0.025, 0.01], oracle_k=k, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -351,8 +374,9 @@ class TestTrueRisk:
     # seed 0, recorded with one flat partition per oracle batch, a path
     # independent of the row-wise tail kernel; 0.0123 leaves a fractional
     # boundary weight in every batch of 5 000 draws, 0.025 none. The plain
-    # t(5) oracle is forced (its closed form is the default); its pins were
-    # recorded before it shared the h-day sums' day loop
+    # t(5) reaches the oracle as its one-day sum (its closed form is its own
+    # reference); its pins were recorded before it shared the h-day sums' day
+    # loop
     ORACLE_BITS = {
         (Nig(0.4, 0.14), 0.0123): (
             "0x1.a68f5536af558p+1", "0x1.22940a1adad0ap+2", "0x1.7931cff3b6f21p-5"
@@ -366,17 +390,17 @@ class TestTrueRisk:
         (HorizonSum(StudentT(5.0), 10), 0.025): (
             "0x1.02cb83914dc54p+3", "0x1.3d9412cac3540p+3", "0x1.b3dba20342667p-5"
         ),
-        (StudentT(5.0), 0.0123): (
+        (HorizonSum(StudentT(5.0), 1), 0.0123): (
             "0x1.93a1d447f94f4p+1", "0x1.0f9579870e37cp+2", "0x1.96d24fa2c3570p-5"
         ),
-        (StudentT(5.0), 0.025): (
+        (HorizonSum(StudentT(5.0), 1), 0.025): (
             "0x1.4b17a4f139d3ep+1", "0x1.c365af39b3be4p+1", "0x1.00c2fd3038d2ep-5"
         ),
     }
 
     @pytest.mark.parametrize("dist, alpha", list(ORACLE_BITS))
     def test_oracle_bits_are_pinned(self, dist, alpha):
-        tr = true_risk(dist, alpha, oracle_k=100_000, force_oracle=True)
+        tr = true_risk(dist, alpha, oracle_k=100_000)
         got = (tr.var_alpha.hex(), tr.es_alpha.hex(), tr.standard_error.hex())
         assert got == self.ORACLE_BITS[dist, alpha]
 

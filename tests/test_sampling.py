@@ -6,13 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from riskbench.distributions import Nig, Normal, StudentT, sample
-from riskbench.sampling import (
-    RandomnessContract,
-    ReplicationBlock,
-    Scheme,
-    parse_scheme,
-    stream_key,
-)
+from riskbench.sampling import RandomnessContract, Scheme, parse_scheme, stream_key
 
 
 class TestStreamKey:
@@ -111,12 +105,19 @@ class TestSchemes:
             parse_scheme("overlapping:1", 250)
 
     def test_base_draw_count(self):
-        block = ReplicationBlock(Nig(0.4, 0.14), Scheme(250, 10), 3)
-        assert [a.shape for a in block.raw] == [(3, 259)] * 3
-        assert [a.shape for a in block.companion_raw] == [(3, 10)] * 3
-        block = ReplicationBlock(Normal(), Scheme(250, 1), 3)
-        assert [a.shape for a in block.raw] == [(3, 250)]
-        assert [a.shape for a in block.companion_raw] == [(3, 1)]
+        c, dist, n = RandomnessContract(3), Nig(0.4, 0.14), 250
+        for h in (10, 1):
+            # n + h - 1 base draws give n observations of h summands each
+            out = np.empty((3, n))
+            Scheme(n, h).window_sums(np.ones((3, n + h - 1)), out)
+            assert np.array_equal(out, np.full((3, n), float(h)))
+            # a replication takes n + h - 1 base and h companion draws
+            s_rng, c_rng = c.stream("s", h), c.stream("c", h)
+            draw_one(dist, Scheme(n, h), s_rng, c_rng)
+            for rng, count, tag in ((s_rng, n + h - 1, "s"), (c_rng, h, "c")):
+                fresh = c.stream(tag, h)
+                sample(dist, count, fresh)
+                assert rng.random() == fresh.random()
 
     def test_horizons(self):
         assert parse_scheme("iid", 250).h == 1
@@ -130,13 +131,15 @@ class TestSchemes:
 
 
 def draw_one(dist, scheme, sample_rng, companion_rng):
-    """One replication through a one-row block: (sample row, companion)."""
-    block = ReplicationBlock(dist, scheme, 1)
-    block.draw(sample_rng, 0)
-    block.draw_companion(companion_rng, 0)
-    rows, companions = np.empty((1, scheme.n)), np.empty(1)
-    block.finish(rows, companions)
-    return rows[0], companions[0]
+    """One replication as a one-row tile of the study loop: (sample row,
+    companion)."""
+    raw = tuple(np.empty((1, scheme.n + scheme.h - 1)) for _ in range(dist.RAW_ARRAYS))
+    companion_raw = tuple(np.empty((1, scheme.h)) for _ in range(dist.RAW_ARRAYS))
+    dist.draw(sample_rng, raw, 0)
+    dist.draw(companion_rng, companion_raw, 0)
+    row = np.empty((1, scheme.n))
+    scheme.window_sums(dist.transform(raw), row)
+    return row[0], np.sum(dist.transform(companion_raw), axis=1)[0]
 
 
 class TestDraws:

@@ -15,9 +15,7 @@ machine in one session. A record holds:
   resident set (ru_maxrss) in MB and that of its largest worker (0 when no
   worker ran), CSV sha256, and per (distribution, scheme) group the seconds
   of its reference risk, of its replications (summed over the workers) and
-  of its metrics, and the microseconds per replication; a tree that
-  predates the study's own timings gives the seconds of its reference and
-  of its `run_group` call instead;
+  of its metrics, and the microseconds per replication;
 - start-up: over STARTUP_RUNS fresh interpreters that each run
   `import riskbench.cli` and exit, the median wall seconds of the whole
   process and the median of its peak resident set (ru_maxrss) in MB;
@@ -51,50 +49,20 @@ REPO = Path(__file__).resolve().parent.parent
 # Run in a fresh interpreter: argv[1] is the tree's src directory. Times
 # run_study plus to_csv and reads each group's phase seconds from the table's
 # metadata["timings"]; the study's tasks may run in forked workers, so no
-# wrapper here could time them. A tree that predates those timings has a
-# run_study that calls run_group per group in this process: for it, the two
-# names bench looks up per group are wrapped instead. The run_group wrapper
-# passes its arguments through unchanged and reads K by name, so it follows
-# run_group's signature. Such a run_study runs the groups distribution by
-# distribution, scheme by scheme, in config order, so each group is keyed by
-# its config texts (the default config's are canonical labels) and no
-# labelling function of the tree is imported.
+# wrapper here could time them.
 STUDY_CHILD = r"""
-import hashlib, inspect, json, resource, sys, time
+import hashlib, json, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import numpy, scipy
 from riskbench import bench
 
 config = bench.BenchConfig()
-groups, reference_s = {}, []
-if "run_group" in bench.run_study.__code__.co_names:
-    true_risk_levels, run_group = bench.true_risk_levels, bench.run_group
-
-    def timed_reference(*args, **kwargs):
-        start = time.perf_counter()
-        out = true_risk_levels(*args, **kwargs)
-        reference_s.append(time.perf_counter() - start)
-        return out
-
-    def timed_group(*args, **kwargs):
-        bound = inspect.signature(run_group).bind(*args, **kwargs).arguments
-        start = time.perf_counter()
-        out = run_group(*args, **kwargs)
-        seconds = time.perf_counter() - start
-        groups[next(group_keys)] = {
-            "reference_s": round(reference_s.pop(), 4),
-            "run_group_s": round(seconds, 4),
-            "us_per_replication": round(seconds / bound["K"] * 1e6, 3),
-        }
-        return out
-
-    bench.true_risk_levels, bench.run_group = timed_reference, timed_group
-    group_keys = iter([f"{d}|{s}" for d in config.distributions for s in config.schemes])
 start = time.perf_counter()
 table = bench.run_study(config)
 text = table.to_csv()
 wall = time.perf_counter() - start
-timings = table.metadata.get("timings", {"workers": 1, "groups": {}})
+timings = table.metadata["timings"]
+groups = {}
 for key, phases in timings["groups"].items():
     us = round(phases["replications_s"] / config.k * 1e6, 3)
     groups[key] = {**phases, "us_per_replication": us}
