@@ -149,8 +149,9 @@ def _random_probes(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
     return probes
 
 
-# Probes are scored in blocks of at most this many floats, so memory stays
-# flat in the trial count (262 rows at n = 250).
+# Probes are scored in blocks of at most this many floats (262 rows at n = 250)
+# but drawn up front, one trials x n array: drawing them block by block would
+# move the probe stream and every witness found on it.
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -378,7 +379,8 @@ def check_axiom(
             must be pure.
         axiom: one of AXIOMS.
         n: probe dimension, n >= 1.
-        trials: number of randomized probes after the deck.
+        trials: number of randomized probes after the deck, drawn up front
+            into one (deck + trials) x n array and scored in blocks.
         seed: probe stream seed; identical seeds replay identical probes.
 
     Returns:
@@ -494,9 +496,13 @@ def extract_comonotonic_weights(estimator: Estimator, n: int) -> WeightVector:
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    ladder = np.tril(np.full((n + 1, n), -1.0), k=-1)
+    # row k of the ladder is k entries of -1.0, then +0.0; each block is built
+    # as it is scored, from a view whose row k holds k
+    ladder = np.broadcast_to(np.arange(n + 1)[:, None], (n + 1, n))
     score = _rows(estimator)
-    values = np.concatenate([score(block) for _, block in _probe_blocks(ladder, 1)])
+    values = np.concatenate(
+        [score(np.where(np.arange(n) < ks, -1.0, 0.0)) for _, ks in _probe_blocks(ladder, 1)]
+    )
     a = np.diff(values)
 
     if float(np.min(a)) < -VIOLATION_RTOL:

@@ -15,11 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import WeightVector, apply_l_estimator
+from .core import WeightVector, score_sorted_rows
 from .distributions import true_risk
 from .estimators import SpectrumSpec, build_spectral_weights, build_spectral_weights_alt
 from .sampling import RandomnessContract
-from .distributions import sample as draw_dist
 
 __all__ = [
     "DISCRETIZATIONS",
@@ -122,11 +121,14 @@ def empirical_consistency(
         n = int(n_raw)
         w = build(spectrum, n)
         errors = np.empty(reps)
-        tag = f"consistency|{spectrum.name}-{discretization}|n={n}"
-        rng = contract.stream(tag, 0)
+        at = contract.keyed(f"consistency|{spectrum.name}-{discretization}|n={n}")
+        # one (1, n) row per size, drawn, sorted and scored like a study tile
+        raw = tuple(np.empty((1, n)) for _ in range(dist.RAW_ARRAYS))
         for rep in range(reps):
-            x = draw_dist(dist, n, contract.rekey(rng, tag, rep))
-            errors[rep] = abs(apply_l_estimator(w, x) - reference)
+            dist.draw(at(rep), raw)
+            x = dist.transform(raw)
+            x.sort(axis=1)
+            errors[rep] = abs(score_sorted_rows(w.weights, x)[0] - reference)
         q25, q50, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
         rows.append(ConsistencyRow(n=n, median_abs_error=float(q50), iqr=float(q75 - q25)))
     return rows

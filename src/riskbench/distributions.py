@@ -26,7 +26,6 @@ __all__ = [
     "HorizonSum",
     "DistributionSpec",
     "parse_dist",
-    "sample",
     "inverse_gaussian_transform",
     "NigMoments",
     "nig_moments",
@@ -308,14 +307,6 @@ def inverse_gaussian_transform(
     np.divide(mean * mean, x, out=y)
     np.copyto(x, y, where=~keep)
     return x
-
-
-def sample(dist, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `size` variates of a base distribution: its transform of its raw
-    draws; the draw order per variate is fixed per distribution."""
-    raw = tuple(np.empty(size) for _ in range(dist.RAW_ARRAYS))
-    dist.draw(rng, raw)
-    return dist.transform(raw)
 
 
 class NigMoments(NamedTuple):

@@ -197,7 +197,6 @@ def build_estimator(name: str, alpha: float, n: int) -> LEstimatorSpec:
     return LEstimatorSpec(key, alpha, n, weights, simplex_defect(weights, True) is None)
 
 
-@functools.lru_cache(maxsize=64)
 def _normal_density_at_quantile(alpha: float) -> float:
     """phi(Phi^-1(alpha)), the standard normal density at its alpha-quantile,
     in the expressions of SciPy's norm distribution, so each value keeps its

@@ -95,8 +95,9 @@ def _evaluate_replications(
             f"got {replications}"
         )
     cell_tag = f"{distribution.label}|{scheme.label}"
-    sample_tag = f"sample|{cell_tag}"
-    companion_tag = f"companion|{cell_tag}"
+    # one generator per tag, keyed per replication to stream(tag, k)'s draws
+    sample_at = contract.keyed(f"sample|{cell_tag}")
+    companion_at = contract.keyed(f"companion|{cell_tag}")
 
     K = len(replications)
     estimates = np.empty((K, len(estimators)))
@@ -109,14 +110,11 @@ def _evaluate_replications(
         tuple(np.empty((len(rows), width)) for _ in range(distribution.RAW_ARRAYS))
         for width in (scheme.n + scheme.h - 1, scheme.h)
     )
-    # one generator per call, re-keyed per stream: its draws match
-    # contract.stream(tag, k) exactly
-    rng = contract.stream(sample_tag, 0)
     for b0 in range(0, K, _BLOCK):
         b1 = min(b0 + _BLOCK, K)
         for j, k in enumerate(replications[b0:b1]):
-            distribution.draw(contract.rekey(rng, sample_tag, k), raw, j)
-            distribution.draw(contract.rekey(rng, companion_tag, k), companion_raw, j)
+            distribution.draw(sample_at(k), raw, j)
+            distribution.draw(companion_at(k), companion_raw, j)
         # transforms and sums run once per tile, elementwise or row-wise, so
         # each row has the bits of a one-replication draw; the transforms work
         # in place, so the raw rows are drawn again before the next tile

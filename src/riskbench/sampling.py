@@ -8,9 +8,9 @@ between replications.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -77,13 +77,6 @@ def parse_scheme(text: str, n: int) -> Scheme:
     raise ValueError(f"unknown sampling scheme {text!r}")
 
 
-@functools.lru_cache(maxsize=1024)
-def _tag_word(master_seed: int, tag: str) -> int:
-    """High 64 key bits of every stream under (master_seed, tag)."""
-    digest = hashlib.blake2b(f"{master_seed}:{tag}".encode(), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
-
-
 def _check_index(k: int) -> None:
     if k < 0:
         raise ValueError(f"replication index must be non-negative, got {k}")
@@ -97,13 +90,8 @@ def stream_key(master_seed: int, tag: str, k: int) -> int:
     Philox streams with distinct keys are independent by construction.
     """
     _check_index(k)
-    return (_tag_word(master_seed, tag) << 64) | (k & _MASK64)
-
-
-# Philox state words of a freshly keyed stream: counter zero, buffer empty
-# (buffer_pos equal to the four-word buffer size).
-_ZERO4 = (0, 0, 0, 0)
-_EMPTY_BUFFER_POS = 4
+    digest = hashlib.blake2b(f"{master_seed}:{tag}".encode(), digest_size=8).digest()
+    return (int.from_bytes(digest, "little") << 64) | (k & _MASK64)
 
 
 @dataclass(frozen=True)
@@ -117,23 +105,24 @@ class RandomnessContract:
             np.random.Philox(key=stream_key(self.master_seed, tag, k))
         )
 
-    def rekey(self, rng: np.random.Generator, tag: str, k: int) -> np.random.Generator:
-        """Reset a Philox-backed generator to the start of stream (tag, k).
+    def keyed(self, tag: str) -> Callable[[int], np.random.Generator]:
+        """at(k): one generator per tag, reset to the start of stream (tag, k).
 
         Philox is counter-based, so a stream is fixed by its key alone: the
-        draws that follow match those of stream(tag, k) exactly, whatever
-        rng drew before. Cheaper than building a generator per stream.
+        draws after at(k) match those of stream(tag, k) exactly, whatever the
+        generator drew before. Every call returns the same generator.
         """
-        _check_index(k)
-        rng.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": _ZERO4,
-                "key": (k & _MASK64, _tag_word(self.master_seed, tag)),
-            },
-            "buffer": _ZERO4,
-            "buffer_pos": _EMPTY_BUFFER_POS,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return rng
+        rng = self.stream(tag, 0)
+        # its fresh state (counter 0, empty buffer, key [0, T]) in plain ints,
+        # which the state setter reads faster than numpy words
+        state = rng.bit_generator.state
+        words = state["state"] = {name: a.tolist() for name, a in state["state"].items()}
+        state["buffer"] = state["buffer"].tolist()
+
+        def at(k: int) -> np.random.Generator:
+            _check_index(k)
+            words["key"][0] = k & _MASK64
+            rng.bit_generator.state = state
+            return rng
+
+        return at

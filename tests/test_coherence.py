@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -384,6 +385,39 @@ class TestRepresentation:
         spec = build_estimator(name, 0.05, 60)
         got = extract_comonotonic_weights(spec.rows, 60)
         assert np.allclose(got.weights, spec.weights, atol=1e-12)
+
+    def test_extraction_memory_stays_flat_in_the_ladder(self):
+        # the whole (n + 1) x n ladder at n = 2 000 would take 32 MB, twice
+        n = 2000
+        spec = build_estimator("es1", 0.025, n)
+        tracemalloc.start()
+        try:
+            got = extract_comonotonic_weights(spec.rows, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert np.allclose(got.weights, spec.weights, atol=1e-12)
+
+    def test_extraction_scores_the_ladder_in_probe_blocks(self):
+        # each block is built as it is scored; together they are the lower
+        # triangle of -1.0 over +0.0, split as _probe_blocks splits it
+        n = 600
+        spec = build_estimator("es1", 0.025, n)
+        seen = []
+
+        def recorded(block):
+            seen.append(block.copy())
+            return spec.rows(block)
+
+        extract_comonotonic_weights(recorded, n)
+        ladder = np.tril(np.full((n + 1, n), -1.0), k=-1)
+        want = [block for _, block in coherence._probe_blocks(ladder, 1)]
+        assert len(want) > 1
+        for got, block in zip(seen, want):
+            assert got.shape == block.shape
+            assert np.array_equal(got, block)
+            assert np.array_equal(np.signbit(got), np.signbit(block))
 
     def test_extraction_rejects_rising_weights(self):
         # empirical VaR puts its unit weight past position one, so the

@@ -3,16 +3,24 @@ import pytest
 
 from riskbench.consistency import ConsistencyRow, check_partial_integrals, empirical_consistency
 from riskbench.core import apply_l_estimator
-from riskbench.distributions import Normal, parse_dist, sample, true_risk
+from riskbench.distributions import Nig, Normal, StudentT, parse_dist, true_risk
 from riskbench.estimators import (
     SpectrumSpec,
     build_spectral_weights,
+    build_spectral_weights_alt,
     es_spectrum,
     uniform_spectrum,
 )
 from riskbench.sampling import RandomnessContract
 
 ALPHA = 0.025
+
+
+def sample(dist, size, rng):
+    """size variates of dist: its transform of its raw draws."""
+    raw = tuple(np.empty(size) for _ in range(dist.RAW_ARRAYS))
+    dist.draw(rng, raw)
+    return dist.transform(raw)
 
 
 class TestPartialIntegrals:
@@ -101,19 +109,22 @@ class TestEmpirical:
         assert a[0].median_abs_error == b[0].median_abs_error
         assert a[0].iqr == b[0].iqr
 
-    def test_replications_draw_from_their_named_streams(self):
+    @pytest.mark.parametrize("builder", ["integral", "alternative"])
+    @pytest.mark.parametrize(
+        "dist", [Normal(), StudentT(5.0), Nig(0.4, 0.14)], ids=lambda d: d.label
+    )
+    def test_replications_draw_from_their_named_streams(self, dist, builder):
         spectrum = es_spectrum(ALPHA)
-        rows = empirical_consistency(
-            Normal(), spectrum, "integral", ALPHA, [100, 300], reps=7, seed=11
-        )
-        reference = true_risk(Normal(), ALPHA).es_alpha
+        rows = empirical_consistency(dist, spectrum, builder, ALPHA, [100, 300], reps=7, seed=11)
+        reference = true_risk(dist, ALPHA).es_alpha
+        build = {"integral": build_spectral_weights, "alternative": build_spectral_weights_alt}
         contract = RandomnessContract(11)
         for row in rows:
-            w = build_spectral_weights(spectrum, row.n)
-            tag = f"consistency|es-integral|n={row.n}"
+            w = build[builder](spectrum, row.n)
+            tag = f"consistency|es-{builder}|n={row.n}"
             errors = [
                 abs(
-                    apply_l_estimator(w, sample(Normal(), row.n, contract.stream(tag, rep)))
+                    apply_l_estimator(w, sample(dist, row.n, contract.stream(tag, rep)))
                     - reference
                 )
                 for rep in range(7)

@@ -18,11 +18,17 @@ from riskbench.distributions import (
     inverse_gaussian_transform,
     nig_moments,
     parse_dist,
-    sample,
     true_risk,
     true_risk_levels,
 )
 from riskbench.estimators import _normal_density_at_quantile
+
+
+def sample(dist, size, rng):
+    """size variates of dist: its transform of its raw draws."""
+    raw = tuple(np.empty(size) for _ in range(dist.RAW_ARRAYS))
+    dist.draw(rng, raw)
+    return dist.transform(raw)
 
 
 class TestClosedForms:

@@ -11,7 +11,6 @@ from riskbench.distributions import (
     StudentT,
     TrueRisk,
     parse_dist,
-    sample,
     true_risk,
 )
 from riskbench.estimators import _snapped_split, build_estimator, tail_levels, tail_split
@@ -28,9 +27,16 @@ N = 40
 K = 600
 
 
+def sample(dist, size, rng):
+    """size variates of dist: its transform of its raw draws."""
+    raw = tuple(np.empty(size) for _ in range(dist.RAW_ARRAYS))
+    dist.draw(rng, raw)
+    return dist.transform(raw)
+
+
 def replay_draws(distribution, scheme, K, contract):
     """Replay the stream contract one replication at a time: a fresh stream
-    per (tag, k), distributions.sample, and rolling sums by an explicit
+    per (tag, k), the local sample helper, and rolling sums by an explicit
     prefix sum. Returns (samples (K, n), companions (K,))."""
     tag = f"{distribution.label}|{scheme.label}"
     n, h = scheme.n, scheme.h

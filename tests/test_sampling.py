@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from riskbench.distributions import Nig, Normal, StudentT, sample
+from riskbench.distributions import Nig, Normal, StudentT
 from riskbench.sampling import RandomnessContract, Scheme, parse_scheme, stream_key
+
+
+def sample(dist, size, rng):
+    """size variates of dist: its transform of its raw draws."""
+    raw = tuple(np.empty(size) for _ in range(dist.RAW_ARRAYS))
+    dist.draw(rng, raw)
+    return dist.transform(raw)
 
 
 class TestStreamKey:
@@ -54,31 +61,49 @@ class TestContract:
         assert isinstance(c.stream("t", 0).bit_generator, np.random.Philox)
 
 
-class TestRekey:
+class TestKeyed:
     @pytest.mark.parametrize("dist", [Normal(), StudentT(5.0), Nig(0.4, 0.14)])
-    def test_rekey_matches_a_fresh_stream(self, dist):
+    def test_at_matches_a_fresh_stream(self, dist):
         c = RandomnessContract(42)
-        g = c.stream("warm-up", 3)
+        at = c.keyed("sample|x")
+        g = at(3)
         # leave a partly used Philox buffer and a cached uint32 behind
         g.standard_normal(7)
         g.random(3)
         g.integers(0, 2**32, size=1, dtype=np.uint32)
-        for tag, k in (("sample|x", 0), ("companion|x", 9), ("sample|x", 2**63 + 5)):
-            got = sample(dist, 11, c.rekey(g, tag, k))
-            want = sample(dist, 11, c.stream(tag, k))
-            assert np.array_equal(got, want)
-            g.random(5)
+        assert g.bit_generator.state["has_uint32"] == 1
+        assert g.bit_generator.state["buffer_pos"] < 4
+        got = sample(dist, 11, at(0))
+        want = sample(dist, 11, c.stream("sample|x", 0))
+        assert np.array_equal(got, want)
 
-    def test_rekey_returns_its_generator(self):
-        c = RandomnessContract(1)
-        g = c.stream("t", 0)
-        assert c.rekey(g, "t", 4) is g
-        assert repr(g.bit_generator.state) == repr(c.stream("t", 4).bit_generator.state)
+    def test_interleaved_tags_keep_their_streams(self):
+        # sample and companion draws alternate per replication, as in the study
+        c, dist = RandomnessContract(42), Nig(0.4, 0.14)
+        sample_at, companion_at = c.keyed("sample|x"), c.keyed("companion|x")
+        for k in (0, 1, 9, 2):
+            for at, tag, size in ((sample_at, "sample|x", 13), (companion_at, "companion|x", 3)):
+                got = sample(dist, size, at(k))
+                assert np.array_equal(got, sample(dist, size, c.stream(tag, k)))
+
+    def test_index_past_two_to_the_63(self):
+        c, k = RandomnessContract(7), 2**63 + 5
+        at = c.keyed("t")
+        at(1).random(5)
+        fresh = c.stream("t", k)
+        assert repr(at(k).bit_generator.state) == repr(fresh.bit_generator.state)
+        assert np.array_equal(at(k).standard_normal(16), fresh.standard_normal(16))
 
     def test_negative_replication_rejected(self):
-        c = RandomnessContract(0)
+        at = RandomnessContract(0).keyed("a")
         with pytest.raises(ValueError):
-            c.rekey(c.stream("a", 0), "a", -1)
+            at(-1)
+
+    def test_at_returns_one_generator(self):
+        c = RandomnessContract(1)
+        at = c.keyed("t")
+        assert at(4) is at(0)
+        assert repr(at(4).bit_generator.state) == repr(c.stream("t", 4).bit_generator.state)
 
 
 class TestSchemes:
