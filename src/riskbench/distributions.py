@@ -6,6 +6,10 @@ normal inverse Gaussian and h-day sums of Student-t (HorizonSum) fill an
 antithetic Monte Carlo oracle sample (oracle_pairs) whose standard error
 comes from batch means. HorizonSum(StudentT(nu), 1) samples the plain t.
 Profit is positive: VaR and ES of a centered distribution come out positive.
+
+The normal quantile is Cephes ndtri, ported in estimators. Only the
+Student-t closed forms need scipy.special, which a StudentT loads when it
+is constructed.
 """
 
 from __future__ import annotations
@@ -15,9 +19,8 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy import special
 
-from .estimators import _check_level, _normal_density_at_quantile, tail_levels, tail_split
+from .estimators import _check_level, _ndtri, _normal_density_at_quantile, tail_levels, tail_split
 
 __all__ = [
     "Normal",
@@ -72,7 +75,11 @@ class Normal:
         return Normal(h * self.mu, self.sigma * math.sqrt(h))
 
     def quantile(self, u):
-        return self.mu + self.sigma * special.ndtri(u)
+        """mu + sigma * Phi^-1(u), an array element by element: each element
+        keeps the bits of its scalar call."""
+        if np.ndim(u):
+            return np.reshape([self.quantile(v) for v in np.ravel(u).tolist()], np.shape(u))
+        return self.mu + self.sigma * _ndtri(float(u))
 
     def es(self, alpha: float) -> float:
         return float(-self.mu + self.sigma * _normal_density_at_quantile(alpha) / alpha)
@@ -104,17 +111,25 @@ class StudentT:
     def __post_init__(self):
         if not (self.nu > 1.0 and math.isfinite(self.nu)):
             raise ValueError(f"need nu > 1, got {self.nu}")
+        # the t quantile and es need scipy.special, which nothing else loads:
+        # load it with the law, when a spec is parsed, so that a study's
+        # forked workers inherit it instead of each importing it again
+        import scipy.special  # noqa: F401
 
     def horizon(self, h: int):
         return self if h == 1 else HorizonSum(self, h)
 
     def quantile(self, u):
+        from scipy import special
+
         return special.stdtrit(self.nu, u)
 
     def es(self, alpha: float) -> float:
         """Analytic tail mean: pdf(q) * (nu + q^2) / (alpha * (nu - 1)), q the
         alpha quantile, the density in the expressions of SciPy's t
         distribution, so each value keeps its bits."""
+        from scipy import special
+
         nu, q = self.nu, self.quantile(alpha)
         density = np.exp(
             np.log(special.poch(0.5 * nu, 0.5))

@@ -10,11 +10,11 @@ coherence machinery uniformly.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special
 
 from .core import WeightVector, score_sorted_rows, simplex_defect
 
@@ -197,11 +197,90 @@ def build_estimator(name: str, alpha: float, n: int) -> LEstimatorSpec:
     return LEstimatorSpec(key, alpha, n, weights, simplex_defect(weights, True) is None)
 
 
+# Cephes ndtri (S. L. Moshier, 1989), the standard normal quantile. Between
+# exp(-2) and 1 - exp(-2) it is a rational function (P0/Q0) of y - 1/2. In a
+# tail of mass y it is x - log(x)/x - P(z)/(x Q(z)) with x = sqrt(-2 log y)
+# and z = 1/x, by P1/Q1 for x < 8 (y > exp(-32)) and P2/Q2 beyond. Each Q
+# has an implicit leading 1.
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_Q0 = (
+    1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_Q1 = (
+    1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_Q2 = (
+    6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x: float, coef) -> float:
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef) -> float:  # the leading coefficient is 1
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y: float) -> float:
+    """Phi^-1(y) for one float, bit for bit the C ndtri of Cephes: -inf at 0,
+    +inf at 1, nan outside [0, 1]. Scalar libm log and sqrt only: numpy's
+    vectorized log can round differently."""
+    if y == 0.0:
+        return -math.inf
+    if y == 1.0:
+        return math.inf
+    if not 0.0 < y < 1.0:
+        return math.nan
+    upper = y > 1.0 - _EXP_M2
+    if upper:
+        y = 1.0 - y
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    p, q = (_P1, _Q1) if x < 8.0 else (_P2, _Q2)
+    x1 = z * _polevl(z, p) / _p1evl(z, q)
+    return x0 - x1 if upper else -(x0 - x1)
+
+
 def _normal_density_at_quantile(alpha: float) -> float:
     """phi(Phi^-1(alpha)), the standard normal density at its alpha-quantile,
-    in the expressions of SciPy's norm distribution, so each value keeps its
-    bits (q * q, as numpy squares arrays; a scalar q**2 calls pow and can differ)."""
-    q = special.ndtri(alpha)
+    as exp(-(q * q) / 2) / sqrt(2 pi) with q = _ndtri(alpha): the expression
+    of the usual norm.pdf(norm.ppf(alpha)), so each value keeps its bits
+    (q * q, as numpy squares arrays; a scalar q**2 calls pow and can differ)."""
+    q = _ndtri(alpha)
     return float(np.exp(-(q * q) / 2.0) / np.sqrt(2 * np.pi))
 
 

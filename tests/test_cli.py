@@ -526,7 +526,7 @@ def test_bad_input_fails_before_compute(capsys, monkeypatch, tmp_path, argv, fla
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():
     # importing scipy.stats costs more start-up than all of riskbench; the
-    # closed forms use scipy.special only, so a fresh interpreter must not
+    # closed forms need at most scipy.special, so a fresh interpreter must not
     # load scipy.stats or scipy.integrate
     src = str(Path(__file__).resolve().parent.parent / "src")
     probe = (
@@ -540,3 +540,39 @@ def test_import_leaves_scipy_stats_and_integrate_unloaded():
     where, loaded = proc.stdout.splitlines()
     assert where.startswith(src)
     assert loaded == "[]"
+
+
+# each probe runs in a fresh interpreter; the flag is whether it has loaded
+# scipy.special
+SPECIAL_PROBES = {
+    "import": ("pass", False),
+    "coherence-gaussian": (
+        "cli.main(['coherence', '--estimator', 'gaussian', '--alpha', '0.1', '--n', '40',"
+        " '--trials', '50'])",
+        False,
+    ),
+    "consistency-normal": (
+        "cli.main(['consistency', '--dist', 'normal:0:1', '--n', '100,300', '--reps', '3'])",
+        False,
+    ),
+    # a study parses its distributions before it forks: its workers inherit
+    # the module instead of each importing it
+    "parse-t": ("riskbench.parse_dist('t:5')", True),
+}
+
+
+@pytest.mark.parametrize("call, loaded", SPECIAL_PROBES.values(), ids=SPECIAL_PROBES.keys())
+def test_scipy_special_loads_only_with_a_student_t(call, loaded):
+    # the normal quantile is a port of Cephes ndtri; only the Student-t
+    # closed forms need scipy.special, loaded when a StudentT is constructed
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    probe = (
+        "import contextlib, io, sys; sys.path.insert(0, sys.argv[1]); "
+        "import riskbench, riskbench.cli as cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): {call}\n"
+        "print('scipy.special' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout == f"{loaded}\n"

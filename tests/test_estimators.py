@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from riskbench import estimators
 from riskbench.bench import DEFAULT_ESTIMATORS
@@ -247,6 +249,40 @@ class TestGaussianPlugin:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             _plugin(0.05, [1.0])
+
+
+def _ulps_around(x, count):
+    """x and the `count` floats on each side of it."""
+    out, up, down = [x], x, x
+    for _ in range(count):
+        up, down = np.nextafter(up, 2.0), np.nextafter(down, -1.0)
+        out += [float(up), float(down)]
+    return out
+
+
+def test_ndtri_port_keeps_the_bits_of_scipy_ndtri():
+    # the study and CLI levels; the ends of [0, 1], which give -inf and +inf,
+    # and inputs outside it, which give nan
+    levels = [0.001, 0.01, 0.025, 0.05, 0.2, 0.22, 0.5, 0.975]
+    ends = [0.0, -0.0, 1.0, 5e-324, 1.0 - 2.0**-53]
+    outside = [-1e-300, -1.0, 1.5, math.inf, -math.inf, math.nan]
+    # the centre/tail switch at exp(-2) and 1 - exp(-2), and the switch of
+    # tail approximation at sqrt(-2 log y) = 8, near y = exp(-32)
+    edges = []
+    for x in (estimators._EXP_M2, 1.0 - estimators._EXP_M2, math.exp(-32.0)):
+        edges += _ulps_around(x, 40)
+    # a ulp of y near exp(-32) moves sqrt(-2 log y) by less than a ulp of 8,
+    # so step in relative steps of 2**-44 too, to straddle the switch
+    switch = [math.exp(-32.0) * (1.0 + j * 2.0**-44) for j in range(-300, 301)]
+    tails = [math.sqrt(-2.0 * math.log(y)) for y in switch]
+    assert min(tails) < 8.0 < max(tails)
+    rng = np.random.default_rng(2024)
+    uniform = rng.random(25_000)
+    log_spaced = np.exp(rng.uniform(math.log(5e-324), 0.0, 25_000))
+    points = levels + ends + outside + edges + switch + uniform.tolist() + log_spaced.tolist()
+    want = special.ndtri(np.array(points)).tolist()
+    got = [estimators._ndtri(y) for y in points]
+    assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
 def _scanned_expectile(alpha, x):
