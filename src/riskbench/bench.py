@@ -67,7 +67,7 @@ DEFAULT_SCHEMES = ("iid", "overlapping:10")
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Study configuration; every field has the desk-scale default."""
+    """Study configuration; every field moves the numbers and has the desk-scale default."""
 
     alpha: float = 0.025
     n: int = 250
@@ -77,8 +77,6 @@ class BenchConfig:
     distributions: tuple[str, ...] = DEFAULT_DISTRIBUTIONS
     estimators: tuple[str, ...] = DEFAULT_ESTIMATORS
     schemes: tuple[str, ...] = DEFAULT_SCHEMES
-    out: Optional[str] = None
-    format: str = "csv"
 
     def __post_init__(self):
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
@@ -89,10 +87,6 @@ class BenchConfig:
         _check_int("k", self.k, 20)
         _check_int("seed", self.seed, 0)
         _check_int("oracle_k", self.oracle_k, 1)
-        if self.out is not None and not (isinstance(self.out, str) and self.out):
-            raise ValueError(f"out must be a non-empty path or null, got {self.out!r}")
-        if self.format not in ("csv", "json"):
-            raise ValueError(f"format must be csv or json, got {self.format!r}")
         for name in ("distributions", "estimators", "schemes"):
             object.__setattr__(self, name, _name_tuple(name, getattr(self, name)))
         # parse every name now, so a typo fails before any compute
@@ -132,11 +126,8 @@ class BenchConfig:
         return asdict(self)
 
     def build_id(self) -> str:
-        """Short content hash of everything that determines the numbers."""
-        payload = self.to_dict()
-        payload.pop("out")
-        payload.pop("format")
-        blob = json.dumps(payload, sort_keys=True).encode()
+        """Short content hash of the config: every field determines the numbers."""
+        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.blake2b(blob, digest_size=6).hexdigest()
 
 

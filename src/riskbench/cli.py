@@ -248,7 +248,7 @@ def _add_bench(sub) -> None:
     p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--k", type=_at_least(1), help="replications per cell")
     p.add_argument("--oracle-k", type=_at_least(1), dest="oracle_k")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument(
         "--table", action="store_true", help="also print the formatted metric table"
     )
@@ -265,20 +265,22 @@ def _cmd_bench(args) -> int:
         except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             # the file and its JSON; a bad field names the field itself
             raise ValueError(f"--config: {exc}") from None
-    for name in ("seed", "k", "oracle_k", "format", "out"):
+    for name in ("seed", "k", "oracle_k"):
         value = getattr(args, name)
         if value is not None:
             config = _flagged(f"--{name.replace('_', '-')}", replace, config, **{name: value})
-    # checked here, not in BenchConfig, whose fields never touch the disk
-    out_dir = os.path.dirname(config.out or "") or "."
-    if config.out and (os.path.isdir(config.out) or not os.path.isdir(out_dir)):
-        raise ValueError(f"out: {config.out!r} is not a file in an existing directory")
+    # the path to write, checked before the study runs
+    out = args.out
+    if out is not None and (
+        not out or os.path.isdir(out) or not os.path.isdir(os.path.dirname(out) or ".")
+    ):
+        raise ValueError(f"--out: {out!r} is not a file in an existing directory")
     table = run_study(config)
-    text = table.to_csv() if config.format == "csv" else table.to_json()
-    if config.out:
-        with open(config.out, "w", encoding="utf-8", newline="") as fh:
+    text = table.to_csv() if args.format == "csv" else table.to_json()
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
-        print(f"wrote {len(table.rows)} rows to {config.out}")
+        print(f"wrote {len(table.rows)} rows to {out}")
     else:
         sys.stdout.write(text)
     if args.table:

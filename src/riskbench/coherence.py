@@ -172,15 +172,12 @@ def _rows(estimator: Estimator) -> Estimator:
     return score
 
 
-def _probe_blocks(probes: np.ndarray, rows_per_probe: int, lead_rows: int = 0):
-    """(start, block) slices of probes, at least one probe each, whose scored
-    rows plus lead_rows fixed rows in the first fit in _BLOCK_FLOATS floats."""
-    cap = max(1, _BLOCK_FLOATS // probes.shape[1])
-    start = 0
-    while start < len(probes):
-        stop = start + max(1, (cap - lead_rows) // rows_per_probe)
-        yield start, probes[start:stop]
-        start, lead_rows = stop, 0
+def _probe_blocks(probes: np.ndarray, rows_per_probe: int):
+    """Slices of probes, at least one probe each, whose scored rows fit in
+    _BLOCK_FLOATS floats."""
+    step = max(1, _BLOCK_FLOATS // probes.shape[1] // rows_per_probe)
+    for start in range(0, len(probes), step):
+        yield probes[start : start + step]
 
 
 def _max_abs(block: np.ndarray) -> np.ndarray:
@@ -242,10 +239,12 @@ def _reorder(score: Estimator, x: np.ndarray, y: np.ndarray):
 
 
 def _monotonicity_cases(probes: np.ndarray, rng: np.random.Generator):
-    # each probe lo against lo plus a random non-negative bump; probe 0 is
-    # preceded by two fixed pairs
+    # two fixed pairs, a unit spike and the ones over zeros, in a block of
+    # their own; then each probe lo against lo plus a random non-negative bump
     n = probes.shape[1]
-    for start, lo in _probe_blocks(probes, 2, lead_rows=4):
+    hi, lo = np.array([_unit(n, 0), np.ones(n)]), np.zeros((2, n))
+    yield hi, lo, _tols(_max_abs(hi), _max_abs(lo))
+    for lo in _probe_blocks(probes, 2):
         # the stream interleaves each row's normal and coin draws, so these
         # stay per row
         bump = np.empty_like(lo)
@@ -255,21 +254,18 @@ def _monotonicity_cases(probes: np.ndarray, rng: np.random.Generator):
             coin[i] = rng.random(n)
         bump = np.abs(bump) * (1.0 + 0.1 * _max_abs(lo))[:, None]
         hi = lo + np.where(coin < 0.5, bump, 0.0)
-        if start == 0:
-            hi = np.vstack([_unit(n, 0), np.ones(n), hi])
-            lo = np.vstack([np.zeros((2, n)), lo])
         yield hi, lo, _tols(_max_abs(hi), _max_abs(lo))
 
 
 def _cash_cases(probes: np.ndarray, rng: np.random.Generator):
-    for _, x in _probe_blocks(probes, 6):
+    for x in _probe_blocks(probes, 6):
         m = np.tile((1.0, -1.0, 0.5, -0.5, 0.0), (len(x), 1))
         m[:, 4] = rng.uniform(-10.0, 10.0, len(x))
         yield x, m, _tols(_max_abs(x)[:, None], np.abs(m))
 
 
 def _homogeneity_cases(probes: np.ndarray, rng: np.random.Generator):
-    for _, x in _probe_blocks(probes, 5):
+    for x in _probe_blocks(probes, 5):
         lam = np.tile((0.0, 0.5, 2.0, 0.0), (len(x), 1))
         lam[:, 3] = rng.uniform(0.0, 20.0, len(x))
         # lam >= 0, so lam times a row's largest magnitude is the scaled row's
@@ -278,27 +274,24 @@ def _homogeneity_cases(probes: np.ndarray, rng: np.random.Generator):
 
 
 def _subadditivity_cases(probes: np.ndarray, rng: np.random.Generator):
-    # each probe with an independent partner and a correlated one; two fixed
-    # pairs of tail spikes come first when n >= 2
+    # when n >= 2, two fixed pairs of tail spikes in a block of their own;
+    # then each probe with an independent partner and a correlated one
     n = probes.shape[1]
     if n >= 2:
-        fixed_x = np.array([-100.0 * _unit(n, 0), _unit(n, 0)])
-        fixed_y = np.array([-100.0 * _unit(n, 1), _unit(n, 1)])
-    else:
-        fixed_x = fixed_y = np.empty((0, n))
-    for start, block in _probe_blocks(probes, 6, lead_rows=3 * len(fixed_x)):
+        x = np.array([-100.0 * _unit(n, 0), _unit(n, 0)])
+        y = np.array([-100.0 * _unit(n, 1), _unit(n, 1)])
+        yield x, y, _tols(_max_abs(x), _max_abs(y))
+    for block in _probe_blocks(probes, 6):
         y = rng.standard_normal((2 * len(block), n))
         y[0::2] *= (1.0 + 0.5 * np.std(block, axis=1))[:, None]
         y[1::2] = 0.5 * block + 0.5 * y[1::2]
         x = np.repeat(block, 2, axis=0)
-        if start == 0:
-            x, y = np.vstack([fixed_x, x]), np.vstack([fixed_y, y])
         yield x, y, _tols(_max_abs(x), _max_abs(y))
 
 
 def _law_invariance_cases(probes: np.ndarray, rng: np.random.Generator):
     # each probe against a random permutation of it, then its reversal
-    for _, x in _probe_blocks(probes, 3):
+    for x in _probe_blocks(probes, 3):
         y = np.repeat(x[:, ::-1], 2, axis=0)
         y[0::2] = rng.permuted(x, axis=1)
         yield x, y, np.repeat(_tols(_max_abs(x)), 2)
@@ -306,7 +299,7 @@ def _law_invariance_cases(probes: np.ndarray, rng: np.random.Generator):
 
 def _comonotone_cases(probes: np.ndarray, rng: np.random.Generator):
     # two random non-decreasing maps a*x + b*max(x, knot) + c of each probe
-    for _, x in _probe_blocks(probes, 3):
+    for x in _probe_blocks(probes, 3):
         draws = rng.uniform((0.0, 0.0, -1.0, -1.0), (3.0, 2.0, 1.0, 1.0), (len(x), 2, 4))
         a, b, c, knot = np.moveaxis(draws, -1, 0)[..., None]
         x = x[:, None, :]
@@ -465,7 +458,7 @@ def verify_representation(
     rng = np.random.default_rng(0)
     probes = np.vstack([_deck(n), _random_probes(rng, trials, n)])
     score = _rows(estimator)
-    for _, x in _probe_blocks(probes, 1):
+    for x in _probe_blocks(probes, 1):
         got = score(x)
         want = score_sorted_rows(weights.weights, np.sort(x, axis=1))
         j = _first(np.abs(got - want) > _tols(_max_abs(x)))
@@ -501,7 +494,7 @@ def extract_comonotonic_weights(estimator: Estimator, n: int) -> WeightVector:
     ladder = np.broadcast_to(np.arange(n + 1)[:, None], (n + 1, n))
     score = _rows(estimator)
     values = np.concatenate(
-        [score(np.where(np.arange(n) < ks, -1.0, 0.0)) for _, ks in _probe_blocks(ladder, 1)]
+        [score(np.where(np.arange(n) < ks, -1.0, 0.0)) for ks in _probe_blocks(ladder, 1)]
     )
     a = np.diff(values)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -49,8 +50,6 @@ def configs(draw):
         distributions=draw(names(DEFAULT_DISTRIBUTIONS)),
         estimators=draw(names(estimators)),
         schemes=draw(names(("iid", "overlapping:10", "overlapping:3"))),
-        out=draw(st.none() | st.text(min_size=1)),
-        format=draw(st.sampled_from(("csv", "json"))),
     )
 
 
@@ -69,8 +68,10 @@ class TestConfig:
             BenchConfig(alpha=1.5)
         with pytest.raises(ValueError):
             BenchConfig(k=10)
-        with pytest.raises(ValueError):
-            BenchConfig(format="xml")
+        # where the results go is no field of the study
+        for name in ("out", "format"):
+            with pytest.raises(TypeError, match=rf"\b{name}\b"):
+                BenchConfig(**{name: "results.json"})
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -86,9 +87,9 @@ class TestConfig:
             (dict(oracle_k=-5), "oracle_k"),
             (dict(seed="x"), "seed"),
             (dict(seed=-1), "seed"),
-            (dict(out=5), "out"),
+            (dict(oracle_k=2.5), "oracle_k"),
             (dict(alpha="0.1"), "alpha"),
-            (dict(out=""), "out"),
+            (dict(n=2.5), "n"),
         ],
     )
     def test_strict_types_and_ranges(self, overrides, field):
@@ -202,7 +203,8 @@ class TestConfig:
         assert BenchConfig.from_json(json.dumps(config.to_dict())) == config
 
     def test_from_json_rejects_unknown_keys(self):
-        for key in ("replications", "workers"):
+        # where the results go is a flag of `riskbench bench`, not a config key
+        for key in ("replications", "workers", "out", "format"):
             with pytest.raises(ValueError, match=rf"^unknown config keys: \['{key}'\]$"):
                 BenchConfig.from_json(json.dumps({key: 1}))
 
@@ -216,7 +218,12 @@ class TestConfig:
         assert len(a.build_id()) == 12
         assert a.build_id() == tiny_config().build_id()
         assert a.build_id() != tiny_config(seed=6).build_id()
-        assert a.build_id() == tiny_config(out="results.json", format="json").build_id()
+        # where the results go is no field: the id hashes the eight study
+        # fields whole, pinned so that a change to what is hashed shows
+        assert [f.name for f in dataclasses.fields(BenchConfig)] == [
+            "alpha", "n", "k", "seed", "oracle_k", "distributions", "estimators", "schemes"
+        ]
+        assert a.build_id() == "b1ec52d4bb78"
 
 
 @pytest.fixture(scope="module")

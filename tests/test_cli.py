@@ -390,14 +390,15 @@ class TestBench:
         assert payload["rows"][0]["K"] == 40
 
     def test_bad_config_field_is_a_usage_error(self, capsys, tmp_path):
+        # where the results go is the --out flag, not a config key
         cfg = tmp_path / "study.json"
-        cfg.write_text(json.dumps({**self.CONFIG, "out": ""}))
+        cfg.write_text(json.dumps({**self.CONFIG, "out": "rows.csv"}))
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--config", str(cfg)])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith("riskbench: error: out must be")
+        assert captured.err.splitlines()[-1] == "riskbench: error: unknown config keys: ['out']"
 
     def test_missing_subcommand_exits(self):
         with pytest.raises(SystemExit):
@@ -497,8 +498,8 @@ BAD_INPUT = {
     "bench-config-undecodable": (["bench", "--config", "{tmp}/undecodable.json"], "--config"),
     "bench-config-malformed": (["bench", "--config", "{tmp}/malformed.json"], "--config"),
     "bench-out-empty": (["bench", "--out", ""], "--out"),
-    "bench-out-missing-directory": (["bench", "--out", "{tmp}/no/such/dir/x.csv"], "out"),
-    "bench-out-directory": (["bench", "--out", "{tmp}"], "out"),
+    "bench-out-missing-directory": (["bench", "--out", "{tmp}/no/such/dir/x.csv"], "--out"),
+    "bench-out-directory": (["bench", "--out", "{tmp}"], "--out"),
 }
 
 

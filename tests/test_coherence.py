@@ -412,7 +412,7 @@ class TestRepresentation:
 
         extract_comonotonic_weights(recorded, n)
         ladder = np.tril(np.full((n + 1, n), -1.0), k=-1)
-        want = [block for _, block in coherence._probe_blocks(ladder, 1)]
+        want = list(coherence._probe_blocks(ladder, 1))
         assert len(want) > 1
         for got, block in zip(seen, want):
             assert got.shape == block.shape
@@ -466,3 +466,27 @@ class TestRepresentation:
 
     def test_error_is_a_value_error(self):
         assert issubclass(NotComonotonicError, ValueError)
+
+
+def test_reports_do_not_depend_on_the_block_budget(monkeypatch):
+    # the probe stream is drawn up front and each case's draws run in one
+    # fixed order, so how the probes are split into blocks moves no report
+    cases = [
+        (build_estimator("es1", 0.025, 100).rows, 100),
+        (build_estimator("es3", 0.2, 10).rows, 10),
+    ] + [
+        (functools.partial(kernel, alpha), n)
+        for alpha, n in ((0.1, 40), (0.025, 250))
+        for kernel in (expectile_rows, gaussian_plugin_rows)
+    ]
+
+    def reports():
+        return [
+            check_all(fn, n, trials=TRIALS, seed=seed).to_json()
+            for fn, n in cases
+            for seed in (42, 1729)
+        ]
+
+    default = reports()
+    monkeypatch.setattr(coherence, "_BLOCK_FLOATS", 1 << 12)
+    assert reports() == default

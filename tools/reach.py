@@ -176,7 +176,7 @@ def run_commands(tmp: str) -> list[str]:
     from riskbench.cli import main
 
     Path(tmp, "study.json").write_text(json.dumps(STUDY), encoding="utf-8")
-    Path(tmp, "bad.json").write_text(json.dumps({"out": ""}), encoding="utf-8")
+    Path(tmp, "bad.json").write_text(json.dumps({"k": 0}), encoding="utf-8")
     Path(tmp, "one-day-window.json").write_text(
         json.dumps({"schemes": ["overlapping:1"]}), encoding="utf-8"
     )
