@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from riskbench.bench import (
     format_metric_table,
     run_study,
 )
-from riskbench.distributions import StudentT
+from riskbench.distributions import Normal, StudentT
 
 
 def tiny_config(**overrides):
@@ -295,6 +296,34 @@ class TestWorkers:
         # a worker's exception arrives with the worker's traceback as its cause
         remote = type(info.value.__cause__.__cause__).__name__ == "_RemoteTraceback"
         assert remote == (cpus > 1)
+        assert multiprocessing.active_children() == []
+        assert set(threading.enumerate()) == threads
+
+    @pytest.mark.parametrize("cpus", [1, 3])
+    def test_the_first_failing_task_is_named_when_a_later_one_fails_first(
+        self, monkeypatch, cpus
+    ):
+        # on three workers the t(5) slice fails at once while the normal
+        # slice, which comes before it in the task list, is still asleep:
+        # the group named is the normal one, as on one CPU
+        def slow(self, rng, raw, row=...):
+            time.sleep(0.3)
+            raise FloatingPointError("slow failure")
+
+        def fast(self, rng, raw, row=...):
+            raise FloatingPointError("fast failure")
+
+        monkeypatch.setattr(Normal, "draw", slow)
+        monkeypatch.setattr(StudentT, "draw", fast)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: cpus)
+        threads = set(threading.enumerate())
+        config = tiny_config(
+            distributions=("normal:0:1", "t:5"), schemes=("iid",), estimators=("es1",)
+        )
+        with pytest.raises(
+            RuntimeError, match=r"^benchmark cell group normal:0:1\|iid failed: slow failure$"
+        ):
+            run_study(config)
         assert multiprocessing.active_children() == []
         assert set(threading.enumerate()) == threads
 
