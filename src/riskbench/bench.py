@@ -6,7 +6,8 @@ scheme) target variable — closed form where available, otherwise one
 oracle sample shared across the levels involved — and all estimators in a
 group score the same replication draws. The references and the slices of
 replications run as independent tasks on every usable CPU, the references
-first and the costliest of them first.
+first and the costliest of them first, and their results are read in task
+order.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 import threading
 import time
 from dataclasses import asdict, astuple, dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .metrics import (
     _metrics_from,
     reference_value,
 )
-from .sampling import parse_scheme, stream_key
+from .sampling import Scheme, parse_scheme, stream_key
 
 __all__ = [
     "DEFAULT_DISTRIBUTIONS",
@@ -238,13 +239,14 @@ def run_study(config: BenchConfig) -> ResultTable:
     The grid splits into independent tasks: one reference per
     (distribution, scheme) group, longest first, then each group's
     replications in slices of whole tiles. They run on every usable CPU (see
-    _completed); each row keeps its bits, because its streams depend only on
-    the cell and the replication index and every slice starts on a tile
-    boundary. A group is reduced to its metrics as soon as its reference and
-    all its slices are in, and its estimate arrays are then dropped.
+    _in_order), and their results are read in task order; each row keeps
+    its bits, because its streams depend only on the cell and the
+    replication index and every slice starts on a tile boundary. A group is
+    reduced to its metrics after its last slice, and its estimate arrays
+    are then dropped.
 
-    Any cell failure aborts the run with the cell identity attached; a
-    study is either complete or it is an error.
+    A failed task aborts the run with its group's tag attached; a study is
+    either complete or it is an error.
     """
     t0 = time.monotonic()
     dists = [parse_dist(text) for text in config.distributions]
@@ -259,7 +261,11 @@ def run_study(config: BenchConfig) -> ResultTable:
     levels = sorted({spec.alpha for spec in specs}, key=lambda a: (a != config.alpha, a))
     slices = [range(s0, min(s0 + _SLICE, config.k)) for s0 in range(0, config.k, _SLICE)]
 
-    groups = [_Group(dist, scheme, len(slices), config.k) for dist in dists for scheme in schemes]
+    groups = [
+        _Group(dist, scheme, dist.horizon(scheme.h), f"{dist.label}|{scheme.label}")
+        for dist in dists
+        for scheme in schemes
+    ]
     # the references first, so that the oracles start before the slices,
     # and the costliest first (a stable sort: ties keep grid order), so that
     # no long oracle starts after the short ones and runs on alone
@@ -274,39 +280,47 @@ def run_study(config: BenchConfig) -> ResultTable:
         for group in by_cost
     ]
     tasks += [
-        (group, _slice_task, (group.dist, group.scheme, specs, replications, contract))
+        (group, _evaluate_replications, (group.dist, group.scheme, specs, replications, contract))
         for group in groups
         for replications in slices
     ]
     workers = _worker_count(len(tasks))
-    with contextlib.closing(_completed(tasks, workers)) as finished:
-        for (group, task, _), result in finished:
-            if task is _reference_task:
-                group.references, group.timings["reference_s"] = result
-            else:
-                group.add_slice(*result)
-            group.parts_left -= 1
-            if not group.parts_left:
-                group.reduce(specs)
-
     rows: list[ResultRow] = []
-    for group in groups:
-        for spec, report in zip(specs, group.reports):
-            rows.extend(_rows_for(config, group.dist, group.scheme, spec, report))
+    # per group: the reference's seconds, the slices' seconds summed over
+    # the workers that ran them, and the metric reduction's seconds
+    timings: dict[str, dict[str, float]] = {}
+    with contextlib.closing(_in_order(tasks, workers)) as results:
+        # zip stops at the end of its first list before it takes another
+        # result, so each loop reads exactly the results of its own tasks
+        references = {group.tag: result for group, result in zip(by_cost, results)}
+        for group in groups:
+            estimates = np.empty((config.k, len(specs)))
+            companions = np.empty(config.k)
+            replications_s = 0.0
+            for part, ((part_estimates, part_companions), seconds) in zip(slices, results):
+                estimates[part.start : part.stop] = part_estimates
+                companions[part.start : part.stop] = part_companions
+                replications_s += seconds
+            group_references, reference_s = references.pop(group.tag)
+            start = time.perf_counter()
+            reports = [
+                _metrics_from(estimates[:, i], companions, float(spec.alpha), float(ref))
+                for i, (spec, ref) in enumerate(zip(specs, group_references))
+            ]
+            timings[group.tag] = {
+                "reference_s": round(reference_s, 4),
+                "replications_s": round(replications_s, 4),
+                "metrics_s": round(time.perf_counter() - start, 4),
+            }
+            for spec, report in zip(specs, reports):
+                rows.extend(_rows_for(config, group.dist, group.scheme, spec, report))
+
     metadata = {
         "config": config.to_dict(),
         "build_id": config.build_id(),
         "wall_seconds": round(time.monotonic() - t0, 3),
         "shape": (len(dists), len(schemes), len(specs)),
-        # per group: the reference's seconds, the slices' seconds summed over
-        # the workers that ran them, and the metric reduction's seconds
-        "timings": {
-            "workers": workers,
-            "groups": {
-                group.tag: {name: round(v, 4) for name, v in group.timings.items()}
-                for group in groups
-            },
-        },
+        "timings": {"workers": workers, "groups": timings},
     }
     return ResultTable(rows=tuple(rows), metadata=metadata)
 
@@ -318,55 +332,27 @@ def run_study(config: BenchConfig) -> ResultTable:
 _SLICE = 8 * _BLOCK
 
 
-class _Group:
-    """One (distribution, scheme) group, filled in as its tasks finish: its
-    references, then its estimates and companions slice by slice, until
-    reduce turns them into one MetricReport per estimator."""
+class _Group(NamedTuple):
+    """One (distribution, scheme) group, the variable its reference is of
+    and its tag."""
 
-    def __init__(self, dist, scheme, slices: int, k: int):
-        self.dist, self.scheme, self.k = dist, scheme, k
-        self.target = dist.horizon(scheme.h)  # the variable its reference is of
-        self.tag = f"{dist.label}|{scheme.label}"
-        self.parts_left = 1 + slices  # the reference and every slice
-        self.references = self.estimates = self.companions = self.reports = None
-        self.timings = {"reference_s": 0.0, "replications_s": 0.0, "metrics_s": 0.0}
-
-    def add_slice(self, replications: range, estimates, companions, seconds: float):
-        if self.estimates is None:  # allocated with the first slice in
-            self.estimates = np.empty((self.k, estimates.shape[1]))
-            self.companions = np.empty(self.k)
-        self.estimates[replications.start : replications.stop] = estimates
-        self.companions[replications.start : replications.stop] = companions
-        self.timings["replications_s"] += seconds
-
-    def reduce(self, specs) -> None:
-        start = time.perf_counter()
-        try:
-            self.reports = [
-                _metrics_from(self.estimates[:, i], self.companions, float(spec.alpha), float(ref))
-                for i, (spec, ref) in enumerate(zip(specs, self.references))
-            ]
-        except Exception as exc:
-            raise RuntimeError(f"benchmark cell group {self.tag} failed: {exc}") from exc
-        self.estimates = self.companions = None
-        self.timings["metrics_s"] = time.perf_counter() - start
+    dist: object
+    scheme: Scheme
+    target: object
+    tag: str
 
 
-def _reference_task(target, levels, specs, oracle_k: int, seed: int):
-    """Each estimator's reference value for one group's target, and the
-    seconds taken."""
-    start = time.perf_counter()
+def _reference_task(target, levels, specs, oracle_k: int, seed: int) -> list[float]:
+    """Each estimator's reference value for one group's target."""
     risks = true_risk_levels(target, levels, oracle_k=oracle_k, seed=seed)
-    references = [reference_value(spec, risks[spec.alpha]) for spec in specs]
-    return references, time.perf_counter() - start
+    return [reference_value(spec, risks[spec.alpha]) for spec in specs]
 
 
-def _slice_task(dist, scheme, specs, replications: range, contract):
-    """One slice's replications, estimates and companions, and the seconds
-    taken."""
+def _timed(function, args):
+    """function(*args) and the seconds it took."""
     start = time.perf_counter()
-    estimates, companions = _evaluate_replications(dist, scheme, specs, replications, contract)
-    return replications, estimates, companions, time.perf_counter() - start
+    result = function(*args)
+    return result, time.perf_counter() - start
 
 
 def _usable_cpus() -> int:
@@ -386,45 +372,36 @@ def _worker_count(tasks: int) -> int:
     return min(_usable_cpus(), tasks)
 
 
-def _completed(tasks, workers: int):
-    """Yield ((group, function, args), result) for each task as it finishes.
+def _in_order(tasks, workers: int):
+    """Yield (result, seconds) for each (group, function, args) task, in
+    task order.
 
-    One worker runs the tasks in order in this process. More run them on a
-    pool of forked processes, which starts them in order. On a failure the
-    pool cancels the tasks not yet started, lets the started ones end and
-    joins its workers; the group named is then that of the earliest task
-    that failed, the one an in-order run meets first. Both read the one
-    list run_study built, references longest first, so they name the same
-    group.
+    One worker runs the tasks in this process, through map. More run them
+    through the map of a pool of forked processes, which starts them in
+    order and hands their results back in order. Either way the group
+    named on a failure is that of the first task in order that failed; a
+    pool meets it once every task before it is done, then cancels the tasks
+    not yet started, lets the started ones end and joins its workers.
     """
-    if workers == 1:
-        for task in tasks:
-            group, function, args = task
+    groups, functions, args = zip(*tasks)
+    pool = None
+    if workers > 1:
+        # imported here: only a study on several CPUs needs them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        results = (map if pool is None else pool.map)(_timed, functions, args)
+        for group in groups:
             try:
-                result = function(*args)
+                result = next(results)
             except Exception as exc:
                 raise RuntimeError(f"benchmark cell group {group.tag} failed: {exc}") from exc
-            yield task, result
-        return
-    # imported here: only a study on several CPUs needs them
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        index = {pool.submit(function, *args): i for i, (_, function, args) in enumerate(tasks)}
-        for future in as_completed(index):
-            if future.exception() is not None:
-                pool.shutdown(cancel_futures=True)
-                failed = [f for f in index if not f.cancelled() and f.exception() is not None]
-                first = min(failed, key=index.get)
-                group, exc = tasks[index[first]][0], first.exception()
-                raise RuntimeError(f"benchmark cell group {group.tag} failed: {exc}") from exc
-            # dropped once handed on, so a finished slice is held only until
-            # its group takes it in
-            yield tasks[index.pop(future)], future.result()
+            yield result
     finally:
-        pool.shutdown(cancel_futures=True)
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
 
 def _rows_for(

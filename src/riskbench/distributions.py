@@ -469,6 +469,8 @@ def true_risk_levels(
     differ in the last bits, so pass first the level whose es matters.
     """
     levels = list(dict.fromkeys(float(a) for a in alphas))
+    if not levels:
+        raise ValueError("alphas must name at least one level")
     for a in levels:
         _check_level(a)
     if not dist.oracle_passes:

@@ -357,13 +357,13 @@ class TestWorkers:
         # the t(5) closed form none: its reference is handed out first, the
         # ties keep grid order, and the CSV holds at one and three CPUs
         handed_out = []
-        completed = bench._completed
+        completed = bench._in_order
 
         def spy(tasks, workers):
             handed_out.append(list(tasks))
             return completed(tasks, workers)
 
-        monkeypatch.setattr(bench, "_completed", spy)
+        monkeypatch.setattr(bench, "_in_order", spy)
         config = BenchConfig(
             distributions=("nig:0.4:0.14:0:1", "t:5"),
             schemes=("iid", "overlapping:10"),

@@ -163,25 +163,35 @@ class TestNigMoments:
             Nig(0.4, 0.1, 0.0, -2.0)
 
 
-def nig_cdf(spec, q):
-    """F(q) = E[Phi((q - mu - b*V) / sqrt(V))], V inverse Gaussian of mean
-    delta/gamma and shape delta^2 (Barndorff-Nielsen 1997): 600 Gauss-Legendre
-    nodes in log V on [log(delta/gamma) - 14, log(delta/gamma) + 6]."""
+# computed once: each computation takes tens of milliseconds, and a
+# quantile by Newton steps takes a few mixture expectations per step
+_NIG_NODES, _NIG_WEIGHTS = np.polynomial.legendre.leggauss(600)
+
+
+def nig_mixture(spec, q, kernel):
+    """E[kernel(z, V)] at each q, z = (q - mu - b*V) / sqrt(V), V inverse
+    Gaussian of mean delta/gamma and shape delta^2 (Barndorff-Nielsen 1997):
+    600 Gauss-Legendre nodes in log V on [log(delta/gamma) - 14,
+    log(delta/gamma) + 6]."""
     mean, shape = spec.delta / spec.gamma, spec.delta**2
-    nodes, weights = np.polynomial.legendre.leggauss(600)
     half = 10.0
-    v = np.exp(np.log(mean) - 4.0 + half * nodes)
+    v = np.exp(np.log(mean) - 4.0 + half * _NIG_NODES)
     density = np.sqrt(shape / (2.0 * np.pi * v**3)) * np.exp(
         -shape * (v - mean) ** 2 / (2.0 * mean**2 * v)
     )
-    weights = half * weights * density * v  # dV = V d(log V)
+    weights = half * _NIG_WEIGHTS * density * v  # dV = V d(log V)
     q = np.asarray(q, dtype=float)  # 1-D; about 1 000 points x 600 nodes at a time
     return np.concatenate(
         [
-            ndtr((block[:, None] - spec.mu - spec.b * v) / np.sqrt(v)) @ weights
+            kernel((block[:, None] - spec.mu - spec.b * v) / np.sqrt(v), v) @ weights
             for block in np.array_split(q, max(1, q.size // 1000))
         ]
     )
+
+
+def nig_cdf(spec, q):
+    """F(q) = E[Phi(z)], see nig_mixture."""
+    return nig_mixture(spec, q, lambda z, v: ndtr(z))
 
 
 class TestSamplers:
@@ -409,6 +419,15 @@ class TestTrueRisk:
         tr = true_risk(dist, alpha, oracle_k=100_000)
         got = (tr.var_alpha.hex(), tr.es_alpha.hex(), tr.standard_error.hex())
         assert got == self.ORACLE_BITS[dist, alpha]
+
+    @pytest.mark.parametrize("dist", [Normal(), Nig(0.4, 0.14)], ids=["closed-form", "oracle"])
+    def test_no_level_fails_before_any_draw(self, monkeypatch, dist):
+        def drawn(*args):
+            raise AssertionError("the oracle sample was drawn")
+
+        monkeypatch.setattr(distributions, "_oracle_sample", drawn)
+        with pytest.raises(ValueError, match=r"^alphas must name at least one level$"):
+            true_risk_levels(dist, [])
 
     def test_validation(self):
         with pytest.raises(ValueError):

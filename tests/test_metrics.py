@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
+from test_distributions import nig_mixture
 
 from riskbench.core import apply_l_estimator, score_sorted_rows
 from riskbench.distributions import (
@@ -10,6 +12,7 @@ from riskbench.distributions import (
     Normal,
     StudentT,
     TrueRisk,
+    nig_moments,
     parse_dist,
     true_risk,
 )
@@ -312,14 +315,36 @@ def quantile_es(law, alpha):
 
 def _law(dist):
     """(Q(u), Q(1 - v)) of a Normal, StudentT or Nig: the closed-form
-    quantile, mirrored about the mean (both laws are symmetric), or scipy's
-    NIG quantiles."""
+    quantile, mirrored about the mean (both laws are symmetric), or the NIG
+    quantiles of _nig_quantile."""
     if not isinstance(dist, Nig):
         return dist.quantile, lambda v: 2 * dist.mean - dist.quantile(v)
-    from scipy.stats import norminvgauss
+    return lambda u: _nig_quantile(dist, u, 1.0), lambda v: _nig_quantile(dist, v, -1.0)
 
-    law = norminvgauss(dist.a * dist.delta, dist.b * dist.delta, loc=dist.mu, scale=dist.delta)
-    return law.ppf, law.isf
+
+def _nig_quantile(dist, p, sign):
+    """The q with tail(q) = p: tail is the mixture CDF E[Phi(z)] of nig_cdf
+    for sign 1 and its complement E[Phi(-z)] for sign -1, taken as such so
+    that no 1 - F cancels in the upper tail.
+
+    Vectorized Newton steps on log tail(q) = log p, whose slope is the mixture
+    density E[phi(z) / sqrt(V)] over tail(q): in log form the far tails, where
+    that slope tends to a constant, take a few steps. They start from the
+    normal quantile of the same mean and variance.
+    """
+    tail = lambda q: nig_mixture(dist, q, lambda z, v: ndtr(sign * z))
+    density = lambda q: nig_mixture(
+        dist, q, lambda z, v: np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi * v)
+    )
+    moments = nig_moments(dist)
+    q = moments.mean + sign * math.sqrt(moments.variance) * ndtri(p)
+    for _ in range(50):
+        t = tail(q)
+        step = sign * (np.log(t) - np.log(p)) * t / density(q)
+        q = q - step
+        if np.all(np.abs(step) <= 1e-13 * (1.0 + np.abs(q))):
+            return q
+    raise AssertionError(f"no NIG quantile after 50 Newton steps, last step {step}")
 
 
 class TestOrderStatisticMeans:
@@ -330,6 +355,19 @@ class TestOrderStatisticMeans:
         m13, m23 = exact_order_statistic_means(_law(Normal()), 3, [1, 2])
         assert abs(m13 + 1.5 / math.sqrt(math.pi)) < 1e-10
         assert abs(m23) < 1e-10
+
+    def test_nig_quantiles_match_scipy(self):
+        # the law of the study test below; scipy integrates the Bessel
+        # density, so its far tails lose digits (about 1e-8 relative at
+        # u = 1e-6 here), but not at these levels
+        from scipy.stats import norminvgauss
+
+        dist = Nig(0.4, 0.14)
+        law = norminvgauss(dist.a, dist.b)
+        levels = np.array([0.01, 0.025, 0.1, 0.5])
+        lower, upper = _law(dist)
+        assert np.max(np.abs(lower(levels) - law.ppf(levels))) < 1e-10
+        assert np.max(np.abs(upper(levels) - law.isf(levels))) < 1e-10
 
     @pytest.mark.parametrize("dist", [Normal(), StudentT(5.0)])
     def test_quantile_integral_matches_the_closed_form_es(self, dist):
