@@ -6,8 +6,8 @@ scheme) target variable — closed form where available, otherwise one
 oracle sample shared across the levels involved — and all estimators in a
 group score the same replication draws. The references and the slices of
 replications run as independent tasks on every usable CPU, the references
-first and the costliest of them first, and their results are read in task
-order.
+first and the costliest of them first, and their results are read group by
+group, the costliest reference last.
 """
 
 from __future__ import annotations
@@ -237,13 +237,14 @@ def run_study(config: BenchConfig) -> ResultTable:
     """Execute the full study described by the config.
 
     The grid splits into independent tasks: one reference per
-    (distribution, scheme) group, longest first, then each group's
-    replications in slices of whole tiles. They run on every usable CPU (see
-    _in_order), and their results are read in task order; each row keeps
-    its bits, because its streams depend only on the cell and the
-    replication index and every slice starts on a tile boundary. A group is
-    reduced to its metrics after its last slice, and its estimate arrays
-    are then dropped.
+    (distribution, scheme) group and the group's replications in slices of
+    whole tiles. They run on every usable CPU (see _in_order), every
+    reference first and the longest first. Their results are read group by
+    group, the group with the shortest reference first: its reference, then
+    its slices, after which the group is reduced to its metrics and its
+    estimate arrays are dropped. Each row keeps its bits, because its
+    streams depend only on the cell and the replication index and every
+    slice starts on a tile boundary.
 
     A failed task aborts the run with its group's tag attached; a study is
     either complete or it is an error.
@@ -266,61 +267,61 @@ def run_study(config: BenchConfig) -> ResultTable:
         for dist in dists
         for scheme in schemes
     ]
-    # the references first, so that the oracles start before the slices,
-    # and the costliest first (a stable sort: ties keep grid order), so that
-    # no long oracle starts after the short ones and runs on alone
+    # every reference starts before any slice, the costliest first (a stable
+    # sort: ties keep grid order), so that no long oracle starts after the
+    # short ones and runs on alone. The groups are read in the reverse
+    # order, so each reference has run longest when its group reaches it,
+    # and a pool holds few finished slices while the calling process waits
     by_cost = sorted(groups, key=lambda group: group.target.oracle_passes, reverse=True)
-    tasks = [
-        (
-            group,
-            _reference_task,
-            (group.target, levels, specs, config.oracle_k,
-             stream_key(config.seed, f"oracle|{group.tag}", 0)),
-        )
-        for group in by_cost
-    ]
-    tasks += [
-        (group, _evaluate_replications, (group.dist, group.scheme, specs, replications, contract))
-        for group in groups
-        for replications in slices
-    ]
+    by_read = sorted(groups, key=lambda group: group.target.oracle_passes)
+    tasks = []
+    for group in by_read:
+        key = stream_key(config.seed, f"oracle|{group.tag}", 0)
+        tasks.append((group, _reference_task, (group.target, levels, specs, config.oracle_k, key)))
+        tasks += [
+            (group, _evaluate_replications, (group.dist, group.scheme, specs, part, contract))
+            for part in slices
+        ]
+    # where each reference sits in the task list, the costliest first
+    first = [by_read.index(group) * (1 + len(slices)) for group in by_cost]
     workers = _worker_count(len(tasks))
-    rows: list[ResultRow] = []
+    reports: dict[str, list[MetricReport]] = {}
     # per group: the reference's seconds, the slices' seconds summed over
     # the workers that ran them, and the metric reduction's seconds
     timings: dict[str, dict[str, float]] = {}
-    with contextlib.closing(_in_order(tasks, workers)) as results:
-        # zip stops at the end of its first list before it takes another
-        # result, so each loop reads exactly the results of its own tasks
-        references = {group.tag: result for group, result in zip(by_cost, results)}
-        for group in groups:
+    with contextlib.closing(_in_order(tasks, first, workers)) as results:
+        for group in by_read:
+            group_references, reference_s = next(results)
             estimates = np.empty((config.k, len(specs)))
             companions = np.empty(config.k)
             replications_s = 0.0
+            # zip stops at the end of slices before it takes another result
             for part, ((part_estimates, part_companions), seconds) in zip(slices, results):
                 estimates[part.start : part.stop] = part_estimates
                 companions[part.start : part.stop] = part_companions
                 replications_s += seconds
-            group_references, reference_s = references.pop(group.tag)
             start = time.perf_counter()
-            reports = [
-                _metrics_from(estimates[:, i], companions, float(spec.alpha), float(ref))
-                for i, (spec, ref) in enumerate(zip(specs, group_references))
-            ]
+            with _naming(group):
+                reports[group.tag] = [
+                    _metrics_from(estimates[:, i], companions, float(spec.alpha), float(ref))
+                    for i, (spec, ref) in enumerate(zip(specs, group_references))
+                ]
             timings[group.tag] = {
                 "reference_s": round(reference_s, 4),
                 "replications_s": round(replications_s, 4),
                 "metrics_s": round(time.perf_counter() - start, 4),
             }
-            for spec, report in zip(specs, reports):
-                rows.extend(_rows_for(config, group.dist, group.scheme, spec, report))
 
+    rows: list[ResultRow] = []
+    for group in groups:
+        for spec, report in zip(specs, reports[group.tag]):
+            rows.extend(_rows_for(config, group.dist, group.scheme, spec, report))
     metadata = {
         "config": config.to_dict(),
         "build_id": config.build_id(),
         "wall_seconds": round(time.monotonic() - t0, 3),
         "shape": (len(dists), len(schemes), len(specs)),
-        "timings": {"workers": workers, "groups": timings},
+        "timings": {"workers": workers, "groups": {g.tag: timings[g.tag] for g in groups}},
     }
     return ResultTable(rows=tuple(rows), metadata=metadata)
 
@@ -372,16 +373,16 @@ def _worker_count(tasks: int) -> int:
     return min(_usable_cpus(), tasks)
 
 
-def _in_order(tasks, workers: int):
+def _in_order(tasks, first, workers: int):
     """Yield (result, seconds) for each (group, function, args) task, in
     task order.
 
-    One worker runs the tasks in this process, through map. More run them
-    through the map of a pool of forked processes, which starts them in
-    order and hands their results back in order. Either way the group
-    named on a failure is that of the first task in order that failed; a
-    pool meets it once every task before it is done, then cancels the tasks
-    not yet started, lets the started ones end and joins its workers.
+    One worker runs the tasks in order in this process. More run them on a
+    pool of forked processes, which starts the tasks at the indices in
+    `first` before the rest; a finished result waits in this process until
+    it is read. Either way the group named on a failure is that of the
+    first task in order that failed. A pool then cancels the tasks not yet
+    started, lets the started ones end and joins its workers.
     """
     groups, functions, args = zip(*tasks)
     pool = None
@@ -392,16 +393,29 @@ def _in_order(tasks, workers: int):
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        results = (map if pool is None else pool.map)(_timed, functions, args)
+        if pool is None:
+            results = map(_timed, functions, args)
+        else:
+            start = dict.fromkeys([*first, *range(len(tasks))])  # first, then the rest in order
+            futures = {i: pool.submit(_timed, functions[i], args[i]) for i in start}
+            # popped as it is read, so the pool lets go of each result
+            results = (futures.pop(i).result() for i in range(len(tasks)))
         for group in groups:
-            try:
+            with _naming(group):
                 result = next(results)
-            except Exception as exc:
-                raise RuntimeError(f"benchmark cell group {group.tag} failed: {exc}") from exc
             yield result
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
+
+
+@contextlib.contextmanager
+def _naming(group):
+    """Attach the group's tag to any failure inside the block."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"benchmark cell group {group.tag} failed: {exc}") from exc
 
 
 def _rows_for(

@@ -274,6 +274,18 @@ class TestRunStudy:
         with pytest.raises(RuntimeError, match=r"normal:5:1\|iid.*positive finite"):
             run_study(bad)
 
+    def test_a_failing_metric_reduction_carries_the_group_tag(self, monkeypatch):
+        # the reduction runs in the calling process, after the group's slices
+        def broken(estimates, companions, alpha, reference):
+            raise ValueError("planted reduction failure")
+
+        monkeypatch.setattr(bench, "_metrics_from", broken)
+        with pytest.raises(
+            RuntimeError,
+            match=r"^benchmark cell group normal:0:1\|iid failed: planted reduction failure$",
+        ):
+            run_study(tiny_config())
+
 
 class TestWorkers:
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -359,9 +371,9 @@ class TestWorkers:
         handed_out = []
         completed = bench._in_order
 
-        def spy(tasks, workers):
-            handed_out.append(list(tasks))
-            return completed(tasks, workers)
+        def spy(tasks, first, workers):
+            handed_out.append([tasks[i] for i in first])
+            return completed(tasks, first, workers)
 
         monkeypatch.setattr(bench, "_in_order", spy)
         config = BenchConfig(
@@ -386,6 +398,35 @@ class TestWorkers:
         for tasks in handed_out:
             heads = [(group.tag, task) for group, task, _ in tasks[:4]]
             assert heads == [(tag, bench._reference_task) for tag in longest_first]
+
+    def test_groups_are_read_shortest_reference_first(self, monkeypatch):
+        # each group's reference, then its slices: the longest reference is
+        # read last, so a pool holds few finished slices while it runs
+        read = []
+        in_order = bench._in_order
+
+        def spy(tasks, first, workers):
+            for group, task, args in tasks:
+                part = args[3] if task is bench._evaluate_replications else None
+                read.append((group.tag, task, part))
+            return in_order(tasks, first, workers)
+
+        monkeypatch.setattr(bench, "_in_order", spy)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 3)
+        run_study(BenchConfig(
+            distributions=("t:5", "nig:0.4:0.14:0:1"),
+            schemes=("overlapping:10", "iid"),
+            estimators=("es1",),
+            k=2100,
+            oracle_k=100_000,
+        ))
+        slices = [range(0, 1024), range(1024, 2048), range(2048, 2100)]
+        expected = []
+        for tag in ("t:5|iid", "nig:0.4:0.14:0:1|overlapping:10", "nig:0.4:0.14:0:1|iid",
+                    "t:5|overlapping:10"):
+            expected.append((tag, bench._reference_task, None))
+            expected += [(tag, bench._evaluate_replications, part) for part in slices]
+        assert read == expected
 
 
 class TestSerialization:

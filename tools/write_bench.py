@@ -1,6 +1,7 @@
 """Record the end-to-end performance of one riskbench source tree.
 
     python tools/write_bench.py --label <x> [--tree <path>] [--before <path>]
+                                [--workers 8,16]
 
 Writes BENCH_<label>.json at the root of the repository that holds this
 script. --tree is the riskbench source tree to measure (default: that same
@@ -16,6 +17,12 @@ machine in one session. A record holds:
   worker ran), CSV sha256, and per (distribution, scheme) group the seconds
   of its reference risk, of its replications (summed over the workers) and
   of its metrics, and the microseconds per replication;
+- with --workers, the same study again once per listed count, with the
+  count of usable CPUs forced to it (`bench._usable_cpus`), under
+  "study_<count>_cpus": more workers than cores time-share the cores, so
+  the wall time is not that of a machine with that many cores, but the
+  calling process's peak resident set shows what it holds when that many
+  workers finish tasks while it waits on one;
 - start-up: over STARTUP_RUNS fresh interpreters that each run
   `import riskbench.cli` and exit, the median wall seconds of the whole
   process and the median of its peak resident set (ru_maxrss) in MB;
@@ -34,6 +41,7 @@ Takes about three minutes per tree on a 2-core machine.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -43,11 +51,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 REPO = Path(__file__).resolve().parent.parent
 
-# Run in a fresh interpreter: argv[1] is the tree's src directory. Times
-# run_study plus to_csv and reads each group's phase seconds from the table's
+# Run in a fresh interpreter: argv[1] is the tree's src directory and
+# argv[2], if given, the number of usable CPUs to force. Times run_study
+# plus to_csv and reads each group's phase seconds from the table's
 # metadata["timings"]; the study's tasks may run in forked workers, so no
 # wrapper here could time them.
 STUDY_CHILD = r"""
@@ -56,6 +66,8 @@ sys.path.insert(0, sys.argv[1])
 import numpy, scipy
 from riskbench import bench
 
+if len(sys.argv) > 2:
+    bench._usable_cpus = lambda: int(sys.argv[2])
 config = bench.BenchConfig()
 start = time.perf_counter()
 table = bench.run_study(config)
@@ -169,9 +181,10 @@ def machine_facts() -> dict:
     return facts
 
 
-def run_study(tree: Path) -> dict:
+def run_study(tree: Path, cpus: Optional[int] = None) -> dict:
+    forced = [] if cpus is None else [str(cpus)]
     proc = subprocess.run(
-        [sys.executable, "-c", STUDY_CHILD, str(tree / "src")],
+        [sys.executable, "-c", STUDY_CHILD, str(tree / "src"), *forced],
         capture_output=True, text=True, cwd=tree, env=child_env(), check=True,
     )
     return json.loads(proc.stdout)
@@ -231,11 +244,25 @@ def tree_facts(tree: Path) -> dict:
     }
 
 
+def _counts(text: str) -> tuple[int, ...]:
+    try:
+        counts = tuple(int(part) for part in text.split(","))
+    except ValueError:
+        counts = ()
+    if not counts or min(counts) < 1:
+        raise argparse.ArgumentTypeError(f"expected positive integers such as 8,16, got {text!r}")
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--tree", type=Path, default=REPO, help="source tree to measure")
     parser.add_argument("--before", type=Path, help="a second tree, measured in turn with --tree")
+    parser.add_argument(
+        "--workers", type=_counts, default=(),
+        help="comma-separated CPU counts to force for extra runs of the study",
+    )
     args = parser.parse_args(argv)
     if not args.label.replace("-", "").replace("_", "").isalnum():
         parser.error(f"label must be letters, digits, '-' or '_', got {args.label!r}")
@@ -251,6 +278,11 @@ def main(argv=None) -> int:
         ("startup", "start-up", run_startup),
         ("study", "full default study", run_study),
         ("coherence", "coherence batteries", run_coherence),
+    ]
+    sections[2:2] = [
+        (f"study_{cpus}_cpus", f"full default study on {cpus} forced CPUs",
+         functools.partial(run_study, cpus=cpus))
+        for cpus in args.workers
     ]
     for field, what, run in sections:
         for key, tree in trees.items():
