@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .distributions import check_oracle_k, parse_dist, true_risk_levels
+from .distributions import DEFAULT_ORACLE_K, check_oracle_k, parse_dist, true_risk_levels
 from .estimators import LEstimatorSpec, build_estimator, tail_split
 from .metrics import (
     _BLOCK,
@@ -74,7 +74,7 @@ class BenchConfig:
     n: int = 250
     k: int = 100_000
     seed: int = 42
-    oracle_k: int = 10_000_000
+    oracle_k: int = DEFAULT_ORACLE_K
     distributions: tuple[str, ...] = DEFAULT_DISTRIBUTIONS
     estimators: tuple[str, ...] = DEFAULT_ESTIMATORS
     schemes: tuple[str, ...] = DEFAULT_SCHEMES
@@ -106,11 +106,21 @@ class BenchConfig:
         _check_distinct("distributions", self.distributions, [d.label for d in dists])
         _check_distinct("schemes", self.schemes, [s.label for s in schemes])
         _check_distinct("estimators", self.estimators, [spec.name for spec in specs])
-        if any(d.horizon(s.h).oracle_passes for d in dists for s in schemes):
+        targets = {f"{d.label}|{s.label}": d.horizon(s.h) for d in dists for s in schemes}
+        levels = [spec.alpha for spec in specs]
+        if any(target.oracle_passes for target in targets.values()):
             try:
-                check_oracle_k(self.oracle_k, [spec.alpha for spec in specs])
+                check_oracle_k(self.oracle_k, levels)
             except ValueError as exc:
                 raise ValueError(f"oracle_k: {exc}") from None
+        # a closed-form reference costs microseconds, so one that is not
+        # positive fails here; an oracle's fails when its group is read
+        for tag, target in targets.items():
+            if not target.oracle_passes:
+                try:
+                    _reference_task(target, levels, specs, self.oracle_k, 0)
+                except ValueError as exc:
+                    raise ValueError(f"distributions: {tag}: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":

@@ -181,7 +181,7 @@ def _add_true_risk(sub) -> None:
     p = sub.add_parser("true-risk", help="reference risk of a distribution")
     p.add_argument("--dist", required=True, help="e.g. normal:0:1, t:5, nig:a:b:mu:delta")
     p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--oracle-k", type=_at_least(1), default=10_000_000)
+    p.add_argument("--oracle-k", type=_at_least(1), default=DEFAULT_ORACLE_K)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.set_defaults(run=_cmd_true_risk)
 

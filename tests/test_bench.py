@@ -5,9 +5,11 @@ import multiprocessing
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cli import _no_generator
 
 from riskbench import bench
 from riskbench.bench import (
@@ -20,6 +22,7 @@ from riskbench.bench import (
     run_study,
 )
 from riskbench.distributions import Normal, StudentT
+from riskbench.sampling import RandomnessContract
 
 
 def tiny_config(**overrides):
@@ -132,6 +135,19 @@ class TestConfig:
         # a one-day window has one spelling, iid, and the message names it
         with pytest.raises(ValueError, match=r"^schemes: .*'iid'"):
             tiny_config(schemes=("iid", "overlapping:1"))
+
+    def test_closed_form_reference_that_is_not_positive_fails_at_construction(
+        self, monkeypatch
+    ):
+        # a location of 5 leaves the normal's true ES negative: the closed
+        # form fails the config, before any generator is built
+        monkeypatch.setattr(RandomnessContract, "stream", _no_generator)
+        monkeypatch.setattr(np.random, "default_rng", _no_generator)
+        with pytest.raises(
+            ValueError,
+            match=r"^distributions: normal:5:1\|iid: true risk must be a positive finite number",
+        ):
+            tiny_config(distributions=("normal:5:1",))
 
     def test_level_next_to_one_fails_at_construction(self):
         # floor(alpha*k) snaps up to k = 20, which leaves no outcome past the
@@ -267,12 +283,22 @@ class TestRunStudy:
                 "normal:0:1", "iid", est, "sb"
             )
 
-    def test_cell_failures_carry_the_cell_tag(self):
-        # a location of 5 leaves the true ES negative, which the metrics
-        # reject only once the group's reference is computed
-        bad = tiny_config(distributions=("normal:5:1",))
-        with pytest.raises(RuntimeError, match=r"normal:5:1\|iid.*positive finite"):
-            run_study(bad)
+    def test_cell_failures_carry_the_cell_tag(self, monkeypatch):
+        # a location of 5 leaves the NIG's true ES negative; its oracle
+        # reference fails when its group is read, in a forked worker at two
+        # CPUs and in this process at one
+        bad = tiny_config(distributions=("nig:0.4:0.14:5:1",), oracle_k=100_000)
+        threads = set(threading.enumerate())
+        for cpus in (1, 2):
+            monkeypatch.setattr(bench, "_usable_cpus", lambda cpus=cpus: cpus)
+            with pytest.raises(
+                RuntimeError,
+                match=r"^benchmark cell group nig:0\.4:0\.14:5:1\|iid failed: true risk must be"
+                r" a positive finite number",
+            ):
+                run_study(bad)
+            assert multiprocessing.active_children() == []
+            assert set(threading.enumerate()) == threads
 
     def test_a_failing_metric_reduction_carries_the_group_tag(self, monkeypatch):
         # the reduction runs in the calling process, after the group's slices

@@ -124,11 +124,14 @@ class TestCoherence:
         assert witness["defect"] != 0.0
 
     def test_black_box_names_ignore_case(self, capsys):
+        # each black box fails an axiom: exit status 1 and a witness
         argv = ["coherence", "--alpha", "0.1", "--n", "40", "--trials", "50", "--json"]
-        upper = run_cli(capsys, *argv, "--estimator", "GAUSSIAN")
-        lower = run_cli(capsys, *argv, "--estimator", "gaussian")
-        assert upper == lower
-        assert upper[0] == 1
+        for name in cli._BLACK_BOXES:
+            upper = run_cli(capsys, *argv, "--estimator", name.upper())
+            lower = run_cli(capsys, *argv, "--estimator", name)
+            assert upper == lower
+            assert upper[0] == 1
+            assert any(c["witness"] for c in json.loads(upper[1]) if not c["passed"])
 
     @pytest.mark.parametrize("command", ["coherence", "extract"])
     def test_unknown_name_lists_the_black_boxes(self, capsys, command):
@@ -189,12 +192,15 @@ class TestCoherence:
 
 class TestTrueRisk:
     def test_closed_form(self, capsys):
-        code, out, _ = run_cli(capsys, "true-risk", "--dist", "t:5")
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["method"] == "closed_form"
-        assert payload["es_alpha"] > payload["var_alpha"] > 0
-        assert payload["standard_error"] == 0.0
+        # the t's closed forms load scipy.special, the normal's quantile is
+        # the ported Cephes ndtri
+        for dist in ("t:5", "normal:0:1"):
+            code, out, _ = run_cli(capsys, "true-risk", "--dist", dist)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["method"] == "closed_form"
+            assert payload["es_alpha"] > payload["var_alpha"] > 0
+            assert payload["standard_error"] == 0.0
 
     def test_oracle_reports_its_inputs(self, capsys):
         code, out, _ = run_cli(

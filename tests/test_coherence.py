@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_core import monotone_simplex
 
 from riskbench import cli, coherence, estimators
 from riskbench.coherence import (
@@ -30,12 +31,6 @@ def by_row(f):
     """A per-sample function as a block function, one call per row: the
     reference the block kernels are compared against."""
     return lambda block: np.array([f(x) for x in block], dtype=float)
-
-
-def monotone_simplex(rng, n):
-    w = rng.dirichlet(np.ones(n))
-    w[::-1].sort()
-    return w / w.sum()
 
 
 class TestAxiomBattery:

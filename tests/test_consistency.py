@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from test_distributions import sample
 
 from riskbench.consistency import ConsistencyRow, check_partial_integrals, empirical_consistency
 from riskbench.core import apply_l_estimator
@@ -14,13 +15,6 @@ from riskbench.estimators import (
 from riskbench.sampling import RandomnessContract
 
 ALPHA = 0.025
-
-
-def sample(dist, size, rng):
-    """size variates of dist: its transform of its raw draws."""
-    raw = tuple(np.empty(size) for _ in range(dist.RAW_ARRAYS))
-    dist.draw(rng, raw)
-    return dist.transform(raw)
 
 
 class TestPartialIntegrals:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
-from test_distributions import nig_mixture
+from test_distributions import nig_mixture, sample
 
 from riskbench.core import apply_l_estimator, score_sorted_rows
 from riskbench.distributions import (
@@ -28,13 +28,6 @@ from riskbench.sampling import RandomnessContract, Scheme, parse_scheme
 ALPHA = 0.1
 N = 40
 K = 600
-
-
-def sample(dist, size, rng):
-    """size variates of dist: its transform of its raw draws."""
-    raw = tuple(np.empty(size) for _ in range(dist.RAW_ARRAYS))
-    dist.draw(rng, raw)
-    return dist.transform(raw)
 
 
 def replay_draws(distribution, scheme, K, contract):

@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_distributions import sample
 
 from riskbench.distributions import Nig, Normal, StudentT
 from riskbench.sampling import RandomnessContract, Scheme, parse_scheme, stream_key
-
-
-def sample(dist, size, rng):
-    """size variates of dist: its transform of its raw draws."""
-    raw = tuple(np.empty(size) for _ in range(dist.RAW_ARRAYS))
-    dist.draw(rng, raw)
-    return dist.transform(raw)
 
 
 class TestStreamKey:
