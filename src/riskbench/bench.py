@@ -25,7 +25,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .distributions import DEFAULT_ORACLE_K, check_oracle_k, parse_dist, true_risk_levels
-from .estimators import LEstimatorSpec, build_estimator, tail_split
+from .estimators import LEstimatorSpec, _check_level, build_estimator, tail_split
 from .metrics import (
     _BLOCK,
     MetricReport,
@@ -82,45 +82,20 @@ class BenchConfig:
     def __post_init__(self):
         if isinstance(self.alpha, bool) or not isinstance(self.alpha, (int, float)):
             raise ValueError(f"alpha must be a number, got {self.alpha!r}")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _flagged("alpha", _check_level, self.alpha)
         _check_int("n", self.n, 1)
         _check_int("k", self.k, 20)
         _check_int("seed", self.seed, 0)
         _check_int("oracle_k", self.oracle_k, 1)
         for name in ("distributions", "estimators", "schemes"):
             object.__setattr__(self, name, _name_tuple(name, getattr(self, name)))
-        # parse every name now, so a typo fails before any compute
-        dists = _parse_each("distributions", self.distributions, parse_dist)
-        schemes = _parse_each("schemes", self.schemes, lambda text: parse_scheme(text, self.n))
-        specs = _parse_each(
-            "estimators", self.estimators, lambda name: build_estimator(name, self.alpha, self.n)
-        )
-        for spec in specs:
-            try:
-                tail_split(spec.alpha, self.k)
-            except ValueError as exc:
-                raise ValueError(
-                    f"k: estimator {spec.name!r} at level {spec.alpha}: {exc}"
-                ) from None
-        _check_distinct("distributions", self.distributions, [d.label for d in dists])
-        _check_distinct("schemes", self.schemes, [s.label for s in schemes])
-        _check_distinct("estimators", self.estimators, [spec.name for spec in specs])
-        targets = {f"{d.label}|{s.label}": d.horizon(s.h) for d in dists for s in schemes}
-        levels = [spec.alpha for spec in specs]
-        if any(target.oracle_passes for target in targets.values()):
-            try:
-                check_oracle_k(self.oracle_k, levels)
-            except ValueError as exc:
-                raise ValueError(f"oracle_k: {exc}") from None
+        specs, levels, groups = _grid(self)  # so that a typo fails before any compute
         # a closed-form reference costs microseconds, so one that is not
         # positive fails here; an oracle's fails when its group is read
-        for tag, target in targets.items():
-            if not target.oracle_passes:
-                try:
-                    _reference_task(target, levels, specs, self.oracle_k, 0)
-                except ValueError as exc:
-                    raise ValueError(f"distributions: {tag}: {exc}") from None
+        for group in groups:
+            if not group.target.oracle_passes:
+                args = (group.target, levels, specs, self.oracle_k, 0)
+                _flagged(f"distributions: {group.tag}", _reference_task, *args)
 
     @classmethod
     def from_json(cls, text: str) -> "BenchConfig":
@@ -161,11 +136,43 @@ def _name_tuple(field_name: str, value) -> tuple[str, ...]:
     return names
 
 
-def _parse_each(field_name: str, names: tuple[str, ...], parse) -> list:
+def _flagged(name: str, fn, *args, **kwargs):
+    """fn(*args, **kwargs), with the field or flag name put in front of a
+    ValueError it raises."""
     try:
-        return [parse(name) for name in names]
+        return fn(*args, **kwargs)
     except ValueError as exc:
-        raise ValueError(f"{field_name}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _grid(config: BenchConfig) -> tuple[list[LEstimatorSpec], list[float], list[_Group]]:
+    """The config's estimators, the levels its references are taken at and
+    its (distribution, scheme) groups in grid order, each name parsed and
+    each rule across fields checked; a bad entry names its field."""
+    dists = [_flagged("distributions", parse_dist, text) for text in config.distributions]
+    schemes = [_flagged("schemes", parse_scheme, text, config.n) for text in config.schemes]
+    specs = [
+        _flagged("estimators", build_estimator, name, config.alpha, config.n)
+        for name in config.estimators
+    ]
+    for spec in specs:
+        rule = f"k: estimator {spec.name!r} at level {spec.alpha}"
+        _flagged(rule, tail_split, spec.alpha, config.k)
+    _check_distinct("distributions", config.distributions, [d.label for d in dists])
+    _check_distinct("schemes", config.schemes, [s.label for s in schemes])
+    _check_distinct("estimators", config.estimators, [spec.name for spec in specs])
+    # the study's own level first: the oracle's first level keeps the bits of
+    # its es alone, so no column depends on which other estimators share the
+    # group (var1 reads only the var of its 1% level)
+    levels = sorted({spec.alpha for spec in specs}, key=lambda a: (a != config.alpha, a))
+    groups = [
+        _Group(dist, scheme, dist.horizon(scheme.h), f"{dist.label}|{scheme.label}")
+        for dist in dists
+        for scheme in schemes
+    ]
+    if any(group.target.oracle_passes for group in groups):
+        _flagged("oracle_k", check_oracle_k, config.oracle_k, levels)
+    return specs, levels, groups
 
 
 def _check_distinct(field_name: str, names: tuple[str, ...], labels: list[str]) -> None:
@@ -260,23 +267,10 @@ def run_study(config: BenchConfig) -> ResultTable:
     either complete or it is an error.
     """
     t0 = time.monotonic()
-    dists = [parse_dist(text) for text in config.distributions]
-    schemes = [parse_scheme(text, config.n) for text in config.schemes]
-    specs: list[LEstimatorSpec] = [
-        build_estimator(name, config.alpha, config.n) for name in config.estimators
-    ]
+    specs, levels, groups = _grid(config)
     contract = RandomnessContract(config.seed)
-    # the study's own level first: the oracle's first level keeps the bits of
-    # its es alone, so no column depends on which other estimators share the
-    # group (var1 reads only the var of its 1% level)
-    levels = sorted({spec.alpha for spec in specs}, key=lambda a: (a != config.alpha, a))
     slices = [range(s0, min(s0 + _SLICE, config.k)) for s0 in range(0, config.k, _SLICE)]
 
-    groups = [
-        _Group(dist, scheme, dist.horizon(scheme.h), f"{dist.label}|{scheme.label}")
-        for dist in dists
-        for scheme in schemes
-    ]
     # every reference starts before any slice, the costliest first (a stable
     # sort: ties keep grid order), so that no long oracle starts after the
     # short ones and runs on alone. The groups are read in the reverse
@@ -330,7 +324,7 @@ def run_study(config: BenchConfig) -> ResultTable:
         "config": config.to_dict(),
         "build_id": config.build_id(),
         "wall_seconds": round(time.monotonic() - t0, 3),
-        "shape": (len(dists), len(schemes), len(specs)),
+        "shape": (len(config.distributions), len(config.schemes), len(specs)),
         "timings": {"workers": workers, "groups": {g.tag: timings[g.tag] for g in groups}},
     }
     return ResultTable(rows=tuple(rows), metadata=metadata)

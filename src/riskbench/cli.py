@@ -1,10 +1,10 @@
 """Command line front end.
 
 Subcommands map one-to-one onto the library surface: `weights` prints an
-estimator's order-statistic weights, `coherence` runs the axiom battery,
-`true-risk` evaluates a distribution's reference risk, `consistency`
-tabulates spectral approximation error against sample size, and `bench`
-runs the Monte Carlo study.
+estimator's order-statistic weights, `extract` recovers them from a black
+box, `coherence` runs the axiom battery, `true-risk` evaluates a
+distribution's reference risk, `consistency` tabulates spectral error
+against sample size, and `bench` runs the Monte Carlo study.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bench import BenchConfig, format_metric_table, run_study
+from .bench import BenchConfig, _flagged, format_metric_table, run_study
 from .coherence import NotComonotonicError, check_all, extract_comonotonic_weights
 from .consistency import DISCRETIZATIONS, empirical_consistency
 from .distributions import DEFAULT_ORACLE_K, check_oracle_k, parse_dist, true_risk
 from .estimators import (
     ESTIMATORS,
     LEstimatorSpec,
+    _check_level,
     build_estimator,
     es_spectrum,
     expectile_rows,
@@ -58,14 +59,6 @@ def _sizes(text: str) -> list[int]:
     if not sizes or len(set(sizes)) < len(sizes):  # a repeated size prints its row twice
         raise argparse.ArgumentTypeError(f"expected distinct comma separated sizes, got {text!r}")
     return sizes
-
-
-def _flagged(flag: str, fn, *args, **kwargs):
-    """fn(*args, **kwargs), with the flag prefixed to a ValueError it raises."""
-    try:
-        return fn(*args, **kwargs)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _add_weights(sub) -> None:
@@ -135,8 +128,8 @@ def _estimator_spec(name: str, alpha: float, n: int, known) -> LEstimatorSpec:
     name = name.lower()
     if name not in ESTIMATORS:
         raise ValueError(f"--estimator: unknown estimator {name!r}; expected one of {known}")
-    if not (0.0 < alpha < 1.0 or name == "var1"):  # var1 ignores --alpha
-        raise ValueError(f"--alpha: {name} needs a level in (0, 1), got {alpha}")
+    if name != "var1":  # var1 ignores --alpha
+        _flagged("--alpha", _check_level, alpha)
     return _flagged("--n", build_estimator, name, alpha, n)  # the size rule of a known name
 
 
@@ -146,12 +139,9 @@ def _resolve_functional(name: str, alpha: float, n: int):
     name = name.lower()
     if name not in _BLACK_BOXES:
         return _estimator_spec(name, alpha, n, sorted([*ESTIMATORS, *_BLACK_BOXES])).rows
-    if name == "expvar":
-        level_ok, levels = 0.0 < alpha <= 0.5, "(0, 1/2]"
-    else:
-        level_ok, levels = 0.0 < alpha < 1.0, "(0, 1)"
-    if not level_ok:
-        raise ValueError(f"--alpha: {name} needs a level in {levels}, got {alpha}")
+    if name == "expvar" and not 0.0 < alpha <= 0.5:
+        raise ValueError(f"--alpha: expvar needs a level in (0, 1/2], got {alpha}")
+    _flagged("--alpha", _check_level, alpha)
     least = 2 if name == "gaussian" else 1
     if n < least:
         raise ValueError(f"--n: {name} needs n >= {least}, got {n}")
@@ -187,8 +177,7 @@ def _add_true_risk(sub) -> None:
 
 
 def _cmd_true_risk(args) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise ValueError(f"--alpha: need a level in (0, 1), got {args.alpha}")
+    _flagged("--alpha", _check_level, args.alpha)
     dist = _flagged("--dist", parse_dist, args.dist)
     if dist.oracle_passes:
         _flagged("--oracle-k", check_oracle_k, args.oracle_k, [args.alpha])

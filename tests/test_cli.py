@@ -1,3 +1,7 @@
+# Every case here reaches src/riskbench only through riskbench.cli.main; a
+# direct call into the library runs in a subprocess. That keeps this file a
+# harness of the command line alone, which tools/reach.py runs beside the
+# acceptance battery to find the functions and knobs nothing reaches.
 import json
 import re
 import subprocess
@@ -315,9 +319,13 @@ class TestConsistency:
         last = captured.err.splitlines()[-1]
         assert re.match(rf"riskbench( consistency)?: error: (argument )?{flag}:", last)
 
-    def test_uniform_spectrum_ignores_the_level(self, capsys):
-        # --alpha is the es spectrum's level; the sample mean has none
-        argv = ["consistency", "--spectrum", "uniform", "--n", "50", "--reps", "5"]
+    @pytest.mark.parametrize("dist", ["normal:0:1", "nig:0.4:0.14:0:1"])
+    def test_uniform_spectrum_ignores_the_level(self, capsys, dist):
+        # --alpha is the es spectrum's level; the sample mean has none, and
+        # its target is the negated mean, which the NIG has in closed form
+        argv = [
+            "consistency", "--spectrum", "uniform", "--dist", dist, "--n", "50", "--reps", "5"
+        ]
         assert run_cli(capsys, *argv, "--alpha", "0") == run_cli(capsys, *argv)
 
     def test_single_replication_names_the_flag(self, capsys, monkeypatch):

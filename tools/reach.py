@@ -2,13 +2,13 @@
 
     python tools/reach.py
 
-Runs the acceptance battery (tests/test_acceptance.py) and a fixed list of
-`riskbench` command lines, covering all six subcommands, under one
-`sys.setprofile` hook that records every code object called, pinned to
-one CPU so that the study runs its tasks in this process. Then lists
-each function and method defined in src/riskbench that never ran. Such a
-function is reached at most by its own unit tests: delete it, or keep it in
-KEEP with a one-line reason.
+Runs the acceptance battery (tests/test_acceptance.py) and the command-line
+tests (tests/test_cli.py), whose cases reach src/riskbench only through
+`riskbench.cli.main` and so run every subcommand, under one `sys.setprofile`
+hook that records every code object called, pinned to one CPU so that the
+study runs its tasks in this process. Then lists each function and method
+defined in src/riskbench that never ran. Such a function is reached at most
+by its own unit tests: delete it, or keep it in KEEP with a one-line reason.
 
 The same hook reads the bound arguments of every call into a function or
 method of src/riskbench and notes each defaulted parameter bound to another
@@ -21,22 +21,19 @@ one-line reason. Dataclass fields are outside this check (their generated
 read again at each resume.
 
 Exit status: 0 when every unreached function is in KEEP and every unturned
-knob in KEEP_KNOBS; 1 otherwise; 2 when the probe could not run as intended
-(riskbench imported from another tree, the battery not collected, or a
-command line exiting with a status other than its expected one). Takes about
-a minute.
+knob in KEEP_KNOBS; 1 otherwise; 2 when the probe could not run as intended,
+with one line on stderr per problem: riskbench imported from another tree,
+the battery not run (a pytest exit other than passed or failed; criterion 7
+fails on purpose), or a command-line test that did not pass. Takes about
+forty seconds.
 """
 
 from __future__ import annotations
 
-import contextlib
 import importlib
 import inspect
-import io
-import json
 import os
 import sys
-import tempfile
 import types
 from pathlib import Path
 
@@ -54,43 +51,6 @@ KEEP = {
 # "<module>:<qualified name>(<parameter>)" -> why the default stays although
 # nothing above binds another value
 KEEP_KNOBS: dict[str, str] = {}
-
-# (argv, expected exit status); {tmp} is a scratch directory
-COMMANDS = (
-    (["weights", "--estimator", "es2"], 0),
-    (["weights", "--estimator", "var1", "--json"], 0),
-    (["weights", "--estimator", "es6", "--alpha", "0.05", "--n", "40", "--csv"], 0),
-    (["weights", "--estimator", "es9"], 2),
-    (["weights", "--estimator", "es1", "--n", "10"], 2),
-    (["coherence", "--estimator", "es1", "--n", "50", "--trials", "100"], 0),
-    (["coherence", "--estimator", "es5", "--n", "50", "--trials", "100", "--json"], 1),
-    (["coherence", "--estimator", "gaussian", "--n", "40", "--trials", "100"], 1),
-    (["coherence", "--estimator", "expvar", "--n", "20", "--trials", "100"], 1),
-    (["true-risk", "--dist", "normal:0:1"], 0),
-    (["true-risk", "--dist", "t:5", "--alpha", "0.01"], 0),
-    (["true-risk", "--dist", "nig:0.4:-0.14:0:1", "--oracle-k", "100000"], 0),
-    (["consistency", "--builder", "alternative", "--n", "100,1000", "--reps", "5"], 0),
-    (["consistency", "--spectrum", "uniform", "--n", "50", "--reps", "3"], 0),
-    (["consistency", "--spectrum", "uniform", "--dist", "nig:0.4:0.14:0:1", "--n", "50",
-      "--reps", "3"], 0),
-    (["consistency", "--n", ""], 2),
-    (["consistency", "--n", "100,100"], 2),
-    (["bench", "--config", "{tmp}/study.json", "--k", "200", "--oracle-k", "100000", "--table"], 0),
-    (["bench", "--config", "{tmp}/study.json", "--k", "200", "--oracle-k", "100000",
-      "--format", "json", "--out", "{tmp}/results.json"], 0),
-    (["bench", "--config", "{tmp}/bad.json"], 2),
-    (["bench", "--config", "{tmp}/one-day-window.json"], 2),
-    (["bench", "--config", "{tmp}/missing.json"], 2),
-    (["extract", "--estimator", "es3", "--n", "100"], 0),
-    (["extract", "--estimator", "gaussian", "--n", "8"], 1),
-    (["extract", "--estimator", "expvar", "--n", "8"], 1),
-)
-
-STUDY = {
-    "distributions": ["normal:0:1", "t:5", "nig:0.4:0.14:0:1"],
-    "schemes": ["iid", "overlapping:10"],
-    "estimators": ["var1", "es1", "es2", "es3", "es4", "es5", "es6"],
-}
 
 
 def defined_functions() -> dict[tuple, tuple[str, tuple | None]]:
@@ -171,28 +131,6 @@ def is_default(value, default) -> bool:
         return False
 
 
-def run_commands(tmp: str) -> list[str]:
-    """Run every command line in-process; return a line per unexpected status."""
-    from riskbench.cli import main
-
-    Path(tmp, "study.json").write_text(json.dumps(STUDY), encoding="utf-8")
-    Path(tmp, "bad.json").write_text(json.dumps({"k": 0}), encoding="utf-8")
-    Path(tmp, "one-day-window.json").write_text(
-        json.dumps({"schemes": ["overlapping:1"]}), encoding="utf-8"
-    )
-    wrong = []
-    for argv, expected in COMMANDS:
-        argv = [arg.format(tmp=tmp) for arg in argv]
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                status = main(argv)
-            except SystemExit as exc:
-                status = exc.code
-        if status != expected:
-            wrong.append(f"riskbench {' '.join(argv)}: exit {status}, expected {expected}")
-    return wrong
-
-
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     import pytest
@@ -222,18 +160,17 @@ def main() -> int:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.setprofile(hook)
     try:
-        battery = pytest.main(
-            [str(ROOT / "tests" / "test_acceptance.py"), "-q", "--tb=line",
-             "-p", "no:cacheprovider"]
-        )
-        with tempfile.TemporaryDirectory() as tmp:
-            wrong = run_commands(tmp)
+        flags = ["-q", "--tb=line", "-p", "no:cacheprovider"]
+        battery = pytest.main([str(ROOT / "tests" / "test_acceptance.py"), *flags])
+        cli_tests = pytest.main([str(ROOT / "tests" / "test_cli.py"), *flags])
     finally:
         sys.setprofile(None)
 
-    problems = list(wrong)
+    problems = []
     if battery not in (pytest.ExitCode.OK, pytest.ExitCode.TESTS_FAILED):
         problems.append(f"acceptance battery did not run: pytest exit {battery}")
+    if cli_tests != pytest.ExitCode.OK:
+        problems.append(f"command-line tests did not pass: pytest exit {cli_tests}")
     for line in problems:
         print(line, file=sys.stderr)
     if problems:
