@@ -65,7 +65,7 @@ def _add_weights(sub) -> None:
     p = sub.add_parser("weights", help="print an estimator's order-statistic weights")
     p.add_argument("--estimator", required=True)
     p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--n", type=int, default=250)
+    p.add_argument("--n", type=_at_least(1), default=250)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="emit a JSON object")
     fmt.add_argument("--csv", action="store_true", help="emit position,weight lines")
@@ -110,7 +110,7 @@ def _add_coherence(sub) -> None:
         help="a weight-based estimator name, or gaussian / expvar",
     )
     p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--n", type=int, default=250)
+    p.add_argument("--n", type=_at_least(1), default=250)
     p.add_argument("--trials", type=_at_least(1), default=1000)
     p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--json", action="store_true")
@@ -142,9 +142,8 @@ def _resolve_functional(name: str, alpha: float, n: int):
     if name == "expvar" and not 0.0 < alpha <= 0.5:
         raise ValueError(f"--alpha: expvar needs a level in (0, 1/2], got {alpha}")
     _flagged("--alpha", _check_level, alpha)
-    least = 2 if name == "gaussian" else 1
-    if n < least:
-        raise ValueError(f"--n: {name} needs n >= {least}, got {n}")
+    if name == "gaussian" and n < 2:
+        raise ValueError(f"--n: gaussian needs n >= 2, got {n}")
     kernel = gaussian_plugin_rows if name == "gaussian" else expectile_rows
     return functools.partial(kernel, alpha)
 
@@ -283,7 +282,7 @@ def _add_extract(sub) -> None:
     )
     p.add_argument("--estimator", required=True, help="estimator name, or gaussian / expvar")
     p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--n", type=int, default=250)
+    p.add_argument("--n", type=_at_least(1), default=250)
     p.set_defaults(run=_cmd_extract)
 
 

@@ -3,7 +3,6 @@
 # harness of the command line alone, which tools/reach.py runs beside the
 # acceptance battery to find the functions and knobs nothing reaches.
 import json
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +19,39 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _no_compute(*args, **kwargs):
+    raise AssertionError("compute ran before the input was checked")
+
+
+@pytest.fixture
+def usage_error(capsys, monkeypatch, tmp_path):
+    """A function from a bad command line to the last line it prints on
+    stderr, after checking that it exits 2 with nothing on stdout while every
+    compute entry of the command line, and every generator, fails. {tmp} in
+    an argument is tmp_path, which holds undecodable.json, malformed.json and
+    out-key.json."""
+    for entry in (
+        "run_study", "check_all", "extract_comonotonic_weights", "true_risk",
+        "empirical_consistency",
+    ):
+        monkeypatch.setattr(cli, entry, _no_compute)
+    monkeypatch.setattr(RandomnessContract, "stream", _no_compute)
+    monkeypatch.setattr(np.random, "default_rng", _no_compute)
+    (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "malformed.json").write_text('{"k": 30,')
+    (tmp_path / "out-key.json").write_text('{"out": "rows.csv"}')
+
+    def last_line(argv):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err.splitlines()[-1]
+
+    return last_line
 
 
 class TestWeights:
@@ -44,9 +76,6 @@ class TestWeights:
 
     def test_csv_weights(self, capsys):
         code, out, _ = run_cli(
-            capsys, "weights", "--estimator", "es1", "--alpha", "0.1", "--n", "50"
-        )
-        code, out, _ = run_cli(
             capsys, "weights", "--estimator", "es1", "--alpha", "0.1", "--n", "50", "--csv"
         )
         assert code == 0
@@ -55,24 +84,15 @@ class TestWeights:
         assert len(lines) == 51
         assert lines[1].startswith("1,")
 
-    def test_json_and_csv_are_exclusive(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["weights", "--estimator", "es1", "--json", "--csv"])
-
-    def test_unknown_estimator_raises(self, capsys):
-        # reported like an argparse error: one line on stderr, exit status 2
-        with pytest.raises(SystemExit) as exc:
-            main(["weights", "--estimator", "es9"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        last = captured.err.splitlines()[-1]
-        assert last.startswith("riskbench: error: --estimator: unknown estimator 'es9'")
+    def test_unknown_estimator_raises(self, usage_error):
         # weights prints weights, so it offers only the weight-based names
-        assert "gaussian" not in last
+        assert usage_error(["weights", "--estimator", "es9"]).startswith(
+            "riskbench: error: --estimator: unknown estimator 'es9';"
+            f" expected one of [{WEIGHT_NAMES}]"
+        )
 
-    # the name, --alpha and --n go through the check that coherence and
-    # extract use, and the message names the flag
+    # the name, --alpha and an --n the level leaves no tail for go through the
+    # check that coherence and extract use; an --n below 1 fails its own type
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -82,13 +102,10 @@ class TestWeights:
             (["--estimator", "es1", "--n", "10"], "--n"),
         ],
     )
-    def test_bad_name_level_or_size_names_the_flag(self, capsys, argv, flag):
-        with pytest.raises(SystemExit) as exc:
-            main(["weights", *argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith(f"riskbench: error: {flag}:")
+    def test_bad_name_level_or_size_names_the_flag(self, usage_error, argv, flag):
+        own = argv[-2:] == ["--n", "0"]
+        report = "riskbench weights: error: argument" if own else "riskbench: error:"
+        assert usage_error(["weights", *argv]).startswith(f"{report} {flag}: ")
 
 
 class TestCoherence:
@@ -138,39 +155,25 @@ class TestCoherence:
             assert any(c["witness"] for c in json.loads(upper[1]) if not c["passed"])
 
     @pytest.mark.parametrize("command", ["coherence", "extract"])
-    def test_unknown_name_lists_the_black_boxes(self, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--estimator", "es9"])
-        assert exc.value.code == 2
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith("riskbench: error: --estimator: unknown estimator 'es9'")
-        assert "'expvar'" in last and "'gaussian'" in last
-
-    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--seed", "-1")])
-    def test_out_of_range_flag_is_a_usage_error(self, capsys, monkeypatch, flag, value):
-        monkeypatch.setattr(cli, "check_all", pytest.fail)  # no battery runs
-        with pytest.raises(SystemExit) as exc:
-            main(["coherence", "--estimator", "es1", "--n", "50", flag, value])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith(
-            f"riskbench coherence: error: argument {flag}:"
+    def test_unknown_name_lists_the_black_boxes(self, usage_error, command):
+        assert usage_error([command, "--estimator", "es9"]).startswith(
+            "riskbench: error: --estimator: unknown estimator 'es9';"
+            f" expected one of [{ALL_NAMES}]"
         )
 
+    @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--seed", "-1")])
+    def test_out_of_range_flag_is_a_usage_error(self, usage_error, flag, value):
+        last = usage_error(["coherence", "--estimator", "es1", "--n", "50", flag, value])
+        assert last.startswith(f"riskbench coherence: error: argument {flag}: ")
+
     @pytest.mark.parametrize("command", ["coherence", "extract"])
-    def test_gaussian_sample_of_one_names_the_flag(self, capsys, monkeypatch, command):
-        monkeypatch.setattr(cli, "check_all", pytest.fail)  # no probe runs
-        monkeypatch.setattr(cli, "extract_comonotonic_weights", pytest.fail)
-        with pytest.raises(SystemExit) as exc:
-            main([command, "--estimator", "gaussian", "--n", "1"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith("riskbench: error: --n:")
+    def test_gaussian_sample_of_one_names_the_flag(self, usage_error, command):
+        assert usage_error([command, "--estimator", "gaussian", "--n", "1"]) == (
+            "riskbench: error: --n: gaussian needs n >= 2, got 1"
+        )
 
     # --alpha and --n are checked for every kind of estimator before any
-    # probe is drawn, and the message names the flag
+    # probe is drawn; an --n below 1 fails its own type, the rest the name
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -183,15 +186,10 @@ class TestCoherence:
             (["extract", "--estimator", "gaussian", "--alpha", "0"], "--alpha"),
         ],
     )
-    def test_bad_level_or_size_names_the_flag(self, capsys, monkeypatch, argv, flag):
-        monkeypatch.setattr(cli, "check_all", pytest.fail)  # no probe runs
-        monkeypatch.setattr(cli, "extract_comonotonic_weights", pytest.fail)
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith(f"riskbench: error: {flag}:")
+    def test_bad_level_or_size_names_the_flag(self, usage_error, argv, flag):
+        own = argv[-2:] == ["--n", "0"]
+        report = f"riskbench {argv[0]}: error: argument" if own else "riskbench: error:"
+        assert usage_error(argv).startswith(f"{report} {flag}: ")
 
 
 class TestTrueRisk:
@@ -224,28 +222,20 @@ class TestTrueRisk:
         assert payload["standard_error"] > 0
 
     @pytest.mark.parametrize("oracle_k", ["100", "-5"])
-    def test_too_small_oracle_k_is_a_usage_error(self, capsys, oracle_k):
+    def test_too_small_oracle_k_is_a_usage_error(self, usage_error, oracle_k):
         # -5 fails the flag's own floor, 100 the oracle's batch rule at --alpha
-        with pytest.raises(SystemExit) as exc:
-            main(["true-risk", "--dist", "nig:0.4:0.14:0:1", "--oracle-k", oracle_k])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        last = captured.err.splitlines()[-1]
-        assert re.match(r"riskbench( true-risk)?: error: (argument )?--oracle-k:", last)
+        last = usage_error(["true-risk", "--dist", "nig:0.4:0.14:0:1", "--oracle-k", oracle_k])
+        own = int(oracle_k) < 1
+        report = "riskbench true-risk: error: argument" if own else "riskbench: error:"
+        assert last.startswith(f"{report} --oracle-k: ")
 
     @pytest.mark.parametrize("dist", ["nig:0.4:0.14:0:1", "normal:0:1"])
     @pytest.mark.parametrize("oracle_k", ["-5", "0"])
-    def test_oracle_k_below_one_is_rejected_first(self, capsys, monkeypatch, dist, oracle_k):
+    def test_oracle_k_below_one_is_rejected_first(self, usage_error, dist, oracle_k):
         # a closed-form target draws no oracle but still rejects the size;
         # argparse checks the flags in command-line order
-        monkeypatch.setattr(cli, "true_risk", pytest.fail)
-        with pytest.raises(SystemExit) as exc:
-            main(["true-risk", "--dist", dist, "--oracle-k", oracle_k, "--seed", "-1"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == (
+        last = usage_error(["true-risk", "--dist", dist, "--oracle-k", oracle_k, "--seed", "-1"])
+        assert last == (
             f"riskbench true-risk: error: argument --oracle-k: need at least 1, got {oracle_k}"
         )
 
@@ -256,25 +246,12 @@ class TestTrueRisk:
             (["--dist", "nig:0.4"], "--dist"),
         ],
     )
-    def test_bad_level_or_distribution_names_the_flag(self, capsys, monkeypatch, argv, flag):
-        monkeypatch.setattr(cli, "true_risk", pytest.fail)  # no reference runs
-        with pytest.raises(SystemExit) as exc:
-            main(["true-risk", *argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith(f"riskbench: error: {flag}:")
+    def test_bad_level_or_distribution_names_the_flag(self, usage_error, argv, flag):
+        assert usage_error(["true-risk", *argv]).startswith(f"riskbench: error: {flag}: ")
 
-    def test_negative_seed_is_a_usage_error(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "true_risk", pytest.fail)  # no oracle runs
-        with pytest.raises(SystemExit) as exc:
-            main(["true-risk", "--dist", "nig:0.4:0.14:0:1", "--seed", "-1"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith(
-            "riskbench true-risk: error: argument --seed:"
-        )
+    def test_negative_seed_is_a_usage_error(self, usage_error):
+        last = usage_error(["true-risk", "--dist", "nig:0.4:0.14:0:1", "--seed", "-1"])
+        assert last.startswith("riskbench true-risk: error: argument --seed: ")
 
 
 class TestConsistency:
@@ -292,7 +269,7 @@ class TestConsistency:
         assert float(iqr) >= 0
 
     # every size's weights, the level and the distribution are checked
-    # before any draw, and the message names the flag
+    # before any draw; --seed fails its own type, the rest fail in the command
     @pytest.mark.parametrize(
         "argv, flag",
         [
@@ -306,18 +283,15 @@ class TestConsistency:
             (["--dist", "nig:0.4:0.14:0:1", "--alpha", "1e-6", "--n", "1000000"], "--alpha"),
         ],
     )
-    def test_bad_size_level_or_distribution_names_the_flag(
-        self, capsys, monkeypatch, argv, flag
-    ):
-        monkeypatch.setattr(cli, "empirical_consistency", pytest.fail)  # no draws run
-        with pytest.raises(SystemExit) as exc:
-            main(["consistency", *argv])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        # --seed fails its type in argparse; the rest fail in the command
-        last = captured.err.splitlines()[-1]
-        assert re.match(rf"riskbench( consistency)?: error: (argument )?{flag}:", last)
+    def test_bad_size_level_or_distribution_names_the_flag(self, usage_error, argv, flag):
+        own = flag == "--seed"
+        report = "riskbench consistency: error: argument" if own else "riskbench: error:"
+        assert usage_error(["consistency", *argv]).startswith(f"{report} {flag}: ")
+
+    def test_single_replication_names_the_flag(self, usage_error):
+        assert usage_error(["consistency", "--reps", "1"]).startswith(
+            "riskbench consistency: error: argument --reps: "
+        )
 
     @pytest.mark.parametrize("dist", ["normal:0:1", "nig:0.4:0.14:0:1"])
     def test_uniform_spectrum_ignores_the_level(self, capsys, dist):
@@ -327,17 +301,6 @@ class TestConsistency:
             "consistency", "--spectrum", "uniform", "--dist", dist, "--n", "50", "--reps", "5"
         ]
         assert run_cli(capsys, *argv, "--alpha", "0") == run_cli(capsys, *argv)
-
-    def test_single_replication_names_the_flag(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "empirical_consistency", pytest.fail)  # no draws run
-        with pytest.raises(SystemExit) as exc:
-            main(["consistency", "--reps", "1"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1].startswith(
-            "riskbench consistency: error: argument --reps:"
-        )
 
 
 class TestExtract:
@@ -362,70 +325,62 @@ class TestExtract:
 
 
 class TestBench:
-    CONFIG = {
-        "distributions": ["normal:0:1"],
-        "schemes": ["iid"],
-        "estimators": ["es1", "es2"],
-        "k": 60,
-        "oracle_k": 50000,
-        "seed": 11,
-    }
+    @pytest.fixture
+    def config(self, tmp_path):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({
+            "distributions": ["normal:0:1"],
+            "schemes": ["iid"],
+            "estimators": ["es1", "es2"],
+            "k": 60,
+            "oracle_k": 50000,
+            "seed": 11,
+        }))
+        return str(path)
 
-    def test_stdout_csv(self, capsys, tmp_path):
-        cfg = tmp_path / "study.json"
-        cfg.write_text(json.dumps(self.CONFIG))
-        code, out, _ = run_cli(capsys, "bench", "--config", str(cfg))
+    def test_stdout_csv(self, capsys, config):
+        code, out, _ = run_cli(capsys, "bench", "--config", config)
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "distribution,scheme,estimator,alpha,n,K,metric,value,mc_stderr"
         assert len(lines) == 1 + 2 * 5
 
-    def test_out_file_and_table(self, capsys, tmp_path):
-        cfg = tmp_path / "study.json"
-        cfg.write_text(json.dumps(self.CONFIG))
+    def test_out_file_and_table(self, capsys, tmp_path, config):
         dest = tmp_path / "rows.csv"
-        code, out, _ = run_cli(
-            capsys, "bench", "--config", str(cfg), "--out", str(dest), "--table"
-        )
+        code, out, _ = run_cli(capsys, "bench", "--config", config, "--out", str(dest), "--table")
         assert code == 0
         assert f"wrote 10 rows to {dest}" in out
         assert "== normal:0:1 | iid ==" in out
         assert dest.read_text().splitlines()[0].startswith("distribution,")
 
-    def test_flag_overrides_config(self, capsys, tmp_path):
-        cfg = tmp_path / "study.json"
-        cfg.write_text(json.dumps(self.CONFIG))
+    def test_flag_overrides_config(self, capsys, config):
         code, out, _ = run_cli(
-            capsys, "bench", "--config", str(cfg), "--k", "40", "--format", "json"
+            capsys, "bench", "--config", config, "--k", "40", "--format", "json"
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["metadata"]["config"]["k"] == 40
         assert payload["rows"][0]["K"] == 40
 
-    def test_bad_config_field_is_a_usage_error(self, capsys, tmp_path):
-        # where the results go is the --out flag, not a config key
-        cfg = tmp_path / "study.json"
-        cfg.write_text(json.dumps({**self.CONFIG, "out": "rows.csv"}))
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--config", str(cfg)])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.splitlines()[-1] == "riskbench: error: unknown config keys: ['out']"
 
-    def test_missing_subcommand_exits(self):
-        with pytest.raises(SystemExit):
-            main([])
+def one_row_per_id(*rows):
+    """{id: the rest of its row} from rows that each start with their id. A
+    repeated id fails at import, where merged dicts would keep its last row."""
+    cases = {}
+    for key, *case in rows:
+        if key in cases:
+            raise ValueError(f"row id {key!r} is repeated")
+        cases[key] = tuple(case)
+    return cases
 
 
-# (command line up to the flag, the flag, the least value it takes): the
+# (command line up to the flag, the flag, the least value its type takes): the
 # integer flags, whose bad values are a non-number, NaN, inf, the empty string
-# and each of -1, 0 and 1 below the least one
+# and each of -1, 0 and 1 below the least one, all argparse's report
 INTEGER_FLAGS = {
     "weights-n": (["weights", "--estimator", "es1"], "--n", 1),
     "coherence-n": (["coherence", "--estimator", "es1"], "--n", 1),
-    "coherence-gaussian-n": (["coherence", "--estimator", "gaussian"], "--n", 2),
+    "coherence-gaussian-n": (["coherence", "--estimator", "gaussian"], "--n", 1),
     "coherence-trials": (["coherence", "--estimator", "es1", "--n", "50"], "--trials", 1),
     "coherence-seed": (["coherence", "--estimator", "es1", "--n", "50"], "--seed", 0),
     "true-risk-nig-oracle-k": (["true-risk", "--dist", "nig:0.4:0.14:0:1"], "--oracle-k", 1),
@@ -438,105 +393,148 @@ INTEGER_FLAGS = {
     "bench-k": (["bench"], "--k", 1),
     "bench-oracle-k": (["bench"], "--oracle-k", 1),
     "extract-n": (["extract", "--estimator", "es1"], "--n", 1),
-    "extract-gaussian-n": (["extract", "--estimator", "gaussian"], "--n", 2),
+    "extract-gaussian-n": (["extract", "--estimator", "gaussian"], "--n", 1),
 }
 
-# id -> (argv, the flag or field the error names); {tmp} is a scratch
-# directory holding undecodable.json and malformed.json
-BAD_INPUT = {
-    **{
-        f"{key}-{label}": ([*argv, flag, value], flag)
-        for key, (argv, flag, least) in INTEGER_FLAGS.items()
-        for label, value in [
-            ("non-number", "x"),
-            ("nan", "nan"),
-            ("inf", "inf"),
-            ("empty", ""),
-            *[(name, str(v)) for name, v in [("negative", -1), ("zero", 0), ("one", 1)]
-              if v < least],
-        ]
-    },
+
+def _integer_rows():
+    for key, (argv, flag, least) in INTEGER_FLAGS.items():
+        report = f"riskbench {argv[0]}: error: argument {flag}:"
+        for label, value in [("non-number", "x"), ("nan", "nan"), ("inf", "inf"), ("empty", "")]:
+            why = f"expected an integer, got {value!r}"
+            yield f"{key}-{label}", [*argv, flag, value], f"{report} {why}"
+        for label, value in [("negative", -1), ("zero", 0), ("one", 1)]:
+            if value < least:
+                why = f"need at least {least}, got {value}"
+                yield f"{key}-{label}", [*argv, flag, str(value)], f"{report} {why}"
+
+
+WEIGHT_NAMES = "'es1', 'es2', 'es3', 'es4', 'es5', 'es6', 'var', 'var1'"
+ALL_NAMES = "'es1', 'es2', 'es3', 'es4', 'es5', 'es6', 'expvar', 'gaussian', 'var', 'var1'"
+SIZES = "riskbench consistency: error: argument --n: expected distinct comma separated sizes, got"
+LEVEL = "level alpha must lie in (0, 1), got"
+NO_TAIL = "need floor(alpha*n) >= 1, got alpha*n ="
+BATCH = "leaves 6 draws per oracle batch, too few for a tail average at level 0.025"
+NOT_A_FILE = "is not a file in an existing directory"
+
+# id -> (argv, the start of the last stderr line). A value bad for its flag
+# alone is argparse's `riskbench <command>: error: argument --flag: ` report; a
+# name, a rule across flags or a file is riskbench's `riskbench: error: --flag: `
+# report. {tmp} is a scratch directory holding undecodable.json, malformed.json
+# and out-key.json.
+BAD_INPUT = one_row_per_id(
+    *_integer_rows(),
+    ("no-command", [], "riskbench: error: the following arguments are required: command"),
+    ("weights-json-and-csv", ["weights", "--estimator", "es1", "--json", "--csv"],
+     "riskbench weights: error: argument --csv: not allowed with argument --json"),
     # the size list: one or more distinct integers, each with its weights
-    **{
-        f"consistency-n-{label}": (["consistency", "--n", value], "--n")
-        for label, value in [
-            ("non-number", "100,abc"),
-            ("nan", "nan"),
-            ("empty", ""),
-            ("blank", " , "),
-            ("duplicate", "100,100"),
-            ("duplicate-spelling", "100,0100"),
-            ("negative", "-100"),
-            ("zero", "0"),
-            ("no-tail", "100,3"),
+    ("consistency-n-non-number", ["consistency", "--n", "100,abc"], f"{SIZES} '100,abc'"),
+    ("consistency-n-nan", ["consistency", "--n", "nan"], f"{SIZES} 'nan'"),
+    ("consistency-n-empty", ["consistency", "--n", ""], f"{SIZES} ''"),
+    ("consistency-n-blank", ["consistency", "--n", " , "], f"{SIZES} ' , '"),
+    ("consistency-n-duplicate", ["consistency", "--n", "100,100"], f"{SIZES} '100,100'"),
+    ("consistency-n-duplicate-spelling", ["consistency", "--n", "100,0100"],
+     f"{SIZES} '100,0100'"),
+    ("consistency-n-negative", ["consistency", "--n", "-100"],
+     "riskbench: error: --n: sample size n must be a positive integer, got -100"),
+    ("consistency-n-zero", ["consistency", "--n", "0"],
+     "riskbench: error: --n: sample size n must be a positive integer, got 0"),
+    ("consistency-n-no-tail", ["consistency", "--n", "100,3"],
+     f"riskbench: error: --n: {NO_TAIL} 0.07500000000000001"),
+    # names; weights prints weights, so it lists only the weight-based ones
+    *(
+        (f"{command}-estimator-{label}", [command, "--estimator", value],
+         f"riskbench: error: --estimator: unknown estimator {value!r}; expected one of [{names}]")
+        for command, names in [
+            ("weights", WEIGHT_NAMES), ("coherence", ALL_NAMES), ("extract", ALL_NAMES)
         ]
-    },
-    # names
-    **{
-        f"{command}-estimator-{label}": ([command, "--estimator", value], "--estimator")
-        for command in ("weights", "coherence", "extract")
         for label, value in [("unknown", "es9"), ("empty", "")]
-    },
-    **{
-        f"{command}-dist-{label}": ([command, "--dist", value], "--dist")
-        for command in ("true-risk", "consistency")
-        for label, value in [("unknown", "lognormal:0:1"), ("short", "nig:0.4"), ("empty", "")]
-    },
-    "consistency-spectrum-unknown": (["consistency", "--spectrum", "x"], "--spectrum"),
-    "consistency-builder-unknown": (["consistency", "--builder", "x"], "--builder"),
-    "bench-format-unknown": (["bench", "--format", "x"], "--format"),
-    # a level against the estimator that reads it
-    "weights-alpha": (["weights", "--estimator", "es1", "--alpha", "2"], "--alpha"),
-    "coherence-alpha": (["coherence", "--estimator", "es1", "--alpha", "1.5"], "--alpha"),
-    "coherence-expvar-alpha": (["coherence", "--estimator", "expvar", "--alpha", "0.7"], "--alpha"),
-    "extract-gaussian-alpha": (["extract", "--estimator", "gaussian", "--alpha", "0"], "--alpha"),
-    "true-risk-alpha": (["true-risk", "--dist", "t:5", "--alpha", "nan"], "--alpha"),
-    "consistency-alpha": (["consistency", "--alpha", "0"], "--alpha"),
-    # rules across flags, each checked by the code that owns it
-    "weights-n-no-tail": (["weights", "--estimator", "es1", "--n", "10"], "--n"),
-    "true-risk-oracle-k-batch": (
-        ["true-risk", "--dist", "nig:0.4:0.14:0:1", "--oracle-k", "100"], "--oracle-k"
     ),
+    *(
+        (f"{command}-dist-{label}", [command, "--dist", value], f"riskbench: error: --dist: {why}")
+        for command in ("true-risk", "consistency")
+        for label, value, why in [
+            ("unknown", "lognormal:0:1",
+             "unknown distribution kind 'lognormal' in 'lognormal:0:1'"),
+            ("short", "nig:0.4", "malformed distribution spec 'nig:0.4'"),
+            ("empty", "", "unknown distribution kind '' in ''"),
+        ]
+    ),
+    ("consistency-spectrum-unknown", ["consistency", "--spectrum", "x"],
+     "riskbench consistency: error: argument --spectrum: invalid choice: 'x'"),
+    ("consistency-builder-unknown", ["consistency", "--builder", "x"],
+     "riskbench consistency: error: argument --builder: invalid choice: 'x'"),
+    ("bench-format-unknown", ["bench", "--format", "x"],
+     "riskbench bench: error: argument --format: invalid choice: 'x'"),
+    # a level against the estimator that reads it
+    ("weights-alpha", ["weights", "--estimator", "es1", "--alpha", "2"],
+     f"riskbench: error: --alpha: {LEVEL} 2.0"),
+    ("coherence-alpha", ["coherence", "--estimator", "es1", "--alpha", "1.5"],
+     f"riskbench: error: --alpha: {LEVEL} 1.5"),
+    *(
+        (f"{command}-expvar-alpha", [command, "--estimator", "expvar", "--alpha", "0.7"],
+         "riskbench: error: --alpha: expvar needs a level in (0, 1/2], got 0.7")
+        for command in ("coherence", "extract")
+    ),
+    ("extract-gaussian-alpha", ["extract", "--estimator", "gaussian", "--alpha", "0"],
+     f"riskbench: error: --alpha: {LEVEL} 0.0"),
+    ("true-risk-alpha", ["true-risk", "--dist", "t:5", "--alpha", "nan"],
+     f"riskbench: error: --alpha: {LEVEL} nan"),
+    ("true-risk-alpha-one", ["true-risk", "--dist", "t:5", "--alpha", "1"],
+     f"riskbench: error: --alpha: {LEVEL} 1.0"),
+    ("consistency-alpha", ["consistency", "--alpha", "0"],
+     f"riskbench: error: --alpha: {LEVEL} 0.0"),
+    # rules across flags, each checked by the code that owns it
+    ("weights-n-no-tail", ["weights", "--estimator", "es1", "--n", "10"],
+     f"riskbench: error: --n: {NO_TAIL} 0.25"),
+    ("coherence-n-no-tail", ["coherence", "--estimator", "es1", "--n", "1"],
+     f"riskbench: error: --n: {NO_TAIL} 0.025"),
+    # gaussian's sample size is checked against the name; expvar's is the type's
+    *(
+        (f"{command}-gaussian-n-one", [command, "--estimator", "gaussian", "--n", "1"],
+         "riskbench: error: --n: gaussian needs n >= 2, got 1")
+        for command in ("coherence", "extract")
+    ),
+    ("coherence-expvar-n-zero", ["coherence", "--estimator", "expvar", "--n", "0"],
+     "riskbench coherence: error: argument --n: need at least 1, got 0"),
+    ("true-risk-oracle-k-batch", ["true-risk", "--dist", "nig:0.4:0.14:0:1", "--oracle-k", "100"],
+     f"riskbench: error: --oracle-k: 100 {BATCH}"),
+    # argparse checks the flags in command-line order: the size before the seed
+    ("true-risk-oracle-k-before-seed",
+     ["true-risk", "--dist", "normal:0:1", "--oracle-k", "0", "--seed", "-1"],
+     "riskbench true-risk: error: argument --oracle-k: need at least 1, got 0"),
     # the NIG es target's oracle is too small for this level: caught before
     # the 10^6 weights are built
-    "consistency-alpha-oracle": (
-        ["consistency", "--dist", "nig:0.4:0.14:0:1", "--alpha", "1e-6", "--n", "1000000"],
-        "--alpha",
-    ),
-    "bench-k-tail": (["bench", "--k", "5"], "--k"),
-    "bench-oracle-k-batch": (["bench", "--oracle-k", "100"], "--oracle-k"),
-    # files, before any compute
-    "bench-config-missing": (["bench", "--config", "{tmp}/missing.json"], "--config"),
-    "bench-config-empty": (["bench", "--config", ""], "--config"),
-    "bench-config-directory": (["bench", "--config", "{tmp}"], "--config"),
-    "bench-config-undecodable": (["bench", "--config", "{tmp}/undecodable.json"], "--config"),
-    "bench-config-malformed": (["bench", "--config", "{tmp}/malformed.json"], "--config"),
-    "bench-out-empty": (["bench", "--out", ""], "--out"),
-    "bench-out-missing-directory": (["bench", "--out", "{tmp}/no/such/dir/x.csv"], "--out"),
-    "bench-out-directory": (["bench", "--out", "{tmp}"], "--out"),
-}
+    ("consistency-alpha-oracle",
+     ["consistency", "--dist", "nig:0.4:0.14:0:1", "--alpha", "1e-6", "--n", "1000000"],
+     "riskbench: error: --alpha: 10000000 leaves 500000 draws per oracle batch, too few for a"
+     " tail average at level 1e-06"),
+    ("bench-k-tail", ["bench", "--k", "5"], "riskbench: error: --k: k must be at least 20, got 5"),
+    ("bench-oracle-k-batch", ["bench", "--oracle-k", "100"],
+     f"riskbench: error: --oracle-k: oracle_k: 100 {BATCH}"),
+    # files, before any compute; where the results go is --out, not a config key
+    ("bench-config-missing", ["bench", "--config", "{tmp}/missing.json"],
+     "riskbench: error: --config: "),
+    ("bench-config-empty", ["bench", "--config", ""], "riskbench: error: --config: "),
+    ("bench-config-directory", ["bench", "--config", "{tmp}"], "riskbench: error: --config: "),
+    ("bench-config-undecodable", ["bench", "--config", "{tmp}/undecodable.json"],
+     "riskbench: error: --config: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ("bench-config-malformed", ["bench", "--config", "{tmp}/malformed.json"],
+     "riskbench: error: --config: Expecting property name enclosed in double quotes"),
+    ("bench-config-out-key", ["bench", "--config", "{tmp}/out-key.json"],
+     "riskbench: error: unknown config keys: ['out']"),
+    ("bench-out-empty", ["bench", "--out", ""], f"riskbench: error: --out: '' {NOT_A_FILE}"),
+    ("bench-out-missing-directory", ["bench", "--out", "{tmp}/no/such/dir/x.csv"],
+     f"riskbench: error: --out: '{{tmp}}/no/such/dir/x.csv' {NOT_A_FILE}"),
+    ("bench-out-directory", ["bench", "--out", "{tmp}"],
+     f"riskbench: error: --out: '{{tmp}}' {NOT_A_FILE}"),
+)
 
 
-def _no_generator(*args, **kwargs):
-    raise AssertionError("a generator was constructed")
-
-
-@pytest.mark.parametrize("argv, flag", BAD_INPUT.values(), ids=BAD_INPUT.keys())
-def test_bad_input_fails_before_compute(capsys, monkeypatch, tmp_path, argv, flag):
-    # a bad value of one flag is argparse's `argument --flag:` report; a name,
-    # a rule across flags or a file is riskbench's `--flag:` report
-    monkeypatch.setattr(RandomnessContract, "stream", _no_generator)
-    monkeypatch.setattr(np.random, "default_rng", _no_generator)
-    monkeypatch.setattr(cli, "run_study", _no_generator)
-    (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe")
-    (tmp_path / "malformed.json").write_text('{"k": 30,')
-    with pytest.raises(SystemExit) as exc:
-        main([arg.format(tmp=tmp_path) for arg in argv])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    last = captured.err.splitlines()[-1]
-    assert re.match(rf"riskbench( {argv[0]})?: error: (argument )?{flag}: ", last), last
+@pytest.mark.parametrize("argv, line", BAD_INPUT.values(), ids=BAD_INPUT.keys())
+def test_bad_input_fails_before_compute(usage_error, tmp_path, argv, line):
+    last = usage_error(argv)
+    assert last.startswith(line.format(tmp=tmp_path)), last
 
 
 def test_import_leaves_scipy_stats_and_integrate_unloaded():
