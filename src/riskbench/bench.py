@@ -127,6 +127,8 @@ def _check_int(field_name: str, value, minimum: int) -> None:
 def _name_tuple(field_name: str, value) -> tuple[str, ...]:
     if isinstance(value, str):
         raise ValueError(f"{field_name} must be a list of names, not the string {value!r}")
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{field_name} must be a list of names, got {value!r}")
     names = tuple(value)
     if not names:
         raise ValueError(f"{field_name} must name at least one entry")
@@ -316,10 +318,15 @@ def run_study(config: BenchConfig) -> ResultTable:
                 "metrics_s": round(time.perf_counter() - start, 4),
             }
 
-    rows: list[ResultRow] = []
-    for group in groups:
-        for spec, report in zip(specs, reports[group.tag]):
-            rows.extend(_rows_for(config, group.dist, group.scheme, spec, report))
+    rows = [
+        ResultRow(
+            group.dist.label, group.scheme.label, spec.name, spec.alpha,
+            config.n, config.k, m, report.metric(m), report.stderr(m),
+        )
+        for group in groups
+        for spec, report in zip(specs, reports[group.tag])
+        for m in METRICS
+    ]
     metadata = {
         "config": config.to_dict(),
         "build_id": config.build_id(),
@@ -420,27 +427,6 @@ def _naming(group):
         yield
     except Exception as exc:
         raise RuntimeError(f"benchmark cell group {group.tag} failed: {exc}") from exc
-
-
-def _rows_for(
-    config: BenchConfig, dist, scheme, spec: LEstimatorSpec, report: MetricReport
-) -> list[ResultRow]:
-    out = []
-    for metric in METRICS:
-        out.append(
-            ResultRow(
-                distribution=dist.label,
-                scheme=scheme.label,
-                estimator=spec.name,
-                alpha=spec.alpha,
-                n=config.n,
-                k=config.k,
-                metric=metric,
-                value=report.metric(metric),
-                mc_stderr=report.stderr(metric),
-            )
-        )
-    return out
 
 
 def format_metric_table(table: ResultTable) -> str:

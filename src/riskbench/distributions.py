@@ -253,7 +253,30 @@ class HorizonSum:
         return self.h
 
     def oracle_pairs(self, rng: np.random.Generator, out: np.ndarray) -> None:
-        _t_sum_pairs(self.base.nu, self.h, rng, out)
+        """The oracle pairs of a sum of h t(nu) variates (a plain t is a
+        one-day sum). Each day: gamma draws g of shape nu/2 into out[:half],
+        then normals z chunk by chunk into one scratch chunk; the day's
+        z * sqrt((nu/2) / g) is computed in g and added to the sum in out[half:],
+        which starts from zeros. (nu/2) / g has the bits of nu / w for the
+        chi-square draw w = 2g the same stream gives: doubling is exact."""
+        half = out.size // 2
+        src = out[half:]
+        shape = self.base.nu / 2.0
+        scratch = np.empty(min(_ORACLE_CHUNK, half))
+        src[:] = 0.0
+        for _ in range(self.h):
+            rng.standard_gamma(shape, out=out[:half])
+            for i0, i1 in _chunks(half):
+                w = out[i0:i1]
+                np.divide(shape, w, out=w)
+                np.sqrt(w, out=w)
+                w *= rng.standard_normal(out=scratch[: i1 - i0])
+                src[i0:i1] += w
+        for i0, i1 in _chunks(half):
+            plus = scratch[: i1 - i0]
+            np.copyto(plus, src[i0:i1])
+            out[2 * i0 : 2 * i1 : 2] = plus
+            np.negative(plus, out=out[2 * i0 + 1 : 2 * i1 : 2])
 
 
 DistributionSpec = Union[Normal, StudentT, Nig]
@@ -393,33 +416,6 @@ def _oracle_sample(dist, k: int, seed: int) -> np.ndarray:
     out = np.empty(k)
     dist.oracle_pairs(np.random.default_rng(seed), out)
     return out
-
-
-def _t_sum_pairs(nu: float, days: int, rng: np.random.Generator, out: np.ndarray) -> None:
-    """The oracle pairs of a sum of `days` t(nu) variates (a plain t is a
-    one-day sum). Each day: gamma draws g of shape nu/2 into out[:half],
-    then normals z chunk by chunk into one scratch chunk; the day's
-    z * sqrt((nu/2) / g) is computed in g and added to the sum in out[half:],
-    which starts from zeros. (nu/2) / g has the bits of nu / w for the
-    chi-square draw w = 2g the same stream gives: doubling is exact."""
-    half = out.size // 2
-    src = out[half:]
-    shape = nu / 2.0
-    scratch = np.empty(min(_ORACLE_CHUNK, half))
-    src[:] = 0.0
-    for _ in range(days):
-        rng.standard_gamma(shape, out=out[:half])
-        for i0, i1 in _chunks(half):
-            w = out[i0:i1]
-            np.divide(shape, w, out=w)
-            np.sqrt(w, out=w)
-            w *= rng.standard_normal(out=scratch[: i1 - i0])
-            src[i0:i1] += w
-    for i0, i1 in _chunks(half):
-        plus = scratch[: i1 - i0]
-        np.copyto(plus, src[i0:i1])
-        out[2 * i0 : 2 * i1 : 2] = plus
-        np.negative(plus, out=out[2 * i0 + 1 : 2 * i1 : 2])
 
 
 def _round_up(k: int, multiple: int) -> int:

@@ -59,6 +59,9 @@ def monotone_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     return w / w.sum()
 
 
+# First seven weights at alpha=2.5%, n=250, rounded to 3 decimals, and the
+# exact weight sums. Frozen from the closed forms: M = floor(alpha*(n+1)) = 6,
+# R = 0.275, scales 6 / 6.25 / 6.275.
 SEVEN_WEIGHTS_3DP = {
     "es1": [0.167, 0.167, 0.167, 0.167, 0.167, 0.167, 0.000],
     "es2": [0.160, 0.160, 0.160, 0.160, 0.160, 0.160, 0.040],

@@ -81,6 +81,12 @@ BAD_CONFIG = one_row_per_id(
      "distributions must name at least one entry"),
     ("estimators-non-string", dict(estimators=("es1", 2)),
      "estimators entries must be strings, got 2"),
+    # a name list is a list: JSON's null, a number or an object is not one
+    ("distributions-null", dict(distributions=None),
+     "distributions must be a list of names, got None"),
+    ("schemes-number", dict(schemes=5), "schemes must be a list of names, got 5"),
+    ("estimators-object", dict(estimators={"es1": 1}),
+     "estimators must be a list of names, got {'es1': 1}"),
     # names, parsed before any compute
     ("distributions-unknown", dict(distributions=("normal:0:1", "lognormal:0:1")),
      "distributions: unknown distribution kind 'lognormal' in 'lognormal:0:1'"),

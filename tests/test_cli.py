@@ -30,8 +30,8 @@ def usage_error(capsys, monkeypatch, tmp_path):
     """A function from a bad command line to the last line it prints on
     stderr, after checking that it exits 2 with nothing on stdout while every
     compute entry of the command line, and every generator, fails. {tmp} in
-    an argument is tmp_path, which holds undecodable.json, malformed.json and
-    out-key.json."""
+    an argument is tmp_path, which holds undecodable.json, malformed.json,
+    out-key.json and null-names.json."""
     for entry in (
         "run_study", "check_all", "extract_comonotonic_weights", "true_risk",
         "empirical_consistency",
@@ -42,6 +42,7 @@ def usage_error(capsys, monkeypatch, tmp_path):
     (tmp_path / "undecodable.json").write_bytes(b"\xff\xfe")
     (tmp_path / "malformed.json").write_text('{"k": 30,')
     (tmp_path / "out-key.json").write_text('{"out": "rows.csv"}')
+    (tmp_path / "null-names.json").write_text('{"distributions": null}')
 
     def last_line(argv):
         with pytest.raises(SystemExit) as exc:
@@ -420,8 +421,8 @@ NOT_A_FILE = "is not a file in an existing directory"
 # id -> (argv, the start of the last stderr line). A value bad for its flag
 # alone is argparse's `riskbench <command>: error: argument --flag: ` report; a
 # name, a rule across flags or a file is riskbench's `riskbench: error: --flag: `
-# report. {tmp} is a scratch directory holding undecodable.json, malformed.json
-# and out-key.json.
+# report. {tmp} is a scratch directory holding undecodable.json, malformed.json,
+# out-key.json and null-names.json.
 BAD_INPUT = one_row_per_id(
     *_integer_rows(),
     ("no-command", [], "riskbench: error: the following arguments are required: command"),
@@ -523,6 +524,8 @@ BAD_INPUT = one_row_per_id(
      "riskbench: error: --config: Expecting property name enclosed in double quotes"),
     ("bench-config-out-key", ["bench", "--config", "{tmp}/out-key.json"],
      "riskbench: error: unknown config keys: ['out']"),
+    ("bench-config-null-names", ["bench", "--config", "{tmp}/null-names.json"],
+     "riskbench: error: distributions must be a list of names, got None"),
     ("bench-out-empty", ["bench", "--out", ""], f"riskbench: error: --out: '' {NOT_A_FILE}"),
     ("bench-out-missing-directory", ["bench", "--out", "{tmp}/no/such/dir/x.csv"],
      f"riskbench: error: --out: '{{tmp}}/no/such/dir/x.csv' {NOT_A_FILE}"),
@@ -570,7 +573,7 @@ SPECIAL_PROBES = {
     ),
     # a study parses its distributions before it forks: its workers inherit
     # the module instead of each importing it
-    "parse-t": ("riskbench.parse_dist('t:5')", True),
+    "parse-t": ("riskbench.distributions.parse_dist('t:5')", True),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_core import monotone_simplex
+from test_acceptance import monotone_simplex
 
 from riskbench import cli, coherence, estimators
 from riskbench.coherence import (

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import monotone_simplex
 
 from riskbench.core import (
     SupremumCre,
@@ -9,12 +10,6 @@ from riskbench.core import (
     apply_l_estimator,
     permutation_closure_oracle,
 )
-
-
-def monotone_simplex(rng, n):
-    w = rng.dirichlet(np.ones(n))
-    w[::-1].sort()
-    return w / w.sum()
 
 
 class TestSample:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
+from test_acceptance import EXACT_SUMS, SEVEN_WEIGHTS_3DP
 
 from riskbench import estimators
 from riskbench.bench import DEFAULT_ESTIMATORS
@@ -30,26 +31,6 @@ N = 250
 def _floor(value):
     """The snapped floor the estimators count their tails with."""
     return estimators._snapped_split(value)[0]
-
-# First seven weights at alpha=2.5%, n=250, rounded to 3 decimals, and the
-# exact weight sums. Frozen from the closed forms: M = floor(alpha*(n+1)) = 6,
-# R = 0.275, scales 6 / 6.25 / 6.275.
-SEVEN_WEIGHTS_3DP = {
-    "es1": [0.167, 0.167, 0.167, 0.167, 0.167, 0.167, 0.000],
-    "es2": [0.160, 0.160, 0.160, 0.160, 0.160, 0.160, 0.040],
-    "es3": [0.239, 0.159, 0.159, 0.159, 0.159, 0.117, 0.006],
-    "es4": [0.319, 0.159, 0.159, 0.159, 0.159, 0.117, 0.006],
-    "es5": [0.250, 0.167, 0.167, 0.167, 0.167, 0.167, 0.000],
-    "es6": [0.333, 0.167, 0.167, 0.167, 0.167, 0.167, 0.000],
-}
-EXACT_SUMS = {
-    "es1": 1.0,
-    "es2": 1.0,
-    "es3": 1.0,
-    "es4": 1.0 + 0.5 / 6.275,
-    "es5": 6.5 / 6.0,
-    "es6": 7.0 / 6.0,
-}
 
 
 class TestWeightTables:
