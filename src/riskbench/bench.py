@@ -29,24 +29,11 @@ from .estimators import LEstimatorSpec, _check_level, build_estimator, tail_spli
 from .metrics import (
     _BLOCK,
     MetricReport,
-    RandomnessContract,
     _evaluate_replications,
     _metrics_from,
     reference_value,
 )
-from .sampling import Scheme, parse_scheme, stream_key
-
-__all__ = [
-    "DEFAULT_DISTRIBUTIONS",
-    "DEFAULT_ESTIMATORS",
-    "DEFAULT_SCHEMES",
-    "METRICS",
-    "BenchConfig",
-    "ResultRow",
-    "ResultTable",
-    "run_study",
-    "format_metric_table",
-]
+from .sampling import RandomnessContract, Scheme, parse_scheme, stream_key
 
 METRICS = ("ae", "se", "sb", "rb", "ct")
 

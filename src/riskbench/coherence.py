@@ -20,21 +20,6 @@ import numpy as np
 
 from .core import WEIGHT_SUM_ATOL, WeightVector, score_sorted_rows
 
-__all__ = [
-    "AXIOMS",
-    "Witness",
-    "AxiomCheck",
-    "CoherenceReport",
-    "NotComonotonicError",
-    "check_axiom",
-    "check_all",
-    "check_cash_additivity_slope",
-    "extract_comonotonic_weights",
-    "verify_representation",
-    "VerificationResult",
-    "VIOLATION_RTOL",
-]
-
 Estimator = Callable[[np.ndarray], np.ndarray]  # an (m, n) block to its m values
 
 # A defect counts as a violation when it exceeds 1e-9 * (1 + scale), where

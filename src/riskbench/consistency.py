@@ -20,13 +20,6 @@ from .distributions import true_risk
 from .estimators import SpectrumSpec, build_spectral_weights, build_spectral_weights_alt
 from .sampling import RandomnessContract
 
-__all__ = [
-    "DISCRETIZATIONS",
-    "check_partial_integrals",
-    "ConsistencyRow",
-    "empirical_consistency",
-]
-
 # name -> (spectrum, n) -> size-n weights: cell integrals or right endpoints
 DISCRETIZATIONS: dict[str, Callable[[SpectrumSpec, int], WeightVector]] = {
     "integral": build_spectral_weights,

@@ -21,18 +21,6 @@ MONOTONE_ATOL = 1e-12
 
 PERMUTATION_ORACLE_MAX_N = 8
 
-__all__ = [
-    "WeightVector",
-    "SupremumCre",
-    "simplex_defect",
-    "apply_l_estimator",
-    "score_sorted_rows",
-    "permutation_closure_oracle",
-    "WEIGHT_SUM_ATOL",
-    "MONOTONE_ATOL",
-    "PERMUTATION_ORACLE_MAX_N",
-]
-
 
 def _as_vector(values, name: str) -> np.ndarray:
     """Copy into a read-only 1-d float array, rejecting empties and non-finite entries."""

@@ -16,30 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimators import _check_level, _ndtri, _normal_density_at_quantile, tail_levels, tail_split
-
-__all__ = [
-    "Normal",
-    "StudentT",
-    "Nig",
-    "HorizonSum",
-    "DistributionSpec",
-    "parse_dist",
-    "inverse_gaussian_transform",
-    "NigMoments",
-    "nig_moments",
-    "TrueRisk",
-    "true_risk",
-    "true_risk_levels",
-    "oracle_batch_size",
-    "check_oracle_k",
-    "DEFAULT_ORACLE_K",
-    "ORACLE_BATCHES",
-]
 
 DEFAULT_ORACLE_K = 10_000_000
 ORACLE_BATCHES = 20
@@ -74,11 +55,8 @@ class Normal:
     def horizon(self, h: int) -> "Normal":
         return Normal(h * self.mu, self.sigma * math.sqrt(h))
 
-    def quantile(self, u):
-        """mu + sigma * Phi^-1(u), an array element by element: each element
-        keeps the bits of its scalar call."""
-        if np.ndim(u):
-            return np.reshape([self.quantile(v) for v in np.ravel(u).tolist()], np.shape(u))
+    def quantile(self, u: float) -> float:
+        """mu + sigma * Phi^-1(u)."""
         return self.mu + self.sigma * _ndtri(float(u))
 
     def es(self, alpha: float) -> float:
@@ -109,7 +87,9 @@ class StudentT:
     mean = 0.0
 
     def __post_init__(self):
-        if not (self.nu > 1.0 and math.isfinite(self.nu)):
+        if not math.isfinite(self.nu):
+            raise ValueError(f"need finite nu, got {self.nu}")
+        if not self.nu > 1.0:
             raise ValueError(f"need nu > 1, got {self.nu}")
         # the t quantile and es need scipy.special, which nothing else loads:
         # load it with the law, when a spec is parsed, so that a study's
@@ -169,16 +149,10 @@ class Nig:
     oracle_passes = 1
 
     def __post_init__(self):
-        ok = (
-            math.isfinite(self.a)
-            and math.isfinite(self.b)
-            and math.isfinite(self.mu)
-            and math.isfinite(self.delta)
-            and self.a > 0.0
-            and abs(self.b) < self.a
-            and self.delta > 0.0
-        )
-        if not ok:
+        params = (self.a, self.b, self.mu, self.delta)
+        if not all(map(math.isfinite, params)):
+            raise ValueError(f"need finite a, b, mu and delta, got {params}")
+        if not (self.a > 0.0 and abs(self.b) < self.a and self.delta > 0.0):
             raise ValueError(
                 f"need a > 0, |b| < a, delta > 0, got (a={self.a}, b={self.b}, delta={self.delta})"
             )
@@ -279,9 +253,6 @@ class HorizonSum:
             np.negative(plus, out=out[2 * i0 + 1 : 2 * i1 : 2])
 
 
-DistributionSpec = Union[Normal, StudentT, Nig]
-
-
 def _param(value: float) -> str:
     """The short :g form when it parses back to the value, else the full repr,
     so distinct parameters never share a label."""
@@ -289,7 +260,7 @@ def _param(value: float) -> str:
     return short if float(short) == value else repr(float(value))
 
 
-def parse_dist(text: str) -> DistributionSpec:
+def parse_dist(text: str) -> Normal | StudentT | Nig:
     """Parse 'normal:mu:sigma', 't:nu', or 'nig:a:b:mu:delta'."""
     parts = text.strip().split(":")
     kind, args = parts[0].lower(), parts[1:]

@@ -18,22 +18,6 @@ import numpy as np
 
 from .core import WeightVector, score_sorted_rows, simplex_defect
 
-__all__ = [
-    "ESTIMATORS",
-    "LEstimatorSpec",
-    "build_estimator",
-    "gaussian_plugin_rows",
-    "tail_levels",
-    "tail_split",
-    "expectile_rows",
-    "SpectrumSpec",
-    "es_spectrum",
-    "uniform_spectrum",
-    "build_spectral_weights",
-    "build_spectral_weights_alt",
-    "DEFAULT_XI",
-]
-
 # Tail-trim shape parameter for the inflated variants (#4, #6).
 DEFAULT_XI = 1.0 / 3.0
 _INFLATED_FIRST = 0.5 + 1.0 / (1.0 - DEFAULT_XI)

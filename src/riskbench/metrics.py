@@ -25,10 +25,6 @@ from .distributions import TrueRisk
 from .estimators import LEstimatorSpec, tail_levels
 from .sampling import RandomnessContract, Scheme
 
-__all__ = [
-    "MetricReport",
-]
-
 # replications drawn, finished, sorted and scored together: the study's bits
 # were recorded with 4096-row chunks, and 128-row tiles give every row the
 # same draws and the same per-row matvec bits (checked against the golden

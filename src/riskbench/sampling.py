@@ -14,13 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "Scheme",
-    "parse_scheme",
-    "RandomnessContract",
-    "stream_key",
-]
-
 _MASK64 = (1 << 64) - 1
 
 

@@ -92,6 +92,13 @@ BAD_CONFIG = one_row_per_id(
      "distributions: unknown distribution kind 'lognormal' in 'lognormal:0:1'"),
     ("distributions-bad-parameter", dict(distributions=("t:x",)),
      "distributions: could not convert string to float: 'x'"),
+    # infinity meets nu > 1, a > 0 and delta > 0: the message names finiteness
+    ("distributions-t-infinite", dict(distributions=("t:inf",)),
+     "distributions: need finite nu, got inf"),
+    ("distributions-nig-infinite-a", dict(distributions=("nig:inf:0.1",)),
+     "distributions: need finite a, b, mu and delta, got (inf, 0.1, 0.0, 1.0)"),
+    ("distributions-nig-infinite-delta", dict(distributions=("nig:0.4:0.1:0:inf",)),
+     "distributions: need finite a, b, mu and delta, got (0.4, 0.1, 0.0, inf)"),
     ("schemes-unknown", dict(schemes=("iid", "rolling")),
      "schemes: unknown sampling scheme 'rolling'"),
     ("schemes-no-window", dict(schemes=("overlapping:x",)),

