@@ -9,12 +9,14 @@ sample sizes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .bench import _usable_cpus
 from .core import WeightVector, score_sorted_rows
 from .distributions import true_risk
 from .estimators import SpectrumSpec, build_spectral_weights, build_spectral_weights_alt
@@ -85,6 +87,30 @@ class ConsistencyRow:
     iqr: float
 
 
+def _score_part(dist, weights, reference, contract, tag, errors, part) -> None:
+    """Write errors[rep] = |score of the sample drawn from stream (tag, rep)
+    - reference| for each rep in range(*part), through a keyed generator and
+    a (1, n) row of the part's own.
+
+    The values past the head, 1 plus the index of the last non-zero weight,
+    weigh exactly 0.0, so they are only partitioned off and left in any
+    order; the full row still goes into the one product, which their exact
+    zeros leave bit for bit as after a full sort.
+    """
+    n = weights.size
+    head = int(np.flatnonzero(weights)[-1]) + 1
+    at = contract.keyed(tag)
+    # drawn, sorted and scored like one row of a study tile
+    raw = tuple(np.empty((1, n)) for _ in range(dist.RAW_ARRAYS))
+    for rep in range(*part):
+        dist.draw(at(rep), raw)
+        x = dist.transform(raw)
+        if head < n:
+            x.partition(head - 1, axis=1)
+        x[:, :head].sort(axis=1)
+        errors[rep] = abs(score_sorted_rows(weights, x)[0] - reference)
+
+
 def empirical_consistency(
     dist,
     spectrum: SpectrumSpec,
@@ -101,6 +127,13 @@ def empirical_consistency(
     {discretization}|n={n}". Each spectrum is scored against its own
     target: true_risk(dist, alpha).es_alpha for 'es', and -E[X] for
     'uniform', which ignores alpha.
+
+    Each size's replications split into one contiguous part per usable CPU,
+    at most one per replication. One part runs in the calling thread; more
+    run on a pool of threads, which overlap because the draws, sorts and
+    products release the interpreter lock. Every replication
+    has its own stream and its own slot in the errors, so the rows are the
+    same at any CPU count.
     """
     build = _discretization(discretization)
     if not n_list:
@@ -109,19 +142,28 @@ def empirical_consistency(
         raise ValueError("need at least two replications per size")
     reference = _target(dist, spectrum, alpha)
     contract = RandomnessContract(seed)
-    rows = []
-    for n_raw in n_list:
-        n = int(n_raw)
-        w = build(spectrum, n)
-        errors = np.empty(reps)
-        at = contract.keyed(f"consistency|{spectrum.name}-{discretization}|n={n}")
-        # one (1, n) row per size, drawn, sorted and scored like a study tile
-        raw = tuple(np.empty((1, n)) for _ in range(dist.RAW_ARRAYS))
-        for rep in range(reps):
-            dist.draw(at(rep), raw)
-            x = dist.transform(raw)
-            x.sort(axis=1)
-            errors[rep] = abs(score_sorted_rows(w.weights, x)[0] - reference)
-        q25, q50, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
-        rows.append(ConsistencyRow(n=n, median_abs_error=float(q50), iqr=float(q75 - q25)))
+    parts = min(_usable_cpus(), reps)
+    bounds = [reps * i // parts for i in range(parts + 1)]
+    pool = None
+    if parts > 1:
+        # imported here: only a ladder on several CPUs needs it
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(parts)
+    try:
+        rows = []
+        for n_raw in n_list:
+            n = int(n_raw)
+            weights = build(spectrum, n).weights
+            errors = np.empty(reps)
+            tag = f"consistency|{spectrum.name}-{discretization}|n={n}"
+            score = functools.partial(_score_part, dist, weights, reference, contract, tag, errors)
+            # reading every result raises the first failed part's error
+            for _ in (map if pool is None else pool.map)(score, zip(bounds, bounds[1:])):
+                pass
+            q25, q50, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
+            rows.append(ConsistencyRow(n=n, median_abs_error=float(q50), iqr=float(q75 - q25)))
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return rows

@@ -142,7 +142,10 @@ def score_sorted_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     The one product of weights and sorted values: one matrix-vector product.
     The weights must already be validated (WeightVector.weights,
     LEstimatorSpec.weights); nothing is checked here. A row's last bits can
-    depend on the block it sits in.
+    depend on the block it sits in. Only the values up to the last non-zero
+    weight need be sorted: those past it may be in any order, as long as
+    they are finite and not below the sorted ones, because their exact zero
+    weights leave the product's bits as after a full sort.
     """
     return -(rows @ weights)
 

@@ -1,7 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
+from test_bench import tiny_config
 from test_distributions import sample
 
+from riskbench import bench, consistency
 from riskbench.consistency import ConsistencyRow, check_partial_integrals, empirical_consistency
 from riskbench.core import apply_l_estimator
 from riskbench.distributions import Nig, Normal, StudentT, parse_dist, true_risk
@@ -107,25 +111,45 @@ class TestEmpirical:
     @pytest.mark.parametrize(
         "dist", [Normal(), StudentT(5.0), Nig(0.4, 0.14)], ids=lambda d: d.label
     )
-    def test_replications_draw_from_their_named_streams(self, dist, builder):
-        spectrum = es_spectrum(ALPHA)
-        rows = empirical_consistency(dist, spectrum, builder, ALPHA, [100, 300], reps=7, seed=11)
-        reference = true_risk(dist, ALPHA).es_alpha
+    def test_replications_draw_from_their_named_streams(self, monkeypatch, dist, builder):
+        # the es rows sort only their weighted head, the uniform row (every
+        # weight non-zero) its whole sample; both match a full sort bit for
+        # bit, in the calling thread and split over three threads
         build = {"integral": build_spectral_weights, "alternative": build_spectral_weights_alt}
         contract = RandomnessContract(11)
-        for row in rows:
-            w = build[builder](spectrum, row.n)
-            tag = f"consistency|es-{builder}|n={row.n}"
-            errors = [
-                abs(
-                    apply_l_estimator(w, sample(dist, row.n, contract.stream(tag, rep)))
-                    - reference
-                )
-                for rep in range(7)
-            ]
-            q25, q50, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
-            assert row.median_abs_error == float(q50)
-            assert row.iqr == float(q75 - q25)
+        ladders = (
+            (es_spectrum(ALPHA), [100, 300], true_risk(dist, ALPHA).es_alpha),
+            (uniform_spectrum(), [200], -dist.mean),
+        )
+        for cpus in (1, 3):
+            monkeypatch.setattr(consistency, "_usable_cpus", lambda cpus=cpus: cpus)
+            for spectrum, sizes, reference in ladders:
+                rows = empirical_consistency(dist, spectrum, builder, ALPHA, sizes, reps=7, seed=11)
+                for row in rows:
+                    w = build[builder](spectrum, row.n)
+                    tag = f"consistency|{spectrum.name}-{builder}|n={row.n}"
+                    errors = [
+                        abs(
+                            apply_l_estimator(w, sample(dist, row.n, contract.stream(tag, rep)))
+                            - reference
+                        )
+                        for rep in range(7)
+                    ]
+                    q25, q50, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
+                    assert row.median_abs_error == float(q50)
+                    assert row.iqr == float(q75 - q25)
+
+    def test_a_ladder_leaves_no_thread_behind(self, monkeypatch):
+        # a study forks its workers only while no other thread is alive, so
+        # a leaked pool thread would make every later study serial
+        threads = threading.active_count()
+        monkeypatch.setattr(consistency, "_usable_cpus", lambda: 3)
+        empirical_consistency(
+            Normal(), es_spectrum(ALPHA), "integral", ALPHA, [100, 1000], reps=7, seed=0
+        )
+        assert threading.active_count() == threads
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+        assert bench.run_study(tiny_config(k=300)).metadata["timings"]["workers"] == 2
 
     def test_needs_sizes(self):
         spectrum = es_spectrum(ALPHA)

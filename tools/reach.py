@@ -6,9 +6,11 @@ Runs the acceptance battery (tests/test_acceptance.py) and the command-line
 tests (tests/test_cli.py), whose cases reach src/riskbench only through
 `riskbench.cli.main` and so run every subcommand, under one `sys.setprofile`
 hook that records every code object called, pinned to one CPU so that the
-study runs its tasks in this process. Then lists each function and method
-defined in src/riskbench that never ran. Such a function is reached at most
-by its own unit tests: delete it, or keep it in KEEP with a one-line reason.
+study runs its tasks in this process and the consistency ladder its
+replications in the calling thread, the only thread the hook sees. Then
+lists each function and method defined in src/riskbench that never ran.
+Such a function is reached at most by its own unit tests: delete it, or
+keep it in KEEP with a one-line reason.
 
 The same hook reads the bound arguments of every call into a function or
 method of src/riskbench and notes each defaulted parameter bound to another
@@ -154,9 +156,9 @@ def main() -> int:
                 for param in [p for p, d in left.items() if not is_default(bound[p], d)]:
                     del left[param]
 
-    # run_study hands its tasks to forked workers when it sees more than one
-    # CPU, and the hook records only this process: on one CPU every task
-    # runs here
+    # run_study hands its tasks to forked workers and the ladder its
+    # replications to threads when they see more than one CPU, and the hook
+    # records only this process's calling thread: on one CPU all runs here
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     sys.setprofile(hook)
     try:

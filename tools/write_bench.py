@@ -30,6 +30,11 @@ machine in one session. A record holds:
   --json` at n = 250, 300 trials, seed 42, in one fresh process: the median
   seconds over COHERENCE_RUNS runs, the estimator evaluations (probe rows
   scored) per run, and evaluations per second at that median;
+- the consistency ladder: the `axioms` workload's `riskbench consistency`
+  command (LADDER_ARGV) through `cli.main`, in one fresh process on every
+  usable CPU and in another pinned to one CPU by its affinity mask: the
+  median seconds over LADDER_RUNS runs and the sha256 of the output, which
+  every run must repeat;
 - the end-to-end medians of every workload in the tree's BENCHMARK.json,
   from its perfbench/run.py run unmodified as a subprocess at the
   benchmark's own run length and main seed.
@@ -141,6 +146,38 @@ COHERENCE_ARGV = ("--n", "250", "--trials", "300", "--seed", "42", "--json")
 COHERENCE_RUNS = 5
 
 
+# Run in a fresh interpreter: argv[1] is the tree's src directory, argv[2]
+# the command line as JSON, argv[3] the number of runs and argv[4] "1" to pin
+# the process to one CPU first. Times each run of cli.main and fails when two
+# runs print different bytes.
+LADDER_CHILD = r"""
+import contextlib, hashlib, io, json, os, statistics, sys, time
+sys.path.insert(0, sys.argv[1])
+from riskbench import cli
+
+if sys.argv[4] == "1":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+seconds, digests = [], set()
+for _ in range(int(sys.argv[3])):
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(json.loads(sys.argv[2]))
+    seconds.append(time.perf_counter() - start)
+    digests.add(hashlib.sha256(out.getvalue().encode()).hexdigest())
+if len(digests) != 1:
+    sys.exit(f"runs printed different outputs: {sorted(digests)}")
+print(json.dumps({"cpus": len(os.sched_getaffinity(0)), "exit_status": rc,
+                  "seconds": round(statistics.median(seconds), 4),
+                  "output_sha256": digests.pop()}))
+"""
+# perfbench's `axioms` ladder at its main seed (perfbench/run.py consistency_op)
+LADDER_ARGV = ("consistency", "--spectrum", "es", "--builder", "integral", "--alpha", "0.025",
+               "--n", "100,1000,10000,100000", "--dist", "normal:0:1", "--reps", "50",
+               "--seed", "42")
+LADDER_RUNS = 7
+
+
 def child_env() -> dict:
     env = dict(os.environ)
     env.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -216,6 +253,18 @@ def run_coherence(tree: Path) -> dict:
     return {"argv": list(COHERENCE_ARGV), "runs": COHERENCE_RUNS, **json.loads(proc.stdout)}
 
 
+def run_ladder(tree: Path) -> dict:
+    out = {"argv": list(LADDER_ARGV), "runs": LADDER_RUNS}
+    for key, pin in (("all_cpus", "0"), ("one_cpu", "1")):
+        proc = subprocess.run(
+            [sys.executable, "-c", LADDER_CHILD, str(tree / "src"), json.dumps(LADDER_ARGV),
+             str(LADDER_RUNS), pin],
+            capture_output=True, text=True, cwd=tree, env=child_env(), check=True,
+        )
+        out[key] = json.loads(proc.stdout)
+    return out
+
+
 def run_workload(tree: Path, name: str, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", name, "--seconds", str(seconds),
@@ -278,6 +327,7 @@ def main(argv=None) -> int:
         ("startup", "start-up", run_startup),
         ("study", "full default study", run_study),
         ("coherence", "coherence batteries", run_coherence),
+        ("consistency", "consistency ladder", run_ladder),
     ]
     sections[2:2] = [
         (f"study_{cpus}_cpus", f"full default study on {cpus} forced CPUs",
