@@ -227,17 +227,6 @@ class ResultTable:
         rows = [dict(zip(_COLUMNS, astuple(r))) for r in self.rows]
         return json.dumps({"metadata": self.metadata, "rows": rows}, indent=2)
 
-    def value(self, distribution: str, scheme: str, estimator: str, metric: str) -> float:
-        for r in self.rows:
-            if (
-                r.distribution == distribution
-                and r.scheme == scheme
-                and r.estimator == estimator
-                and r.metric == metric
-            ):
-                return r.value
-        raise KeyError((distribution, scheme, estimator, metric))
-
 
 def run_study(config: BenchConfig) -> ResultTable:
     """Execute the full study described by the config.

@@ -388,34 +388,6 @@ def check_all(
     return CoherenceReport(checks=checks)
 
 
-def check_cash_additivity_slope(estimator: Estimator, n: int) -> float:
-    """Measure s in estimator(x + m*1) = estimator(x) - s*m over a shift grid.
-
-    For weighted order-statistic estimators s is the weight sum, so a
-    measured slope away from 1 quantifies the cash-additivity defect.
-
-    Raises:
-        ValueError: the response to cash shifts is not affine within
-            VIOLATION_RTOL * (1 + scale) across the grid and two base points.
-    """
-    if n < 1:
-        raise ValueError("dimension must be at least 1")
-    grid = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
-    bases = np.array([np.zeros(n), np.linspace(-1.0, 1.0, n)])
-    score = _rows(estimator)
-    v0 = score(bases)
-    shifted = score((bases[:, None, :] + grid[:, None]).reshape(-1, n)).reshape(2, grid.size)
-    slopes = (v0[:, None] - shifted) / grid
-    spread = float(np.max(slopes) - np.min(slopes))
-    if spread > VIOLATION_RTOL * (1.0 + float(np.max(np.abs(grid)))):
-        raise ValueError(
-            f"cash response is not affine: slope spread {spread!r} over the shift grid"
-        )
-    # Zeros base with unit shift gives the cleanest float read of the slope.
-    ends = score(np.array([np.zeros(n), np.ones(n)]))
-    return float(ends[0] - ends[1])
-
-
 @dataclass(frozen=True, eq=False)
 class VerificationResult:
     """The verdict over `trials` probes; on a mismatch, the first offending

@@ -3,14 +3,13 @@
 A weight builder n -> a_{.,n} induces the step density phi_n(t) = n * a_{i,n}
 on ((i-1)/n, i/n]. Consistency of the estimators -<a, s(x)> toward the
 spectral risk value needs the partial integrals of phi_n to track those of
-phi; that is checked here, alongside an empirical error ladder over growing
-sample sizes.
+phi; here the estimators' error is measured on a ladder of growing sample
+sizes.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -34,39 +33,6 @@ def _discretization(name: str) -> Callable[[SpectrumSpec, int], WeightVector]:
         known = sorted(DISCRETIZATIONS)
         raise ValueError(f"unknown discretization {name!r}; expected one of {known}")
     return DISCRETIZATIONS[name]
-
-
-def check_partial_integrals(
-    spectrum: SpectrumSpec,
-    discretization: str,
-    t_grid: Sequence[float],
-    n_list: Sequence[int],
-) -> dict[int, float]:
-    """Max over the t grid of |int_0^t phi_n - int_0^t phi| for each size,
-    phi_n being the step density of the named discretization of spectrum.
-
-    The step integral is evaluated in closed form (full cells plus the
-    fractional cell containing t); the spectrum side goes through its
-    cumulative, so the only approximation measured is the discretization.
-    An unknown discretization raises ValueError.
-    """
-    build = _discretization(discretization)
-    grid = [float(t) for t in t_grid]
-    for t in grid:
-        if not (0.0 <= t <= 1.0):
-            raise ValueError(f"grid points must lie in [0, 1], got {t}")
-    out: dict[int, float] = {}
-    for n_raw in n_list:
-        n = int(n_raw)
-        w = build(spectrum, n).weights
-        cum = np.concatenate([[0.0], np.cumsum(w)])
-        worst = 0.0
-        for t in grid:
-            j = min(int(math.floor(t * n)), n - 1)
-            step = float(cum[j]) + n * float(w[j]) * (t - j / n)
-            worst = max(worst, abs(step - spectrum.cumulative(t)))
-        out[n] = worst
-    return out
 
 
 def _target(dist, spectrum: SpectrumSpec, alpha: float) -> float:
@@ -103,7 +69,7 @@ def _score_part(dist, weights, reference, contract, tag, errors, part) -> None:
     # drawn, sorted and scored like one row of a study tile
     raw = tuple(np.empty((1, n)) for _ in range(dist.RAW_ARRAYS))
     for rep in range(*part):
-        dist.draw(at(rep), raw)
+        dist.draw(at(rep), raw, 0)
         x = dist.transform(raw)
         if head < n:
             x.partition(head - 1, axis=1)

@@ -8,7 +8,6 @@ x = m * (1,...,1) into risk -m.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -18,8 +17,6 @@ WEIGHT_SUM_ATOL = 1e-12
 # Slack for non-increase checks: absorbs last-ulp noise from float partial
 # sums without letting a genuinely increasing pair through.
 MONOTONE_ATOL = 1e-12
-
-PERMUTATION_ORACLE_MAX_N = 8
 
 
 def _as_vector(values, name: str) -> np.ndarray:
@@ -113,29 +110,6 @@ class SupremumCre:
         return np.max([score_sorted_rows(w.weights, values) for w in self.candidates], axis=0)
 
 
-def apply_l_estimator(w, x) -> float:
-    """Evaluate -<w, s(x)> where s(x) is the sample sorted non-decreasingly:
-    the validated one-sample entry to score_sorted_rows.
-
-    Args:
-        w: WeightVector, or a plain weight array (no simplex constraint).
-        x: the sample, a one-dimensional array of finite floats, sorted here.
-
-    Returns:
-        The weighted order-statistic risk value as a float.
-
-    Raises:
-        ValueError: length mismatch between weights and sample.
-    """
-    weights = w.weights if isinstance(w, WeightVector) else _as_vector(w, "weights")
-    values = np.sort(_as_vector(x, "sample"))
-    if weights.size != values.size:
-        raise ValueError(
-            f"weights of length {weights.size} cannot score a sample of length {values.size}"
-        )
-    return float(score_sorted_rows(weights, values[None])[0])
-
-
 def score_sorted_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Evaluate -<weights, row> for every row of an (m, n) block sorted along axis 1.
 
@@ -148,30 +122,3 @@ def score_sorted_rows(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
     weights leave the product's bits as after a full sort.
     """
     return -(rows @ weights)
-
-
-def permutation_closure_oracle(m: SupremumCre, x) -> float:
-    """Brute-force sup over candidates and all coordinate permutations of <sigma(a), -x>.
-
-    The sample is NOT sorted here; the sup runs over every rearrangement of
-    each candidate against x as given. For non-increasing candidates this
-    equals m.rows(x[None])[0] by the rearrangement inequality, which
-    is exactly what makes this an independent cross-check. Guarded to n <= 8.
-    """
-    values = _as_vector(x, "sample")
-    n = values.size
-    if n > PERMUTATION_ORACLE_MAX_N:
-        raise ValueError(
-            f"permutation oracle is factorial in n; refusing n={n} > {PERMUTATION_ORACLE_MAX_N}"
-        )
-    if m.n != n:
-        raise ValueError(
-            f"candidates of length {m.n} cannot score a sample of length {n}"
-        )
-    neg_x = -values
-    best = -np.inf
-    for w in m.candidates:
-        for perm in itertools.permutations(w.weights.tolist()):
-            best = max(best, float(np.dot(perm, neg_x)))
-    return best
-

@@ -26,12 +26,12 @@ DEFAULT_ORACLE_K = 10_000_000
 ORACLE_BATCHES = 20
 
 
-# Each distribution samples in two steps. draw fills the raw arrays (RAW_ARRAYS
-# of them, one per generator call) from rng in a fixed order, the generator
-# calls only. transform turns raw draws of any shape into variates,
-# elementwise, so the bits of a variate do not depend on the shape it is
-# computed in; it may overwrite the raw draws. label is the canonical text
-# form, also accepted by parse_dist.
+# Each distribution samples in two steps. draw fills row `row` of the raw
+# arrays (RAW_ARRAYS of them, one per generator call; a row of ... is all)
+# from rng in a fixed order, the generator calls only. transform turns raw
+# draws of any shape into variates, elementwise, so the bits of a variate do
+# not depend on the shape it is computed in; it may overwrite the raw draws.
+# label is the canonical text form, also accepted by parse_dist.
 # oracle_passes is a reference's cost in passes over an oracle sample (0 for
 # a closed form), by which the study hands out its references longest first.
 
@@ -66,7 +66,7 @@ class Normal:
     def label(self) -> str:
         return f"normal:{_param(self.mu)}:{_param(self.sigma)}"
 
-    def draw(self, rng: np.random.Generator, raw, row=...) -> None:
+    def draw(self, rng: np.random.Generator, raw, row) -> None:
         rng.standard_normal(out=raw[0][row])
 
     def transform(self, raw) -> np.ndarray:
@@ -122,7 +122,7 @@ class StudentT:
     def label(self) -> str:
         return f"t:{_param(self.nu)}"
 
-    def draw(self, rng: np.random.Generator, raw, row=...) -> None:
+    def draw(self, rng: np.random.Generator, raw, row) -> None:
         # one standard_t call: its internal gamma draws cannot be split from
         # its normals without moving the stream
         out = raw[0][row]
@@ -172,7 +172,7 @@ class Nig:
     def horizon(self, h: int) -> "Nig":  # closed under summation in (mu, delta)
         return Nig(self.a, self.b, h * self.mu, h * self.delta)
 
-    def draw(self, rng: np.random.Generator, raw, row=...) -> None:
+    def draw(self, rng: np.random.Generator, raw, row) -> None:
         y, u, z = raw
         rng.standard_normal(out=y[row])
         rng.random(out=u[row])

@@ -68,8 +68,8 @@ class LEstimatorSpec:
 
     def rows(self, block: np.ndarray) -> np.ndarray:
         """The estimate of every row of an (m, n) block, through one row-wise
-        sort and one matrix-vector product. Last bits can differ from
-        apply_l_estimator."""
+        sort and one matrix-vector product. A row's last bits can depend on
+        the block it sits in."""
         return score_sorted_rows(self.weights, np.sort(block, axis=1))
 
 

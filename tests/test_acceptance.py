@@ -5,26 +5,28 @@ line (run with -s to stream them). A test collects every sub-check failure
 before reporting, so a single run shows the status of all ten criteria.
 """
 
+import itertools
+import math
+from typing import Sequence
+
 import numpy as np
 from scipy import integrate, stats
 
 from riskbench import bench
 from riskbench.bench import BenchConfig, run_study
 from riskbench.coherence import (
+    VIOLATION_RTOL,
+    Estimator,
+    _rows,
     check_all,
     check_axiom,
-    check_cash_additivity_slope,
     extract_comonotonic_weights,
 )
-from riskbench.consistency import check_partial_integrals, empirical_consistency
-from riskbench.core import (
-    SupremumCre,
-    WeightVector,
-    apply_l_estimator,
-    permutation_closure_oracle,
-)
+from riskbench.consistency import _discretization, empirical_consistency
+from riskbench.core import SupremumCre, WeightVector, _as_vector, score_sorted_rows
 from riskbench.distributions import HorizonSum, parse_dist, true_risk
 from riskbench.estimators import (
+    SpectrumSpec,
     build_estimator,
     build_spectral_weights,
     build_spectral_weights_alt,
@@ -36,6 +38,7 @@ from riskbench.metrics import _BLOCK
 
 ALPHA = 0.025
 N = 250
+PERMUTATION_ORACLE_MAX_N = 8
 
 NIG_LABELS = (
     "nig:0.4:0.14:0:1",
@@ -57,6 +60,128 @@ def _report(num: int, label: str, failures: list) -> None:
 def monotone_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     w = np.sort(rng.dirichlet(np.ones(n)))[::-1]
     return w / w.sum()
+
+
+def apply_l_estimator(w, x) -> float:
+    """Evaluate -<w, s(x)> where s(x) is the sample sorted non-decreasingly:
+    the validated one-sample entry to score_sorted_rows.
+
+    Args:
+        w: WeightVector, or a plain weight array (no simplex constraint).
+        x: the sample, a one-dimensional array of finite floats, sorted here.
+
+    Returns:
+        The weighted order-statistic risk value as a float.
+
+    Raises:
+        ValueError: length mismatch between weights and sample.
+    """
+    weights = w.weights if isinstance(w, WeightVector) else _as_vector(w, "weights")
+    values = np.sort(_as_vector(x, "sample"))
+    if weights.size != values.size:
+        raise ValueError(
+            f"weights of length {weights.size} cannot score a sample of length {values.size}"
+        )
+    return float(score_sorted_rows(weights, values[None])[0])
+
+
+def permutation_closure_oracle(m: SupremumCre, x) -> float:
+    """Brute-force sup over candidates and all coordinate permutations of <sigma(a), -x>.
+
+    The sample is NOT sorted here; the sup runs over every rearrangement of
+    each candidate against x as given. For non-increasing candidates this
+    equals m.rows(x[None])[0] by the rearrangement inequality, which
+    is exactly what makes this an independent cross-check. Guarded to n <= 8.
+    """
+    values = _as_vector(x, "sample")
+    n = values.size
+    if n > PERMUTATION_ORACLE_MAX_N:
+        raise ValueError(
+            f"permutation oracle is factorial in n; refusing n={n} > {PERMUTATION_ORACLE_MAX_N}"
+        )
+    if m.n != n:
+        raise ValueError(
+            f"candidates of length {m.n} cannot score a sample of length {n}"
+        )
+    neg_x = -values
+    best = -np.inf
+    for w in m.candidates:
+        for perm in itertools.permutations(w.weights.tolist()):
+            best = max(best, float(np.dot(perm, neg_x)))
+    return best
+
+
+def check_cash_additivity_slope(estimator: Estimator, n: int) -> float:
+    """Measure s in estimator(x + m*1) = estimator(x) - s*m over a shift grid.
+
+    For weighted order-statistic estimators s is the weight sum, so a
+    measured slope away from 1 quantifies the cash-additivity defect.
+
+    Raises:
+        ValueError: the response to cash shifts is not affine within
+            VIOLATION_RTOL * (1 + scale) across the grid and two base points.
+    """
+    if n < 1:
+        raise ValueError("dimension must be at least 1")
+    grid = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+    bases = np.array([np.zeros(n), np.linspace(-1.0, 1.0, n)])
+    score = _rows(estimator)
+    v0 = score(bases)
+    shifted = score((bases[:, None, :] + grid[:, None]).reshape(-1, n)).reshape(2, grid.size)
+    slopes = (v0[:, None] - shifted) / grid
+    spread = float(np.max(slopes) - np.min(slopes))
+    if spread > VIOLATION_RTOL * (1.0 + float(np.max(np.abs(grid)))):
+        raise ValueError(
+            f"cash response is not affine: slope spread {spread!r} over the shift grid"
+        )
+    # Zeros base with unit shift gives the cleanest float read of the slope.
+    ends = score(np.array([np.zeros(n), np.ones(n)]))
+    return float(ends[0] - ends[1])
+
+
+def check_partial_integrals(
+    spectrum: SpectrumSpec,
+    discretization: str,
+    t_grid: Sequence[float],
+    n_list: Sequence[int],
+) -> dict[int, float]:
+    """Max over the t grid of |int_0^t phi_n - int_0^t phi| for each size,
+    phi_n being the step density of the named discretization of spectrum.
+
+    The step integral is evaluated in closed form (full cells plus the
+    fractional cell containing t); the spectrum side goes through its
+    cumulative, so the only approximation measured is the discretization.
+    An unknown discretization raises ValueError.
+    """
+    build = _discretization(discretization)
+    grid = [float(t) for t in t_grid]
+    for t in grid:
+        if not (0.0 <= t <= 1.0):
+            raise ValueError(f"grid points must lie in [0, 1], got {t}")
+    out: dict[int, float] = {}
+    for n_raw in n_list:
+        n = int(n_raw)
+        w = build(spectrum, n).weights
+        cum = np.concatenate([[0.0], np.cumsum(w)])
+        worst = 0.0
+        for t in grid:
+            j = min(int(math.floor(t * n)), n - 1)
+            step = float(cum[j]) + n * float(w[j]) * (t - j / n)
+            worst = max(worst, abs(step - spectrum.cumulative(t)))
+        out[n] = worst
+    return out
+
+
+def table_value(table, distribution: str, scheme: str, estimator: str, metric: str) -> float:
+    for r in table.rows:
+        if (
+            r.distribution == distribution
+            and r.scheme == scheme
+            and r.estimator == estimator
+            and r.metric == metric
+        ):
+            return r.value
+    raise KeyError((distribution, scheme, estimator, metric))
 
 
 # First seven weights at alpha=2.5%, n=250, rounded to 3 decimals, and the
@@ -271,7 +396,7 @@ def test_c08_study_reproduction_at_reduced_scale():
         (table_b, "t:5", "iid", "es1", "sb", -0.8, 0.5),
     )
     for table, dist, scheme, est, metric, target, tol in pinned:
-        got = 100.0 * table.value(dist, scheme, est, metric)
+        got = 100.0 * table_value(table, dist, scheme, est, metric)
         if abs(got - target) > tol:
             failures.append(
                 f"{dist}/{scheme} {est} {metric} = {got:.2f}%, wanted {target}+-{tol}pp"
@@ -287,14 +412,14 @@ def test_c08_study_reproduction_at_reduced_scale():
     )
     for dist in NIG_LABELS:
         for scheme in ("iid", "overlapping:10"):
-            plain = [heavy.value(dist, scheme, e, "sb") for e in ("es1", "es2", "es3")]
-            lifted = [heavy.value(dist, scheme, e, "sb") for e in ("es4", "es5", "es6")]
+            plain = [table_value(heavy, dist, scheme, e, "sb") for e in ("es1", "es2", "es3")]
+            lifted = [table_value(heavy, dist, scheme, e, "sb") for e in ("es4", "es5", "es6")]
             if not max(plain) < min(lifted):
                 failures.append(f"{dist}/{scheme}: bias ordering violated")
         for est in ("es1", "es2", "es3", "es4"):
             if not (
-                heavy.value(dist, "overlapping:10", est, "sb")
-                < heavy.value(dist, "iid", est, "sb")
+                table_value(heavy, dist, "overlapping:10", est, "sb")
+                < table_value(heavy, dist, "iid", est, "sb")
             ):
                 failures.append(f"{dist} {est}: overlap bias not below iid bias")
     _report(8, "study cells at reduced replication count", failures)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_acceptance import table_value
 from test_cli import _no_compute, one_row_per_id
 
 from riskbench import bench
@@ -22,6 +23,7 @@ from riskbench.bench import (
     run_study,
 )
 from riskbench.distributions import Normal, StudentT
+from riskbench.metrics import _BLOCK
 from riskbench.sampling import RandomnessContract
 
 
@@ -38,13 +40,16 @@ def tiny_config(**overrides):
     return BenchConfig(**base)
 
 
+def names(pool):
+    # distinct entries: two that name one label are rejected
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)
+
+
 @st.composite
 def configs(draw):
     n = draw(st.integers(200, 400))
     # var1 is defined at n = 250 only
     estimators = DEFAULT_ESTIMATORS if n == 250 else DEFAULT_ESTIMATORS[1:]
-    # distinct entries: two that name one label are rejected
-    names = lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True)
     return BenchConfig(
         alpha=draw(st.floats(0.01, 0.2)),
         n=n,
@@ -278,16 +283,16 @@ class TestRunStudy:
             assert min(phases.values()) >= 0.0
 
     def test_value_lookup(self, table):
-        v = table.value("normal:0:1", "iid", "es1", "sb")
+        v = table_value(table, "normal:0:1", "iid", "es1", "sb")
         assert isinstance(v, float)
         with pytest.raises(KeyError):
-            table.value("normal:0:1", "iid", "es9", "sb")
+            table_value(table, "normal:0:1", "iid", "es9", "sb")
 
     def test_overlap_bias_is_more_negative(self, table):
         # the rolling-sum scheme starves the tail of independent scenarios
         for est in ("es1", "es2"):
-            assert table.value("normal:0:1", "overlapping:10", est, "sb") < table.value(
-                "normal:0:1", "iid", est, "sb"
+            assert table_value(table, "normal:0:1", "overlapping:10", est, "sb") < table_value(
+                table, "normal:0:1", "iid", est, "sb"
             )
 
     def test_cell_failures_carry_the_cell_tag(self, monkeypatch):
@@ -525,3 +530,31 @@ class TestDeterminism:
         a = run_study(tiny_config()).to_csv()
         b = run_study(tiny_config(seed=6)).to_csv()
         assert a != b
+
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        distributions=names(("normal:0:1", "t:5", "nig:0.4:0.14:0:1")),
+        schemes=names(("iid", "overlapping:3")),
+        estimators=names(("var1", "es1", "es2", "es3", "es6")),
+        k=st.integers(100, 700),
+        tiles=st.integers(1, 3),
+        cpus=st.integers(1, 3),
+    )
+    def test_a_group_has_the_rows_it_has_alone(
+        self, distributions, schemes, estimators, k, tiles, cpus
+    ):
+        # a group's rows depend on its cell alone: not on the groups beside
+        # it, the slice size or the CPU count; the oracle references are small
+        config = BenchConfig(
+            distributions=distributions, schemes=schemes, estimators=estimators, k=k,
+            oracle_k=20_000,
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bench, "_SLICE", tiles * _BLOCK)
+            patch.setattr(bench, "_usable_cpus", lambda: cpus)
+            grid = run_study(config).to_csv().splitlines()[1:]
+        for dist in distributions:
+            for scheme in schemes:
+                alone = dataclasses.replace(config, distributions=(dist,), schemes=(scheme,))
+                rows = run_study(alone).to_csv().splitlines()[1:]
+                assert rows == [line for line in grid if line.split(",")[:2] == [dist, scheme]]

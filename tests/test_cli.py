@@ -1,7 +1,7 @@
 # Every case here reaches src/riskbench only through riskbench.cli.main; a
 # direct call into the library runs in a subprocess. That keeps this file a
-# harness of the command line alone, which tools/reach.py runs beside the
-# acceptance battery to find the functions and knobs nothing reaches.
+# harness of the command line alone, which tools/reach.py runs to find the
+# functions and knobs that no command reaches.
 import json
 import subprocess
 import sys
@@ -76,14 +76,15 @@ class TestWeights:
         assert float(payload["sum"]) == sum(weights)
 
     def test_csv_weights(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "weights", "--estimator", "es1", "--alpha", "0.1", "--n", "50", "--csv"
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "position,weight"
-        assert len(lines) == 51
-        assert lines[1].startswith("1,")
+        for name in ("es1", "var"):
+            code, out, _ = run_cli(
+                capsys, "weights", "--estimator", name, "--alpha", "0.1", "--n", "50", "--csv"
+            )
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == "position,weight"
+            assert len(lines) == 51
+            assert lines[1].startswith("1,")
 
     def test_unknown_estimator_raises(self, usage_error):
         # weights prints weights, so it offers only the weight-based names
@@ -111,12 +112,14 @@ class TestWeights:
 
 class TestCoherence:
     def test_coherent_estimator_exits_zero(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "coherence", "--estimator", "es2", "--trials", "50", "--n", "40"
-        )
-        assert code == 0
-        assert out.count("PASS") == 6
-        assert "FAIL" not in out
+        for seed in ("0", "7"):
+            code, out, _ = run_cli(
+                capsys, "coherence", "--estimator", "es2", "--trials", "50", "--n", "40",
+                "--seed", seed,
+            )
+            assert code == 0
+            assert out.count("PASS") == 6
+            assert "FAIL" not in out
 
     def test_gaussian_plugin_exits_one_with_witness(self, capsys):
         code, out, _ = run_cli(
@@ -257,17 +260,19 @@ class TestTrueRisk:
 
 class TestConsistency:
     def test_csv_output(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "consistency", "--n", "50,200", "--reps", "10", "--seed", "1"
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "n,median_abs_error,iqr"
-        assert len(lines) == 3
-        n, med, iqr = lines[1].split(",")
-        assert int(n) == 50
-        assert float(med) > 0
-        assert float(iqr) >= 0
+        for builder in ("integral", "alternative"):
+            code, out, _ = run_cli(
+                capsys, "consistency", "--n", "50,200", "--reps", "10", "--seed", "1",
+                "--builder", builder,
+            )
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == "n,median_abs_error,iqr"
+            assert len(lines) == 3
+            n, med, iqr = lines[1].split(",")
+            assert int(n) == 50
+            assert float(med) > 0
+            assert float(iqr) >= 0
 
     # every size's weights, the level and the distribution are checked
     # before any draw; --seed fails its own type, the rest fail in the command
@@ -339,12 +344,21 @@ class TestBench:
         }))
         return str(path)
 
-    def test_stdout_csv(self, capsys, config):
-        code, out, _ = run_cli(capsys, "bench", "--config", config)
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "distribution,scheme,estimator,alpha,n,K,metric,value,mc_stderr"
-        assert len(lines) == 1 + 2 * 5
+    def test_stdout_csv(self, capsys, tmp_path, config):
+        # a t(5) draws its own sample; its 3-day sums have only an oracle reference
+        heavy = tmp_path / "heavy.json"
+        heavy.write_text(json.dumps({
+            "distributions": ["t:5"],
+            "schemes": ["iid", "overlapping:3"],
+            "estimators": ["es1"],
+            "k": 60,
+        }))
+        for argv in (["--config", config], ["--config", str(heavy), "--oracle-k", "4000"]):
+            code, out, _ = run_cli(capsys, "bench", *argv)
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == "distribution,scheme,estimator,alpha,n,K,metric,value,mc_stderr"
+            assert len(lines) == 1 + 2 * 5
 
     def test_out_file_and_table(self, capsys, tmp_path, config):
         dest = tmp_path / "rows.csv"

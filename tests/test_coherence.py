@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import monotone_simplex
+from test_acceptance import apply_l_estimator, check_cash_additivity_slope, monotone_simplex
 
 from riskbench import cli, coherence, estimators
 from riskbench.coherence import (
@@ -17,11 +17,10 @@ from riskbench.coherence import (
     NotComonotonicError,
     check_all,
     check_axiom,
-    check_cash_additivity_slope,
     extract_comonotonic_weights,
     verify_representation,
 )
-from riskbench.core import SupremumCre, WeightVector, apply_l_estimator, score_sorted_rows
+from riskbench.core import SupremumCre, WeightVector, score_sorted_rows
 from riskbench.estimators import build_estimator, expectile_rows, gaussian_plugin_rows
 
 TRIALS = 300

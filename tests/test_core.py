@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_acceptance import monotone_simplex
+from test_acceptance import apply_l_estimator, monotone_simplex, permutation_closure_oracle
 
-from riskbench.core import (
-    SupremumCre,
-    WeightVector,
-    apply_l_estimator,
-    permutation_closure_oracle,
-)
+from riskbench.core import SupremumCre, WeightVector
 
 
 class TestSample:

@@ -27,7 +27,7 @@ from riskbench.estimators import _normal_density_at_quantile
 def sample(dist, size, rng):
     """size variates of dist: its transform of its raw draws."""
     raw = tuple(np.empty(size) for _ in range(dist.RAW_ARRAYS))
-    dist.draw(rng, raw)
+    dist.draw(rng, raw, ...)
     return dist.transform(raw)
 
 

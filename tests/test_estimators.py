@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
-from test_acceptance import EXACT_SUMS, SEVEN_WEIGHTS_3DP
+from test_acceptance import EXACT_SUMS, SEVEN_WEIGHTS_3DP, apply_l_estimator
 
 from riskbench import estimators
 from riskbench.bench import DEFAULT_ESTIMATORS
-from riskbench.core import WeightVector, apply_l_estimator
+from riskbench.core import WeightVector
 from riskbench.estimators import (
     ESTIMATORS,
     SpectrumSpec,

@@ -4,9 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
+from test_acceptance import apply_l_estimator
 from test_distributions import nig_mixture, sample
 
-from riskbench.core import apply_l_estimator, score_sorted_rows
+from riskbench.core import score_sorted_rows
 from riskbench.distributions import (
     Nig,
     Normal,

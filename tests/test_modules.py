@@ -1,6 +1,7 @@
 """Each public name is declared once, in the module that defines it: no
 module lists its names again in `__all__`, and every import inside the
-package takes a name from the module whose own code binds it."""
+package takes a name from the module whose own code binds it. No module
+imports the tests or their tools: test oracles live beside the tests."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,15 @@ def test_package_imports_name_the_defining_module(module):
         if alias.name not in _defined(MODULES[node.module])
     ]
     assert not borrowed, f"{module}.py imports names their module does not define: {borrowed}"
+
+
+@pytest.mark.parametrize("module", sorted(MODULES))
+def test_no_module_imports_the_tests(module):
+    test_code = {path.stem for path in Path(__file__).parent.glob("*.py")} | {"pytest", "hypothesis"}
+    imported = {
+        (alias.name if isinstance(node, ast.Import) else node.module).split(".")[0]
+        for node in ast.walk(MODULES[module])
+        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.level == 0
+        for alias in node.names
+    }
+    assert not imported & test_code, f"{module}.py imports {sorted(imported & test_code)}"
