@@ -123,21 +123,31 @@ def _deck(n: int) -> list[np.ndarray]:
     return vecs
 
 
-def _random_probes(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
-    """Normal rows at random scales in [0.1, 100]; every fifth row heavy-tailed."""
-    probes = rng.standard_normal((trials, n))
+def _probes(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
+    """The deck, then `trials` normal rows at random scales in [0.1, 100],
+    every fifth heavy-tailed, drawn in place: one (deck + trials) x n array."""
+    deck = _deck(n)
+    probes = np.empty((len(deck) + trials, n))
+    probes[: len(deck)] = deck
+    drawn = probes[len(deck) :]
+    rng.standard_normal(out=drawn)
     scales = 10.0 ** rng.uniform(-1.0, 2.0, size=(trials, 1))
-    probes *= scales
+    drawn *= scales
     heavy = rng.random(trials) < 0.2
     if np.any(heavy):
-        probes[heavy] = rng.standard_t(2.0, size=(int(heavy.sum()), n)) * scales[heavy]
+        drawn[heavy] = rng.standard_t(2.0, size=(int(heavy.sum()), n)) * scales[heavy]
     return probes
 
 
-# Probes are scored in blocks of at most this many floats (262 rows at n = 250)
-# but drawn up front, one trials x n array: drawing them block by block would
-# move the probe stream and every witness found on it.
-_BLOCK_FLOATS = 1 << 16
+# Probes are scored in blocks of at most this many floats (65 rows at n = 250)
+# but drawn up front, one (deck + trials) x n array: drawing them block by
+# block would move the probe stream and every witness found on it. malloc
+# serves a 128 KB block from the chunks the last block freed, and a block
+# with its temporaries fits a 2 MB L2 cache. At 1 << 16 each block and its
+# temporaries were fresh mmaps: one pass of the `axioms` benchmark
+# workload's coherence commands took about 28 600 minor page faults rather
+# than 700 (2-core Xeon, numpy 2.4.6, glibc malloc).
+_BLOCK_FLOATS = 1 << 14
 
 
 def _rows(estimator: Estimator) -> Estimator:
@@ -235,8 +245,8 @@ def _monotonicity_cases(probes: np.ndarray, rng: np.random.Generator):
         bump = np.empty_like(lo)
         coin = np.empty_like(lo)
         for i in range(len(lo)):
-            bump[i] = rng.standard_normal(n)
-            coin[i] = rng.random(n)
+            rng.standard_normal(out=bump[i])
+            rng.random(out=coin[i])
         bump = np.abs(bump) * (1.0 + 0.1 * _max_abs(lo))[:, None]
         hi = lo + np.where(coin < 0.5, bump, 0.0)
         yield hi, lo, _tols(_max_abs(hi), _max_abs(lo))
@@ -358,7 +368,8 @@ def check_axiom(
         axiom: one of AXIOMS.
         n: probe dimension, n >= 1.
         trials: number of randomized probes after the deck, drawn up front
-            into one (deck + trials) x n array and scored in blocks.
+            and in place into one (deck + trials) x n array, then scored in
+            blocks of at most _BLOCK_FLOATS floats (65 rows at n = 250).
         seed: probe stream seed; identical seeds replay identical probes.
 
     Returns:
@@ -372,7 +383,7 @@ def check_axiom(
     if trials < 0:
         raise ValueError("trials must be non-negative")
     rng = np.random.default_rng(seed)
-    probes = np.vstack([_deck(n), _random_probes(rng, trials, n)])
+    probes = _probes(rng, trials, n)
     witness = _scan(axiom, _rows(estimator), probes, rng)
     return AxiomCheck(axiom=axiom, passed=witness is None, trials=len(probes), witness=witness)
 
@@ -413,7 +424,7 @@ def verify_representation(
     on the deck plus random probes drawn from seed 0."""
     n = weights.n
     rng = np.random.default_rng(0)
-    probes = np.vstack([_deck(n), _random_probes(rng, trials, n)])
+    probes = _probes(rng, trials, n)
     score = _rows(estimator)
     for x in _probe_blocks(probes, 1):
         got = score(x)

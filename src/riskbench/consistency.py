@@ -53,6 +53,22 @@ class ConsistencyRow:
     iqr: float
 
 
+def _quartiles(errors: np.ndarray) -> tuple[float, float, float]:
+    """The 25th, 50th and 75th percentiles of at least two values, bit for bit
+    as np.percentile's default 'linear' method interpolates them (its _lerp),
+    without the import of numpy.ma that its first call waits on."""
+    s = np.sort(errors)
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        pos = (len(s) - 1) * q
+        i = int(pos)
+        t = pos - i
+        a, b = float(s[i]), float(s[i + 1])
+        d = b - a
+        out.append(b - d * (1.0 - t) if t >= 0.5 else a + d * t)
+    return tuple(out)
+
+
 def _score_part(dist, weights, reference, contract, tag, errors, part) -> None:
     """Write errors[rep] = |score of the sample drawn from stream (tag, rep)
     - reference| for each rep in range(*part), through a keyed generator and
@@ -127,8 +143,8 @@ def empirical_consistency(
             # reading every result raises the first failed part's error
             for _ in (map if pool is None else pool.map)(score, zip(bounds, bounds[1:])):
                 pass
-            q25, q50, q75 = np.percentile(errors, [25.0, 50.0, 75.0])
-            rows.append(ConsistencyRow(n=n, median_abs_error=float(q50), iqr=float(q75 - q25)))
+            q25, q50, q75 = _quartiles(errors)
+            rows.append(ConsistencyRow(n=n, median_abs_error=q50, iqr=q75 - q25))
     finally:
         if pool is not None:
             pool.shutdown()

@@ -148,11 +148,7 @@ class TestBlockScoring:
         spec = build_estimator(name, alpha, n)
         rng = np.random.default_rng(n)
         block = np.vstack(
-            [
-                coherence._deck(n),
-                coherence._random_probes(rng, 200, n),
-                np.round(rng.standard_normal((20, n)), 1),
-            ]
+            [coherence._probes(rng, 200, n), np.round(rng.standard_normal((20, n)), 1)]
         )
         got = spec.rows(block)
         want = by_row(lambda x: apply_l_estimator(spec.weights, x))(block)
@@ -252,7 +248,7 @@ class TestBlockScoring:
         )
         # the supremum spelled out one sample at a time, apart from the kernel
         per_row = by_row(lambda x: max(-np.dot(w.weights, np.sort(x)) for w in m.candidates))
-        block = np.vstack([coherence._deck(n), coherence._random_probes(rng, 300, n)])
+        block = coherence._probes(rng, 300, n)
         want = per_row(block)
         scale = np.max(np.abs(block), axis=1)
         assert np.all(np.abs(m.rows(block) - want) <= 1e-12 * (1.0 + scale))
@@ -462,25 +458,63 @@ class TestRepresentation:
         assert issubclass(NotComonotonicError, ValueError)
 
 
-def test_reports_do_not_depend_on_the_block_budget(monkeypatch):
-    # the probe stream is drawn up front and each case's draws run in one
-    # fixed order, so how the probes are split into blocks moves no report
-    cases = [
-        (build_estimator("es1", 0.025, 100).rows, 100),
-        (build_estimator("es3", 0.2, 10).rows, 10),
-    ] + [
-        (functools.partial(kernel, alpha), n)
-        for alpha, n in ((0.1, 40), (0.025, 250))
-        for kernel in (expectile_rows, gaussian_plugin_rows)
-    ]
+@pytest.mark.parametrize("probe", AXIOMS + ("extract",))
+def test_every_scored_block_fits_the_budget(probe):
+    # a relation's stacked rows, a shift's or scaling's cases and the
+    # extraction ladder's blocks each stay within _BLOCK_FLOATS floats
+    n = 250
+    spec = build_estimator("es1", 0.025, n)
+    sizes = []
 
-    def reports():
-        return [
+    def recorded(block):
+        sizes.append(block.size)
+        return spec.rows(block)
+
+    if probe == "extract":
+        extract_comonotonic_weights(recorded, n)
+    else:
+        assert check_axiom(recorded, probe, n, trials=TRIALS, seed=0).passed
+    assert len(sizes) > 2
+    assert max(sizes) <= coherence._BLOCK_FLOATS
+
+
+def test_reports_do_not_depend_on_the_block_budget(monkeypatch, capsys):
+    # the probe stream is drawn up front and each case's draws run in one
+    # fixed order, so how the probes are split into blocks moves no report;
+    # every pin was recorded at 1 << 16. A BLAS-scored row's last bits may
+    # depend on the block it sits in, so es4's witness and the weights that
+    # `extract` prints are compared too
+    cases = (
+        [
+            (build_estimator(name, alpha, n).rows, n)
+            for name in ("es1", "es2", "es3")
+            for alpha, n in ((0.2, 10), (0.025, 100), (0.025, 250))
+        ]
+        + [(build_estimator("es4", 0.025, 250).rows, 250)]
+        + [
+            (functools.partial(kernel, alpha), n)
+            for alpha, n in ((0.1, 40), (0.025, 250))
+            for kernel in (expectile_rows, gaussian_plugin_rows)
+        ]
+    )
+
+    def outputs():
+        reports = [
             check_all(fn, n, trials=TRIALS, seed=seed).to_json()
             for fn, n in cases
             for seed in (42, 1729)
         ]
+        extracted = []
+        for name in ("var1", "es1", "es2", "es3", "es4", "es5", "es6"):
+            rc = cli.main(["extract", "--estimator", name, "--n", "250"])
+            extracted.append((rc, *capsys.readouterr()))
+        return reports, extracted
 
-    default = reports()
-    monkeypatch.setattr(coherence, "_BLOCK_FLOATS", 1 << 12)
-    assert reports() == default
+    default = outputs()
+    # es4's reports, after the nine es1-es3 cases at two seeds each, carry
+    # witnesses
+    assert all('"witness"' in report for report in default[0][18:20])
+    assert [rc for rc, _, _ in default[1]] == [1, 0, 0, 0, 1, 1, 1]
+    for budget in (1 << 12, 1 << 16):
+        monkeypatch.setattr(coherence, "_BLOCK_FLOATS", budget)
+        assert outputs() == default

@@ -158,6 +158,19 @@ class TestEmpirical:
             rows = empirical_consistency(TailReversedNormal(), *ladder)
             assert rows == empirical_consistency(Normal(), *ladder)
 
+    def test_quartiles_match_numpy_percentile_bit_for_bit(self):
+        # errors of every size a ladder may have, over twelve decades of
+        # magnitude, some rounded so that neighbours tie
+        rng = np.random.default_rng(38)
+        for size in range(2, 300):
+            for _ in range(6):
+                errors = np.abs(rng.standard_normal(size)) * 10.0 ** rng.uniform(-12.0, 3.0)
+                if rng.random() < 0.3:
+                    errors = np.round(errors, int(rng.integers(0, 3)))
+                want = np.percentile(errors, [25.0, 50.0, 75.0])
+                got = consistency._quartiles(errors)
+                assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
     def test_a_ladder_leaves_no_thread_behind(self, monkeypatch):
         # a study forks its workers only while no other thread is alive, so
         # a leaked pool thread would make every later study serial

@@ -28,8 +28,10 @@ machine in one session. A record holds:
   process and the median of its peak resident set (ru_maxrss) in MB;
 - the axiom battery: for es1, expvar and gaussian, `riskbench coherence
   --json` at n = 250, 300 trials, seed 42, in one fresh process: the median
-  seconds over COHERENCE_RUNS runs, the estimator evaluations (probe rows
-  scored) per run, and evaluations per second at that median;
+  seconds and the median minor page faults (ru_minflt) over COHERENCE_RUNS
+  runs, the estimator evaluations (probe rows scored) per run, evaluations
+  per second at that median, and the sha256 of the report, which every run
+  must repeat;
 - the consistency ladder: the `axioms` workload's `riskbench consistency`
   command (LADDER_ARGV) through `cli.main`, in one fresh process on every
   usable CPU and in another pinned to one CPU by its affinity mask: the
@@ -109,10 +111,11 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 STARTUP_RUNS = 7
 
 # Run in a fresh interpreter: argv[1] is the tree's src directory. Times
-# each battery of COHERENCE_ARGV through cli.main, stdout discarded, and
-# counts the rows that coherence._rows' scorers are handed.
+# each battery of COHERENCE_ARGV through cli.main, counts its minor page
+# faults and the rows that coherence._rows' scorers are handed, and fails
+# when two runs print different reports.
 COHERENCE_CHILD = r"""
-import contextlib, io, json, statistics, sys, time
+import contextlib, hashlib, io, json, resource, statistics, sys, time
 sys.path.insert(0, sys.argv[1])
 from riskbench import cli, coherence
 
@@ -129,16 +132,24 @@ coherence._rows = counted
 out = {}
 for name in json.loads(sys.argv[2]):
     argv = ["coherence", "--estimator", name, *json.loads(sys.argv[3])]
-    seconds = []
+    seconds, faults, digests = [], [], set()
     for _ in range(int(sys.argv[4])):
         evals[0] = 0
+        report = io.StringIO()
+        minflt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
-        with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stdout(report):
             rc = cli.main(argv)
         seconds.append(time.perf_counter() - start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - minflt)
+        digests.add(hashlib.sha256(report.getvalue().encode()).hexdigest())
+    if len(digests) != 1:
+        sys.exit(f"{name}: runs printed different reports: {sorted(digests)}")
     median = statistics.median(seconds)
     out[name] = {"exit_status": rc, "seconds": round(median, 4), "evals": evals[0],
-                 "evals_per_s": round(evals[0] / median)}
+                 "evals_per_s": round(evals[0] / median),
+                 "minor_faults": round(statistics.median(faults)),
+                 "report_sha256": digests.pop()}
 print(json.dumps(out))
 """
 COHERENCE_ESTIMATORS = ("es1", "expvar", "gaussian")
