@@ -145,8 +145,8 @@ def _probes(rng: np.random.Generator, trials: int, n: int) -> np.ndarray:
 # serves a 128 KB block from the chunks the last block freed, and a block
 # with its temporaries fits a 2 MB L2 cache. At 1 << 16 each block and its
 # temporaries were fresh mmaps: one pass of the `axioms` benchmark
-# workload's coherence commands took about 28 600 minor page faults rather
-# than 700 (2-core Xeon, numpy 2.4.6, glibc malloc).
+# workload's coherence commands took about 29 000 minor page faults rather
+# than a few hundred (2-core Xeon, numpy 2.4.6, glibc malloc).
 _BLOCK_FLOATS = 1 << 14
 
 
