@@ -21,17 +21,15 @@ import numpy as np
 
 from .bench import BenchConfig, _flagged, format_metric_table, run_study
 from .coherence import NotComonotonicError, check_all, extract_comonotonic_weights
-from .consistency import DISCRETIZATIONS, empirical_consistency
+from .consistency import DISCRETIZATIONS, empirical_consistency, es_spectrum, uniform_spectrum
 from .distributions import DEFAULT_ORACLE_K, check_oracle_k, parse_dist, true_risk
 from .estimators import (
     ESTIMATORS,
     LEstimatorSpec,
     _check_level,
     build_estimator,
-    es_spectrum,
     expectile_rows,
     gaussian_plugin_rows,
-    uniform_spectrum,
 )
 
 
@@ -220,9 +218,7 @@ def _cmd_consistency(args) -> int:
         spectrum = uniform_spectrum()
     for n in args.n:  # each size's weights must exist before any draw
         _flagged("--n", DISCRETIZATIONS[args.builder], spectrum, n)
-    rows = empirical_consistency(
-        dist, spectrum, args.builder, args.alpha, args.n, reps=args.reps, seed=args.seed
-    )
+    rows = empirical_consistency(dist, spectrum, args.builder, args.n, args.reps, args.seed)
     print("n,median_abs_error,iqr")
     for row in rows:
         print(f"{row.n},{row.median_abs_error!r},{row.iqr!r}")

@@ -26,6 +26,9 @@ Estimator = Callable[[np.ndarray], np.ndarray]  # an (m, n) block to its m value
 # scale is the largest magnitude among the probe inputs involved.
 VIOLATION_RTOL = 1e-9
 
+# Random probes after the deck with which verify_representation checks weights.
+VERIFY_TRIALS = 64
+
 
 class NotComonotonicError(ValueError):
     """The probed estimator is not a comonotonic law-invariant CRE."""
@@ -415,16 +418,12 @@ class VerificationResult:
         return self.estimate - self.represented
 
 
-def verify_representation(
-    estimator: Estimator,
-    weights: WeightVector,
-    trials: int = 200,
-) -> VerificationResult:
+def verify_representation(estimator: Estimator, weights: WeightVector) -> VerificationResult:
     """Check that the estimator scores every probe x as -<weights, sort(x)>,
-    on the deck plus random probes drawn from seed 0."""
+    on the deck plus VERIFY_TRIALS random probes drawn from seed 0."""
     n = weights.n
     rng = np.random.default_rng(0)
-    probes = _probes(rng, trials, n)
+    probes = _probes(rng, VERIFY_TRIALS, n)
     score = _rows(estimator)
     for x in _probe_blocks(probes, 1):
         got = score(x)
@@ -447,10 +446,10 @@ def extract_comonotonic_weights(estimator: Estimator, n: int) -> WeightVector:
 
     The increments must be non-negative, non-increasing, and sum to 1
     within VIOLATION_RTOL. The recovered weights are then probed against
-    the estimator (verify_representation, 64 random probes after the deck),
-    so estimators that merely look order-statistic on the ladder
-    (sample-dependent weights, suprema over several vectors) are rejected
-    rather than silently misrepresented.
+    the estimator (verify_representation: the deck, then VERIFY_TRIALS
+    random probes), so estimators that merely look order-statistic on the
+    ladder (sample-dependent weights, suprema over several vectors) are
+    rejected rather than silently misrepresented.
 
     Raises:
         NotComonotonicError: any of the checks above fails.
@@ -489,7 +488,7 @@ def extract_comonotonic_weights(estimator: Estimator, n: int) -> WeightVector:
         a = a / np.sum(a)
     weights = WeightVector(a, monotone_flag=True)
 
-    res = verify_representation(estimator, weights, trials=64)
+    res = verify_representation(estimator, weights)
     if not res.passed:
         raise NotComonotonicError(
             "probe-ladder weights do not reproduce the estimator: defect "

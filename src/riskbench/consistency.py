@@ -1,10 +1,11 @@
-"""Consistency diagnostics for spectral weight approximations.
+"""Risk spectra, their discretizations and the consistency ladder.
 
-A weight builder n -> a_{.,n} induces the step density phi_n(t) = n * a_{i,n}
-on ((i-1)/n, i/n]. Consistency of the estimators -<a, s(x)> toward the
-spectral risk value needs the partial integrals of phi_n to track those of
-phi; here the estimators' error is measured on a ladder of growing sample
-sizes.
+A spectrum phi carries the closed forms of its integrals and its spectral
+risk rho_phi(X) = -int phi(u) Q_X(u) du. A weight builder n -> a_{.,n}
+induces the step density phi_n(t) = n * a_{i,n} on ((i-1)/n, i/n].
+Consistency of the estimators -<a, s(x)> toward rho_phi needs the partial
+integrals of phi_n to track those of phi; here the estimators' error is
+measured on a ladder of growing sample sizes.
 """
 
 from __future__ import annotations
@@ -18,8 +19,104 @@ import numpy as np
 from .bench import _usable_cpus
 from .core import WeightVector, score_sorted_rows
 from .distributions import true_risk
-from .estimators import SpectrumSpec, build_spectral_weights, build_spectral_weights_alt
+from .estimators import _check_level, _check_size, _es2_weight_array
 from .sampling import RandomnessContract
+
+_SPECTRUM_GRID = np.concatenate(
+    [np.geomspace(1e-8, 1e-3, 24, endpoint=False), np.linspace(1e-3, 1.0, 1025)]
+)
+
+
+@dataclass(frozen=True, eq=False)
+class SpectrumSpec:
+    """A risk spectrum: non-increasing, non-negative density on (0,1], unit
+    mass, carried with the closed forms of its integrals and of its risk.
+
+    The declared properties are checked on a fixed validation grid at
+    construction, and the mass through `integral(1)`.
+
+    Attributes:
+        evaluator: pointwise phi(t) for t in (0, 1].
+        name: short identifier, used by the CLI.
+        risk: law -> rho_phi = -int_0^1 phi(u) Q(u) du, the spectral risk
+            that the estimators of its discretizations converge to.
+        cells: n -> (int over ((i-1)/n, i/n] of phi)_i, the per-cell integrals.
+        integral: t -> int_0^t phi.
+    """
+
+    evaluator: Callable[[float], float]
+    name: str
+    risk: Callable[[object], float]
+    cells: Callable[[int], np.ndarray]
+    integral: Callable[[float], float]
+
+    def __post_init__(self):
+        vals = np.array([self.evaluator(float(t)) for t in _SPECTRUM_GRID])
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("spectrum must be finite on (0, 1]")
+        if np.any(vals < 0.0):
+            raise ValueError("spectrum must be non-negative")
+        tol = 1e-9 * (1.0 + float(np.max(vals)))
+        if np.any(np.diff(vals) > tol):
+            raise ValueError("spectrum must be non-increasing on (0, 1]")
+        mass = self.cumulative(1.0)
+        if abs(mass - 1.0) > 1e-8:
+            raise ValueError(f"spectrum must integrate to 1 within 1e-8, got {mass!r}")
+
+    def cumulative(self, t: float) -> float:
+        """int_0^t phi, by the closed form."""
+        if not (0.0 <= t <= 1.0):
+            raise ValueError(f"t must lie in [0, 1], got {t}")
+        if t == 0.0:
+            return 0.0
+        return float(self.integral(t))
+
+
+def es_spectrum(alpha: float) -> SpectrumSpec:
+    """The expected-shortfall spectrum: (1/alpha) on (0, alpha], 0 above,
+    whose risk is the true ES at alpha."""
+    _check_level(alpha)
+    inv = 1.0 / alpha
+
+    def phi(t: float) -> float:
+        return inv if t <= alpha else 0.0
+
+    return SpectrumSpec(
+        evaluator=phi,
+        name="es",
+        risk=lambda dist: true_risk(dist, alpha).es_alpha,
+        cells=lambda n: _es2_weight_array(alpha, n),
+        integral=lambda t: min(t, alpha) / alpha,
+    )
+
+
+def uniform_spectrum() -> SpectrumSpec:
+    """The flat spectrum phi = 1: the sample-mean functional, whose risk is
+    -E[X]."""
+    return SpectrumSpec(
+        evaluator=lambda t: 1.0,
+        name="uniform",
+        risk=lambda dist: -dist.mean,
+        cells=lambda n: np.full(n, 1.0 / n),
+        integral=lambda t: t,
+    )
+
+
+def build_spectral_weights(spectrum: SpectrumSpec, n: int) -> WeightVector:
+    """Discretize a spectrum by its per-cell integrals a_i = int over ((i-1)/n, i/n]."""
+    _check_size(n)
+    return WeightVector(spectrum.cells(n), monotone_flag=True)
+
+
+def build_spectral_weights_alt(spectrum: SpectrumSpec, n: int) -> WeightVector:
+    """Discretize by right-endpoint evaluation: a_i = phi(i/n) / sum_k phi(k/n)."""
+    _check_size(n)
+    raw = np.array([spectrum.evaluator(i / n) for i in range(1, n + 1)])
+    total = float(np.sum(raw))
+    if total <= 0.0:
+        raise ValueError("spectrum vanishes at every grid point i/n")
+    return WeightVector(raw / total, monotone_flag=True)
+
 
 # name -> (spectrum, n) -> size-n weights: cell integrals or right endpoints
 DISCRETIZATIONS: dict[str, Callable[[SpectrumSpec, int], WeightVector]] = {
@@ -33,17 +130,6 @@ def _discretization(name: str) -> Callable[[SpectrumSpec, int], WeightVector]:
         known = sorted(DISCRETIZATIONS)
         raise ValueError(f"unknown discretization {name!r}; expected one of {known}")
     return DISCRETIZATIONS[name]
-
-
-def _target(dist, spectrum: SpectrumSpec, alpha: float) -> float:
-    """The risk a spectrum's estimators converge to: the true ES at alpha for
-    'es', and -E[X], the sample mean's limit, for 'uniform' (the Student-t
-    here is the standard, centred one)."""
-    if spectrum.name == "es":
-        return true_risk(dist, alpha).es_alpha
-    if spectrum.name != "uniform":
-        raise ValueError(f"no target for spectrum {spectrum.name!r}; expected 'es' or 'uniform'")
-    return -dist.mean
 
 
 @dataclass(frozen=True)
@@ -97,18 +183,16 @@ def empirical_consistency(
     dist,
     spectrum: SpectrumSpec,
     discretization: str,
-    alpha: float,
     n_list: Sequence[int],
     reps: int,
     seed: int,
 ) -> list[ConsistencyRow]:
-    """Median |estimate - target| per sample size, over independent replications.
+    """Median |estimate - risk| per sample size, over independent replications.
 
     Size n scores the named discretization of spectrum (ValueError when
     unknown) on samples from the stream "consistency|{spectrum.name}-
-    {discretization}|n={n}". Each spectrum is scored against its own
-    target: true_risk(dist, alpha).es_alpha for 'es', and -E[X] for
-    'uniform', which ignores alpha.
+    {discretization}|n={n}", against the spectrum's own risk,
+    spectrum.risk(dist), taken once per ladder.
 
     Each size's replications split into one contiguous part per usable CPU,
     at most one per replication. One part runs in the calling thread; more
@@ -122,7 +206,7 @@ def empirical_consistency(
         raise ValueError("need at least one sample size")
     if reps < 2:
         raise ValueError("need at least two replications per size")
-    reference = _target(dist, spectrum, alpha)
+    reference = spectrum.risk(dist)
     contract = RandomnessContract(seed)
     parts = min(_usable_cpus(), reps)
     bounds = [reps * i // parts for i in range(parts + 1)]

@@ -1,10 +1,9 @@
 """Concrete tail-risk estimators and their order-statistic weight vectors.
 
 Six expected-shortfall estimators, two value-at-risk estimators, a Gaussian
-moment plug-in, an expectile-based estimator, and spectral discretizations.
-All order-statistic estimators are materialized as full-length weight
-arrays (zeros beyond the tail) so they can be compared and fed to the
-coherence machinery uniformly.
+moment plug-in and an expectile-based estimator. All order-statistic
+estimators are materialized as full-length weight arrays (zeros beyond the
+tail) so they can be compared and fed to the coherence machinery uniformly.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import WeightVector, score_sorted_rows, simplex_defect
+from .core import score_sorted_rows, simplex_defect
 
 # Tail-trim shape parameter for the inflated variants (#4, #6).
 DEFAULT_XI = 1.0 / 3.0
@@ -378,99 +377,3 @@ def expectile_rows(alpha: float, block) -> np.ndarray:
         raise RuntimeError(f"expectile residual {r!r} exceeds tolerance at scale {c!r}")
     return -root
 
-
-# ---------------------------------------------------------------------------
-# Spectral weights
-
-
-_SPECTRUM_GRID = np.concatenate(
-    [np.geomspace(1e-8, 1e-3, 24, endpoint=False), np.linspace(1e-3, 1.0, 1025)]
-)
-
-
-@dataclass(frozen=True, eq=False)
-class SpectrumSpec:
-    """A risk spectrum: non-increasing, non-negative density on (0,1], unit
-    mass, carried with the closed forms of its integrals.
-
-    The declared properties are checked on a fixed validation grid at
-    construction, and the mass through `integral(1)`.
-
-    Attributes:
-        evaluator: pointwise phi(t) for t in (0, 1].
-        name: short identifier, used by the CLI.
-        sup_bound: sup of phi.
-        cells: n -> (int over ((i-1)/n, i/n] of phi)_i, the per-cell integrals.
-        integral: t -> int_0^t phi.
-    """
-
-    evaluator: Callable[[float], float]
-    name: str
-    sup_bound: float
-    cells: Callable[[int], np.ndarray]
-    integral: Callable[[float], float]
-
-    def __post_init__(self):
-        vals = np.array([self.evaluator(float(t)) for t in _SPECTRUM_GRID])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("spectrum must be finite on (0, 1]")
-        if np.any(vals < 0.0):
-            raise ValueError("spectrum must be non-negative")
-        tol = 1e-9 * (1.0 + float(np.max(vals)))
-        if np.any(np.diff(vals) > tol):
-            raise ValueError("spectrum must be non-increasing on (0, 1]")
-        mass = self.cumulative(1.0)
-        if abs(mass - 1.0) > 1e-8:
-            raise ValueError(f"spectrum must integrate to 1 within 1e-8, got {mass!r}")
-
-    def cumulative(self, t: float) -> float:
-        """int_0^t phi, by the closed form."""
-        if not (0.0 <= t <= 1.0):
-            raise ValueError(f"t must lie in [0, 1], got {t}")
-        if t == 0.0:
-            return 0.0
-        return float(self.integral(t))
-
-
-def es_spectrum(alpha: float) -> SpectrumSpec:
-    """The expected-shortfall spectrum: (1/alpha) on (0, alpha], 0 above."""
-    _check_level(alpha)
-    inv = 1.0 / alpha
-
-    def phi(t: float) -> float:
-        return inv if t <= alpha else 0.0
-
-    return SpectrumSpec(
-        evaluator=phi,
-        name="es",
-        sup_bound=inv,
-        cells=lambda n: _es2_weight_array(alpha, n),
-        integral=lambda t: min(t, alpha) / alpha,
-    )
-
-
-def uniform_spectrum() -> SpectrumSpec:
-    """The flat spectrum phi = 1: the sample-mean functional."""
-    return SpectrumSpec(
-        evaluator=lambda t: 1.0,
-        name="uniform",
-        sup_bound=1.0,
-        cells=lambda n: np.full(n, 1.0 / n),
-        integral=lambda t: t,
-    )
-
-
-def build_spectral_weights(spectrum: SpectrumSpec, n: int) -> WeightVector:
-    """Discretize a spectrum by its per-cell integrals a_i = int over ((i-1)/n, i/n]."""
-    _check_size(n)
-    return WeightVector(spectrum.cells(n), monotone_flag=True)
-
-
-def build_spectral_weights_alt(spectrum: SpectrumSpec, n: int) -> WeightVector:
-    """Discretize by right-endpoint evaluation: a_i = phi(i/n) / sum_k phi(k/n)."""
-    _check_size(n)
-    raw = np.array([spectrum.evaluator(i / n) for i in range(1, n + 1)])
-    total = float(np.sum(raw))
-    if total <= 0.0:
-        raise ValueError("spectrum vanishes at every grid point i/n")
-    return WeightVector(raw / total, monotone_flag=True)

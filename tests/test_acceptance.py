@@ -22,18 +22,17 @@ from riskbench.coherence import (
     check_axiom,
     extract_comonotonic_weights,
 )
-from riskbench.consistency import _discretization, empirical_consistency
-from riskbench.core import SupremumCre, WeightVector, _as_vector, score_sorted_rows
-from riskbench.distributions import HorizonSum, parse_dist, true_risk
-from riskbench.estimators import (
+from riskbench.consistency import (
     SpectrumSpec,
-    build_estimator,
+    _discretization,
     build_spectral_weights,
     build_spectral_weights_alt,
+    empirical_consistency,
     es_spectrum,
-    expectile_rows,
-    gaussian_plugin_rows,
 )
+from riskbench.core import SupremumCre, WeightVector, _as_vector, score_sorted_rows
+from riskbench.distributions import HorizonSum, parse_dist, true_risk
+from riskbench.estimators import build_estimator, expectile_rows, gaussian_plugin_rows
 from riskbench.metrics import _BLOCK
 
 ALPHA = 0.025
@@ -430,7 +429,7 @@ def test_c09_consistency_ladder():
     spectrum = es_spectrum(ALPHA)
     n_list = (100, 1000, 10_000, 100_000)
     rows = empirical_consistency(
-        parse_dist("normal:0:1"), spectrum, "integral", ALPHA, n_list, reps=50, seed=9
+        parse_dist("normal:0:1"), spectrum, "integral", n_list, reps=50, seed=9
     )
     medians = [row.median_abs_error for row in rows]
     for earlier, later in zip(medians, medians[1:]):
@@ -439,7 +438,7 @@ def test_c09_consistency_ladder():
             break
     if not medians[-1] < 0.02:
         failures.append(f"median error {medians[-1]!r} at n=100000 not under 0.02")
-    sup = spectrum.sup_bound
+    sup = 1.0 / ALPHA
     grid = sorted(
         set(np.linspace(0.0, 1.0, 201))
         | {(np.floor(ALPHA * n) + 0.5) / n for n in n_list}

@@ -12,6 +12,7 @@ from test_acceptance import apply_l_estimator, check_cash_additivity_slope, mono
 from riskbench import cli, coherence, estimators
 from riskbench.coherence import (
     AXIOMS,
+    VERIFY_TRIALS,
     VIOLATION_RTOL,
     CoherenceReport,
     NotComonotonicError,
@@ -347,13 +348,14 @@ class TestRepresentation:
     def test_verify_accepts_matching_pair(self):
         spec = build_estimator("es2", 0.05, 30)
         weights = WeightVector(spec.weights, monotone_flag=True)
-        res = verify_representation(spec.rows, weights, trials=100)
+        res = verify_representation(spec.rows, weights)
         assert res.passed
+        assert res.trials == 10 + VERIFY_TRIALS  # the deck, then the random probes
 
     def test_verify_rejects_wrong_weights(self):
         spec = build_estimator("es2", 0.05, 30)
         wrong = WeightVector(np.full(30, 1.0 / 30.0))
-        res = verify_representation(spec.rows, wrong, trials=100)
+        res = verify_representation(spec.rows, wrong)
         assert not res.passed
         assert res.sample is not None
 
@@ -363,7 +365,7 @@ class TestRepresentation:
         # the reported defect
         spec = build_estimator("es2", 0.1, 20)
         uniform = WeightVector(np.full(20, 1.0 / 20.0))
-        res = verify_representation(spec.rows, uniform, trials=100)
+        res = verify_representation(spec.rows, uniform)
         assert not res.passed
         assert spec.rows(res.sample[None])[0] == res.estimate
         assert score_sorted_rows(uniform.weights, np.sort(res.sample)[None])[0] == res.represented
@@ -377,7 +379,9 @@ class TestRepresentation:
         assert np.allclose(got.weights, spec.weights, atol=1e-12)
 
     def test_extraction_memory_stays_flat_in_the_ladder(self):
-        # the whole (n + 1) x n ladder at n = 2 000 would take 32 MB, twice
+        # the whole (n + 1) x n ladder at n = 2 000 would take 32 MB, twice;
+        # the blocks keep the traced peak at 1.9 MB (2.6 MB in a fresh
+        # process), so a doubling fails
         n = 2000
         spec = build_estimator("es1", 0.025, n)
         tracemalloc.start()
@@ -386,7 +390,7 @@ class TestRepresentation:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 3e6
         assert np.allclose(got.weights, spec.weights, atol=1e-12)
 
     def test_extraction_scores_the_ladder_in_probe_blocks(self):

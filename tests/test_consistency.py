@@ -7,15 +7,16 @@ from test_bench import tiny_config
 from test_distributions import sample
 
 from riskbench import bench, consistency
-from riskbench.consistency import ConsistencyRow, empirical_consistency
-from riskbench.distributions import Nig, Normal, StudentT, parse_dist, true_risk
-from riskbench.estimators import (
+from riskbench.consistency import (
+    ConsistencyRow,
     SpectrumSpec,
     build_spectral_weights,
     build_spectral_weights_alt,
+    empirical_consistency,
     es_spectrum,
     uniform_spectrum,
 )
+from riskbench.distributions import Nig, Normal, StudentT, parse_dist, true_risk
 from riskbench.sampling import RandomnessContract
 
 ALPHA = 0.025
@@ -59,7 +60,7 @@ class TestEmpirical:
     def test_median_error_ladder_decreases(self):
         spectrum = es_spectrum(ALPHA)
         rows = empirical_consistency(
-            Normal(), spectrum, "integral", ALPHA, [100, 1000, 10_000], reps=30, seed=0
+            Normal(), spectrum, "integral", [100, 1000, 10_000], reps=30, seed=0
         )
         assert [r.n for r in rows] == [100, 1000, 10_000]
         meds = [r.median_abs_error for r in rows]
@@ -71,7 +72,7 @@ class TestEmpirical:
         # the sample mean is scored against -E[X], so its error shrinks like
         # 1/sqrt(n) instead of levelling off at the distance to the ES
         rows = empirical_consistency(
-            parse_dist(dist), uniform_spectrum(), "integral", ALPHA, [100, 1000, 10_000],
+            parse_dist(dist), uniform_spectrum(), "integral", [100, 1000, 10_000],
             reps=30, seed=0,
         )
         meds = [r.median_abs_error for r in rows]
@@ -89,21 +90,32 @@ class TestEmpirical:
         # 1.7 / 316 for the NIG, 2 / 316 for the normal, 1.3 / 316 for the t)
         dist = parse_dist(text)
         (row,) = empirical_consistency(
-            dist, uniform_spectrum(), "integral", ALPHA, [100_000], reps=5, seed=2
+            dist, uniform_spectrum(), "integral", [100_000], reps=5, seed=2
         )
         assert -dist.mean == pytest.approx(target, abs=1e-4)
         assert row.median_abs_error < 0.03
 
-    def test_unknown_spectrum_has_no_target(self):
+    def test_a_spectrum_is_scored_against_its_own_risk(self):
+        # a spectrum built outside the library: the sample mean, whose
+        # estimates of a standard normal lie within 1 of 0, scored against a
+        # risk of 100, which the ladder asks for once
         flat = uniform_spectrum()
-        other = SpectrumSpec(flat.evaluator, "flat", 1.0, flat.cells, flat.integral)
-        with pytest.raises(ValueError, match="no target for spectrum 'flat'"):
-            empirical_consistency(Normal(), other, "integral", ALPHA, [100], reps=5, seed=0)
+        asked = []
+
+        def risk(dist):
+            asked.append(dist)
+            return 100.0
+
+        other = SpectrumSpec(flat.evaluator, "flat", risk, flat.cells, flat.integral)
+        dist = Normal()
+        rows = empirical_consistency(dist, other, "integral", [100, 1000], reps=5, seed=0)
+        assert asked == [dist]
+        assert all(99.0 < row.median_abs_error < 101.0 for row in rows)
 
     def test_deterministic_given_seed(self):
         spectrum = es_spectrum(ALPHA)
-        a = empirical_consistency(Normal(), spectrum, "integral", ALPHA, [200], reps=10, seed=3)
-        b = empirical_consistency(Normal(), spectrum, "integral", ALPHA, [200], reps=10, seed=3)
+        a = empirical_consistency(Normal(), spectrum, "integral", [200], reps=10, seed=3)
+        b = empirical_consistency(Normal(), spectrum, "integral", [200], reps=10, seed=3)
         assert a[0].median_abs_error == b[0].median_abs_error
         assert a[0].iqr == b[0].iqr
 
@@ -124,7 +136,8 @@ class TestEmpirical:
         for cpus in (1, 3):
             monkeypatch.setattr(consistency, "_usable_cpus", lambda cpus=cpus: cpus)
             for spectrum, sizes, reference in ladders:
-                rows = empirical_consistency(dist, spectrum, builder, ALPHA, sizes, reps=7, seed=11)
+                assert spectrum.risk(dist) == reference
+                rows = empirical_consistency(dist, spectrum, builder, sizes, reps=7, seed=11)
                 for row in rows:
                     w = build[builder](spectrum, row.n)
                     tag = f"consistency|{spectrum.name}-{builder}|n={row.n}"
@@ -154,7 +167,7 @@ class TestEmpirical:
                 return super().transform(raw).view(TailReversed)
 
         for builder in ("integral", "alternative"):
-            ladder = (es_spectrum(ALPHA), builder, ALPHA, [100, 1000], 7, 5)
+            ladder = (es_spectrum(ALPHA), builder, [100, 1000], 7, 5)
             rows = empirical_consistency(TailReversedNormal(), *ladder)
             assert rows == empirical_consistency(Normal(), *ladder)
 
@@ -177,7 +190,7 @@ class TestEmpirical:
         threads = threading.active_count()
         monkeypatch.setattr(consistency, "_usable_cpus", lambda: 3)
         empirical_consistency(
-            Normal(), es_spectrum(ALPHA), "integral", ALPHA, [100, 1000], reps=7, seed=0
+            Normal(), es_spectrum(ALPHA), "integral", [100, 1000], reps=7, seed=0
         )
         assert threading.active_count() == threads
         monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
@@ -186,12 +199,12 @@ class TestEmpirical:
     def test_needs_sizes(self):
         spectrum = es_spectrum(ALPHA)
         with pytest.raises(ValueError, match="need at least one sample size"):
-            empirical_consistency(Normal(), spectrum, "integral", ALPHA, [], reps=5, seed=5)
+            empirical_consistency(Normal(), spectrum, "integral", [], reps=5, seed=5)
 
     def test_row_type(self):
         spectrum = es_spectrum(ALPHA)
         rows = empirical_consistency(
-            Normal(), spectrum, "alternative", ALPHA, [100], reps=5, seed=5
+            Normal(), spectrum, "alternative", [100], reps=5, seed=5
         )
         assert isinstance(rows[0], ConsistencyRow)
 
@@ -201,4 +214,4 @@ def test_unknown_discretization_is_named():
     with pytest.raises(ValueError, match="unknown discretization 'midpoint'"):
         check_partial_integrals(spectrum, "midpoint", [0.5], [10])
     with pytest.raises(ValueError, match="unknown discretization 'midpoint'"):
-        empirical_consistency(Normal(), spectrum, "midpoint", ALPHA, [100], reps=5, seed=0)
+        empirical_consistency(Normal(), spectrum, "midpoint", [100], reps=5, seed=0)

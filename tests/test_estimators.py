@@ -9,19 +9,21 @@ from test_acceptance import EXACT_SUMS, SEVEN_WEIGHTS_3DP, apply_l_estimator
 
 from riskbench import estimators
 from riskbench.bench import DEFAULT_ESTIMATORS
-from riskbench.core import WeightVector
-from riskbench.estimators import (
-    ESTIMATORS,
+from riskbench.consistency import (
     SpectrumSpec,
-    build_estimator,
     build_spectral_weights,
     build_spectral_weights_alt,
     es_spectrum,
+    uniform_spectrum,
+)
+from riskbench.core import WeightVector
+from riskbench.estimators import (
+    ESTIMATORS,
+    build_estimator,
     expectile_rows,
     gaussian_plugin_rows,
     tail_levels,
     tail_split,
-    uniform_spectrum,
 )
 
 ALPHA = 0.025
@@ -463,7 +465,7 @@ class TestSpectra:
             SpectrumSpec(
                 evaluator=lambda t: 2.0 * t,
                 name="rising",
-                sup_bound=2.0,
+                risk=None,  # refused before any ladder scores it
                 cells=lambda n: (2.0 * np.arange(1, n + 1) - 1.0) / n**2,
                 integral=lambda t: t * t,
             )
@@ -473,7 +475,7 @@ class TestSpectra:
             SpectrumSpec(
                 evaluator=lambda t: 0.5,
                 name="half",
-                sup_bound=0.5,
+                risk=None,  # refused before any ladder scores it
                 cells=lambda n: np.full(n, 0.5 / n),
                 integral=lambda t: 0.5 * t,
             )
