@@ -178,7 +178,8 @@ def _cmd_true_risk(args) -> int:
     dist = _flagged("--dist", parse_dist, args.dist)
     if dist.oracle_passes:
         _flagged("--oracle-k", check_oracle_k, args.oracle_k, [args.alpha])
-    risk = true_risk(dist, args.alpha, oracle_k=args.oracle_k, seed=args.seed)
+    where = f"--dist {args.dist} at level {args.alpha}"
+    risk = _flagged(where, true_risk, dist, args.alpha, oracle_k=args.oracle_k, seed=args.seed)
     payload = {
         "dist": args.dist,
         "alpha": args.alpha,

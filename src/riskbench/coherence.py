@@ -486,7 +486,7 @@ def extract_comonotonic_weights(estimator: Estimator, n: int) -> WeightVector:
         a = np.minimum.accumulate(a)
     if abs(float(np.sum(a)) - 1.0) > WEIGHT_SUM_ATOL:
         a = a / np.sum(a)
-    weights = WeightVector(a, monotone_flag=True)
+    weights = WeightVector(a)
 
     res = verify_representation(estimator, weights)
     if not res.passed:

@@ -59,17 +59,9 @@ class SpectrumSpec:
         tol = 1e-9 * (1.0 + float(np.max(vals)))
         if np.any(np.diff(vals) > tol):
             raise ValueError("spectrum must be non-increasing on (0, 1]")
-        mass = self.cumulative(1.0)
+        mass = float(self.integral(1.0))
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(f"spectrum must integrate to 1 within 1e-8, got {mass!r}")
-
-    def cumulative(self, t: float) -> float:
-        """int_0^t phi, by the closed form."""
-        if not (0.0 <= t <= 1.0):
-            raise ValueError(f"t must lie in [0, 1], got {t}")
-        if t == 0.0:
-            return 0.0
-        return float(self.integral(t))
 
 
 def es_spectrum(alpha: float) -> SpectrumSpec:
@@ -105,7 +97,7 @@ def uniform_spectrum() -> SpectrumSpec:
 def build_spectral_weights(spectrum: SpectrumSpec, n: int) -> WeightVector:
     """Discretize a spectrum by its per-cell integrals a_i = int over ((i-1)/n, i/n]."""
     _check_size(n)
-    return WeightVector(spectrum.cells(n), monotone_flag=True)
+    return WeightVector(spectrum.cells(n))
 
 
 def build_spectral_weights_alt(spectrum: SpectrumSpec, n: int) -> WeightVector:
@@ -115,7 +107,7 @@ def build_spectral_weights_alt(spectrum: SpectrumSpec, n: int) -> WeightVector:
     total = float(np.sum(raw))
     if total <= 0.0:
         raise ValueError("spectrum vanishes at every grid point i/n")
-    return WeightVector(raw / total, monotone_flag=True)
+    return WeightVector(raw / total)
 
 
 # name -> (spectrum, n) -> size-n weights: cell integrals or right endpoints

@@ -1,4 +1,4 @@
-"""Simplex weight vectors and weighted order-statistic functionals.
+"""Comonotonic CRE weight vectors and weighted order-statistic functionals.
 
 Estimators here are maps x -> -<w, sort(x)> for a weight vector w, or finite
 suprema of such maps. Profit is positive in the sample, risk is positive in
@@ -32,40 +32,38 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-def simplex_defect(weights: np.ndarray, monotone: bool) -> Optional[str]:
-    """The first simplex gate the weights fail, as a message, or None: entries
-    non-negative, sum within WEIGHT_SUM_ATOL of one and, when monotone is
-    set, non-increasing within MONOTONE_ATOL. With monotone set, passing
-    every gate is the comonotonic-CRE criterion."""
+def simplex_defect(weights: np.ndarray) -> Optional[str]:
+    """The first gate the weights fail, as a message, or None: entries
+    non-negative, sum within WEIGHT_SUM_ATOL of one, and non-increasing
+    within MONOTONE_ATOL. Passing every gate is the comonotonic-CRE
+    criterion."""
     if np.any(weights < 0.0):
         return "weights must be non-negative"
     total = float(np.sum(weights))
     if abs(total - 1.0) > WEIGHT_SUM_ATOL:
         return f"weights must sum to 1 within {WEIGHT_SUM_ATOL}: got {total!r}"
-    if monotone and np.any(np.diff(weights) > MONOTONE_ATOL):
-        return "monotone_flag set but weights are not non-increasing"
+    if np.any(np.diff(weights) > MONOTONE_ATOL):
+        return "weights must be non-increasing"
     return None
 
 
 @dataclass(frozen=True, eq=False)
 class WeightVector:
-    """A point of the probability simplex: w_i >= 0, sum w_i = 1 (within 1e-12).
+    """A comonotonic CRE's weights: w_i >= 0, sum one, non-increasing (within 1e-12).
 
     Args:
         weights: the entries, validated at construction.
-        monotone_flag: set when the entries are non-increasing; verified.
 
     Raises:
         ValueError: negative or non-finite entries, sum off the simplex, or
-            a monotone_flag that the entries do not support.
+            increasing entries.
     """
 
     weights: np.ndarray
-    monotone_flag: bool = False
 
     def __post_init__(self):
         arr = _as_vector(self.weights, "weights")
-        defect = simplex_defect(arr, self.monotone_flag)
+        defect = simplex_defect(arr)
         if defect is not None:
             raise ValueError(defect)
         object.__setattr__(self, "weights", arr)
@@ -77,9 +75,9 @@ class WeightVector:
 
 @dataclass(frozen=True, eq=False)
 class SupremumCre:
-    """A finite family of non-increasing simplex weight vectors, applied as a sup.
+    """A finite family of comonotonic CRE weight vectors, applied as a sup.
 
-    Every candidate must carry monotone_flag and share one length.
+    Every candidate must be a WeightVector (so non-increasing) of one shared length.
     """
 
     candidates: tuple[WeightVector, ...]
@@ -91,8 +89,6 @@ class SupremumCre:
         for w in cands:
             if not isinstance(w, WeightVector):
                 raise ValueError("candidates must be WeightVector instances")
-            if not w.monotone_flag:
-                raise ValueError("every candidate must be non-increasing (monotone_flag)")
         lengths = {w.n for w in cands}
         if len(lengths) != 1:
             raise ValueError(f"candidates must share one length, got {sorted(lengths)}")

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -107,10 +106,13 @@ class StudentT:
     def es(self, alpha: float) -> float:
         """Analytic tail mean: pdf(q) * (nu + q^2) / (alpha * (nu - 1)), q the
         alpha quantile, the density in the expressions of SciPy's t
-        distribution, so each value keeps its bits."""
+        distribution, so each value keeps its bits. A quantile that is not
+        finite (scipy's at levels near 0) is refused."""
         from scipy import special
 
         nu, q = self.nu, self.quantile(alpha)
+        if not math.isfinite(q):
+            raise ValueError(f"the t quantile is not finite, got {q}")
         density = np.exp(
             np.log(special.poch(0.5 * nu, 0.5))
             - 0.5 * (np.log(nu) + np.log(np.pi))
@@ -167,7 +169,7 @@ class Nig:
 
     @property
     def mean(self) -> float:
-        return nig_moments(self).mean
+        return self.mu + self.delta * self.b / self.gamma
 
     def horizon(self, h: int) -> "Nig":  # closed under summation in (mu, delta)
         return Nig(self.a, self.b, h * self.mu, h * self.delta)
@@ -318,23 +320,6 @@ def inverse_gaussian_transform(
     return x
 
 
-class NigMoments(NamedTuple):
-    mean: float
-    variance: float
-    skewness: float
-    excess_kurtosis: float
-
-
-def nig_moments(spec: Nig) -> NigMoments:
-    g = spec.gamma
-    return NigMoments(
-        mean=spec.mu + spec.delta * spec.b / g,
-        variance=spec.delta * spec.a**2 / g**3,
-        skewness=3.0 * spec.b / (spec.a * math.sqrt(spec.delta * g)),
-        excess_kurtosis=3.0 * (1.0 + 4.0 * spec.b**2 / spec.a**2) / (spec.delta * g),
-    )
-
-
 # ---------------------------------------------------------------------------
 # True risk
 
@@ -344,7 +329,8 @@ class TrueRisk:
     """True VaR and ES at one level, with the method that produced them.
 
     standard_error is the batch-means standard error of es_alpha for the
-    Monte Carlo oracle and exactly 0.0 for closed forms.
+    Monte Carlo oracle and exactly 0.0 for closed forms. VaR and ES must be
+    finite, and ES at least VaR.
     """
 
     var_alpha: float
@@ -357,6 +343,8 @@ class TrueRisk:
     def __post_init__(self):
         if self.method not in ("closed_form", "mc_oracle"):
             raise ValueError(f"unknown method {self.method!r}")
+        if not (math.isfinite(self.var_alpha) and math.isfinite(self.es_alpha)):
+            raise ValueError(f"VaR and ES must be finite, got {self.var_alpha} and {self.es_alpha}")
         slack = 1e-12 * (1.0 + abs(self.es_alpha))
         if self.es_alpha < self.var_alpha - slack:
             raise ValueError(

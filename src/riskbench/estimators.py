@@ -177,7 +177,7 @@ def build_estimator(name: str, alpha: float, n: int) -> LEstimatorSpec:
     _check_size(n)
     weights = rule(alpha, n)
     weights.setflags(write=False)
-    return LEstimatorSpec(key, alpha, n, weights, simplex_defect(weights, True) is None)
+    return LEstimatorSpec(key, alpha, n, weights, simplex_defect(weights) is None)
 
 
 # Cephes ndtri (S. L. Moshier, 1989), the standard normal quantile. Between

@@ -9,7 +9,7 @@ probe the secured position x~ + estimate:
     se  root mean squared error / true
     sb  mean estimate / true - 1
     rb  -ES1_level(secured) / true
-    ct  smallest m/K whose m worst secured outcomes sum to >= 0
+    ct  smallest m/K whose m worst secured outcomes sum to >= 0 (1.0 if none)
 """
 
 from __future__ import annotations
@@ -38,11 +38,7 @@ _VAR_IDS = ("var", "var1")
 
 @dataclass(frozen=True)
 class MetricReport:
-    """The five metrics of one cell plus MC standard errors where defined.
-
-    ct_crossed is False when the secured tail sum never reaches zero, in
-    which case ct is pinned at 1.0.
-    """
+    """The five metrics of one cell plus MC standard errors where defined."""
 
     ae: float
     se: float
@@ -52,7 +48,6 @@ class MetricReport:
     ae_stderr: float
     se_stderr: float
     sb_stderr: float
-    ct_crossed: bool = True
 
     def __post_init__(self):
         if self.ae < 0.0:
@@ -162,10 +157,8 @@ def _metrics_from(
     hits = np.nonzero(prefix >= 0.0)[0]
     if hits.size:
         ct = float(hits[0] + 1) / K
-        crossed = True
     else:
         ct = 1.0
-        crossed = False
 
     return MetricReport(
         ae=ae,
@@ -176,7 +169,6 @@ def _metrics_from(
         ae_stderr=ae_stderr,
         se_stderr=se_stderr,
         sb_stderr=sb_stderr,
-        ct_crossed=crossed,
     )
 
 

@@ -149,7 +149,8 @@ def check_partial_integrals(
 
     The step integral is evaluated in closed form (full cells plus the
     fractional cell containing t); the spectrum side goes through its
-    cumulative, so the only approximation measured is the discretization.
+    closed-form integral, so the only approximation measured is the
+    discretization.
     An unknown discretization raises ValueError.
     """
     build = _discretization(discretization)
@@ -166,7 +167,7 @@ def check_partial_integrals(
         for t in grid:
             j = min(int(math.floor(t * n)), n - 1)
             step = float(cum[j]) + n * float(w[j]) * (t - j / n)
-            worst = max(worst, abs(step - spectrum.cumulative(t)))
+            worst = max(worst, abs(step - spectrum.integral(t)))
         out[n] = worst
     return out
 
@@ -300,10 +301,7 @@ def test_c05_axiom_battery():
     rng = np.random.default_rng(55)
     for trial in range(3):
         m = SupremumCre(
-            tuple(
-                WeightVector(monotone_simplex(rng, 20), monotone_flag=True)
-                for _ in range(3)
-            )
+            tuple(WeightVector(monotone_simplex(rng, 20)) for _ in range(3))
         )
         for axiom in (
             "monotonicity",
@@ -317,10 +315,7 @@ def test_c05_axiom_battery():
     for n in range(2, 7):
         for rep in range(30):
             m = SupremumCre(
-                tuple(
-                    WeightVector(monotone_simplex(rng, n), monotone_flag=True)
-                    for _ in range(1 + rep % 3)
-                )
+                tuple(WeightVector(monotone_simplex(rng, n)) for _ in range(1 + rep % 3))
             )
             x = rng.standard_normal(n)
             direct = m.rows(x[None])[0]

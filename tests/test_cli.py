@@ -5,6 +5,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -256,6 +257,34 @@ class TestTrueRisk:
     def test_negative_seed_is_a_usage_error(self, usage_error):
         last = usage_error(["true-risk", "--dist", "nig:0.4:0.14:0:1", "--seed", "-1"])
         assert last.startswith("riskbench true-risk: error: argument --seed: ")
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            # scipy's t quantile at 1e-300 is +inf
+            (
+                ["--dist", "t:5", "--alpha", "1e-300"],
+                "t:5 at level 1e-300: the t quantile is not finite, got inf",
+            ),
+            # sigma * Phi^-1(0.01) overflows
+            (
+                ["--dist", "normal:0:1e308", "--alpha", "0.01"],
+                "normal:0:1e308 at level 0.01: VaR and ES must be finite, got inf and inf",
+            ),
+        ],
+    )
+    def test_non_finite_reference_is_a_usage_error(self, capsys, argv, line):
+        # the closed form runs and its value is refused: one error line, exit
+        # 2, nothing on stdout, and no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SystemExit) as exc:
+                main(["true-risk", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [text for text in captured.err.splitlines() if "error:" in text]
+        assert errors == [f"riskbench: error: --dist {line}"]
 
 
 class TestConsistency:

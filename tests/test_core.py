@@ -37,10 +37,10 @@ class TestWeightVector:
         with pytest.raises(ValueError):
             WeightVector(np.array([0.5, 0.5 + 1e-10]))
 
-    def test_monotone_flag_enforces_order(self):
-        WeightVector(np.array([0.6, 0.4]), monotone_flag=True)
-        with pytest.raises(ValueError):
-            WeightVector(np.array([0.4, 0.6]), monotone_flag=True)
+    def test_rejects_increasing_pair(self):
+        WeightVector(np.array([0.6, 0.4]))
+        with pytest.raises(ValueError, match="weights must be non-increasing"):
+            WeightVector(np.array([0.4, 0.6]))
 
     def test_general_scheme_allows_non_unit_sum(self):
         # a plain array carries no simplex constraint: sum 1.25 scores as given
@@ -78,7 +78,7 @@ class TestApplyLEstimator:
     @settings(max_examples=50, deadline=None)
     def test_cash_additivity_when_sum_is_one(self, n, seed):
         rng = np.random.default_rng(seed)
-        w = WeightVector(rng.dirichlet(np.ones(n)))
+        w = rng.dirichlet(np.ones(n))
         x = rng.normal(size=n)
         m = float(rng.normal())
         lhs = apply_l_estimator(w, x + m)
@@ -89,23 +89,23 @@ class TestApplyLEstimator:
 class TestSupremum:
     def test_value_is_max_over_candidates(self):
         cands = (
-            WeightVector(np.array([1.0, 0.0]), monotone_flag=True),
-            WeightVector(np.array([0.5, 0.5]), monotone_flag=True),
+            WeightVector(np.array([1.0, 0.0])),
+            WeightVector(np.array([0.5, 0.5])),
         )
         m = SupremumCre(cands)
         # x = (-3, 1): candidate 0 gives 3, candidate 1 gives 1
         assert m.rows(np.array([[1.0, -3.0]]))[0] == 3.0
 
     def test_rejects_non_monotone_candidate(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="weights must be non-increasing"):
             SupremumCre((WeightVector(np.array([0.4, 0.6])),))
 
     def test_rejects_mixed_lengths(self):
         with pytest.raises(ValueError):
             SupremumCre(
                 (
-                    WeightVector(np.array([1.0]), monotone_flag=True),
-                    WeightVector(np.array([0.5, 0.5]), monotone_flag=True),
+                    WeightVector(np.array([1.0])),
+                    WeightVector(np.array([0.5, 0.5])),
                 )
             )
 
@@ -119,10 +119,7 @@ class TestSupremum:
         # For non-increasing weights the rearrangement inequality makes the
         # sorted evaluation attain the permutation sup, so the two must agree.
         rng = np.random.default_rng(seed)
-        cands = tuple(
-            WeightVector(monotone_simplex(rng, n), monotone_flag=True)
-            for _ in range(n_cand)
-        )
+        cands = tuple(WeightVector(monotone_simplex(rng, n)) for _ in range(n_cand))
         m = SupremumCre(cands)
         x = rng.normal(size=n) * 3.0
         direct = m.rows(x[None])[0]
@@ -130,7 +127,7 @@ class TestSupremum:
         assert brute == pytest.approx(direct, abs=1e-9 * (1 + np.abs(x).max()))
 
     def test_oracle_guard(self):
-        w = WeightVector(np.ones(9) / 9, monotone_flag=True)
+        w = WeightVector(np.ones(9) / 9)
         with pytest.raises(ValueError):
             permutation_closure_oracle(SupremumCre((w,)), np.zeros(9))
 

@@ -16,12 +16,18 @@ from riskbench.distributions import (
     StudentT,
     TrueRisk,
     inverse_gaussian_transform,
-    nig_moments,
     parse_dist,
     true_risk,
     true_risk_levels,
 )
 from riskbench.estimators import _normal_density_at_quantile
+
+
+def scipy_nig(spec):
+    """scipy's frozen law of spec: norminvgauss(a, b) is Nig(a, b) at delta = 1,
+    and a location mu and scale delta turn it into Nig(a/delta, b/delta, mu, delta)."""
+    a, b = spec.a * spec.delta, spec.b * spec.delta
+    return stats.norminvgauss(a, b, loc=spec.mu, scale=spec.delta)
 
 
 def sample(dist, size, rng):
@@ -140,19 +146,18 @@ class TestLabels:
 
 class TestNigMoments:
     def test_against_scipy_parametrization(self):
-        # scipy's norminvgauss(a, b) equals our Nig(a, b) when delta = 1
-        spec = Nig(0.4, 0.14)
-        m, v, s, k = stats.norminvgauss.stats(0.4, 0.14, moments="mvsk")
-        got = nig_moments(spec)
-        assert got.mean == pytest.approx(float(m), rel=1e-10)
-        assert got.variance == pytest.approx(float(v), rel=1e-10)
-        assert got.skewness == pytest.approx(float(s), rel=1e-10)
-        assert got.excess_kurtosis == pytest.approx(float(k), rel=1e-10)
+        # scipy's norminvgauss(a, b) equals our Nig(a, b) when delta = 1; the
+        # second law also takes a location and scale
+        for spec, law in (
+            (Nig(0.4, 0.14), stats.norminvgauss(0.4, 0.14)),
+            (Nig(0.4, -0.14, 0.3, 1.5), stats.norminvgauss(0.6, -0.21, loc=0.3, scale=1.5)),
+        ):
+            assert spec.mean == pytest.approx(law.mean(), rel=1e-10)
 
     def test_gamma_and_sign(self):
         spec = Nig(0.4, -0.14)
         assert spec.gamma == pytest.approx(np.sqrt(0.4**2 - 0.14**2), abs=1e-15)
-        assert nig_moments(spec).skewness < 0.0
+        assert spec.mean < 0.0
 
     def test_parameter_guards(self):
         with pytest.raises(ValueError):
@@ -209,10 +214,10 @@ class TestSamplers:
         spec = Nig(0.55, 0.3025)
         rng = np.random.default_rng(1)
         y = sample(spec, 400_000, rng)
-        want = nig_moments(spec)
-        assert y.mean() == pytest.approx(want.mean, abs=4 * np.sqrt(want.variance / y.size))
-        assert y.var() == pytest.approx(want.variance, rel=0.05)
-        assert stats.skew(y) == pytest.approx(want.skewness, abs=0.1)
+        variance, skewness = scipy_nig(spec).stats(moments="vs")
+        assert y.mean() == pytest.approx(spec.mean, abs=4 * np.sqrt(variance / y.size))
+        assert y.var() == pytest.approx(variance, rel=0.05)
+        assert stats.skew(y) == pytest.approx(skewness, abs=0.1)
 
     def test_nig_mixture_cdf_matches_scipy(self):
         q = np.linspace(-8.0, 6.0, 9)
@@ -280,10 +285,9 @@ class TestHorizon:
         assert out == Nig(0.4, 0.14, 3.0, 10.0)
 
     def test_convolution_matches_summed_moments(self):
-        one = nig_moments(Nig(0.4, -0.22))
-        ten = nig_moments(Nig(0.4, -0.22).horizon(10))
+        one, ten = Nig(0.4, -0.22), Nig(0.4, -0.22).horizon(10)
         assert ten.mean == pytest.approx(10 * one.mean, rel=1e-12)
-        assert ten.variance == pytest.approx(10 * one.variance, rel=1e-12)
+        assert scipy_nig(ten).var() == pytest.approx(10 * scipy_nig(one).var(), rel=1e-12)
 
     def test_target_dispatch(self):
         assert Normal(0.2, 1.0).horizon(4) == Normal(0.8, 2.0)

@@ -77,9 +77,9 @@ class TestWeightTables:
 
     def test_weight_vector_only_for_cre(self):
         es2 = build_estimator("es2", ALPHA, N).weights
-        assert WeightVector(es2, monotone_flag=True).monotone_flag
+        assert WeightVector(es2).n == N
         with pytest.raises(ValueError):
-            WeightVector(build_estimator("es5", ALPHA, N).weights, monotone_flag=True)
+            WeightVector(build_estimator("es5", ALPHA, N).weights)
 
     @pytest.mark.parametrize("alpha, n", [(0.025, 250), (0.1, 40), (0.2, 10)])
     def test_is_cre_is_the_monotone_weight_vector_gate(self, alpha, n):
@@ -88,7 +88,7 @@ class TestWeightTables:
                 continue  # defined at n = 250 only
             spec = build_estimator(name, alpha, n)
             try:
-                WeightVector(spec.weights, monotone_flag=True)
+                WeightVector(spec.weights)
             except ValueError:
                 assert not spec.is_cre, name
             else:
@@ -304,7 +304,7 @@ def _realized_weights(alpha, x):
     a = np.full(n, alpha / den)
     a[:n_star] = (1.0 - alpha) / den
     a /= a.sum()
-    return WeightVector(a, monotone_flag=True)
+    return WeightVector(a)
 
 
 class TestExpectile:
@@ -444,9 +444,9 @@ class TestSpectra:
 
     def test_cumulative_closed_form(self):
         s = es_spectrum(0.1)
-        assert s.cumulative(0.05) == pytest.approx(0.5, abs=1e-12)
-        assert s.cumulative(0.1) == pytest.approx(1.0, abs=1e-12)
-        assert s.cumulative(0.7) == pytest.approx(1.0, abs=1e-12)
+        assert s.integral(0.05) == pytest.approx(0.5, abs=1e-12)
+        assert s.integral(0.1) == pytest.approx(1.0, abs=1e-12)
+        assert s.integral(0.7) == pytest.approx(1.0, abs=1e-12)
 
     def test_es_cells_match_quadrature(self):
         # an independent check of the closed-form cells: adaptive quadrature
@@ -483,7 +483,7 @@ class TestSpectra:
     def test_spectral_weights_are_monotone_vectors(self):
         w = build_spectral_weights(es_spectrum(0.025), 250)
         assert isinstance(w, WeightVector)
-        assert w.monotone_flag
+        assert np.all(np.diff(w.weights) <= 0.0)
 
 
 class TestTailEvaluators:
