@@ -219,7 +219,9 @@ def _cmd_consistency(args) -> int:
         spectrum = uniform_spectrum()
     for n in args.n:  # each size's weights must exist before any draw
         _flagged("--n", DISCRETIZATIONS[args.builder], spectrum, n)
-    rows = empirical_consistency(dist, spectrum, args.builder, args.n, args.reps, args.seed)
+    # a law whose risk or rows are not finite fails here, as --dist
+    ladder = (dist, spectrum, args.builder, args.n, args.reps, args.seed)
+    rows = _flagged("--dist", empirical_consistency, *ladder)
     print("n,median_abs_error,iqr")
     for row in rows:
         print(f"{row.n},{row.median_abs_error!r},{row.iqr!r}")

@@ -6,7 +6,7 @@ sample per row, to the m values of its rows (`LEstimatorSpec.rows`,
 level). Each axiom check runs a fixed adversarial deck first (unit spikes,
 constant shifts, paired tail spikes) and then randomized probes, scored in
 row blocks, and returns either PASS with the trial count or FAIL with a
-replayable witness.
+witness it has replayed.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ class Witness:
     """A concrete violation: the inputs fed to the estimator and both side values.
 
     `lhs - rhs` is the defect; a witness is only stored when the defect
-    exceeds tolerance, and `replay` recomputes it from scratch so a report
-    can always be double-checked against the live estimator.
+    exceeds tolerance, and check_axiom recomputes it from scratch through
+    `replay` before it reports it.
     """
 
     axiom: str
@@ -81,9 +81,6 @@ class CoherenceReport:
     @property
     def all_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failed_axioms(self) -> list[str]:
-        return [c.axiom for c in self.checks if not c.passed]
 
     def to_json(self) -> str:
         out = []
@@ -337,7 +334,7 @@ AXIOMS = tuple(_AXIOMS)
 
 
 def _scan(axiom: str, score: Estimator, probes: np.ndarray, rng: np.random.Generator):
-    """The first violation of one axiom in (probe, case) order, or None."""
+    """The first violation of one axiom in (probe, case) order, replayed, or None."""
     spec = _AXIOMS[axiom]
     for a, b, tol in spec.cases(probes, rng):
         lhs, rhs = spec.sides(score, a, b)
@@ -345,7 +342,7 @@ def _scan(axiom: str, score: Estimator, probes: np.ndarray, rng: np.random.Gener
         j = _first((defect if spec.one_sided else np.abs(defect)) > tol)
         if j is not None:
             row = np.array(a[j // (lhs.size // len(a))])  # cases per row of a
-            return Witness(
+            witness = Witness(
                 axiom=axiom,
                 inputs=(row,) if spec.aux else (row, np.array(b[j])),
                 aux=float(b.flat[j]) if spec.aux else None,
@@ -353,6 +350,9 @@ def _scan(axiom: str, score: Estimator, probes: np.ndarray, rng: np.random.Gener
                 rhs=float(rhs.flat[j]),
                 description=spec.description,
             )
+            if not witness.replay(score) > tol.flat[j]:
+                raise RuntimeError(f"internal error: the {axiom} witness does not replay")
+            return witness
     return None
 
 
@@ -376,8 +376,8 @@ def check_axiom(
         seed: probe stream seed; identical seeds replay identical probes.
 
     Returns:
-        AxiomCheck; on FAIL the witness replays to a violation above
-        tolerance by construction.
+        AxiomCheck; on FAIL the witness, replayed through Witness.replay to a
+        violation above tolerance (a RuntimeError, an internal error, if not).
     """
     if axiom not in AXIOMS:
         raise ValueError(f"unknown axiom {axiom!r}; expected one of {AXIOMS}")
@@ -402,38 +402,20 @@ def check_all(
     return CoherenceReport(checks=checks)
 
 
-@dataclass(frozen=True, eq=False)
-class VerificationResult:
-    """The verdict over `trials` probes; on a mismatch, the first offending
-    sample with the estimator's value there and -<weights, sort(sample)>."""
-
-    passed: bool
-    trials: int
-    sample: Optional[np.ndarray] = None
-    estimate: Optional[float] = None
-    represented: Optional[float] = None
-
-    @property
-    def defect(self) -> float:
-        return self.estimate - self.represented
-
-
-def verify_representation(estimator: Estimator, weights: WeightVector) -> VerificationResult:
+def verify_representation(estimator: Estimator, weights: WeightVector) -> None:
     """Check that the estimator scores every probe x as -<weights, sort(x)>,
-    on the deck plus VERIFY_TRIALS random probes drawn from seed 0."""
-    n = weights.n
-    rng = np.random.default_rng(0)
-    probes = _probes(rng, VERIFY_TRIALS, n)
+    on the deck plus VERIFY_TRIALS random probes drawn from seed 0; raises
+    NotComonotonicError at the first whose value differs beyond tolerance."""
     score = _rows(estimator)
-    for x in _probe_blocks(probes, 1):
+    for x in _probe_blocks(_probes(np.random.default_rng(0), VERIFY_TRIALS, weights.n), 1):
         got = score(x)
         want = score_sorted_rows(weights.weights, np.sort(x, axis=1))
         j = _first(np.abs(got - want) > _tols(_max_abs(x)))
         if j is not None:
-            return VerificationResult(
-                False, probes.shape[0], np.array(x[j]), float(got[j]), float(want[j])
+            raise NotComonotonicError(
+                "probe-ladder weights do not reproduce the estimator: defect "
+                f"{float(got[j]) - float(want[j])!r} at a verification probe"
             )
-    return VerificationResult(True, probes.shape[0])
 
 
 def extract_comonotonic_weights(estimator: Estimator, n: int) -> WeightVector:
@@ -487,11 +469,5 @@ def extract_comonotonic_weights(estimator: Estimator, n: int) -> WeightVector:
     if abs(float(np.sum(a)) - 1.0) > WEIGHT_SUM_ATOL:
         a = a / np.sum(a)
     weights = WeightVector(a)
-
-    res = verify_representation(estimator, weights)
-    if not res.passed:
-        raise NotComonotonicError(
-            "probe-ladder weights do not reproduce the estimator: defect "
-            f"{res.defect!r} at a verification probe"
-        )
+    verify_representation(estimator, weights)
     return weights

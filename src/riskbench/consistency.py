@@ -11,6 +11,7 @@ measured on a ladder of growing sample sizes.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -129,6 +130,11 @@ class ConsistencyRow:
     n: int
     median_abs_error: float
     iqr: float
+
+    def __post_init__(self):
+        for field, value in (("median_abs_error", self.median_abs_error), ("iqr", self.iqr)):
+            if not math.isfinite(value):
+                raise ValueError(f"{field} at n={self.n} is {value}, not finite")
 
 
 def _quartiles(errors: np.ndarray) -> tuple[float, float, float]:

@@ -286,7 +286,8 @@ def test_c05_axiom_battery():
             spec = build_estimator(name, alpha, n)
             report = check_all(spec.rows, n, trials=10_000, seed=1000 + n)
             if not report.all_pass:
-                failures.append(f"{name} n={n}: failed {report.failed_axioms()}")
+                failed = [c.axiom for c in report.checks if not c.passed]
+                failures.append(f"{name} n={n}: failed {failed}")
     displays = {"es4": 1.080, "es5": 1.083, "es6": 1.167}
     for name, display in displays.items():
         spec = build_estimator(name, ALPHA, N)

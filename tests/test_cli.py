@@ -328,6 +328,38 @@ class TestConsistency:
             "riskbench consistency: error: argument --reps: "
         )
 
+    def test_non_finite_risk_names_the_law(self, capsys):
+        # sigma * Phi^-1(0.01) overflows: the es target is refused before any
+        # draw, as --dist, with one error line, exit 2 and nothing on stdout
+        argv = ["--spectrum", "es", "--alpha", "0.01", "--dist", "normal:0:1e308"]
+        with pytest.raises(SystemExit) as exc:
+            main(["consistency", *argv, "--n", "100", "--reps", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [text for text in captured.err.splitlines() if "error:" in text]
+        assert errors == ["riskbench: error: --dist: VaR and ES must be finite, got inf and inf"]
+
+    def test_non_finite_row_names_the_law(self):
+        # the uniform target -E[X] = 0 is finite, but the draws overflow and
+        # the row's median is nan. numpy warns on the way, which the suite's
+        # warning filter makes an error in process, so it runs in a subprocess
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        probe = (
+            "import sys; sys.path.insert(0, sys.argv[1]); import riskbench.cli as cli; "
+            "sys.exit(cli.main(sys.argv[2:]))"
+        )
+        argv = ["consistency", "--spectrum", "uniform", "--dist", "normal:0:1e308"]
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, src, *argv, "--n", "100", "--reps", "2"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        errors = [text for text in proc.stderr.splitlines() if "error:" in text]
+        assert errors == ["riskbench: error: --dist: median_abs_error at n=100 is nan, not finite"]
+
     @pytest.mark.parametrize("dist", ["normal:0:1", "nig:0.4:0.14:0:1"])
     def test_uniform_spectrum_ignores_the_level(self, capsys, dist):
         # --alpha is the es spectrum's level; the sample mean has none, and

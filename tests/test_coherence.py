@@ -27,6 +27,10 @@ from riskbench.estimators import build_estimator, expectile_rows, gaussian_plugi
 TRIALS = 300
 
 
+def failed_axioms(report):
+    return [c.axiom for c in report.checks if not c.passed]
+
+
 def by_row(f):
     """A per-sample function as a block function, one call per row: the
     reference the block kernels are compared against."""
@@ -38,7 +42,7 @@ class TestAxiomBattery:
     def test_cre_estimators_pass_everything(self, name):
         spec = build_estimator(name, 0.025, 100)
         report = check_all(spec.rows, 100, trials=TRIALS, seed=3)
-        assert report.all_pass, report.failed_axioms()
+        assert report.all_pass, failed_axioms(report)
 
     @pytest.mark.parametrize("name", ["es4", "es5", "es6"])
     def test_inflated_estimators_fail_only_cash(self, name):
@@ -47,7 +51,7 @@ class TestAxiomBattery:
         for trials in (TRIALS, 0):
             report = check_all(spec.rows, 100, trials=trials, seed=4)
             assert [c.trials for c in report.checks] == [10 + trials] * len(AXIOMS)
-            assert report.failed_axioms() == ["cash_additivity"]
+            assert failed_axioms(report) == ["cash_additivity"]
             (w,) = [c.witness for c in report.checks if c.axiom == "cash_additivity"]
             assert w is not None
             scale = max(float(np.max(np.abs(w.inputs[0]))), abs(w.aux))
@@ -60,12 +64,12 @@ class TestAxiomBattery:
     def test_gaussian_plugin_failures(self):
         fn = functools.partial(gaussian_plugin_rows, 0.01)
         report = check_all(fn, 50, trials=TRIALS, seed=5)
-        assert report.failed_axioms() == ["monotonicity", "comonotonic_additivity"]
+        assert failed_axioms(report) == ["monotonicity", "comonotonic_additivity"]
 
     def test_expectile_fails_only_comonotonic_additivity(self):
         fn = functools.partial(expectile_rows, 0.25)
         report = check_all(fn, 30, trials=TRIALS, seed=6)
-        assert report.failed_axioms() == ["comonotonic_additivity"]
+        assert failed_axioms(report) == ["comonotonic_additivity"]
 
     def test_empirical_var_subadditivity_spikes(self):
         # two single-spike vectors at the 1% level break subadditivity
@@ -211,7 +215,7 @@ class TestBlockScoring:
     )
     def test_black_box_reports_are_pinned(self, fn, digest):
         report = check_all(fn, 40, trials=80, seed=21)
-        assert report.failed_axioms()
+        assert failed_axioms(report)
         assert _sha256(report.to_json()) == digest
 
     # the CLI's gaussian and expvar are their block kernels, scored a block at
@@ -282,7 +286,7 @@ class TestBlockScoring:
             (lambda x: 1.0, "comonotonic_additivity"),
         ],
     )
-    def test_early_violation_scores_at_most_one_block(self, fn, axiom):
+    def test_early_violation_scores_at_most_one_block(self, fn, axiom, monkeypatch):
         n = 250
         calls = []
 
@@ -290,9 +294,19 @@ class TestBlockScoring:
             calls.append(None)
             return fn(x)
 
+        # the scan's calls are those made before check_axiom replays the witness
+        scanned = []
+        replay = coherence.Witness.replay
+
+        def counted_replay(witness, estimator):
+            scanned.append(len(calls))
+            return replay(witness, estimator)
+
+        monkeypatch.setattr(coherence.Witness, "replay", counted_replay)
         check = check_axiom(by_row(counted), axiom, n, trials=1000, seed=0)
         assert not check.passed
-        assert len(calls) <= coherence._BLOCK_FLOATS // n
+        assert len(scanned) == 1
+        assert scanned[0] <= coherence._BLOCK_FLOATS // n
         # replay runs the scan's relation again: signed for the one-sided
         # axioms, absolute for the rest
         defect = check.witness.defect
@@ -301,11 +315,22 @@ class TestBlockScoring:
 
 
 class TestWitness:
+    @pytest.mark.parametrize("axiom", ["monotonicity", "comonotonic_additivity"])
+    def test_a_witness_that_does_not_replay_is_an_internal_error(self, axiom, monkeypatch):
+        # check_axiom replays every witness before it reports it, against the
+        # tolerance VIOLATION_RTOL * (1 + scale) its case was flagged at
+        fn = functools.partial(gaussian_plugin_rows, 0.025)
+        assert not check_axiom(fn, axiom, 250, trials=TRIALS, seed=42).passed
+        for replayed in (0.0, VIOLATION_RTOL):
+            monkeypatch.setattr(coherence.Witness, "replay", lambda w, estimator: replayed)
+            with pytest.raises(RuntimeError, match=f"internal error: the {axiom} witness"):
+                check_axiom(fn, axiom, 250, trials=TRIALS, seed=42)
+
     def test_replay_reproduces_defect(self):
         # replay is signed for the one-sided axioms, absolute for the rest
         fn = functools.partial(gaussian_plugin_rows, 0.01)
         report = check_all(fn, 40, trials=TRIALS, seed=8)
-        assert report.failed_axioms()
+        assert failed_axioms(report)
         for check in report.checks:
             if check.passed:
                 continue
@@ -346,29 +371,38 @@ class TestRepresentation:
     def test_verify_accepts_matching_pair(self):
         spec = build_estimator("es2", 0.05, 30)
         weights = WeightVector(spec.weights)
-        res = verify_representation(spec.rows, weights)
-        assert res.passed
-        assert res.trials == 10 + VERIFY_TRIALS  # the deck, then the random probes
+        assert verify_representation(spec.rows, weights) is None
 
     def test_verify_rejects_wrong_weights(self):
         spec = build_estimator("es2", 0.05, 30)
         wrong = WeightVector(np.full(30, 1.0 / 30.0))
-        res = verify_representation(spec.rows, wrong)
-        assert not res.passed
-        assert res.sample is not None
+        message = (
+            r"^probe-ladder weights do not reproduce the estimator: "
+            r"defect \S+ at a verification probe$"
+        )
+        with pytest.raises(NotComonotonicError, match=message):
+            verify_representation(spec.rows, wrong)
 
-    def test_mismatch_carries_the_sample_and_both_values(self):
-        # es2 checked against uniform weights: re-scoring the returned sample
-        # with the block kernels gives back both values, and they differ by
-        # the reported defect
+    def test_mismatch_names_the_defect_at_the_first_failing_probe(self):
+        # es2 checked against uniform weights: the message names the
+        # estimator's value minus -<uniform, sort(x)> at the first probe x,
+        # the deck first, where the two differ beyond tolerance
         spec = build_estimator("es2", 0.1, 20)
         uniform = WeightVector(np.full(20, 1.0 / 20.0))
-        res = verify_representation(spec.rows, uniform)
-        assert not res.passed
-        assert spec.rows(res.sample[None])[0] == res.estimate
-        assert score_sorted_rows(uniform.weights, np.sort(res.sample)[None])[0] == res.represented
-        assert res.defect == res.estimate - res.represented
-        assert abs(res.defect) > VIOLATION_RTOL
+        probes = coherence._probes(np.random.default_rng(0), VERIFY_TRIALS, 20)
+        got = spec.rows(probes)
+        want = score_sorted_rows(uniform.weights, np.sort(probes, axis=1))
+        scale = np.max(np.abs(probes), axis=1)
+        j = int(np.flatnonzero(np.abs(got - want) > VIOLATION_RTOL * (1.0 + scale))[0])
+        defect = float(got[j]) - float(want[j])
+        assert abs(defect) > VIOLATION_RTOL
+        message = (
+            "probe-ladder weights do not reproduce the estimator: defect "
+            f"{defect!r} at a verification probe"
+        )
+        with pytest.raises(NotComonotonicError) as exc:
+            verify_representation(spec.rows, uniform)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("name", ["es1", "es2", "es3"])
     def test_extraction_round_trip(self, name):

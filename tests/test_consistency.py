@@ -1,10 +1,12 @@
+import math
 import threading
 
 import numpy as np
 import pytest
+from scipy import stats
 from test_acceptance import apply_l_estimator, check_partial_integrals
 from test_bench import tiny_config
-from test_distributions import sample
+from test_distributions import nig_mixture, sample, scipy_nig
 
 from riskbench import bench, consistency
 from riskbench.consistency import (
@@ -207,6 +209,100 @@ class TestEmpirical:
             Normal(), spectrum, "alternative", [100], reps=5, seed=5
         )
         assert isinstance(rows[0], ConsistencyRow)
+
+    def test_a_row_that_is_not_finite_is_refused(self):
+        with pytest.raises(ValueError, match="^median_abs_error at n=100 is nan, not finite$"):
+            ConsistencyRow(100, float("nan"), 1.0)
+        with pytest.raises(ValueError, match="^iqr at n=7 is inf, not finite$"):
+            ConsistencyRow(7, 1.0, float("inf"))
+
+
+def _lower_normal(z):
+    """E[(z - Z)^+] and E[((z - Z)^+)^2] for a standard normal Z."""
+    cdf, pdf = stats.norm.cdf(z), stats.norm.pdf(z)
+    return z * cdf + pdf, (z * z + 1.0) * cdf + z * pdf
+
+
+def _lower_partial_moments(dist, q):
+    """E[(q - X)^+] and E[((q - X)^+)^2]: in closed form for the normal and
+    the t, for the NIG by nig_mixture over X given V, a normal."""
+    if isinstance(dist, Normal):
+        m1, m2 = _lower_normal((q - dist.mu) / dist.sigma)
+        return dist.sigma * m1, dist.sigma**2 * m2
+    if isinstance(dist, StudentT):
+        # E[T; T <= q] = -(nu + q^2) f(q) / (nu - 1); E[T^2; T <= q] from
+        # t^2 = nu * (1 + t^2 / nu) - nu, where (1 + t^2 / nu) f(t) is a
+        # rescaled t(nu - 2) density
+        nu = dist.nu
+        cdf = stats.t.cdf(q, nu)
+        t1 = -(nu + q * q) * stats.t.pdf(q, nu) / (nu - 1.0)
+        wider = stats.t.cdf(q * math.sqrt((nu - 2.0) / nu), nu - 2.0)
+        t2 = nu * ((nu - 1.0) / (nu - 2.0) * wider - cdf)
+        return q * cdf - t1, q * q * cdf - 2.0 * q * t1 + t2
+    m1 = nig_mixture(dist, [q], lambda z, v: np.sqrt(v) * _lower_normal(z)[0])[0]
+    m2 = nig_mixture(dist, [q], lambda z, v: v * _lower_normal(z)[1])[0]
+    return m1, m2
+
+
+def _variance(dist):
+    if isinstance(dist, Normal):
+        return dist.sigma**2
+    if isinstance(dist, StudentT):
+        return dist.nu / (dist.nu - 2.0)
+    return nig_mixture(dist, [dist.mean], lambda z, v: v * (z * z + 1.0))[0]
+
+
+def test_partial_moments_match_quadrature():
+    for dist, law in (
+        (Normal(0.3, 2.0), stats.norm(0.3, 2.0)),
+        (StudentT(5.0), stats.t(5.0)),
+        (Nig(0.4, 0.14), scipy_nig(Nig(0.4, 0.14))),
+    ):
+        for level in (0.01, 0.025, 0.3):
+            q = float(law.ppf(level))
+            want = [law.expect(lambda x, k=k: (q - x) ** k, ub=q) for k in (1, 2)]
+            assert _lower_partial_moments(dist, q) == pytest.approx(want, rel=1e-8)
+        assert _variance(dist) == pytest.approx(law.var(), rel=1e-10)
+
+
+class TestCentralLimit:
+    SEED = 23  # fixed before any ratio was seen
+    REPS = 200
+
+    @staticmethod
+    def sigma(dist, spectrum):
+        """sigma_phi, the limit sd of sqrt(n) * (estimate - risk). The ES at
+        alpha is -(alpha * q - E[(q - X)^+]) / alpha with q the alpha-quantile,
+        and the sample version moves with q only to second order, so
+        sigma_phi = sd((q - X)^+) / alpha; the sample mean's is sd(X)."""
+        if spectrum.name == "uniform":
+            return math.sqrt(_variance(dist))
+        q = float(scipy_nig(dist).ppf(ALPHA)) if isinstance(dist, Nig) else dist.quantile(ALPHA)
+        m1, m2 = _lower_partial_moments(dist, q)
+        return math.sqrt(m2 - m1 * m1) / ALPHA
+
+    def test_median_error_matches_the_normal_limit(self):
+        """Each ladder's median |error| over 0.6745 * sigma_phi / sqrt(n),
+        the median |error| of its normal limit, lies within four standard
+        errors of 1. The sample median of 200 |N(0, s^2)| has sd
+        s / (4 phi(0.6745) sqrt(200)), 8.2% of 0.6745 s, so the band is
+        about 1 +- 0.33: it catches a wrong variance or a gross bias, not a
+        2% level error (es weights built at 1.02 alpha gave 1.20-1.44 only
+        at n = 10^5)."""
+        z = stats.norm.ppf(0.75)
+        se = 1.0 / (4.0 * stats.norm.pdf(z) * z * math.sqrt(self.REPS))
+        ratios = {}
+        for dist in (Normal(), StudentT(5.0), Nig(0.4, 0.14)):
+            for spectrum in (es_spectrum(ALPHA), uniform_spectrum()):
+                sigma = self.sigma(dist, spectrum)
+                rows = empirical_consistency(
+                    dist, spectrum, "integral", [1000, 10_000], self.REPS, self.SEED
+                )
+                for row in rows:
+                    key = f"{dist.label} {spectrum.name} n={row.n}"
+                    ratios[key] = row.median_abs_error / (z * sigma / math.sqrt(row.n))
+        outside = {key: r for key, r in ratios.items() if abs(r - 1.0) > 4.0 * se}
+        assert not outside, f"outside 1 +- {4.0 * se:.3f}: {outside}; all: {ratios}"
 
 
 def test_unknown_discretization_is_named():
